@@ -12,6 +12,7 @@ from .scenarios import (
     build_problem,
     check_surface,
     load_scenario,
+    parse_diagnostics,
     run,
 )
 
@@ -51,15 +52,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             scenario = load_scenario(args.scenario)
             diag = None
             if args.diagnostics is not None:
-                if args.diagnostics == "all":
-                    diag = list(DIAGNOSTIC_NAMES)
-                elif args.diagnostics == "none":
-                    diag = []
-                else:
-                    diag = [s.strip() for s in args.diagnostics.split(",") if s.strip()]
-                    for name in diag:
-                        if name not in DIAGNOSTIC_NAMES:
-                            raise ValueError(f"unknown diagnostic {name!r}")
+                diag = parse_diagnostics(args.diagnostics)
             report, _X = run(
                 scenario, out_dir=args.out, mesh=args.mesh,
                 diagnostics_override=diag,

@@ -12,17 +12,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .lattice import Cell, cell_measure
-from .oracle import OracleConfig, OracleResult, isoperimetric_scan  # noqa: F401
+from .lattice import Cell, _dist2, cell_measure
 from .solver import cell_weight
 from .spanning import Surface
 
 # unit-ball volumes used in reported ratios (floats by design)
 _ALPHA = {0: 1.0, 1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0}
-
-
-def _dist2(p: Sequence[Fraction], q: Sequence[Fraction]) -> Fraction:
-    return sum((a - b) ** 2 for a, b in zip(p, q))
 
 
 def _ambient_barycenter(cell: Cell, side: Fraction) -> tuple[Fraction, ...]:

@@ -1,11 +1,12 @@
 """Exhaustive minimization with certified optimality (branch and bound).
 
-The search works on the witness affine spaces: branching includes or excludes
-one m-cell at a time, exclusion constrains every class's witness space, and a
-node is closed as soon as the included cells alone carry a witness for every
-class.  Lower bounds come from face-disjoint packings of dual-lattice loops
-whose crossing parity is odd on every witness of some class: each such loop
-forces at least one of its crossed faces into any spanning surface.
+The search is `witness.branch_and_bound` over the whole (cropped) box:
+branching includes or excludes one m-cell at a time, exclusion constrains
+every class's witness space, and a node is closed as soon as the included
+cells alone carry a witness for every class.  Lower bounds come from
+face-disjoint packings of dual-lattice loops whose crossing parity is odd on
+every witness of some class: each such loop forces at least one of its
+crossed faces into any spanning surface.
 
 A budget caps the number of expanded nodes; on exhaustion the best surface
 found is reported together with a still-valid global lower bound.
@@ -14,16 +15,16 @@ found is reported together with a still-valid global lower bound.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .lattice import Cell, CubicalComplex, GridSpec
 from .linalg import bit_indices
 from .linking import DualLoop, crossed_faces
-from .solver import SolverConfig, cell_weight, solve, surface_weight
+from .solver import SolverConfig, cell_weight, frac_str, solve, surface_weight
 from .spanning import CohomologyClass, SpanningProblem, Surface
-from .witness import WitnessSystem, build_witness_system
+from .witness import WitnessSystem, branch_and_bound, build_witness_system
 
 
 @dataclass(frozen=True)
@@ -46,16 +47,9 @@ class OracleResult:
     loop_count: int
 
     def to_dict(self) -> dict:
-        def fr(x: Fraction) -> str:
-            return (
-                f"{x.numerator}/{x.denominator}"
-                if x.denominator != 1
-                else str(x.numerator)
-            )
-
         return {
-            "best_weight": fr(self.best_weight),
-            "lower_bound": fr(self.lower_bound),
+            "best_weight": frac_str(self.best_weight),
+            "lower_bound": frac_str(self.lower_bound),
             "optimal": self.optimal,
             "nodes": self.nodes,
             "cells": len(self.best_mcells),
@@ -240,16 +234,7 @@ def packing_lower_bound(
 
 
 # ---------------------------------------------------------------------------
-# branch and bound
-
-
-@dataclass
-class _Node:
-    include: int
-    exclude: int
-    weight: Fraction
-    spaces: list
-    bound: Fraction
+# certified scan
 
 
 def isoperimetric_scan(
@@ -286,135 +271,21 @@ def isoperimetric_scan(
         )
         return (w + lb), feasible
 
-    root_spaces = system.copy_spaces()
-    root_bound, feasible = node_bound(0, 0, Fraction(0))
-    if not feasible:
-        raise AssertionError("root infeasible despite existing witnesses")
-    stack = [_Node(0, 0, Fraction(0), root_spaces, root_bound)]
-    nodes = 0
-    exhausted = False
-    open_bounds: list[Fraction] = []
-
-    while stack:
-        if nodes >= cfg.budget or time.monotonic() - t0 > cfg.time_limit:
-            exhausted = True
-            open_bounds = [nd.bound for nd in stack]
-            break
-        nd = stack.pop()
-        nodes += 1
-        if best_weight is not None and nd.bound >= best_weight:
-            continue
-        include, exclude, w, spaces = nd.include, nd.exclude, nd.weight, nd.spaces
-
-        # forced cells: coordinates equal to one on every remaining witness
-        forced = 0
-        for s in spaces:
-            forced |= s.forced_mask()
-        forced &= ~(include | a_mask)
-        if forced:
-            include |= forced
-            v = forced
-            while v:
-                bit = v & -v
-                w += weights[bit.bit_length() - 1]
-                v ^= bit
-            if best_weight is not None and w >= best_weight:
-                continue
-
-        allowed_now = include | a_mask
-        if all(s.member_within(allowed_now) is not None for s in spaces):
-            if best_weight is None or w < best_weight:
-                best_weight = w
-                best_mask = allowed_now
-            continue
-
-        # choose a branching face set
-        branch_cols: list[int] = []
-        best_loop = None
-        for g in loops:
-            if g & allowed_now:
-                continue
-            avail = g & ~exclude
-            if avail and (
-                best_loop is None
-                or bin(avail).count("1") < bin(best_loop).count("1")
-            ):
-                best_loop = avail
-                if bin(avail).count("1") <= 2:
-                    break
-        if best_loop is not None:
-            v = best_loop
-            while v:
-                bit = v & -v
-                branch_cols.append(bit.bit_length() - 1)
-                v ^= bit
-        else:
-            pick = None
-            for s in spaces:
-                if s.member_within(allowed_now) is None:
-                    outside = s.particular & ~allowed_now
-                    if outside:
-                        pick = (outside & -outside).bit_length() - 1
-                        break
-            if pick is None:
-                raise AssertionError("no branching column at an open node")
-            branch_cols = [pick]
-
-        children: list[_Node] = []
-        if len(branch_cols) == 1:
-            col = branch_cols[0]
-            ex_spaces = [s.copy() for s in spaces]
-            if all(s.constrain_zero(col) for s in ex_spaces):
-                b, feas = node_bound(include, exclude | 1 << col, w)
-                if feas and (best_weight is None or b < best_weight):
-                    children.append(
-                        _Node(include, exclude | 1 << col, w, ex_spaces, b)
-                    )
-            b, _ = node_bound(include | 1 << col, exclude, w + weights[col])
-            if best_weight is None or b < best_weight:
-                children.append(
-                    _Node(include | 1 << col, exclude, w + weights[col], spaces, b)
-                )
-            children.reverse()  # explore exclusion first
-        else:
-            # one child per choice of first included face of the loop
-            cur_spaces = spaces
-            cur_exclude = exclude
-            dead = False
-            for i, col in enumerate(branch_cols):
-                b, _ = node_bound(
-                    include | 1 << col, cur_exclude, w + weights[col]
-                )
-                if best_weight is None or b < best_weight:
-                    children.append(
-                        _Node(
-                            include | 1 << col, cur_exclude, w + weights[col],
-                            [s.copy() for s in cur_spaces]
-                            if i < len(branch_cols) - 1
-                            else cur_spaces,
-                            b,
-                        )
-                    )
-                if i < len(branch_cols) - 1:
-                    nxt = [s.copy() for s in cur_spaces]
-                    if not all(s.constrain_zero(col) for s in nxt):
-                        dead = True
-                        break
-                    cur_spaces = nxt
-                    cur_exclude |= 1 << col
-            del dead
-            children.reverse()
-        stack.extend(children)
-
+    search = branch_and_bound(
+        system.copy_spaces(), a_mask, weights, best_weight, loops=loops,
+        bound=node_bound, budget=cfg.budget, deadline=t0 + cfg.time_limit,
+    )
+    if search.best is not None:
+        best_weight, best_mask = search.best
     if best_weight is None:
-        if not exhausted:
+        if not search.exhausted:
             raise AssertionError("search ended without any spanning surface")
         # budget ran out before any incumbent: fall back to the full fill,
         # which always spans (the box is contractible)
         best_mask = (1 << ncols) - 1
         best_weight = sum(weights, Fraction(0))
-    if exhausted:
-        lower = min(open_bounds + [best_weight])
+    if search.exhausted:
+        lower = min(search.open_bounds + [best_weight])
         optimal = lower == best_weight
     else:
         lower = best_weight
@@ -425,7 +296,8 @@ def isoperimetric_scan(
     )
     # report against the original problem (crop preserves the optimum)
     return OracleResult(
-        best_weight, lower, optimal, nodes, cells, work.grid.box, len(loops)
+        best_weight, lower, optimal, search.nodes, cells, work.grid.box,
+        len(loops),
     )
 
 

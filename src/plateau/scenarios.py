@@ -35,10 +35,26 @@ from .lattice import (
     export_off,
 )
 from .linalg import GF2, Coeffs
-from .solver import SolverConfig, SolveReport, solve, surface_weight
+from .solver import SolverConfig, SolveReport, frac_str, solve, surface_weight
 from .spanning import CohomologyClass, SpanningProblem, Surface, canonical_L, spans
 
 DIAGNOSTIC_NAMES = ("slicing", "profile", "regularity", "monotonicity")
+
+
+def parse_diagnostics(value: Any) -> list[str]:
+    """Diagnostic names from "all", "none", a comma separated string or a list."""
+    if value == "all":
+        return list(DIAGNOSTIC_NAMES)
+    if value == "none":
+        return []
+    if isinstance(value, str):
+        value = [s.strip() for s in value.split(",") if s.strip()]
+    if not isinstance(value, list):
+        raise ValueError(f"diagnostics must be all, none or a list, got {value!r}")
+    for name in value:
+        if name not in DIAGNOSTIC_NAMES:
+            raise ValueError(f"unknown diagnostic {name!r}")
+    return list(value)
 
 
 def parse_rational(value: Any) -> Fraction:
@@ -52,10 +68,6 @@ def parse_rational(value: Any) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad rational literal {value!r}") from exc
     raise ValueError(f"expected a rational, got {value!r}")
-
-
-def frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
 @dataclass
@@ -106,14 +118,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ValueError(f"unknown coefficient field {kind!r}")
     density = _density_from_dict(data.get("density", {"kind": "constant"}))
     solver_cfg = _solver_from_dict(data.get("solver", {}))
-    diag = data.get("diagnostics", "all")
-    if diag == "all":
-        diag = list(DIAGNOSTIC_NAMES)
-    elif diag == "none":
-        diag = []
-    for name in diag:
-        if name not in DIAGNOSTIC_NAMES:
-            raise ValueError(f"unknown diagnostic {name!r}")
+    diag = parse_diagnostics(data.get("diagnostics", "all"))
     return Scenario(
         name=str(data.get("name", "unnamed")),
         grid=grid,
@@ -123,7 +128,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         L_spec=data.get("L", "canonical"),
         density=density,
         solver=solver_cfg,
-        diagnostics=list(diag),
+        diagnostics=diag,
         seed=int(data["seed"]),
         raw=data,
     )

@@ -1,8 +1,10 @@
 """Minimization of weighted area over spanning surfaces.
 
 Pipeline: fill the full m-skeleton (contractible box, so it spans), greedily
-remove cells while the spanning verdict survives, then sweep exhaustive local
-replacements over small subboxes.  Every accepted move preserves spanning by
+remove cells while the spanning verdict survives, then sweep local
+replacements over small subboxes.  A local replacement is an exact
+minimization of one region's interior on the witness branch-and-bound that
+the oracle also runs.  Every accepted move preserves spanning by
 construction and the final surface is 1-minimal.
 """
 
@@ -10,21 +12,20 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .lattice import Cell, CubicalComplex, GridSpec, cell_measure
+from .lattice import Cell, CubicalComplex, GridSpec, build_skeleton, cell_measure
 from .linalg import bit_indices
 from .spanning import (
     SpanningProblem,
     Surface,
     relative_coboundary_dominates,
 )
-from .witness import WitnessSystem, build_witness_system
+from .witness import WitnessSystem, branch_and_bound, build_witness_system
 
 
 @dataclass(frozen=True)
@@ -53,9 +54,9 @@ class SolveReport:
 
     def to_dict(self) -> dict:
         return {
-            "initial_weight": _frac_str(self.initial_weight),
-            "final_weight": _frac_str(self.final_weight),
-            "moves": [[kind, _frac_str(delta)] for kind, delta in self.moves],
+            "initial_weight": frac_str(self.initial_weight),
+            "final_weight": frac_str(self.final_weight),
+            "moves": [[kind, frac_str(delta)] for kind, delta in self.moves],
             "spans_verified": self.spans_verified,
             "wall_time_seconds": round(self.wall_time, 3),
         }
@@ -64,7 +65,8 @@ class SolveReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def _frac_str(x: Fraction) -> str:
+def frac_str(x: Fraction) -> str:
+    """Exact report form of a rational: "p/q", or "p" for an integer."""
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
@@ -244,121 +246,90 @@ def contract_to_witnesses(
 
 
 # ---------------------------------------------------------------------------
-# local replacement (exhaustive on small subboxes)
+# local replacement (exact minimization inside small subboxes)
+
+# node cap of one local move's search.  The shipped scenarios settle every
+# side-2 region at the root node; a capped search keeps the lightest refill
+# found so far, which still spans and is never heavier than X's own.
+LOCAL_NODE_CAP = 20_000
 
 
-def _region_cells(grid: GridSpec, lows: Sequence[int], highs: Sequence[int],
-                  skeleton: CubicalComplex, dim: int) -> tuple[list[Cell], list[Cell]]:
-    """(interior, frontier) d-cells of the grid inside the closed region."""
+def _region_split(
+    cells: Iterable[Cell], lows: Sequence[int], highs: Sequence[int]
+) -> tuple[list[Cell], list[Cell]]:
+    """(interior, frontier) among the cells that lie in the closed region."""
     interior, frontier = [], []
-    for c in skeleton.sorted_cells(dim):
-        inside = True
-        on_boundary = False
-        for a in range(grid.n):
-            lo = c.anchor[a]
-            hi = lo + (1 if c.has_axis(a) else 0)
-            if lo < lows[a] or hi > highs[a]:
-                inside = False
-                break
-            if not c.has_axis(a) and (lo == lows[a] or lo == highs[a]):
-                on_boundary = True
-        if not inside:
-            continue
-        (frontier if on_boundary else interior).append(c)
-    return interior, frontier
-
-
-def _cells_in_region(cells: Iterable[Cell], lows, highs, n: int,
-                     boundary_only: bool = False) -> list[Cell]:
-    out = []
     for c in cells:
         inside = True
         on_boundary = False
-        for a in range(n):
+        for a, (low, high) in enumerate(zip(lows, highs)):
             lo = c.anchor[a]
             hi = lo + (1 if c.has_axis(a) else 0)
-            if lo < lows[a] or hi > highs[a]:
+            if lo < low or hi > high:
                 inside = False
                 break
-            if not c.has_axis(a) and (lo == lows[a] or lo == highs[a]):
+            if not c.has_axis(a) and (lo == low or lo == high):
                 on_boundary = True
-        if inside and (on_boundary or not boundary_only):
-            out.append((c, on_boundary))
-    if boundary_only:
-        return [c for c, ob in out if ob]
-    return [c for c, _ in out]
+        if inside:
+            (frontier if on_boundary else interior).append(c)
+    return interior, frontier
+
+
+def _check_region(problem: SpanningProblem, lows: Sequence[int],
+                  highs: Sequence[int], what: str, a_name: str = "A") -> None:
+    """Raise unless the region lies in the box and its interior avoids A."""
+    box = problem.grid.box
+    for a in range(problem.grid.n):
+        if not box[a][0] <= lows[a] < highs[a] <= box[a][1]:
+            raise ValueError(f"{what} outside the grid box")
+    if _region_split(problem.A.cells, lows, highs)[0]:
+        raise ValueError(f"{what} interior touches {a_name}")
 
 
 def local_replace(
     X: Surface, lows: Sequence[int], highs: Sequence[int],
     system: Optional[WitnessSystem] = None,
 ) -> Surface:
-    """Exhaustive minimum-weight refilling of X inside one small region.
+    """Exact minimum-weight refilling of X inside one small region.
 
-    The interior must avoid A.  A candidate refill is accepted iff its
-    restriction image on the frontier trace is dominated by the current one,
-    which preserves the global spanning verdict.
+    The region's interior must avoid A.  Every m-cell outside the interior
+    stays as in X, and the witness branch-and-bound that the oracle runs
+    finds the lightest set of interior m-cells that keeps X spanning.  X is
+    returned unchanged when it has no m-cell in the interior, or when no
+    refill is strictly lighter than its own.  The search stops after
+    LOCAL_NODE_CAP nodes with the lightest refill found so far.  Raises
+    ValueError when X has interior m-cells but does not span.
     """
     problem = X.problem
-    grid = problem.grid
-    n = grid.n
     m = problem.m
-    for a in range(n):
-        if not grid.box[a][0] <= lows[a] < highs[a] <= grid.box[a][1]:
-            raise ValueError("region outside the grid box")
-    # interior must be disjoint from A
-    interior_A = _cells_in_region(problem.A.cells, lows, highs, n)
-    frontier_A = set(_cells_in_region(problem.A.cells, lows, highs, n, True))
-    if any(c not in frontier_A for c in interior_A):
-        raise ValueError("region interior touches the boundary complex A")
-
-    from .lattice import build_skeleton
-
-    skel = build_skeleton(
-        GridSpec(n, grid.k, tuple((lows[a], highs[a]) for a in range(n))), m
-    )
-    region_grid = skel.grid
-    candidates, _ = _region_cells(region_grid, lows, highs, skel, m)
-    current_set = X.mcells.intersection(candidates)
-    Xcells_region = _cells_in_region(X.complex.cells, lows, highs, n)
-    T_cells = _cells_in_region(X.complex.cells, lows, highs, n, True)
-    T = CubicalComplex(region_grid, T_cells, closed=True)
-    Xin = CubicalComplex(region_grid, Xcells_region, closed=True)
-
-    # exact subset sums over a common denominator; candidates are sorted, so
-    # index tuples order like the cell tuples they stand for
-    table = problem.weight_table()
-    weights = [table[c] for c in candidates]
-    denom = math.lcm(*(w.denominator for w in weights))
-    scaled = [w.numerator * (denom // w.denominator) for w in weights]
-    current_weight = sum(
-        scaled[i] for i, c in enumerate(candidates) if c in current_set
-    )
-    subsets = []
-    for r in range(len(candidates) + 1):
-        for combo in itertools.combinations(range(len(candidates)), r):
-            w = sum(scaled[i] for i in combo)
-            if w < current_weight:
-                subsets.append((w, combo))
-    subsets.sort()
-
-    best: Optional[frozenset[Cell]] = None
-    for w, combo in subsets:
-        cells = [candidates[i] for i in combo]
-        Y = CubicalComplex(
-            region_grid, set(T.cells) | set(cells)
-        )
-        if relative_coboundary_dominates(Y, Xin, T, m - 1, problem.coeffs):
-            best = frozenset(cells)
-            break
-    if best is None or best == current_set:
-        return X
-    new_mcells = (X.mcells - current_set) | best
-    result = Surface(problem, frozenset(new_mcells))
+    _check_region(problem, lows, highs, "region", "the boundary complex A")
     system = system or build_witness_system(problem)
-    if not system.spans_surface(result):
-        raise AssertionError("local replacement broke the spanning verdict")
-    return result
+    region = GridSpec(problem.grid.n, problem.grid.k, tuple(zip(lows, highs)))
+    interior, _ = _region_split(
+        build_skeleton(region, m).sorted_cells(m), lows, highs
+    )
+    current = X.mcells.intersection(interior)
+    if not current:
+        return X
+    interior_mask = system.mask_of(interior)
+    allowed = system.mask_of(X.mcells) | system.mask_of(problem.A.cells_of_dim(m))
+    spaces = system.copy_spaces()
+    for col in bit_indices(system.full_mask() & ~(allowed | interior_mask)):
+        for s in spaces:
+            s.constrain_zero(col)
+    if not all(s.member_within(allowed) is not None for s in spaces):
+        raise ValueError("local_replace requires a spanning surface")
+    table = problem.weight_table()
+    search = branch_and_bound(
+        spaces, allowed & ~interior_mask,
+        {system.column[c]: table[c] for c in interior},
+        sum((table[c] for c in current), Fraction(0)),
+        budget=LOCAL_NODE_CAP,
+    )
+    if search.best is None:
+        return X
+    refill = (system.mcells[j] for j in bit_indices(search.best[1] & interior_mask))
+    return Surface(problem, (X.mcells - current).union(refill))
 
 
 # ---------------------------------------------------------------------------
@@ -407,19 +378,11 @@ def skeleton_push(X: Surface, lows: Sequence[int],
     grid = problem.grid
     n, m = grid.n, problem.m
     highs = [lo + 2 for lo in lows]
-    for a in range(n):
-        if not grid.box[a][0] <= lows[a] < highs[a] <= grid.box[a][1]:
-            raise ValueError("coarse block outside the grid box")
-    interior_A = _cells_in_region(problem.A.cells, lows, highs, n)
-    frontier_A = set(_cells_in_region(problem.A.cells, lows, highs, n, True))
-    if any(c not in frontier_A for c in interior_A):
-        raise ValueError("coarse block interior touches A")
-
-    from .lattice import build_skeleton
-
-    block_grid = GridSpec(n, grid.k, tuple((lows[a], highs[a]) for a in range(n)))
-    skel = build_skeleton(block_grid, m)
-    interior, frontier = _region_cells(block_grid, lows, highs, skel, m)
+    _check_region(problem, lows, highs, "coarse block")
+    block_grid = GridSpec(n, grid.k, tuple(zip(lows, highs)))
+    interior, frontier = _region_split(
+        build_skeleton(block_grid, m).sorted_cells(m), lows, highs
+    )
     interior_set = set(interior)
     inside_now = sorted(c for c in X.mcells if c in interior_set)
     if not inside_now:
@@ -470,11 +433,9 @@ def skeleton_push(X: Surface, lows: Sequence[int],
     if shadow_measure > bound * interior_measure:
         raise AssertionError("skeleton push exceeded the (4n)^m measure bound")
 
-    T_cells = _cells_in_region(X.complex.cells, lows, highs, n, True)
-    T = CubicalComplex(block_grid, T_cells, closed=True)
-    Xin = CubicalComplex(
-        block_grid, _cells_in_region(X.complex.cells, lows, highs, n), closed=True
-    )
+    x_interior, x_frontier = _region_split(X.complex.cells, lows, highs)
+    T = CubicalComplex(block_grid, x_frontier, closed=True)
+    Xin = CubicalComplex(block_grid, x_interior + x_frontier, closed=True)
     Y = CubicalComplex(block_grid, set(T.cells) | shadow)
     if not relative_coboundary_dominates(Y, Xin, T, m - 1, problem.coeffs):
         return PushOutcome(X, False, shadow_measure, interior_measure)
@@ -498,11 +459,8 @@ def _admissible_regions(problem: SpanningProblem, side: int):
     ]
     for lows in itertools.product(*ranges):
         highs = [lo + side for lo in lows]
-        interior_A = _cells_in_region(problem.A.cells, lows, highs, n)
-        frontier_A = set(_cells_in_region(problem.A.cells, lows, highs, n, True))
-        if any(c not in frontier_A for c in interior_A):
-            continue
-        yield lows, highs
+        if not _region_split(problem.A.cells, lows, highs)[0]:
+            yield lows, highs
 
 
 def solve(problem: SpanningProblem, cfg: SolverConfig) -> tuple[Surface, SolveReport]:

@@ -5,18 +5,22 @@ supported on X's m-cells has boundary supported on A with <l, bd w> = 1.
 The witnesses for one class form an affine subspace of the m-chain space of
 the full box; spanning tests against any X reduce to asking whether that
 affine space meets the coordinate subspace supported on X.  This is the
-engine behind the greedy solver and the exhaustive oracle; it is
-cross-checked against the direct cohomological definition in the tests.
+engine behind the greedy solver, its local moves and the exhaustive oracle;
+it is cross-checked against the direct cohomological definition in the tests.
+`branch_and_bound` is the one minimizer over these spaces: the oracle runs
+it on the whole box, a local move on one region's interior.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from fractions import Fraction
+from typing import Callable, Optional, Sequence
 
 from .cochain import CellIndexing, boundary_incidences
 from .lattice import Cell, build_skeleton
-from .linalg import Coeffs, FieldMatrix, kernel_basis, solve
+from .linalg import Coeffs, FieldMatrix, bit_indices, kernel_basis, solve
 from .spanning import SpanningProblem, Surface
 
 
@@ -58,6 +62,8 @@ class Gf2AffineSpace:
     def constrain_zero(self, col: int) -> bool:
         """Intersect with {w_col = 0}; False if that empties the space."""
         bit = 1 << col
+        if not self.or_mask & bit:
+            return not self.particular & bit
         pivot = None
         for i, v in enumerate(self.basis):
             if v & bit:
@@ -333,3 +339,165 @@ def build_witness_system(problem: SpanningProblem) -> WitnessSystem:
             kern = kernel_basis(M)
             spaces.append(GenericAffineSpace(F, ncols, x, kern.basis))
     return WitnessSystem(problem, list(mcells), column, spaces)
+
+
+# ---------------------------------------------------------------------------
+# branch and bound
+
+
+@dataclass
+class _Node:
+    include: int
+    exclude: int
+    weight: Fraction
+    spaces: list
+    bound: Fraction
+
+
+@dataclass
+class SearchResult:
+    """Outcome of `branch_and_bound`.
+
+    `best` is (weight, allowed mask) of the lightest solution found that beats
+    the incumbent, or None.  When the budget or deadline stopped the search,
+    `exhausted` is set and `open_bounds` holds the bounds of the open nodes.
+    """
+
+    best: Optional[tuple[Fraction, int]]
+    nodes: int
+    exhausted: bool
+    open_bounds: list[Fraction]
+
+
+def branch_and_bound(
+    spaces: list,
+    fixed: int,
+    weights,
+    incumbent: Optional[Fraction],
+    *,
+    loops: Sequence[int] = (),
+    bound: Optional[Callable[[int, int, Fraction], tuple[Fraction, bool]]] = None,
+    budget: int,
+    deadline: Optional[float] = None,
+) -> SearchResult:
+    """Lightest column set that, together with `fixed`, carries a member of
+    every witness space; only solutions strictly lighter than the incumbent
+    are accepted.
+
+    Columns in `fixed` are always allowed and cost nothing; any other column
+    j costs `weights[j]` (a list or a dict by column).  The spaces are owned
+    by the search.  Branching includes or excludes one column of a witness
+    support, or, when `loops` are given, picks which face of the shortest
+    unsatisfied loop is the first one included.  `bound(include, exclude,
+    weight)` returns a lower bound for a node and whether it is feasible;
+    without it the bound is the node's own weight.  The search stops after
+    `budget` nodes or at the `time.monotonic()` instant `deadline`.
+    """
+    node_bound = bound or (lambda include, exclude, w: (w, True))
+    best = incumbent
+    best_mask: Optional[int] = None
+    root_bound, feasible = node_bound(0, 0, Fraction(0))
+    if not feasible:
+        raise AssertionError("root infeasible despite existing witnesses")
+    stack = [_Node(0, 0, Fraction(0), spaces, root_bound)]
+    nodes = 0
+
+    while stack:
+        if nodes >= budget or (deadline is not None and time.monotonic() > deadline):
+            found = None if best_mask is None else (best, best_mask)
+            return SearchResult(found, nodes, True, [nd.bound for nd in stack])
+        nd = stack.pop()
+        nodes += 1
+        if best is not None and nd.bound >= best:
+            continue
+        include, exclude, w, spaces = nd.include, nd.exclude, nd.weight, nd.spaces
+
+        # forced cells: coordinates equal to one on every remaining witness
+        forced = 0
+        for s in spaces:
+            forced |= s.forced_mask()
+        forced &= ~(include | fixed)
+        if forced:
+            include |= forced
+            for col in bit_indices(forced):
+                w += weights[col]
+            if best is not None and w >= best:
+                continue
+
+        allowed_now = include | fixed
+        if all(s.member_within(allowed_now) is not None for s in spaces):
+            if best is None or w < best:
+                best, best_mask = w, allowed_now
+            continue
+
+        # choose a branching face set
+        best_loop = None
+        for g in loops:
+            if g & allowed_now:
+                continue
+            avail = g & ~exclude
+            if avail and (
+                best_loop is None
+                or bin(avail).count("1") < bin(best_loop).count("1")
+            ):
+                best_loop = avail
+                if bin(avail).count("1") <= 2:
+                    break
+        if best_loop is not None:
+            branch_cols = list(bit_indices(best_loop))
+        else:
+            pick = None
+            for s in spaces:
+                if s.member_within(allowed_now) is None:
+                    outside = s.support_mask() & ~allowed_now
+                    if outside:
+                        pick = (outside & -outside).bit_length() - 1
+                        break
+            if pick is None:
+                raise AssertionError("no branching column at an open node")
+            branch_cols = [pick]
+
+        children: list[_Node] = []
+        if len(branch_cols) == 1:
+            col = branch_cols[0]
+            ex_spaces = [s.copy() for s in spaces]
+            if all(s.constrain_zero(col) for s in ex_spaces):
+                b, feas = node_bound(include, exclude | 1 << col, w)
+                if feas and (best is None or b < best):
+                    children.append(
+                        _Node(include, exclude | 1 << col, w, ex_spaces, b)
+                    )
+            b, _ = node_bound(include | 1 << col, exclude, w + weights[col])
+            if best is None or b < best:
+                children.append(
+                    _Node(include | 1 << col, exclude, w + weights[col], spaces, b)
+                )
+            children.reverse()  # explore exclusion first
+        else:
+            # one child per choice of first included face of the loop
+            cur_spaces = spaces
+            cur_exclude = exclude
+            for i, col in enumerate(branch_cols):
+                last = i == len(branch_cols) - 1
+                b, _ = node_bound(
+                    include | 1 << col, cur_exclude, w + weights[col]
+                )
+                if best is None or b < best:
+                    children.append(
+                        _Node(
+                            include | 1 << col, cur_exclude, w + weights[col],
+                            cur_spaces if last else [s.copy() for s in cur_spaces],
+                            b,
+                        )
+                    )
+                if not last:
+                    nxt = [s.copy() for s in cur_spaces]
+                    if not all(s.constrain_zero(col) for s in nxt):
+                        break
+                    cur_spaces = nxt
+                    cur_exclude |= 1 << col
+            children.reverse()
+        stack.extend(children)
+
+    found = None if best_mask is None else (best, best_mask)
+    return SearchResult(found, nodes, False, [])

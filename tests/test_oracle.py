@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -11,8 +12,20 @@ from plateau.oracle import (
     oracle_surface,
     packing_lower_bound,
 )
+from plateau.scenarios import build_problem, scenario_from_dict
 from plateau.solver import SolverConfig, solve, surface_weight
 from plateau.spanning import spans
+
+from conftest import scenario_path
+
+GF3 = {"kind": "gfp", "p": 3}
+
+
+def _over(name: str, coeffs):
+    """A shipped scenario's problem with other coefficients."""
+    with open(scenario_path(name)) as fh:
+        raw = json.load(fh)
+    return build_problem(scenario_from_dict({**raw, "coeffs": coeffs}))
 
 
 def test_crop_tiny_rings(tiny_problem):
@@ -116,3 +129,23 @@ def test_oracle_no_loops_for_higher_codim():
     res = isoperimetric_scan(problem, OracleConfig())
     assert res.optimal
     assert res.best_weight == 8
+
+
+@pytest.mark.parametrize("coeffs", [GF3, "rational"], ids=["gf3", "rational"])
+def test_cold_oracle_certifies_disk_over_other_fields(coeffs):
+    problem = _over("disk3", coeffs)
+    res = isoperimetric_scan(problem, OracleConfig(warm_start=False))
+    assert res.optimal
+    assert res.best_weight == res.lower_bound == 9
+    assert spans(oracle_surface(problem, res))
+
+
+def test_oracle_budget_exhaustion_over_gf3():
+    """A budget-stopped search over GF(3) still reports a spanning incumbent
+    and a valid lower bound."""
+    problem = _over("rings_tiny", GF3)
+    res = isoperimetric_scan(problem, OracleConfig(budget=200, warm_start=False))
+    assert res.lower_bound <= res.best_weight
+    X = oracle_surface(problem, res)
+    assert spans(X)
+    assert surface_weight(X) == res.best_weight

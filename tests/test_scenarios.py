@@ -254,6 +254,29 @@ def test_cli_oracle(capsys):
     assert data["best_weight"] == "9"
 
 
+def test_cli_oracle_over_gf3(tmp_path, capsys):
+    with open(scenario_path("disk3")) as fh:
+        raw = json.load(fh)
+    path = tmp_path / "disk3_gf3.json"
+    path.write_text(json.dumps({**raw, "coeffs": {"kind": "gfp", "p": 3}}))
+    code = main(["oracle", str(path)])
+    assert code == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["optimal"] is True
+    assert data["best_weight"] == "9"
+
+
+def test_diagnostics_field_forms():
+    with open(scenario_path("disk3")) as fh:
+        raw = json.load(fh)
+    assert scenario_from_dict({**raw, "diagnostics": "none"}).diagnostics == []
+    assert scenario_from_dict(
+        {**raw, "diagnostics": ["slicing", "profile"]}
+    ).diagnostics == ["slicing", "profile"]
+    with pytest.raises(ValueError, match="diagnostics must be"):
+        scenario_from_dict({**raw, "diagnostics": 3})
+
+
 def test_cli_error_paths(tmp_path, capsys):
     assert main(["solve", str(tmp_path / "missing.json")]) == 2
     assert "error:" in capsys.readouterr().err
