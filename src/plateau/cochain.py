@@ -155,9 +155,7 @@ class RestrictionImage:
 
     def contains_class(self, rep: Sequence) -> bool:
         """Class membership of a cocycle on A, modulo coboundaries of A."""
-        from .linalg import in_subspace_mod
-
-        return in_subspace_mod(list(rep), self.image, self.coboundaries)
+        return self.image.sum(self.coboundaries).contains(rep)
 
     def quotient_dim(self) -> int:
         joint = self.image.sum(self.coboundaries)

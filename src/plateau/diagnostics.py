@@ -140,7 +140,8 @@ def density_profile(
     rs = sorted(Fraction(r) for r in radii)
     g = [_weighted_ball_measure(X, point, r, weighted=True) for r in rs]
     for a, b in zip(g, g[1:]):
-        assert a <= b, "profile must be monotone in r"
+        if a > b:
+            raise AssertionError("profile must be monotone in r")
     return DensityProfile(point, rs, g, X.problem.m)
 
 
@@ -177,7 +178,8 @@ def regularity_constant(X: Surface, max_radius: Fraction) -> RegularityReport:
             if c_hat is None or val < c_hat:
                 c_hat = val
                 worst = (point, r)
-    assert c_hat is not None
+    if c_hat is None:
+        raise AssertionError("no surface lattice point was sampled")
     return RegularityReport(c_hat, max_radius, count, worst)
 
 

@@ -4,7 +4,8 @@ Matrices are small and dense enough that exact elimination into the
 (unique) reduced row echelon form is the right tool; rows are inserted one
 at a time, so span membership and rank growth need no re-reduction.  GF(2)
 rows are packed into Python ints; other fields use lists of ints /
-Fractions.
+Fractions.  `solve`, `kernel_basis` and `solution_spaces` read solutions off
+one echelon in the same way.
 """
 
 from __future__ import annotations
@@ -141,6 +142,13 @@ class _Gf2Echelon:
         self.rows: dict[int, int] = {}
         self.mask = 0
 
+    def copy(self) -> "_Gf2Echelon":
+        # add() replaces rows and never changes one in place
+        E = _Gf2Echelon()
+        E.rows = dict(self.rows)
+        E.mask = self.mask
+        return E
+
     def _reduce(self, r: int) -> int:
         for c in bit_indices(r & self.mask):
             r ^= self.rows[c]
@@ -163,6 +171,11 @@ class _Gf2Echelon:
         return True
 
 
+def _minus_multiple(F: Coeffs, row: list, f, v: list) -> list:
+    """row - f * v, skipping the zero entries of v."""
+    return [F.sub(x, F.mul(f, y)) if y else x for x, y in zip(row, v)]
+
+
 class _Echelon:
     """Rows over GF(p) or Q in reduced echelon form, grown one row at a time.
 
@@ -174,12 +187,18 @@ class _Echelon:
         self.coeffs = coeffs
         self.rows: dict[int, list] = {}
 
+    def copy(self) -> "_Echelon":
+        # add() replaces rows and never changes one in place
+        E = _Echelon(self.coeffs)
+        E.rows = dict(self.rows)
+        return E
+
     def _reduce(self, v: list) -> list:
         F = self.coeffs
         for c, row in self.rows.items():
             f = v[c]
             if f != F.zero:
-                v = [F.sub(x, F.mul(f, y)) for x, y in zip(v, row)]
+                v = _minus_multiple(F, v, f, row)
         return v
 
     def contains(self, v: list) -> bool:
@@ -194,11 +213,11 @@ class _Echelon:
         if c is None:
             return False
         inv = F.inv(v[c])
-        v = [F.mul(inv, x) for x in v]
+        v = [F.mul(inv, x) if x else x for x in v]
         for k, row in self.rows.items():
             f = row[c]
             if f != F.zero:
-                self.rows[k] = [F.sub(x, F.mul(f, y)) for x, y in zip(row, v)]
+                self.rows[k] = _minus_multiple(F, row, f, v)
         self.rows[c] = v
         return True
 
@@ -208,9 +227,9 @@ def _echelon(coeffs: Coeffs):
 
 
 class FieldMatrix:
-    """Exact matrix over a field; entries supplied as a sparse (i, j) map."""
+    """Exact matrix over a field, stored as rows in internal form."""
 
-    def __init__(self, coeffs: Coeffs, rows: int, cols: int, entries=None):
+    def __init__(self, coeffs: Coeffs, rows: int, cols: int):
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         self.coeffs = coeffs
@@ -219,12 +238,6 @@ class FieldMatrix:
         self._rows: list = [
             0 if coeffs.kind == "gf2" else [coeffs.zero] * cols for _ in range(rows)
         ]
-        if coeffs.kind != "gf2":
-            self._rows = [list(r) for r in self._rows]
-        for (i, j), v in (entries or {}).items():
-            if not (0 <= i < rows and 0 <= j < cols):
-                raise ValueError(f"entry index ({i}, {j}) out of range")
-            self[i, j] = v
 
     def __getitem__(self, ij):
         i, j = ij
@@ -240,15 +253,6 @@ class FieldMatrix:
                 self._rows[i] ^= 1 << j
         else:
             self._rows[i][j] = v
-
-    def entries(self) -> dict:
-        out = {}
-        for i in range(self.rows):
-            for j in range(self.cols):
-                v = self[i, j]
-                if v != self.coeffs.zero:
-                    out[(i, j)] = v
-        return out
 
     def row(self, i: int) -> list:
         if self.coeffs.kind == "gf2":
@@ -388,28 +392,53 @@ class Subspace:
         )
 
 
+def _augmented_echelon(M: FieldMatrix, rhs: Sequence):
+    """Echelon of the augmented matrix [M | rhs]."""
+    F = M.coeffs
+    E = _echelon(F)
+    for r, b in zip(M._rows, rhs):
+        b = F.reduce(b)
+        E.add(r | b << M.cols if F.kind == "gf2" else r + [b])
+    return E
+
+
+def _read_off(E, cols: int) -> Optional[tuple]:
+    """(particular, kernel rows) of the augmented system held by E.
+
+    Columns below `cols` are the unknowns and column `cols` is the right-hand
+    side; None iff a pivot lies there, that is, the system has no solution.
+    Both parts are in FieldMatrix's internal row form.  The particular
+    solution is zero at every free column; the kernel row of free column j is
+    one at j and zero at the other free columns, in increasing order of j.
+    """
+    if cols in E.rows:
+        return None
+    free = [j for j in range(cols) if j not in E.rows]
+    if isinstance(E, _Gf2Echelon):
+        # over GF(2), -R[i, j] = R[i, j]: the free bits of pivot row i
+        full = (1 << cols) - 1
+        particular = 0
+        kernel = {j: 1 << j for j in free}
+        for c, r in E.rows.items():
+            particular |= (r >> cols & 1) << c
+            for j in bit_indices((r & full) ^ (1 << c)):
+                kernel[j] |= 1 << c
+        return particular, [kernel[j] for j in free]
+    F = E.coeffs
+    particular = [F.zero] * cols
+    kernel = {j: [F.one if i == j else F.zero for i in range(cols)] for j in free}
+    for c, r in E.rows.items():
+        particular[c] = r[cols]
+        for j in free:
+            if r[j]:
+                kernel[j][c] = F.sub(F.zero, r[j])
+    return particular, [kernel[j] for j in free]
+
+
 def kernel_basis(M: FieldMatrix) -> Subspace:
     """Basis of the right null space {v : M v = 0}."""
-    R, rank, pivots = row_reduce(M)
-    F = M.coeffs
-    pivot_set = set(pivots)
-    free = [j for j in range(M.cols) if j not in pivot_set]
-    if F.kind == "gf2":
-        # over GF(2), -R[i, j] = R[i, j]: the free bits of pivot row i
-        packed = {j: 1 << j for j in free}
-        for i, pc in enumerate(pivots):
-            for j in bit_indices(R._rows[i] ^ (1 << pc)):
-                packed[j] |= 1 << pc
-        rows = [packed[j] for j in free]
-    else:
-        rows = []
-        for j in free:
-            v = [F.zero] * M.cols
-            v[j] = F.one
-            for i, pc in enumerate(pivots):
-                v[pc] = F.sub(F.zero, R._rows[i][j])
-            rows.append(v)
-    return Subspace.row_space(FieldMatrix._packed(F, rows, M.cols))
+    _, kernel = _read_off(_augmented_echelon(M, [0] * M.rows), M.cols)
+    return Subspace.row_space(FieldMatrix._packed(M.coeffs, kernel, M.cols))
 
 
 def solve(M: FieldMatrix, b: Sequence) -> Optional[list]:
@@ -417,21 +446,31 @@ def solve(M: FieldMatrix, b: Sequence) -> Optional[list]:
     if len(b) != M.rows:
         raise ValueError("dimension mismatch in solve")
     F = M.coeffs
-    aug = FieldMatrix.from_rows(
-        F, [M.row(i) + [b[i]] for i in range(M.rows)], M.cols + 1
-    )
-    R, _, pivots = row_reduce(aug)
-    if M.cols in pivots:
+    solution = _read_off(_augmented_echelon(M, b), M.cols)
+    if solution is None:
         return None
-    x = [F.zero] * M.cols
-    for i, pc in enumerate(pivots):
-        x[pc] = R[i, M.cols]
-    assert M.apply(x) == [F.reduce(v) for v in b]
+    x = _unpack(solution[0], M.cols) if F.kind == "gf2" else solution[0]
+    if M.apply(x) != [F.reduce(v) for v in b]:
+        raise AssertionError("solve returned x with M x != b")
     return x
 
 
-def in_subspace_mod(v: Sequence, S: Subspace, Q: Subspace) -> bool:
-    """True iff v lies in S + Q."""
-    if S.ambient_dim != Q.ambient_dim or len(v) != S.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    return S.sum(Q).contains(v)
+def solution_spaces(M: FieldMatrix, shared: int) -> list[Optional[tuple]]:
+    """Solution sets of the systems "rows below `shared`, plus row i" of M,
+    one for each row i at or after `shared`.
+
+    The last column of M is the right-hand side.  The shared rows are reduced
+    once; each system then adds its own row to a copy of that echelon.  Each
+    entry is (particular, kernel rows) as `_read_off` gives it, or None when
+    that system has no solution.
+    """
+    E = _echelon(M.coeffs)
+    for r in M._rows[:shared]:
+        E.add(r)
+    out = []
+    for r in M._rows[shared:]:
+        own = E.copy()
+        own.add(r)
+        out.append(_read_off(own, M.cols - 1))
+    return out
+

@@ -29,14 +29,15 @@ from .lattice import (
     Cell,
     CubicalComplex,
     GridSpec,
-    cofaces,
     complex_from_text,
     connected_components,
     export_off,
 )
 from .linalg import GF2, Coeffs
-from .solver import SolverConfig, SolveReport, frac_str, solve, surface_weight
-from .spanning import CohomologyClass, SpanningProblem, Surface, canonical_L, spans
+from .solver import SolverConfig, frac_str, solve
+from .spanning import (
+    CohomologyClass, SpanningProblem, Surface, canonical_L, check_closed_manifold, spans,
+)
 
 DIAGNOSTIC_NAMES = ("slicing", "profile", "regularity", "monotonicity")
 
@@ -102,18 +103,22 @@ def scenario_from_dict(data: dict) -> Scenario:
     for key in ("n", "k", "box"):
         if key not in g:
             raise ValueError(f"grid field {key!r} is required")
-    grid = GridSpec(int(g["n"]), int(g["k"]), tuple(tuple(b) for b in g["box"]))
+    grid = GridSpec(
+        _as_int(g["n"], "grid.n"), _as_int(g["k"], "grid.k"), _parse_box(g["box"])
+    )
     boundary = data["boundary"]
     if "tag" not in boundary:
         raise ValueError("boundary field 'tag' is required")
-    m = int(data["m"])
+    m = _as_int(data["m"], "m")
     kind = data.get("coeffs", "gf2")
     if kind == "gf2":
         coeffs = GF2
     elif kind == "rational":
         coeffs = Coeffs("rational")
     elif isinstance(kind, dict) and kind.get("kind") == "gfp":
-        coeffs = Coeffs("gfp", int(kind["p"]))
+        if "p" not in kind:
+            raise ValueError("scenario field coeffs.p is required for a gfp field")
+        coeffs = Coeffs("gfp", _as_int(kind["p"], "coeffs.p"))
     else:
         raise ValueError(f"unknown coefficient field {kind!r}")
     density = _density_from_dict(data.get("density", {"kind": "constant"}))
@@ -129,9 +134,29 @@ def scenario_from_dict(data: dict) -> Scenario:
         density=density,
         solver=solver_cfg,
         diagnostics=diag,
-        seed=int(data["seed"]),
+        seed=_as_int(data["seed"], "seed"),
         raw=data,
     )
+
+
+def _as_int(value: Any, path: str) -> int:
+    """An integer scenario field; a ValueError names the field otherwise."""
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(
+            f"scenario field {path} must be an integer, got {value!r}"
+        ) from exc
+
+
+def _parse_box(box: Any) -> tuple[tuple[int, int], ...]:
+    """grid.box: one [low, high] pair of integers per axis."""
+    try:
+        return tuple((int(lo), int(hi)) for lo, hi in box)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(
+            f"scenario field grid.box must be a list of [low, high] integer pairs, got {box!r}"
+        ) from exc
 
 
 def _density_from_dict(d: dict) -> DensityField:
@@ -209,27 +234,14 @@ def _solid_boundary(grid: GridSpec, solids: set[tuple[int, ...]]) -> set[Cell]:
 def _verify_closed_manifold(
     A: CubicalComplex, dim: int, expected_components: int
 ) -> CubicalComplex:
-    """Check the builtin produced a closed manifold complex of this dimension.
-
-    Curve builtins (disk boundary, rings) are (m-1)-manifolds; the torus and
-    sphere shell builtins are closed surfaces of dimension equal to A's own
-    top dimension.
-    """
+    """Check a builtin's component count and that it is a closed manifold of
+    dimension dim: curves for the disk and rings, surfaces for torus and shell."""
     comps = connected_components(A)
     if len(comps) != expected_components:
         raise ValueError(
             f"boundary has {len(comps)} components, expected {expected_components}"
         )
-    if A.dim != dim:
-        raise ValueError(f"boundary has dimension {A.dim}, expected {dim}")
-    top = A.cells_of_dim(dim)
-    for ridge in A.cells_of_dim(dim - 1):
-        count = sum(1 for c in cofaces(ridge, A.grid) if c in top)
-        if count != 2:
-            raise ValueError(
-                "boundary self-intersects or has a free ridge; "
-                "builtin parameters do not produce a closed manifold"
-            )
+    check_closed_manifold(A, dim)
     return A
 
 

@@ -185,18 +185,20 @@ def relative_coboundary_dominates(
 # canonical class sets
 
 
-def _component_closed_manifold_check(comp: CubicalComplex, m: int) -> None:
-    if comp.dim != m - 1:
+def check_closed_manifold(K: CubicalComplex, dim: int) -> None:
+    """Raise ValueError unless K is a closed dim-manifold complex: it has
+    dimension dim and every (dim-1)-cell has exactly two top cofaces in K."""
+    if K.dim != dim:
         raise ValueError(
-            f"component has dimension {comp.dim}, expected closed ({m - 1})-manifold"
+            f"complex has dimension {K.dim}, expected a closed {dim}-manifold"
         )
-    top = comp.cells_of_dim(m - 1)
-    for ridge in comp.cells_of_dim(m - 2):
-        count = sum(1 for c in cofaces(ridge, comp.grid) if c in top)
+    top = K.cells_of_dim(dim)
+    for ridge in K.cells_of_dim(dim - 1):
+        count = sum(1 for c in cofaces(ridge, K.grid) if c in top)
         if count != 2:
             raise ValueError(
-                f"ridge {ridge} has {count} top cofaces; component is not a "
-                "closed manifold complex"
+                f"ridge {ridge} has {count} top cofaces; the complex is not a "
+                "closed manifold"
             )
 
 
@@ -256,7 +258,7 @@ def canonical_L(A: CubicalComplex, m: int, coeffs: Coeffs) -> list[CohomologyCla
     out = []
     for ci, comp in enumerate(comps):
         if m >= 2:
-            _component_closed_manifold_check(comp, m)
+            check_closed_manifold(comp, m - 1)
         rep = [coeffs.zero] * n
         if m == 1:
             for c in comp.cells_of_dim(0):

@@ -4,7 +4,10 @@ Over a field, a class l on A fails to extend over X iff some m-chain w
 supported on X's m-cells has boundary supported on A with <l, bd w> = 1.
 The witnesses for one class form an affine subspace of the m-chain space of
 the full box; spanning tests against any X reduce to asking whether that
-affine space meets the coordinate subspace supported on X.  This is the
+affine space meets the coordinate subspace supported on X.  The rows
+"bd w vanishes off A" are shared by all classes: `linalg.solution_spaces`
+reduces them once, in the same incremental elimination that serves cochains
+and the spanning test, and reads each class's space off a copy.  This is the
 engine behind the greedy solver, its local moves and the exhaustive oracle;
 it is cross-checked against the direct cohomological definition in the tests.
 `branch_and_bound` is the one minimizer over these spaces: the oracle runs
@@ -20,7 +23,7 @@ from typing import Callable, Optional, Sequence
 
 from .cochain import CellIndexing, boundary_incidences
 from .lattice import Cell, build_skeleton
-from .linalg import Coeffs, FieldMatrix, bit_indices, kernel_basis, solve
+from .linalg import Coeffs, FieldMatrix, Subspace, bit_indices, solution_spaces
 from .spanning import SpanningProblem, Surface
 
 
@@ -196,43 +199,6 @@ class GenericAffineSpace:
         return t
 
 
-def _gf2_solve_affine(rows: list[int], rhs: list[int], ncols: int) -> Optional[Gf2AffineSpace]:
-    """Solve a bit-packed GF(2) system; returns the full solution space."""
-    aug = [r | (b << ncols) for r, b in zip(rows, rhs)]
-    pivots: list[tuple[int, int]] = []  # (col, row index in reduced list)
-    reduced: list[int] = []
-    for r in aug:
-        for col, pr in pivots:
-            if r >> col & 1:
-                r ^= pr
-        if r == 0:
-            continue
-        low = r & ((1 << ncols) - 1)
-        if low == 0:
-            return None  # 0 = 1 row
-        col = (low & -low).bit_length() - 1
-        # keep reduced form: clear this column from earlier rows
-        for i, (c0, pr) in enumerate(pivots):
-            if pr >> col & 1:
-                pivots[i] = (c0, pr ^ r)
-        pivots.append((col, r))
-    pivot_cols = {c for c, _ in pivots}
-    particular = 0
-    for col, pr in pivots:
-        if pr >> ncols & 1:
-            particular |= 1 << col
-    basis = []
-    for j in range(ncols):
-        if j in pivot_cols:
-            continue
-        v = 1 << j
-        for col, pr in pivots:
-            if pr >> j & 1:
-                v |= 1 << col
-        basis.append(v)
-    return Gf2AffineSpace(ncols, particular, basis)
-
-
 @dataclass
 class WitnessSystem:
     """Witness affine spaces of all classes of one problem, plus indexing."""
@@ -271,73 +237,48 @@ class WitnessSystem:
 def build_witness_system(problem: SpanningProblem) -> WitnessSystem:
     """Set up the witness spaces on the full box grid of the problem."""
     m = problem.m
-    skel = build_skeleton(problem.grid, m)
-    idx = CellIndexing(skel)
+    idx = CellIndexing(build_skeleton(problem.grid, m))
     mcells = idx.order(m)
-    column = {c: j for j, c in enumerate(mcells)}
-    lower = idx.order(m - 1)
     A_lower = problem.A.cells_of_dim(m - 1)
-    constraint_rows = [c for c in lower if c not in A_lower]
-    row_index = {c: i for i, c in enumerate(constraint_rows)}
-    A_idx = CellIndexing(problem.A)
-    A_pos = A_idx.position(m - 1)
+    row_index = {
+        c: i for i, c in enumerate(c for c in idx.order(m - 1) if c not in A_lower)
+    }
+    A_pos = CellIndexing(problem.A).position(m - 1)
     F = problem.coeffs
-    ncols = len(mcells)
-
-    if F.kind == "gf2":
-        rows = [0] * (len(constraint_rows) + len(problem.L))
-        for j, cell in enumerate(mcells):
-            for f, _sign in boundary_incidences(cell):
-                i = row_index.get(f)
-                if i is not None:
-                    rows[i] ^= 1 << j
+    nrows = len(row_index)
+    # column j of the system: the boundary of m-cell j off A, then its
+    # pairing with each class; a last column holds the right-hand side
+    columns = []
+    for cell in mcells:
+        bd = boundary_incidences(cell)
+        entries = [(row_index[f], s) for f, s in bd if f in row_index]
         for li, cls in enumerate(problem.L):
-            acc = 0
-            for j, cell in enumerate(mcells):
-                total = 0
-                for f, _sign in boundary_incidences(cell):
-                    p = A_pos.get(f)
-                    if p is not None:
-                        total ^= cls.rep[p] & 1
-                if total:
-                    acc |= 1 << j
-            rows[len(constraint_rows) + li] = acc
-        spaces = []
-        for li in range(len(problem.L)):
-            sel = rows[: len(constraint_rows)] + [rows[len(constraint_rows) + li]]
-            rhs = [0] * len(constraint_rows) + [1]
-            space = _gf2_solve_affine(sel, rhs, ncols)
-            if space is None:
-                raise ValueError(
-                    "class admits no witness chain in the box; "
-                    "check the problem setup"
-                )
-            spaces.append(space)
-    else:
-        M = FieldMatrix(F, len(constraint_rows) + 1, ncols)
-        for j, cell in enumerate(mcells):
-            for f, sign in boundary_incidences(cell):
-                i = row_index.get(f)
-                if i is not None:
-                    M[i, j] = F.add(M[i, j], F.reduce(sign))
-        spaces = []
-        for cls in problem.L:
-            for j, cell in enumerate(mcells):
-                acc = F.zero
-                for f, sign in boundary_incidences(cell):
-                    p = A_pos.get(f)
-                    if p is not None:
-                        acc = F.add(acc, F.mul(F.reduce(sign), cls.rep[p]))
-                M[len(constraint_rows), j] = acc
-            b = [F.zero] * len(constraint_rows) + [F.one]
-            x = solve(M, b)
-            if x is None:
-                raise ValueError(
-                    "class admits no witness chain in the box; "
-                    "check the problem setup"
-                )
-            kern = kernel_basis(M)
-            spaces.append(GenericAffineSpace(F, ncols, x, kern.basis))
+            acc = F.zero
+            for f, s in bd:
+                p = A_pos.get(f)
+                if p is not None:
+                    acc = F.add(acc, F.mul(F.reduce(s), cls.rep[p]))
+            entries.append((nrows + li, acc))
+        columns.append(entries)
+    columns.append([(nrows + li, F.one) for li in range(len(problem.L))])
+    system = FieldMatrix.from_sparse_rows(F, columns, nrows + len(problem.L)).transpose()
+    ncols = len(mcells)
+    spaces = []
+    for solution in solution_spaces(system, nrows):
+        if solution is None:
+            raise ValueError(
+                "class admits no witness chain in the box; "
+                "check the problem setup"
+            )
+        particular, kernel = solution
+        if F.kind == "gf2":
+            spaces.append(Gf2AffineSpace(ncols, particular, kernel))
+        else:
+            # in reduced echelon form each pivot column lies in one basis
+            # vector only, so constrain_zero updates few vectors
+            basis = Subspace.from_vectors(F, ncols, kernel).basis
+            spaces.append(GenericAffineSpace(F, ncols, particular, basis))
+    column = {c: j for j, c in enumerate(mcells)}
     return WitnessSystem(problem, list(mcells), column, spaces)
 
 

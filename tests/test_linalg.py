@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -12,9 +13,11 @@ from plateau.linalg import (
     Subspace,
     kernel_basis,
     row_reduce,
+    solution_spaces,
     solve,
 )
 
+GF3 = Coeffs("gfp", 3)
 GF5 = Coeffs("gfp", 5)
 FIELDS = [GF2, GF5, RATIONAL]
 
@@ -202,3 +205,87 @@ def test_packed_kernels_match_per_entry_definitions(frc):
     K = kernel_basis(M)
     assert K.basis == Subspace.from_vectors(F, cols, ref_kernel).basis
     assert K.dim == cols - rank
+
+
+@st.composite
+def shared_systems(draw, F, max_cols):
+    """Augmented rows (last entry the right-hand side): shared rows, then two
+    rows that each complete one system."""
+    ncols = draw(st.integers(1, max_cols))
+    entry = st.integers(-2, 2)
+    rows = [
+        [draw(entry) for _ in range(ncols + 1)]
+        for _ in range(draw(st.integers(0, 5)) + 2)
+    ]
+    return FieldMatrix.from_rows(F, rows, ncols + 1), len(rows) - 2
+
+
+def _order(F):
+    return 2 if F.kind == "gf2" else F.p
+
+
+def _members(F, particular, kernel, ncols):
+    """Every member of particular + span(kernel), as tuples of entries."""
+    if F.kind == "gf2":
+        particular = [particular >> j & 1 for j in range(ncols)]
+        kernel = [[v >> j & 1 for j in range(ncols)] for v in kernel]
+    out = set()
+    for combo in itertools.product(range(_order(F)), repeat=len(kernel)):
+        x = particular
+        for c, v in zip(combo, kernel):
+            x = [F.add(a, F.mul(c, b)) for a, b in zip(x, v)]
+        out.add(tuple(x))
+    return out
+
+
+@pytest.mark.parametrize("F,max_cols", [(GF2, 6), (GF3, 4)], ids=["gf2", "gf3"])
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_solution_spaces_match_bruteforce(F, max_cols, data):
+    """Each system's solution set, against all vectors of the field."""
+    M, shared = data.draw(shared_systems(F, max_cols))
+    ncols = M.cols - 1
+    solutions = solution_spaces(M, shared)
+    assert len(solutions) == 2
+    for own, solution in zip((shared, shared + 1), solutions):
+        rows = [M.row(i) for i in range(shared)] + [M.row(own)]
+        expected = {
+            x for x in itertools.product(range(_order(F)), repeat=ncols)
+            if all(F.reduce(sum(a * b for a, b in zip(r, x))) == r[ncols] for r in rows)
+        }
+        if not expected:
+            assert solution is None
+            continue
+        particular, kernel = solution
+        assert _members(F, particular, kernel, ncols) == expected
+        assert len(expected) == _order(F) ** len(kernel)
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_solution_spaces_over_rationals(data):
+    M, shared = data.draw(shared_systems(RATIONAL, 6))
+    ncols = M.cols - 1
+    for own, solution in zip((shared, shared + 1), solution_spaces(M, shared)):
+        A = FieldMatrix.from_rows(
+            RATIONAL, [M.row(i)[:ncols] for i in list(range(shared)) + [own]], ncols
+        )
+        b = [M[i, ncols] for i in list(range(shared)) + [own]]
+        if solve(A, b) is None:
+            assert solution is None
+            continue
+        particular, kernel = solution
+        assert A.apply(particular) == b
+        for v in kernel:
+            assert all(e == 0 for e in A.apply(v))
+        _, rank, _ = row_reduce(A)
+        assert len(kernel) == ncols - rank
+        assert Subspace.from_vectors(RATIONAL, ncols, kernel).dim == len(kernel)
+
+
+def test_solution_spaces_inconsistent_system():
+    # x0 + x1 = 0 shared; x0 + x1 = 1 contradicts it, x1 = 1 does not
+    M = FieldMatrix.from_rows(GF2, [[1, 1, 0], [1, 1, 1], [0, 1, 1]], 3)
+    inconsistent, consistent = solution_spaces(M, 1)
+    assert inconsistent is None
+    assert consistent == (0b11, [])

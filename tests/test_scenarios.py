@@ -286,3 +286,14 @@ def test_cli_error_paths(tmp_path, capsys):
     assert main(
         ["solve", scenario_path("disk3"), "--diagnostics", "entropy"]
     ) == 2
+    capsys.readouterr()
+    with open(scenario_path("disk3")) as fh:
+        raw = json.load(fh)
+    for field, change in (
+        ("grid.box", {"grid": {**raw["grid"], "box": [5, 5]}}),
+        ("coeffs.p", {"coeffs": {"kind": "gfp"}}),
+    ):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps({**raw, **change}))
+        assert main(["solve", str(path)]) == 2
+        assert field in capsys.readouterr().err

@@ -2,13 +2,14 @@ import random
 
 import pytest
 
-from plateau.lattice import Cell, CubicalComplex
+from plateau.lattice import Cell, CubicalComplex, GridSpec
 from plateau.linalg import GF2
 from plateau.spanning import (
     CohomologyClass,
     SpanningProblem,
     Surface,
     canonical_L,
+    check_closed_manifold,
     fundamental_cycle,
     spanning_lemma_suite,
     spans,
@@ -111,3 +112,20 @@ def test_spanning_lemma_suite(disk_problem, tiny_problem):
     for problem in (disk_problem, tiny_problem):
         report = spanning_lemma_suite(problem, trials=20, seed=3)
         assert report.all_passed, report
+
+
+def test_non_manifold_boundary_rejected():
+    """A theta graph: two unit squares sharing an edge, whose end vertices
+    lie on three edges each."""
+    grid = GridSpec(2, 0, ((0, 3), (0, 2)))
+    horizontal = [Cell((x, y), 1) for x in (0, 1) for y in (0, 1)]
+    vertical = [Cell((x, 0), 2) for x in (0, 1, 2)]
+    theta = CubicalComplex(grid, horizontal + vertical)
+    with pytest.raises(ValueError, match="3 top cofaces"):
+        check_closed_manifold(theta, 1)
+    with pytest.raises(ValueError, match="3 top cofaces"):
+        canonical_L(theta, 2, GF2)
+    with pytest.raises(ValueError, match="expected a closed 2-manifold"):
+        check_closed_manifold(theta, 2)
+    square = CubicalComplex(grid, horizontal[:2] + vertical[:2])
+    check_closed_manifold(square, 1)

@@ -1,54 +1,25 @@
-import itertools
+import json
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from plateau.linalg import Coeffs
+from plateau.cochain import boundary_incidences
+from plateau.linalg import GF2, Coeffs, FieldMatrix, solution_spaces
+from plateau.scenarios import build_problem, scenario_from_dict
 from plateau.spanning import Surface
-from plateau.witness import GenericAffineSpace, _gf2_solve_affine
+from plateau.witness import Gf2AffineSpace, GenericAffineSpace, build_witness_system
 
+from conftest import scenario_path
 
-def brute_solutions(rows, rhs, ncols):
-    out = []
-    for bits in range(1 << ncols):
-        if all(
-            bin(r & bits).count("1") % 2 == b for r, b in zip(rows, rhs)
-        ):
-            out.append(bits)
-    return out
-
-
-@given(
-    st.integers(1, 6),
-    st.integers(0, 6),
-    st.data(),
-)
-@settings(max_examples=120, deadline=None)
-def test_gf2_solve_affine_matches_bruteforce(ncols, nrows, data):
-    rows = [data.draw(st.integers(0, (1 << ncols) - 1)) for _ in range(nrows)]
-    rhs = [data.draw(st.integers(0, 1)) for _ in range(nrows)]
-    expected = set(brute_solutions(rows, rhs, ncols))
-    space = _gf2_solve_affine(rows, rhs, ncols)
-    if not expected:
-        assert space is None
-        return
-    assert space is not None
-    got = set()
-    for combo in itertools.product([0, 1], repeat=space.dim):
-        v = space.particular
-        for c, b in zip(combo, space.basis):
-            if c:
-                v ^= b
-        got.add(v)
-    assert got == expected
+FIELD_SPECS = {"gf2": "gf2", "gf3": {"kind": "gfp", "p": 3}, "rational": "rational"}
 
 
 def test_affine_space_operations():
-    space = _gf2_solve_affine([0b011, 0b110], [1, 0], 3)
-    assert space is not None
-    # solutions: x0+x1=1, x1+x2=0 -> (1,0,0) and (0,1,1)
+    # x0+x1=1, x1+x2=0: the shared row x1+x2=0, then the class row x0+x1=1
+    system = FieldMatrix.from_rows(GF2, [[0, 1, 1, 0], [1, 1, 0, 1]], 4)
+    [(particular, kernel)] = solution_spaces(system, 1)
+    space = Gf2AffineSpace(3, particular, kernel)
+    # solutions: (1,0,0) and (0,1,1)
     assert space.dim == 1
     assert space.member_within(0b001) == 0b001
     assert space.member_within(0b110) == 0b110
@@ -83,28 +54,48 @@ def test_witness_system_agrees_with_spans(disk_problem, disk_system):
         assert disk_system.spans_surface(X) == spans(X)
 
 
-def test_witness_chain_boundaries_in_A(tiny_problem, tiny_system):
-    """Each particular witness is an m-chain whose boundary lies inside A."""
-    from plateau.cochain import boundary_incidences
+@pytest.mark.parametrize("field", sorted(FIELD_SPECS))
+def test_witness_chain_boundaries_in_A(field):
+    """Each particular witness is an m-chain whose boundary lies inside A and
+    pairs to one with its class; each basis vector has boundary inside A and
+    pairs to zero."""
+    with open(scenario_path("rings_tiny")) as fh:
+        raw = json.load(fh)
+    problem = build_problem(scenario_from_dict({**raw, "coeffs": FIELD_SPECS[field]}))
+    system = build_witness_system(problem)
+    F = problem.coeffs
+    a_lower = problem.A.cells_of_dim(problem.m - 1)
+    a_pos = {c: i for i, c in enumerate(sorted(a_lower))}
 
-    a_lower = tiny_problem.A.cells_of_dim(1)
-    for space in tiny_system.spaces:
-        support = [
-            tiny_system.mcells[i]
-            for i in range(tiny_system.ncols)
-            if space.particular >> i & 1
-        ]
+    def entries(w):
+        if F.kind == "gf2":
+            return [w >> j & 1 for j in range(system.ncols)]
+        return w
+
+    def boundary_and_pairing(w, cls):
         bd = {}
-        for c in support:
-            for f, _ in boundary_incidences(c):
-                bd[f] = bd.get(f, 0) ^ 1
-        assert all(f in a_lower for f, v in bd.items() if v)
+        for cell, x in zip(system.mcells, entries(w)):
+            if not x:
+                continue
+            for f, sign in boundary_incidences(cell):
+                bd[f] = F.add(bd.get(f, F.zero), F.mul(F.reduce(sign), x))
+        assert all(v == F.zero for f, v in bd.items() if f not in a_lower)
+        pairing = F.zero
+        for f, v in bd.items():
+            if f in a_lower:
+                pairing = F.add(pairing, F.mul(cls.rep[a_pos[f]], v))
+        return pairing
+
+    assert len(system.spaces) == len(problem.L) == 3
+    for space, cls in zip(system.spaces, problem.L):
+        assert boundary_and_pairing(space.particular, cls) == F.one
+        assert space.basis
+        for v in space.basis:
+            assert boundary_and_pairing(v, cls) == F.zero
 
 
 def test_witness_system_rejects_unspannable():
     """A class on a ring that does not fit inside the box has no witness."""
-    from plateau.scenarios import build_problem, scenario_from_dict
-
     # hole of the torus scenario removed from the box: the longitude class
     # of a full annulus around a missing column cannot be witnessed if the
     # boundary itself is broken; easiest failure: explicit class on cells
