@@ -14,10 +14,12 @@ found is reported together with a still-valid global lower bound.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from numbers import Rational
+from typing import Optional, Sequence
 
 from .lattice import Cell, CubicalComplex, GridSpec
 from .linalg import bit_indices
@@ -200,8 +202,8 @@ def build_loop_catalogue(system: WitnessSystem) -> list[int]:
 
 def packing_lower_bound(
     loops: list[int], satisfied_mask: int, excluded_mask: int,
-    weights: list[Fraction],
-) -> tuple[Fraction, bool]:
+    weights: Sequence[Rational],
+) -> tuple[Rational, bool]:
     """Greedy face-disjoint loop packing; (bound, feasible).
 
     Each packed loop forces one distinct cell among its available faces, so
@@ -209,7 +211,7 @@ def packing_lower_bound(
     A loop with no available face at all proves the node infeasible.
     """
     used = 0
-    lb = Fraction(0)
+    lb = 0
     for g in loops:
         if g & satisfied_mask:
             continue
@@ -247,10 +249,13 @@ def isoperimetric_scan(
     system = build_witness_system(work)
     ncols = system.ncols
     a_mask = system.mask_of(work.A.cells_of_dim(work.m))
-    weights = [
+    # the search runs on integer weights over one common denominator
+    cell_weights = [
         Fraction(0) if (1 << j) & a_mask else cell_weight(c, work)
         for j, c in enumerate(system.mcells)
     ]
+    scale = math.lcm(*(w.denominator for w in cell_weights))
+    weights = [w.numerator * (scale // w.denominator) for w in cell_weights]
     loops = build_loop_catalogue(system) if cfg.use_loops else []
 
     if not work.L:
@@ -258,14 +263,14 @@ def isoperimetric_scan(
             Fraction(0), Fraction(0), True, 0, frozenset(), work.grid.box, 0
         )
 
-    best_weight: Optional[Fraction] = None
+    best_weight: Optional[int] = None
     best_mask = 0
     if cfg.warm_start:
         X_ub, _ = solve(work, SolverConfig())
-        best_weight = surface_weight(X_ub)
+        best_weight = int(surface_weight(X_ub) * scale)
         best_mask = system.mask_of(X_ub.mcells) | a_mask
 
-    def node_bound(include: int, exclude: int, w: Fraction):
+    def node_bound(include: int, exclude: int, w: int):
         lb, feasible = packing_lower_bound(
             loops, include | a_mask, exclude, weights
         )
@@ -283,7 +288,7 @@ def isoperimetric_scan(
         # budget ran out before any incumbent: fall back to the full fill,
         # which always spans (the box is contractible)
         best_mask = (1 << ncols) - 1
-        best_weight = sum(weights, Fraction(0))
+        best_weight = sum(weights)
     if search.exhausted:
         lower = min(search.open_bounds + [best_weight])
         optimal = lower == best_weight
@@ -296,8 +301,8 @@ def isoperimetric_scan(
     )
     # report against the original problem (crop preserves the optimum)
     return OracleResult(
-        best_weight, lower, optimal, search.nodes, cells, work.grid.box,
-        len(loops),
+        Fraction(best_weight, scale), Fraction(lower, scale), optimal,
+        search.nodes, cells, work.grid.box, len(loops),
     )
 
 

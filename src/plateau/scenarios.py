@@ -99,14 +99,14 @@ def scenario_from_dict(data: dict) -> Scenario:
     for key in ("grid", "boundary", "m", "seed"):
         if key not in data:
             raise ValueError(f"scenario field {key!r} is required")
-    g = data["grid"]
+    g = _block(data, "grid")
     for key in ("n", "k", "box"):
         if key not in g:
             raise ValueError(f"grid field {key!r} is required")
     grid = GridSpec(
         _as_int(g["n"], "grid.n"), _as_int(g["k"], "grid.k"), _parse_box(g["box"])
     )
-    boundary = data["boundary"]
+    boundary = _block(data, "boundary")
     if "tag" not in boundary:
         raise ValueError("boundary field 'tag' is required")
     m = _as_int(data["m"], "m")
@@ -121,8 +121,8 @@ def scenario_from_dict(data: dict) -> Scenario:
         coeffs = Coeffs("gfp", _as_int(kind["p"], "coeffs.p"))
     else:
         raise ValueError(f"unknown coefficient field {kind!r}")
-    density = _density_from_dict(data.get("density", {"kind": "constant"}))
-    solver_cfg = _solver_from_dict(data.get("solver", {}))
+    density = _density_from_dict(_block(data, "density", {"kind": "constant"}))
+    solver_cfg = _solver_from_dict(_block(data, "solver", {}))
     diag = parse_diagnostics(data.get("diagnostics", "all"))
     return Scenario(
         name=str(data.get("name", "unnamed")),
@@ -157,6 +157,14 @@ def _parse_box(box: Any) -> tuple[tuple[int, int], ...]:
         raise ValueError(
             f"scenario field grid.box must be a list of [low, high] integer pairs, got {box!r}"
         ) from exc
+
+
+def _block(data: dict, key: str, default: Optional[dict] = None) -> dict:
+    """The scenario block data[key] (default when absent), which must be an object."""
+    value = data.get(key, default)
+    if not isinstance(value, dict):
+        raise ValueError(f"scenario block {key!r} must be an object, got {value!r}")
+    return value
 
 
 def _density_from_dict(d: dict) -> DensityField:

@@ -10,15 +10,24 @@ reduces them once, in the same incremental elimination that serves cochains
 and the spanning test, and reads each class's space off a copy.  This is the
 engine behind the greedy solver, its local moves and the exhaustive oracle;
 it is cross-checked against the direct cohomological definition in the tests.
+
+Over GF(2) each basis vector of a space is keyed by a private column, one
+that no other basis vector holds (see `Gf2AffineSpace`), so a membership
+test eliminates only over the vectors keyed inside the allowed set.
+
 `branch_and_bound` is the one minimizer over these spaces: the oracle runs
-it on the whole box, a local move on one region's interior.
+it on the whole box, a local move on one region's interior.  It tests each
+space once per node, and a space met at a node leaves that node's subtree:
+including cells only grows the allowed set, excluding a cell zeroes a column
+outside it, which the member found already avoids, and the space's forced
+cells lie inside it.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from fractions import Fraction
+from numbers import Rational
 from typing import Callable, Optional, Sequence
 
 from .cochain import CellIndexing, boundary_incidences
@@ -28,28 +37,53 @@ from .spanning import SpanningProblem, Surface
 
 
 class Gf2AffineSpace:
-    """Affine subspace of GF(2)^ncols: particular + span(basis), bit-packed."""
+    """Affine subspace of GF(2)^ncols: particular + span(basis), bit-packed.
 
-    __slots__ = ("ncols", "particular", "basis", "or_mask")
+    Each basis vector is keyed by a private column: a column that is set in
+    that vector and in no other.  `linalg._read_off` gives each kernel vector
+    its own free column, and `constrain_zero` keeps the property, because the
+    vector it removes holds no other vector's key.  A member's value at a key
+    then says whether that key's vector is in its combination, so
+    `member_within` fixes the vectors keyed outside `allowed` in one pass and
+    eliminates over the vectors keyed inside it only.
+    """
+
+    __slots__ = ("ncols", "particular", "vecs", "or_mask", "key_mask")
 
     def __init__(self, ncols: int, particular: int, basis: list[int]):
+        once = twice = 0
+        for v in basis:
+            twice |= once & v
+            once |= v
+        private = once & ~twice
+        vecs = {}  # key column -> vector, in basis order
+        for i, v in enumerate(basis):
+            own = v & private
+            if not own:
+                raise ValueError(f"basis vector {i} has no private column")
+            vecs[(own & -own).bit_length() - 1] = v
         self.ncols = ncols
         self.particular = particular
-        self.basis = basis
-        self._refresh()
-
-    def _refresh(self) -> None:
-        m = 0
-        for v in self.basis:
-            m |= v
-        self.or_mask = m
+        self.vecs = vecs
+        self.or_mask = once
+        self.key_mask = sum(1 << k for k in vecs)
 
     def copy(self) -> "Gf2AffineSpace":
-        return Gf2AffineSpace(self.ncols, self.particular, list(self.basis))
+        out = Gf2AffineSpace.__new__(Gf2AffineSpace)
+        out.ncols = self.ncols
+        out.particular = self.particular
+        out.vecs = dict(self.vecs)
+        out.or_mask = self.or_mask
+        out.key_mask = self.key_mask
+        return out
+
+    @property
+    def basis(self) -> list[int]:
+        return list(self.vecs.values())
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.vecs)
 
     def forced_mask(self) -> int:
         """Coordinates equal to 1 on every member."""
@@ -67,38 +101,46 @@ class Gf2AffineSpace:
         bit = 1 << col
         if not self.or_mask & bit:
             return not self.particular & bit
+        # the first vector holding col leaves the basis and clears col in
+        # the particular and in every later vector
+        vecs = {}
         pivot = None
-        for i, v in enumerate(self.basis):
+        or_mask = 0
+        for k, v in self.vecs.items():
             if v & bit:
-                pivot = i
-                break
+                if pivot is None:
+                    pivot = k
+                    continue
+                v ^= self.vecs[pivot]
+            vecs[k] = v
+            or_mask |= v
         if self.particular & bit:
-            if pivot is None:
-                return False
-            self.particular ^= self.basis[pivot]
-        if pivot is not None:
-            pv = self.basis[pivot]
-            self.basis = [
-                (v ^ pv if v & bit else v)
-                for j, v in enumerate(self.basis)
-                if j != pivot
-            ]
-            self._refresh()
+            self.particular ^= self.vecs[pivot]
+        self.vecs = vecs
+        self.or_mask = or_mask
+        self.key_mask ^= 1 << pivot
         return True
 
     def member_within(self, allowed: int) -> Optional[int]:
         """Some member with support inside the allowed bitmask, or None."""
-        full = (1 << self.ncols) - 1
-        forbidden = full & ~allowed
+        forbidden = ~allowed
+        # a member is zero at each forbidden key, which fixes whether that
+        # key's vector is in its combination; keys are private, so this
+        # does not cascade
+        t = self.particular
+        for k in bit_indices(t & self.key_mask & forbidden):
+            t ^= self.vecs[k]
+        if not t & forbidden:
+            return t
         pivots: list[tuple[int, int]] = []
-        for v in self.basis:
+        for k in bit_indices(self.key_mask & allowed):
+            v = self.vecs[k]
             for bit, pv in pivots:
                 if v >> bit & 1:
                     v ^= pv
             rem = v & forbidden
             if rem:
                 pivots.append(((rem & -rem).bit_length() - 1, v))
-        t = self.particular
         for bit, pv in pivots:
             if t >> bit & 1:
                 t ^= pv
@@ -124,37 +166,30 @@ class GenericAffineSpace:
         return len(self.basis)
 
     def forced_mask(self) -> int:
-        F = self.coeffs
         mask = 0
         for col in range(self.ncols):
-            if self.particular[col] != F.zero and all(
-                v[col] == F.zero for v in self.basis
-            ):
+            if self.particular[col] and not any(v[col] for v in self.basis):
                 mask |= 1 << col
         return mask
 
     def support_mask(self) -> int:
-        F = self.coeffs
         mask = 0
         for col, x in enumerate(self.particular):
-            if x != F.zero:
+            if x:
                 mask |= 1 << col
         return mask
 
     def can_zero(self, col: int) -> bool:
-        F = self.coeffs
-        return self.particular[col] == F.zero or any(
-            v[col] != F.zero for v in self.basis
-        )
+        return not self.particular[col] or any(v[col] for v in self.basis)
 
     def constrain_zero(self, col: int) -> bool:
         F = self.coeffs
         pivot = None
         for i, v in enumerate(self.basis):
-            if v[col] != F.zero:
+            if v[col]:
                 pivot = i
                 break
-        if self.particular[col] != F.zero:
+        if self.particular[col]:
             if pivot is None:
                 return False
             pv = self.basis[pivot]
@@ -169,7 +204,7 @@ class GenericAffineSpace:
             for j, v in enumerate(self.basis):
                 if j == pivot:
                     continue
-                if v[col] != F.zero:
+                if v[col]:
                     factor = F.mul(v[col], inv)
                     v = [F.sub(x, F.mul(factor, y)) for x, y in zip(v, pv)]
                 new_basis.append(v)
@@ -184,17 +219,17 @@ class GenericAffineSpace:
         pivots: list[tuple[int, list]] = []
         for v in rows:
             for col, pv in pivots:
-                if v[col] != F.zero:
+                if v[col]:
                     factor = F.mul(v[col], F.inv(pv[col]))
                     v = [F.sub(x, F.mul(factor, y)) for x, y in zip(v, pv)]
-            pc = next((c for c in forbidden if v[c] != F.zero), None)
+            pc = next((c for c in forbidden if v[c]), None)
             if pc is not None:
                 pivots.append((pc, v))
         for col, pv in pivots:
-            if t[col] != F.zero:
+            if t[col]:
                 factor = F.mul(t[col], F.inv(pv[col]))
                 t = [F.sub(x, F.mul(factor, y)) for x, y in zip(t, pv)]
-        if any(t[c] != F.zero for c in forbidden):
+        if any(t[c] for c in forbidden):
             return None
         return t
 
@@ -290,9 +325,9 @@ def build_witness_system(problem: SpanningProblem) -> WitnessSystem:
 class _Node:
     include: int
     exclude: int
-    weight: Fraction
+    weight: Rational
     spaces: list
-    bound: Fraction
+    bound: Rational
 
 
 @dataclass
@@ -304,20 +339,20 @@ class SearchResult:
     `exhausted` is set and `open_bounds` holds the bounds of the open nodes.
     """
 
-    best: Optional[tuple[Fraction, int]]
+    best: Optional[tuple[Rational, int]]
     nodes: int
     exhausted: bool
-    open_bounds: list[Fraction]
+    open_bounds: list[Rational]
 
 
 def branch_and_bound(
     spaces: list,
     fixed: int,
     weights,
-    incumbent: Optional[Fraction],
+    incumbent: Optional[Rational],
     *,
     loops: Sequence[int] = (),
-    bound: Optional[Callable[[int, int, Fraction], tuple[Fraction, bool]]] = None,
+    bound: Optional[Callable[[int, int, Rational], tuple[Rational, bool]]] = None,
     budget: int,
     deadline: Optional[float] = None,
 ) -> SearchResult:
@@ -326,10 +361,12 @@ def branch_and_bound(
     are accepted.
 
     Columns in `fixed` are always allowed and cost nothing; any other column
-    j costs `weights[j]` (a list or a dict by column).  The spaces are owned
-    by the search.  Branching includes or excludes one column of a witness
-    support, or, when `loops` are given, picks which face of the shortest
-    unsatisfied loop is the first one included.  `bound(include, exclude,
+    j costs `weights[j]` (a list or a dict by column, of ints or Fractions;
+    sums start from the int 0).  The spaces are owned by the search, and
+    nodes share them: only fresh copies are constrained.  Branching includes
+    or excludes one column of a witness support, or, when `loops` are given,
+    picks which face of the shortest unsatisfied loop is the first one
+    included.  `bound(include, exclude,
     weight)` returns a lower bound for a node and whether it is feasible;
     without it the bound is the node's own weight.  The search stops after
     `budget` nodes or at the `time.monotonic()` instant `deadline`.
@@ -337,10 +374,10 @@ def branch_and_bound(
     node_bound = bound or (lambda include, exclude, w: (w, True))
     best = incumbent
     best_mask: Optional[int] = None
-    root_bound, feasible = node_bound(0, 0, Fraction(0))
+    root_bound, feasible = node_bound(0, 0, 0)
     if not feasible:
         raise AssertionError("root infeasible despite existing witnesses")
-    stack = [_Node(0, 0, Fraction(0), spaces, root_bound)]
+    stack = [_Node(0, 0, 0, spaces, root_bound)]
     nodes = 0
 
     while stack:
@@ -365,8 +402,11 @@ def branch_and_bound(
             if best is not None and w >= best:
                 continue
 
+        # a space met here stays met in every descendant (module docstring),
+        # so the children carry only the unmet ones
         allowed_now = include | fixed
-        if all(s.member_within(allowed_now) is not None for s in spaces):
+        unmet = [s for s in spaces if s.member_within(allowed_now) is None]
+        if not unmet:
             if best is None or w < best:
                 best, best_mask = w, allowed_now
             continue
@@ -388,15 +428,15 @@ def branch_and_bound(
             branch_cols = list(bit_indices(best_loop))
         else:
             pick = None
-            for s in spaces:
-                if s.member_within(allowed_now) is None:
-                    outside = s.support_mask() & ~allowed_now
-                    if outside:
-                        pick = (outside & -outside).bit_length() - 1
-                        break
+            for s in unmet:
+                outside = s.support_mask() & ~allowed_now
+                if outside:
+                    pick = (outside & -outside).bit_length() - 1
+                    break
             if pick is None:
                 raise AssertionError("no branching column at an open node")
             branch_cols = [pick]
+        spaces = unmet
 
         children: list[_Node] = []
         if len(branch_cols) == 1:
@@ -427,8 +467,7 @@ def branch_and_bound(
                     children.append(
                         _Node(
                             include | 1 << col, cur_exclude, w + weights[col],
-                            cur_spaces if last else [s.copy() for s in cur_spaces],
-                            b,
+                            cur_spaces, b,
                         )
                     )
                 if not last:

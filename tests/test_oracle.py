@@ -16,7 +16,7 @@ from plateau.scenarios import build_problem, scenario_from_dict
 from plateau.solver import SolverConfig, solve, surface_weight
 from plateau.spanning import spans
 
-from conftest import scenario_path
+from conftest import load, scenario_path
 
 GF3 = {"kind": "gfp", "p": 3}
 
@@ -95,6 +95,21 @@ def test_oracle_tiny_rings_regression(tiny_problem):
     X = oracle_surface(tiny_problem, res)
     assert spans(X)
     assert surface_weight(X) == 21
+
+
+@pytest.mark.parametrize("name, pinned", [
+    ("rings_tiny", (669, 21, 21, True)),
+    ("torus", (4047, Fraction(9, 2), Fraction(9, 2), True)),
+])
+def test_cold_search_tree_is_pinned(name, pinned):
+    """The cold search under a 5,000-node budget visits a fixed tree.  A
+    change to the bounds or the branching (such as LP-dual node bounds)
+    changes these numbers on purpose; a change to the cost per node must
+    not."""
+    res = isoperimetric_scan(
+        build_problem(load(name)), OracleConfig(budget=5_000, warm_start=False)
+    )
+    assert (res.nodes, res.best_weight, res.lower_bound, res.optimal) == pinned
 
 
 def test_oracle_budget_exhaustion(tiny_problem):

@@ -292,6 +292,10 @@ def test_cli_error_paths(tmp_path, capsys):
     for field, change in (
         ("grid.box", {"grid": {**raw["grid"], "box": [5, 5]}}),
         ("coeffs.p", {"coeffs": {"kind": "gfp"}}),
+        ("'grid'", {"grid": 5}),
+        ("'boundary'", {"boundary": "disk"}),
+        ("'density'", {"density": 3}),
+        ("'solver'", {"solver": [1]}),
     ):
         path = tmp_path / "malformed.json"
         path.write_text(json.dumps({**raw, **change}))

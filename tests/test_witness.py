@@ -2,6 +2,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plateau.cochain import boundary_incidences
 from plateau.linalg import GF2, Coeffs, FieldMatrix, solution_spaces
@@ -29,6 +31,79 @@ def test_affine_space_operations():
     assert sp.forced_mask() == 0b110
     assert not sp.can_zero(1)
     assert not sp.constrain_zero(1)
+
+
+def _members(space) -> set[int]:
+    """Every member of a GF(2) witness space, by enumeration."""
+    out = {space.particular}
+    for v in space.basis:
+        out |= {x ^ v for x in out}
+    return out
+
+
+def _check_keys(space) -> None:
+    """Each basis vector holds its key, and no other vector holds it."""
+    assert space.key_mask == sum(1 << k for k in space.vecs)
+    assert space.or_mask == sum(1 << c for c in range(space.ncols)
+                                if any(v >> c & 1 for v in space.basis))
+    for k, v in space.vecs.items():
+        assert v >> k & 1
+        assert not any(w >> k & 1 for j, w in space.vecs.items() if j != k)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_keyed_space_matches_bruteforce(data):
+    """Random systems through `solution_spaces`, then random `constrain_zero`
+    and `copy` steps: `member_within` agrees with brute force, every basis
+    vector keeps a private column, and a copy never shares state."""
+    ncols = data.draw(st.integers(1, 10))
+    rows = data.draw(st.lists(
+        st.lists(st.integers(0, 1), min_size=ncols + 1, max_size=ncols + 1),
+        min_size=1, max_size=ncols + 2,
+    ))
+    shared = data.draw(st.integers(0, len(rows) - 1))
+    system = FieldMatrix.from_rows(GF2, rows, ncols + 1)
+    for i, solution in enumerate(solution_spaces(system, shared)):
+        # the members by brute force: x with rows[:shared] and rows[shared + i]
+        own = rows[:shared] + [rows[shared + i]]
+        expected = {
+            x for x in range(1 << ncols)
+            if all(sum(r[j] for j in range(ncols) if x >> j & 1) % 2 == r[ncols]
+                   for r in own)
+        }
+        if solution is None:
+            assert not expected
+            continue
+        space = Gf2AffineSpace(ncols, *solution)
+        snapshots = []
+        for _ in range(data.draw(st.integers(0, 8))):
+            _check_keys(space)
+            assert _members(space) == expected
+            for allowed in data.draw(st.lists(st.integers(0, (1 << ncols) - 1),
+                                              max_size=4)):
+                member = space.member_within(allowed)
+                if member is None:
+                    assert not any(x & ~allowed == 0 for x in expected)
+                else:
+                    assert member in expected and member & ~allowed == 0
+            if data.draw(st.booleans()):
+                snapshots.append((space, space.particular, space.basis))
+                space = space.copy()
+            col = data.draw(st.integers(0, ncols - 1))
+            expected = {x for x in expected if not x >> col & 1}
+            assert space.constrain_zero(col) == bool(expected)
+            if not expected:
+                break
+        for old, particular, basis in snapshots:
+            assert (old.particular, old.basis) == (particular, basis)
+
+
+def test_keyed_space_rejects_basis_without_private_columns():
+    with pytest.raises(ValueError, match="private column"):
+        Gf2AffineSpace(3, 0, [0b011, 0b110, 0b101])
+    with pytest.raises(ValueError, match="private column"):
+        Gf2AffineSpace(2, 0, [0b11, 0b01])
 
 
 def test_generic_affine_space_matches_gf2():
