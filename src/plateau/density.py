@@ -17,8 +17,8 @@ class DensityField:
       constant:          f = value
       coordinate-affine: f = offset + sum(coeffs[i] * x_i), ambient units
       radial:            f = offset + slope * max(0, |x - center|_inf)
-    bounds (a, b) and the Hoelder data are declared, and spot-checked against
-    the box by `validate`.
+    bounds (a, b) and the Hoelder data are declared; `validate` checks the
+    bounds on the box, and nothing checks the Hoelder data.
     """
 
     kind: str = "constant"

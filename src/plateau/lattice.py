@@ -39,9 +39,6 @@ class GridSpec:
     def side(self) -> Fraction:
         return Fraction(1, 2**self.k)
 
-    def extents(self) -> tuple[int, ...]:
-        return tuple(high - low for low, high in self.box)
-
     def contains_cell(self, cell: "Cell") -> bool:
         for a in range(self.n):
             low, high = self.box[a]
@@ -183,10 +180,6 @@ def _close(cells: set[Cell]) -> set[Cell]:
                 out.add(f)
                 frontier.append(f)
     return out
-
-
-def face_closure(grid: GridSpec, cells: Iterable[Cell]) -> CubicalComplex:
-    return CubicalComplex(grid, cells)
 
 
 def build_skeleton(grid: GridSpec, d: int) -> CubicalComplex:

@@ -14,17 +14,15 @@ found is reported together with a still-valid global lower bound.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 from typing import Optional, Sequence
 
 from .lattice import Cell, CubicalComplex, GridSpec
 from .linalg import bit_indices
 from .linking import DualLoop, crossed_faces
-from .solver import SolverConfig, cell_weight, frac_str, solve, surface_weight
+from .solver import SolverConfig, frac_str, solve
 from .spanning import CohomologyClass, SpanningProblem, Surface
 from .witness import WitnessSystem, branch_and_bound, build_witness_system
 
@@ -34,7 +32,6 @@ class OracleConfig:
     budget: int = 500_000
     time_limit: float = 540.0
     use_loops: bool = True
-    use_crop: bool = True
     warm_start: bool = True
 
 
@@ -202,8 +199,8 @@ def build_loop_catalogue(system: WitnessSystem) -> list[int]:
 
 def packing_lower_bound(
     loops: list[int], satisfied_mask: int, excluded_mask: int,
-    weights: Sequence[Rational],
-) -> tuple[Rational, bool]:
+    weights: Sequence[int],
+) -> tuple[int, bool]:
     """Greedy face-disjoint loop packing; (bound, feasible).
 
     Each packed loop forces one distinct cell among its available faces, so
@@ -222,16 +219,7 @@ def packing_lower_bound(
             # a cell satisfying an already-packed loop could satisfy this one
             continue
         used |= avail
-        best = None
-        v = avail
-        while v:
-            bit = v & -v
-            col = bit.bit_length() - 1
-            w = weights[col]
-            if best is None or w < best:
-                best = w
-            v ^= bit
-        lb += best
+        lb += min(weights[j] for j in bit_indices(avail))
     return lb, True
 
 
@@ -245,17 +233,10 @@ def isoperimetric_scan(
     """Certified minimum weight over all spanning surfaces of the problem."""
     cfg = cfg or OracleConfig()
     t0 = time.monotonic()
-    work = crop_problem(problem) if cfg.use_crop else problem
+    work = crop_problem(problem)
     system = build_witness_system(work)
-    ncols = system.ncols
+    weights = system.weights
     a_mask = system.mask_of(work.A.cells_of_dim(work.m))
-    # the search runs on integer weights over one common denominator
-    cell_weights = [
-        Fraction(0) if (1 << j) & a_mask else cell_weight(c, work)
-        for j, c in enumerate(system.mcells)
-    ]
-    scale = math.lcm(*(w.denominator for w in cell_weights))
-    weights = [w.numerator * (scale // w.denominator) for w in cell_weights]
     loops = build_loop_catalogue(system) if cfg.use_loops else []
 
     if not work.L:
@@ -267,8 +248,8 @@ def isoperimetric_scan(
     best_mask = 0
     if cfg.warm_start:
         X_ub, _ = solve(work, SolverConfig())
-        best_weight = int(surface_weight(X_ub) * scale)
         best_mask = system.mask_of(X_ub.mcells) | a_mask
+        best_weight = system.weight(best_mask)
 
     def node_bound(include: int, exclude: int, w: int):
         lb, feasible = packing_lower_bound(
@@ -287,8 +268,8 @@ def isoperimetric_scan(
             raise AssertionError("search ended without any spanning surface")
         # budget ran out before any incumbent: fall back to the full fill,
         # which always spans (the box is contractible)
-        best_mask = (1 << ncols) - 1
-        best_weight = sum(weights)
+        best_mask = system.full_mask()
+        best_weight = system.weight(best_mask)
     if search.exhausted:
         lower = min(search.open_bounds + [best_weight])
         optimal = lower == best_weight
@@ -300,6 +281,7 @@ def isoperimetric_scan(
         system.mcells[j] for j in bit_indices(best_mask & ~a_mask)
     )
     # report against the original problem (crop preserves the optimum)
+    scale = system.scale
     return OracleResult(
         Fraction(best_weight, scale), Fraction(lower, scale), optimal,
         search.nodes, cells, work.grid.box, len(loops),

@@ -103,13 +103,14 @@ def scenario_from_dict(data: dict) -> Scenario:
     for key in ("n", "k", "box"):
         if key not in g:
             raise ValueError(f"grid field {key!r} is required")
-    grid = GridSpec(
-        _as_int(g["n"], "grid.n"), _as_int(g["k"], "grid.k"), _parse_box(g["box"])
-    )
+    n = _as_int(g["n"], "grid.n")
+    grid = GridSpec(n, _as_int(g["k"], "grid.k"), _int_pairs(g["box"], "grid.box", n))
     boundary = _block(data, "boundary")
     if "tag" not in boundary:
         raise ValueError("boundary field 'tag' is required")
     m = _as_int(data["m"], "m")
+    if not 1 <= m <= grid.n:
+        raise ValueError(f"scenario field m must lie in 1..{grid.n}, got {m}")
     kind = data.get("coeffs", "gf2")
     if kind == "gf2":
         coeffs = GF2
@@ -149,14 +150,24 @@ def _as_int(value: Any, path: str) -> int:
         ) from exc
 
 
-def _parse_box(box: Any) -> tuple[tuple[int, int], ...]:
-    """grid.box: one [low, high] pair of integers per axis."""
+def _int_pair(value: Any, path: str) -> tuple[int, int]:
+    """One [low, high] (or [x, y]) pair of integers."""
     try:
-        return tuple((int(lo), int(hi)) for lo, hi in box)
+        lo, hi = value
+        return int(lo), int(hi)
     except (TypeError, ValueError) as exc:
         raise ValueError(
-            f"scenario field grid.box must be a list of [low, high] integer pairs, got {box!r}"
+            f"scenario field {path} must be a pair of integers, got {value!r}"
         ) from exc
+
+
+def _int_pairs(value: Any, path: str, count: int) -> tuple[tuple[int, int], ...]:
+    """A list of `count` [low, high] integer pairs, such as grid.box."""
+    if not isinstance(value, (list, tuple)) or len(value) != count:
+        raise ValueError(
+            f"scenario field {path} must be a list of {count} integer pairs, got {value!r}"
+        )
+    return tuple(_int_pair(pair, path) for pair in value)
 
 
 def _block(data: dict, key: str, default: Optional[dict] = None) -> dict:
@@ -175,6 +186,10 @@ def _density_from_dict(d: dict) -> DensityField:
             kwargs[key] = parse_rational(d[key])
     for key in ("coeffs", "center"):
         if key in d:
+            if not isinstance(d[key], (list, tuple)):
+                raise ValueError(
+                    f"scenario field density.{key} must be a list of rationals, got {d[key]!r}"
+                )
             kwargs[key] = tuple(parse_rational(v) for v in d[key])
     if "a" not in kwargs or "b" not in kwargs:
         lo, hi = _density_range_hint(kwargs)
@@ -195,9 +210,9 @@ def _density_range_hint(kwargs: dict) -> tuple[Fraction, Fraction]:
 def _solver_from_dict(d: dict) -> SolverConfig:
     return SolverConfig(
         removal_order=d.get("removal_order", "heaviest-first"),
-        local_box_side=int(d.get("local_box_side", 2)),
-        max_passes=int(d.get("max_passes", 4)),
-        seed=int(d.get("seed", 0)),
+        local_box_side=_as_int(d.get("local_box_side", 2), "solver.local_box_side"),
+        max_passes=_as_int(d.get("max_passes", 4), "solver.max_passes"),
+        seed=_as_int(d.get("seed", 0), "solver.seed"),
     )
 
 
@@ -260,8 +275,8 @@ def build_boundary(scenario: Scenario) -> CubicalComplex:
     if tag == "disk":
         if grid.n != 2:
             raise ValueError("disk boundary requires a 2-dimensional grid")
-        size = int(spec.get("size", 3))
-        x0, y0 = spec.get("origin", (0, 0))
+        size = _as_int(spec.get("size", 3), "boundary.size")
+        x0, y0 = _int_pair(spec.get("origin", (0, 0)), "boundary.origin")
         lo, hi = (x0, y0), (x0 + size, y0 + size)
         _require_in_box(grid, (0, 1), lo, hi)
         ring = CubicalComplex(grid, _rectangle_ring(grid, (0, 1), lo, hi, {}))
@@ -269,10 +284,10 @@ def build_boundary(scenario: Scenario) -> CubicalComplex:
     if tag == "three_rings":
         if grid.n != 3:
             raise ValueError("three_rings requires a 3-dimensional grid")
-        size = int(spec.get("size", 3))
-        spacing = int(spec["spacing"])
-        x0, y0 = spec.get("origin", (0, 0))
-        z0 = int(spec.get("z0", 0))
+        size = _as_int(spec.get("size", 3), "boundary.size")
+        spacing = _as_int(spec.get("spacing"), "boundary.spacing")
+        x0, y0 = _int_pair(spec.get("origin", (0, 0)), "boundary.origin")
+        z0 = _as_int(spec.get("z0", 0), "boundary.z0")
         if spacing < 1:
             raise ValueError("ring spacing must be at least 1")
         if z0 + 2 * spacing > grid.box[2][1] or z0 < grid.box[2][0]:
@@ -286,9 +301,9 @@ def build_boundary(scenario: Scenario) -> CubicalComplex:
     if tag == "torus_longitude":
         if grid.n != 3:
             raise ValueError("torus_longitude requires a 3-dimensional grid")
-        outer = [tuple(b) for b in spec.get("outer", [[0, 6], [0, 6]])]
-        hole = [tuple(b) for b in spec.get("hole", [[2, 4], [2, 4]])]
-        zlo, zhi = spec.get("z", (1, 3))
+        outer = _int_pairs(spec.get("outer", [[0, 6], [0, 6]]), "boundary.outer", 2)
+        hole = _int_pairs(spec.get("hole", [[2, 4], [2, 4]]), "boundary.hole", 2)
+        zlo, zhi = _int_pair(spec.get("z", (1, 3)), "boundary.z")
         _require_in_box(grid, (0, 1), (outer[0][0], outer[1][0]), (outer[0][1], outer[1][1]))
         if not (grid.box[2][0] <= zlo < zhi <= grid.box[2][1]):
             raise ValueError("torus z-range outside the box")
@@ -309,7 +324,7 @@ def build_boundary(scenario: Scenario) -> CubicalComplex:
     if tag == "sphere_shell":
         if grid.n != 3:
             raise ValueError("sphere_shell requires a 3-dimensional grid")
-        box = [tuple(b) for b in spec.get("solid", [[0, 3], [0, 3], [0, 3]])]
+        box = _int_pairs(spec.get("solid", [[0, 3], [0, 3], [0, 3]]), "boundary.solid", 3)
         for a in range(3):
             if not grid.box[a][0] <= box[a][0] < box[a][1] <= grid.box[a][1]:
                 raise ValueError("sphere shell solid outside the box")
@@ -319,7 +334,10 @@ def build_boundary(scenario: Scenario) -> CubicalComplex:
         shell = CubicalComplex(grid, _solid_boundary(grid, solids))
         return _verify_closed_manifold(shell, 2, 1)
     if tag == "custom":
-        with open(spec["path"]) as fh:
+        path = spec.get("path")
+        if not isinstance(path, str):
+            raise ValueError(f"scenario field boundary.path must be a file path, got {path!r}")
+        with open(path) as fh:
             A = complex_from_text(fh.read())
         if A.grid != grid:
             raise ValueError("custom boundary grid differs from the scenario grid")
@@ -336,14 +354,27 @@ def _require_in_box(grid, axes, lo, hi) -> None:
 def build_classes(scenario: Scenario, A: CubicalComplex) -> list[CohomologyClass]:
     if scenario.L_spec == "canonical":
         return canonical_L(A, scenario.m, scenario.coeffs)
+    if not isinstance(scenario.L_spec, list):
+        raise ValueError(
+            f'scenario field L must be "canonical" or a list of classes, got {scenario.L_spec!r}'
+        )
     classes = []
     lower = sorted(A.cells_of_dim(scenario.m - 1))
     pos = {c: i for i, c in enumerate(lower)}
     for i, entry in enumerate(scenario.L_spec):
+        path = f"L[{i}].cochain"
+        cochain = entry.get("cochain") if isinstance(entry, dict) else None
+        if not isinstance(cochain, list):
+            raise ValueError(f"scenario field {path} must be a list, got {cochain!r}")
         rep = [scenario.coeffs.zero] * len(lower)
-        for item in entry["cochain"]:
-            *anchor, mask, coeff = item
-            cell = Cell(tuple(int(v) for v in anchor), int(mask))
+        for item in cochain:
+            try:
+                *anchor, mask, coeff = item
+                cell = Cell(tuple(int(v) for v in anchor), int(mask))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(
+                    f"scenario field {path} entry {item!r} is not [*anchor, mask, coeff]"
+                ) from exc
             if cell not in pos:
                 raise ValueError(f"class cochain cell {cell} is not a cell of A")
             rep[pos[cell]] = scenario.coeffs.reduce(parse_rational(coeff))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -114,16 +115,16 @@ def greedy_minimize(
             if not ok:
                 raise ValueError("start surface lost a witness (internal error)")
 
+    weights, scale = system.weights, system.scale
     free = sorted(c for c in present if c not in a_cells)
     if cfg.removal_order == "heaviest-first":
-        free.sort(key=lambda c: (-cell_weight(c, problem), c.anchor, c.free_axes))
+        free.sort(key=lambda c: (-weights[system.column[c]], c.anchor, c.free_axes))
     else:
         rng = random.Random(cfg.seed)
         rng.shuffle(free)
 
-    report = SolveReport(
-        initial_weight=surface_weight(X0), final_weight=surface_weight(X0)
-    )
+    initial = w = system.weight(system.mask_of(present))
+    moves: list[tuple[str, Fraction]] = []
     removed: set[Cell] = set()
     changed = True
     while changed:
@@ -136,13 +137,15 @@ def greedy_minimize(
                 for s in spaces:
                     s.constrain_zero(col)
                 removed.add(cell)
-                delta = cell_weight(cell, problem)
-                report.final_weight -= delta
-                report.moves.append(("remove", -delta))
+                w -= weights[col]
+                moves.append(("remove", Fraction(-weights[col], scale)))
                 changed = True
     result = Surface(problem, frozenset(present - removed))
-    report.spans_verified = system.spans_surface(result)
-    report.wall_time = time.monotonic() - t0
+    report = SolveReport(
+        Fraction(initial, scale), Fraction(w, scale), moves,
+        spans_verified=system.spans_surface(result),
+        wall_time=time.monotonic() - t0,
+    )
     if not report.spans_verified:
         raise AssertionError("greedy result lost the spanning property")
     return result, report
@@ -171,47 +174,32 @@ def contract_to_witnesses(
     allowed = system.full_mask() if X is None else (
         system.mask_of(X.mcells) | a_mask
     )
-    # several deterministic zeroing orders; per class the lightest survivor
-    # wins (which cells a greedy zeroing leaves is highly order-sensitive)
-    n = problem.grid.n
-    orders = []
-    for axis in range(n):
-        for sign in (1, -1):
-            orders.append(
-                sorted(
-                    system.mcells,
-                    key=lambda c, a=axis, s=sign: (
-                        -cell_weight(c, problem), s * c.anchor[a],
-                        c.anchor, c.free_axes,
-                    ),
-                )
-            )
-    def mask_weight(mask: int) -> Fraction:
-        return sum(
-            (
-                cell_weight(system.mcells[j], problem)
-                for j in bit_indices(mask)
+    # several deterministic zeroing orders of the free columns; per class the
+    # lightest survivor wins (which cells a greedy zeroing leaves is highly
+    # order-sensitive)
+    weights, mcells = system.weights, system.mcells
+    orders = [
+        sorted(
+            bit_indices(allowed & ~a_mask),
+            key=lambda j, a=axis, s=sign: (
+                -weights[j], s * mcells[j].anchor[a], mcells[j]
             ),
-            Fraction(0),
         )
+        for axis in range(problem.grid.n)
+        for sign in (1, -1)
+    ]
 
     candidates: list[list[int]] = []
-    for s in system.spaces:
+    for space in system.spaces:
+        space = space.copy()
+        for col in bit_indices(system.full_mask() & ~allowed):
+            if not space.constrain_zero(col):
+                raise ValueError("contract_to_witnesses requires a spanning surface")
         supports: list[int] = []
         for order in orders:
-            sp = s.copy()
-            v = system.full_mask() & ~allowed
-            while v:
-                bit = v & -v
-                if not sp.constrain_zero(bit.bit_length() - 1):
-                    raise ValueError(
-                        "contract_to_witnesses requires a spanning surface"
-                    )
-                v ^= bit
-            for c in order:
-                col = system.column[c]
-                if allowed >> col & 1 and not a_mask >> col & 1:
-                    sp.constrain_zero(col)
+            sp = space.copy()
+            for col in order:
+                sp.constrain_zero(col)
             support = sp.support_mask() & ~a_mask
             if support not in supports:
                 supports.append(support)
@@ -220,29 +208,23 @@ def contract_to_witnesses(
     # the union weight rewards sharing cells across classes, so pick one
     # candidate witness per class jointly when that is enumerable
     keep = 0
-    total = 1
-    for supports in candidates:
-        total *= len(supports)
-    if total <= 4096:
-        best_w: Optional[Fraction] = None
+    if math.prod(len(supports) for supports in candidates) <= 4096:
+        best_w: Optional[int] = None
         for combo in itertools.product(*candidates):
             union = 0
             for s_mask in combo:
                 union |= s_mask
-            w = mask_weight(union)
+            w = system.weight(union)
             if best_w is None or w < best_w:
                 best_w, keep = w, union
     else:
         for supports in candidates:
             new = min(
-                supports, key=lambda s_mask: (mask_weight(s_mask & ~keep), s_mask)
+                supports, key=lambda s_mask: (system.weight(s_mask & ~keep), s_mask)
             )
             keep |= new
-    keep &= ~a_mask
-    cells = frozenset(
-        system.mcells[j] for j in bit_indices(keep)
-    )
-    return Surface(problem, cells)
+    # every support avoids A, so keep does too
+    return Surface(problem, frozenset(mcells[j] for j in bit_indices(keep)))
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +276,8 @@ def local_replace(
 
     The region's interior must avoid A.  Every m-cell outside the interior
     stays as in X, and the witness branch-and-bound that the oracle runs
-    finds the lightest set of interior m-cells that keeps X spanning.  X is
-    returned unchanged when it has no m-cell in the interior, or when no
+    finds the lightest set of interior m-cells that keeps X spanning.  X
+    itself is returned when it has no m-cell in the interior, or when no
     refill is strictly lighter than its own.  The search stops after
     LOCAL_NODE_CAP nodes with the lightest refill found so far.  Raises
     ValueError when X has interior m-cells but does not span.
@@ -319,12 +301,9 @@ def local_replace(
             s.constrain_zero(col)
     if not all(s.member_within(allowed) is not None for s in spaces):
         raise ValueError("local_replace requires a spanning surface")
-    table = problem.weight_table()
     search = branch_and_bound(
-        spaces, allowed & ~interior_mask,
-        {system.column[c]: table[c] for c in interior},
-        sum((table[c] for c in current), Fraction(0)),
-        budget=LOCAL_NODE_CAP,
+        spaces, allowed & ~interior_mask, system.weights,
+        system.weight(system.mask_of(current)), budget=LOCAL_NODE_CAP,
     )
     if search.best is None:
         return X
@@ -467,43 +446,51 @@ def solve(problem: SpanningProblem, cfg: SolverConfig) -> tuple[Surface, SolveRe
     """initial fill, greedy removal, then local replacement sweeps."""
     t0 = time.monotonic()
     system = build_witness_system(problem)
+    scale = system.scale
+
+    def weight(Y: Surface) -> int:
+        return system.weight(system.mask_of(Y.mcells))
+
     X = initial_fill(problem, system)
-    initial_weight = surface_weight(X)
+    initial_weight = weight(X)
     X, greedy_report = greedy_minimize(X, cfg, system)
     moves = list(greedy_report.moves)
+    w = weight(X)
     # witness re-seeding: minimize the union of per-class witness chains
     # drawn from the whole box, and keep it if it beats the greedy surface
     seed = contract_to_witnesses(None, system, problem)
     seed, _ = greedy_minimize(seed, cfg, system)
-    if surface_weight(seed) < surface_weight(X):
-        moves.append(("witness_seed", surface_weight(seed) - surface_weight(X)))
-        X = seed
+    ws = weight(seed)
+    if ws < w:
+        moves.append(("witness_seed", Fraction(ws - w, scale)))
+        X, w = seed, ws
     for _ in range(cfg.max_passes):
         improved = False
         Xc = contract_to_witnesses(X, system)
-        if surface_weight(Xc) < surface_weight(X):
-            before = surface_weight(X)
-            Xc, rep_c = greedy_minimize(Xc, cfg, system)
-            if surface_weight(Xc) < before:
-                moves.append(("witness_contract", surface_weight(Xc) - before))
-                X = Xc
+        if weight(Xc) < w:
+            Xc, _ = greedy_minimize(Xc, cfg, system)
+            wc = weight(Xc)
+            if wc < w:
+                moves.append(("witness_contract", Fraction(wc - w, scale)))
+                X, w = Xc, wc
                 improved = True
         for lows, highs in _admissible_regions(problem, cfg.local_box_side):
-            before = surface_weight(X)
+            # local_replace returns X itself unless a refill is strictly lighter
             X2 = local_replace(X, lows, highs, system)
-            after = surface_weight(X2)
-            if after < before:
-                moves.append(("local_replace", after - before))
-                X = X2
+            if X2 is not X:
+                w2 = weight(X2)
+                moves.append(("local_replace", Fraction(w2 - w, scale)))
+                X, w = X2, w2
                 improved = True
         if improved:
             X, rep2 = greedy_minimize(X, cfg, system)
             moves.extend(rep2.moves)
+            w = weight(X)
         else:
             break
     report = SolveReport(
-        initial_weight=initial_weight,
-        final_weight=surface_weight(X),
+        initial_weight=Fraction(initial_weight, scale),
+        final_weight=Fraction(w, scale),
         moves=moves,
         spans_verified=system.spans_surface(X),
         wall_time=time.monotonic() - t0,

@@ -15,19 +15,22 @@ Over GF(2) each basis vector of a space is keyed by a private column, one
 that no other basis vector holds (see `Gf2AffineSpace`), so a membership
 test eliminates only over the vectors keyed inside the allowed set.
 
-`branch_and_bound` is the one minimizer over these spaces: the oracle runs
-it on the whole box, a local move on one region's interior.  It tests each
-space once per node, and a space met at a node leaves that node's subtree:
-including cells only grows the allowed set, excluding a cell zeroes a column
-outside it, which the member found already avoids, and the space's forced
-cells lie inside it.
+The system also holds the one weight representation of the package: each
+m-cell's weight as an integer over one common denominator `scale`.
+`branch_and_bound` is the one minimizer over these spaces and weights: the
+oracle runs it on the whole box, a local move on one region's interior.  It
+tests each space once per node, and a space met at a node leaves that node's
+subtree: including cells only grows the allowed set, excluding a cell zeroes
+a column outside it, which the member found already avoids, and the space's
+forced cells lie inside it.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
-from numbers import Rational
+from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .cochain import CellIndexing, boundary_incidences
@@ -236,12 +239,20 @@ class GenericAffineSpace:
 
 @dataclass
 class WitnessSystem:
-    """Witness affine spaces of all classes of one problem, plus indexing."""
+    """Witness affine spaces of all classes of one problem, plus indexing.
+
+    `weights[j]` is the weight of m-cell j times `scale`, the least common
+    denominator of all cell weights, so it is an exact integer; A's m-cells
+    weigh 0.  Every search and comparison runs on these integers, and
+    `Fraction(w, scale)` converts a total back for a report.
+    """
 
     problem: SpanningProblem
     mcells: list[Cell]
     column: dict[Cell, int]
     spaces: list
+    weights: list[int]
+    scale: int
 
     @property
     def ncols(self) -> int:
@@ -255,6 +266,10 @@ class WitnessSystem:
 
     def full_mask(self) -> int:
         return (1 << self.ncols) - 1
+
+    def weight(self, mask: int) -> int:
+        """Scaled weight of the columns in the mask."""
+        return sum(self.weights[j] for j in bit_indices(mask))
 
     def spans_mask(self, allowed: int) -> bool:
         return all(s.member_within(allowed) is not None for s in self.spaces)
@@ -270,7 +285,7 @@ class WitnessSystem:
 
 
 def build_witness_system(problem: SpanningProblem) -> WitnessSystem:
-    """Set up the witness spaces on the full box grid of the problem."""
+    """Set up the witness spaces and integer weights on the full box grid."""
     m = problem.m
     idx = CellIndexing(build_skeleton(problem.grid, m))
     mcells = idx.order(m)
@@ -314,7 +329,12 @@ def build_witness_system(problem: SpanningProblem) -> WitnessSystem:
             basis = Subspace.from_vectors(F, ncols, kernel).basis
             spaces.append(GenericAffineSpace(F, ncols, particular, basis))
     column = {c: j for j, c in enumerate(mcells)}
-    return WitnessSystem(problem, list(mcells), column, spaces)
+    table = problem.weight_table()
+    a_cells = problem.A.cells_of_dim(m)
+    cell_weights = [Fraction(0) if c in a_cells else table[c] for c in mcells]
+    scale = math.lcm(*(w.denominator for w in cell_weights))
+    weights = [w.numerator * (scale // w.denominator) for w in cell_weights]
+    return WitnessSystem(problem, list(mcells), column, spaces, weights, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -325,9 +345,9 @@ def build_witness_system(problem: SpanningProblem) -> WitnessSystem:
 class _Node:
     include: int
     exclude: int
-    weight: Rational
+    weight: int
     spaces: list
-    bound: Rational
+    bound: int
 
 
 @dataclass
@@ -339,20 +359,20 @@ class SearchResult:
     `exhausted` is set and `open_bounds` holds the bounds of the open nodes.
     """
 
-    best: Optional[tuple[Rational, int]]
+    best: Optional[tuple[int, int]]
     nodes: int
     exhausted: bool
-    open_bounds: list[Rational]
+    open_bounds: list[int]
 
 
 def branch_and_bound(
     spaces: list,
     fixed: int,
-    weights,
-    incumbent: Optional[Rational],
+    weights: list[int],
+    incumbent: Optional[int],
     *,
     loops: Sequence[int] = (),
-    bound: Optional[Callable[[int, int, Rational], tuple[Rational, bool]]] = None,
+    bound: Optional[Callable[[int, int, int], tuple[int, bool]]] = None,
     budget: int,
     deadline: Optional[float] = None,
 ) -> SearchResult:
@@ -361,15 +381,18 @@ def branch_and_bound(
     are accepted.
 
     Columns in `fixed` are always allowed and cost nothing; any other column
-    j costs `weights[j]` (a list or a dict by column, of ints or Fractions;
-    sums start from the int 0).  The spaces are owned by the search, and
-    nodes share them: only fresh copies are constrained.  Branching includes
-    or excludes one column of a witness support, or, when `loops` are given,
-    picks which face of the shortest unsatisfied loop is the first one
-    included.  `bound(include, exclude,
-    weight)` returns a lower bound for a node and whether it is feasible;
-    without it the bound is the node's own weight.  The search stops after
-    `budget` nodes or at the `time.monotonic()` instant `deadline`.
+    j costs the integer `weights[j]` (`WitnessSystem.weights`), and the
+    incumbent is on the same scale.  The spaces are owned by the search, and
+    nodes share them: only fresh copies are constrained.  A node branches on
+    an ordered list of columns: the available faces of the shortest
+    unsatisfied loop, when `loops` are given and one is left, or else one
+    column of an unmet witness support.  Child i includes column i and
+    excludes the columns before it; a support column also gets the child
+    that excludes it, while some face of a loop must be included.
+    `bound(include, exclude, weight)` returns a lower bound for a node and
+    whether it is feasible; without it the bound is the node's own weight.
+    The search stops after `budget` nodes or at the `time.monotonic()`
+    instant `deadline`.
     """
     node_bound = bound or (lambda include, exclude, w: (w, True))
     best = incumbent
@@ -411,7 +434,7 @@ def branch_and_bound(
                 best, best_mask = w, allowed_now
             continue
 
-        # choose a branching face set
+        # choose the branching columns
         best_loop = None
         for g in loops:
             if g & allowed_now:
@@ -436,48 +459,29 @@ def branch_and_bound(
             if pick is None:
                 raise AssertionError("no branching column at an open node")
             branch_cols = [pick]
-        spaces = unmet
 
+        # children in the order they are explored: a support column's
+        # exclusion first, then the includes in column order
         children: list[_Node] = []
-        if len(branch_cols) == 1:
-            col = branch_cols[0]
-            ex_spaces = [s.copy() for s in spaces]
-            if all(s.constrain_zero(col) for s in ex_spaces):
-                b, feas = node_bound(include, exclude | 1 << col, w)
-                if feas and (best is None or b < best):
-                    children.append(
-                        _Node(include, exclude | 1 << col, w, ex_spaces, b)
-                    )
-            b, _ = node_bound(include | 1 << col, exclude, w + weights[col])
+        sub_spaces, sub_exclude = unmet, exclude
+        for i, col in enumerate(branch_cols):
+            b, _ = node_bound(include | 1 << col, sub_exclude, w + weights[col])
             if best is None or b < best:
                 children.append(
-                    _Node(include | 1 << col, exclude, w + weights[col], spaces, b)
+                    _Node(include | 1 << col, sub_exclude, w + weights[col],
+                          sub_spaces, b)
                 )
-            children.reverse()  # explore exclusion first
+            if best_loop is not None and i == len(branch_cols) - 1:
+                break  # some face of the loop must be included
+            nxt = [s.copy() for s in sub_spaces]
+            if not all(s.constrain_zero(col) for s in nxt):
+                break
+            sub_spaces, sub_exclude = nxt, sub_exclude | 1 << col
         else:
-            # one child per choice of first included face of the loop
-            cur_spaces = spaces
-            cur_exclude = exclude
-            for i, col in enumerate(branch_cols):
-                last = i == len(branch_cols) - 1
-                b, _ = node_bound(
-                    include | 1 << col, cur_exclude, w + weights[col]
-                )
-                if best is None or b < best:
-                    children.append(
-                        _Node(
-                            include | 1 << col, cur_exclude, w + weights[col],
-                            cur_spaces, b,
-                        )
-                    )
-                if not last:
-                    nxt = [s.copy() for s in cur_spaces]
-                    if not all(s.constrain_zero(col) for s in nxt):
-                        break
-                    cur_spaces = nxt
-                    cur_exclude |= 1 << col
-            children.reverse()
-        stack.extend(children)
+            b, feas = node_bound(include, sub_exclude, w)
+            if feas and (best is None or b < best):
+                children.insert(0, _Node(include, sub_exclude, w, sub_spaces, b))
+        stack.extend(reversed(children))
 
     found = None if best_mask is None else (best, best_mask)
     return SearchResult(found, nodes, False, [])

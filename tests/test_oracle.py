@@ -112,6 +112,20 @@ def test_cold_search_tree_is_pinned(name, pinned):
     assert (res.nodes, res.best_weight, res.lower_bound, res.optimal) == pinned
 
 
+@pytest.mark.parametrize("name, pinned", [
+    ("rings_tiny", (5_000, 21, 1, False)),
+    ("torus", (5_000, 6, Fraction(9, 8), False)),
+])
+def test_cold_search_tree_without_loops_is_pinned(name, pinned):
+    """Without the loop catalogue every node branches on a support column,
+    exclusion first; the budget-stopped search pins that order."""
+    res = isoperimetric_scan(
+        build_problem(load(name)),
+        OracleConfig(budget=5_000, warm_start=False, use_loops=False),
+    )
+    assert (res.nodes, res.best_weight, res.lower_bound, res.optimal) == pinned
+
+
 def test_oracle_budget_exhaustion(tiny_problem):
     res = isoperimetric_scan(
         tiny_problem, OracleConfig(budget=1, use_loops=False, warm_start=False)

@@ -296,6 +296,16 @@ def test_cli_error_paths(tmp_path, capsys):
         ("'boundary'", {"boundary": "disk"}),
         ("'density'", {"density": 3}),
         ("'solver'", {"solver": [1]}),
+        ("boundary.spacing", {
+            "grid": {"n": 3, "k": 0, "box": [[0, 4], [0, 4], [0, 4]]},
+            "boundary": {"tag": "three_rings"},
+        }),
+        ("boundary.path", {"boundary": {"tag": "custom"}}),
+        ("solver.max_passes", {"solver": {"max_passes": None}}),
+        ("boundary.origin", {"boundary": {"tag": "disk", "origin": 5}}),
+        ("density.coeffs", {"density": {"kind": "coordinate-affine", "coeffs": 5}}),
+        ("L[0].cochain", {"L": [{"cochain": 5}]}),
+        ("field m ", {"m": 0}),
     ):
         path = tmp_path / "malformed.json"
         path.write_text(json.dumps({**raw, **change}))

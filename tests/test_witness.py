@@ -1,5 +1,6 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,9 @@ from hypothesis import strategies as st
 from plateau.cochain import boundary_incidences
 from plateau.linalg import GF2, Coeffs, FieldMatrix, solution_spaces
 from plateau.scenarios import build_problem, scenario_from_dict
+from plateau.solver import (
+    SolverConfig, contract_to_witnesses, greedy_minimize, solve, surface_weight,
+)
 from plateau.spanning import Surface
 from plateau.witness import Gf2AffineSpace, GenericAffineSpace, build_witness_system
 
@@ -187,3 +191,32 @@ def test_witness_system_rejects_unspannable():
     )
     with pytest.raises(ValueError, match="not a cell of A"):
         build_problem(scenario)
+
+
+@pytest.mark.parametrize("name, changes", [
+    ("torus", {}),
+    ("torus", {"grid": {"n": 3, "k": 1, "box": [[0, 6], [0, 6], [0, 4]]}}),
+    ("disk3", {"density": {"kind": "coordinate-affine", "coeffs": ["1/3", "1/7"]}}),
+], ids=["torus", "torus_k1", "disk3_affine"])
+def test_integer_weights_over_one_scale(name, changes):
+    """Column weights are the cell weights times one scale, exact integers,
+    0 on A's m-cells, and convert back to the weights of solver surfaces."""
+    with open(scenario_path(name)) as fh:
+        raw = json.load(fh)
+    problem = build_problem(scenario_from_dict({**raw, **changes}))
+    system = build_witness_system(problem)
+    scale = system.scale
+    assert scale > 1
+    table = problem.weight_table()
+    a_cells = problem.A.cells_of_dim(problem.m)
+    assert bool(a_cells) == (name == "torus")
+    for j, c in enumerate(system.mcells):
+        assert type(system.weights[j]) is int
+        assert system.weights[j] == (0 if c in a_cells else table[c] * scale)
+    X, report = solve(problem, SolverConfig())
+    seed = contract_to_witnesses(None, system, problem)
+    surfaces = [X, seed, greedy_minimize(seed, SolverConfig(), system)[0]]
+    for Y in surfaces:
+        mask = system.mask_of(Y.mcells)
+        assert Fraction(system.weight(mask), scale) == surface_weight(Y)
+    assert report.final_weight == surface_weight(X)
