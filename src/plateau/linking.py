@@ -4,6 +4,9 @@ Loops run through voxel centers (dual lattice), so every step crosses exactly
 one grid face transversally.  The linking number with a closed curve component
 is the signed count of crossings with an explicit integral 2-chain bounding
 the curve, built by an axis-sweep prism construction.
+
+This module serves linking-number checks (acceptance criterion 5) and the
+tests; the oracle computes its loops' crossing masks from witness columns.
 """
 
 from __future__ import annotations

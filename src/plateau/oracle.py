@@ -14,6 +14,7 @@ found is reported together with a still-valid global lower bound.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,7 +22,6 @@ from typing import Optional, Sequence
 
 from .lattice import Cell, CubicalComplex, GridSpec
 from .linalg import bit_indices
-from .linking import DualLoop, crossed_faces
 from .solver import SolverConfig, frac_str, solve
 from .spanning import CohomologyClass, SpanningProblem, Surface
 from .witness import WitnessSystem, branch_and_bound, build_witness_system
@@ -100,90 +100,48 @@ def crop_problem(problem: SpanningProblem) -> SpanningProblem:
 # dual-loop catalogue
 
 
-def _rectangle_loop(
-    n: int, plane: tuple[int, int], fixed: tuple[int, ...],
-    p_range: tuple[int, int], q_range: tuple[int, int],
-) -> DualLoop:
-    """Axis-aligned rectangle of voxels in one coordinate plane.
-
-    Ranges are inclusive voxel coordinates with p0 < p1 and q0 < q1; corners
-    may lie outside the grid box, in which case those crossings are ignored.
-    Rectangles subsume through-lines, one-turn elbows, U-shapes and the unit
-    squares around single edges.
-    """
-    p, q = plane
-    p0, p1 = p_range
-    q0, q1 = q_range
-    voxels = []
-
-    def put(vp: int, vq: int) -> None:
-        v = list(fixed)
-        v[p] = vp
-        v[q] = vq
-        voxels.append(tuple(v))
-
-    for t in range(p0, p1):
-        put(t, q0)
-    for t in range(q0, q1):
-        put(p1, t)
-    for t in range(p1, p0, -1):
-        put(t, q1)
-    for t in range(q1, q0, -1):
-        put(p0, t)
-    return DualLoop(tuple(voxels))
-
-
-def loop_catalogue(grid: GridSpec) -> list[DualLoop]:
-    """All dual rectangle loops of the grid (corners up to one voxel outside)."""
-    import itertools
-
-    n = grid.n
-    out: list[DualLoop] = []
-    for p, q in itertools.combinations(range(n), 2):
-        others = [a for a in range(n) if a not in (p, q)]
-        p_lo, p_hi = grid.box[p][0] - 1, grid.box[p][1]
-        q_lo, q_hi = grid.box[q][0] - 1, grid.box[q][1]
-        fixed_ranges = [range(grid.box[a][0], grid.box[a][1]) for a in others]
-        for pos in itertools.product(*fixed_ranges):
-            fixed = [0] * n
-            for a, v in zip(others, pos):
-                fixed[a] = v
-            for p0 in range(p_lo, p_hi):
-                for p1 in range(p0 + 1, p_hi + 1):
-                    for q0 in range(q_lo, q_hi):
-                        for q1 in range(q0 + 1, q_hi + 1):
-                            out.append(
-                                _rectangle_loop(
-                                    n, (p, q), tuple(fixed), (p0, p1), (q0, q1)
-                                )
-                            )
-    return out
-
-
-def _loop_mask(loop: DualLoop, grid: GridSpec, column: dict[Cell, int]) -> int:
-    g = 0
-    for face, _sign in crossed_faces(loop, grid):
-        col = column.get(face)
-        if col is not None:
-            g ^= 1 << col
-    return g
-
-
 def build_loop_catalogue(system: WitnessSystem) -> list[int]:
     """Crossing masks of dual loops that are odd on some class's witnesses.
 
-    Only applies to codimension-one surfaces over GF(2); otherwise empty.
-    Returned masks are deduplicated and sorted by popcount for greedy packing.
+    The loops are the axis-aligned voxel rectangles of every coordinate plane
+    (p, q), corners up to one voxel outside the box: they subsume lines,
+    elbows, U-shapes and the unit squares around single edges.  Only applies
+    to codimension-one surfaces over GF(2); otherwise empty.  Returned masks
+    are deduplicated and sorted by popcount for greedy packing.
     """
     problem = system.problem
-    grid = problem.grid
-    n = grid.n
+    box = problem.grid.box
+    n = len(box)
     if problem.coeffs.kind != "gf2" or problem.m != n - 1:
         return []
     column = system.column
+    ext = [range(lo - 1, hi + 1) for lo, hi in box]
+    # prefix[a][v]: XOR of the columns of the in-box faces normal to axis a
+    # on the voxel line through v, up to v.  A rectangle crosses four such
+    # segments, each the XOR of two prefixes, so its mask is the XOR of
+    # prefix[p] ^ prefix[q] over its four corner voxels.
+    prefix: list[dict] = [{} for _ in box]
+    for v in itertools.product(*ext):
+        for a, line in enumerate(prefix):
+            col = column.get(Cell(v, (1 << n) - 1 ^ 1 << a))
+            below = line.get(v[:a] + (v[a] - 1,) + v[a + 1:], 0)
+            line[v] = below if col is None else below ^ 1 << col
+
     masks: set[int] = set()
-    for loop in loop_catalogue(grid):
-        masks.add(_loop_mask(loop, grid, column))
+    for p, q in itertools.combinations(range(n), 2):
+        others = (range(1) if b in (p, q) else range(*box[b]) for b in range(n))
+        for t in itertools.product(*others):
+            # corner[i][k]: prefix[p] ^ prefix[q] at voxel (ext[p][i], ext[q][k]);
+            # with d = corner[i] ^ corner[j], rectangle i < j, k < l has mask d[k] ^ d[l]
+            corner = [[0] * len(ext[q]) for _ in ext[p]]
+            for (i, x), (k, y) in itertools.product(enumerate(ext[p]), enumerate(ext[q])):
+                v = t[:p] + (x,) + t[p + 1:q] + (y,) + t[q + 1:]
+                corner[i][k] = prefix[p][v] ^ prefix[q][v]
+            for i, low in enumerate(corner):
+                for high in corner[i + 1:]:
+                    d = [a ^ b for a, b in zip(low, high)]
+                    for k, dk in enumerate(d):
+                        masks.update(dk ^ dl for dl in d[k + 1:])
     masks.discard(0)
 
     valid: list[int] = []
@@ -234,20 +192,19 @@ def isoperimetric_scan(
     cfg = cfg or OracleConfig()
     t0 = time.monotonic()
     work = crop_problem(problem)
+    if not work.L:
+        return OracleResult(
+            Fraction(0), Fraction(0), True, 0, frozenset(), work.grid.box, 0
+        )
     system = build_witness_system(work)
     weights = system.weights
     a_mask = system.mask_of(work.A.cells_of_dim(work.m))
     loops = build_loop_catalogue(system) if cfg.use_loops else []
 
-    if not work.L:
-        return OracleResult(
-            Fraction(0), Fraction(0), True, 0, frozenset(), work.grid.box, 0
-        )
-
     best_weight: Optional[int] = None
     best_mask = 0
     if cfg.warm_start:
-        X_ub, _ = solve(work, SolverConfig())
+        X_ub, _ = solve(work, SolverConfig(), system)
         best_mask = system.mask_of(X_ub.mcells) | a_mask
         best_weight = system.weight(best_mask)
 

@@ -141,20 +141,23 @@ def scenario_from_dict(data: dict) -> Scenario:
 
 
 def _as_int(value: Any, path: str) -> int:
-    """An integer scenario field; a ValueError names the field otherwise."""
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(
-            f"scenario field {path} must be an integer, got {value!r}"
-        ) from exc
+    """An integer scenario field; a ValueError names the field otherwise.
+
+    Booleans, strings and non-integral numbers are rejected, not converted,
+    so a malformed value never loads as some other integer.
+    """
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"scenario field {path} must be an integer, got {value!r}")
+    return value
 
 
 def _int_pair(value: Any, path: str) -> tuple[int, int]:
     """One [low, high] (or [x, y]) pair of integers."""
     try:
         lo, hi = value
-        return int(lo), int(hi)
+        return _as_int(lo, path), _as_int(hi, path)
     except (TypeError, ValueError) as exc:
         raise ValueError(
             f"scenario field {path} must be a pair of integers, got {value!r}"
@@ -370,7 +373,8 @@ def build_classes(scenario: Scenario, A: CubicalComplex) -> list[CohomologyClass
         for item in cochain:
             try:
                 *anchor, mask, coeff = item
-                cell = Cell(tuple(int(v) for v in anchor), int(mask))
+                cell = Cell(tuple(_as_int(v, path) for v in anchor),
+                            _as_int(mask, path))
             except (TypeError, ValueError) as exc:
                 raise ValueError(
                     f"scenario field {path} entry {item!r} is not [*anchor, mask, coeff]"

@@ -442,10 +442,13 @@ def _admissible_regions(problem: SpanningProblem, side: int):
             yield lows, highs
 
 
-def solve(problem: SpanningProblem, cfg: SolverConfig) -> tuple[Surface, SolveReport]:
+def solve(
+    problem: SpanningProblem, cfg: SolverConfig,
+    system: Optional[WitnessSystem] = None,
+) -> tuple[Surface, SolveReport]:
     """initial fill, greedy removal, then local replacement sweeps."""
     t0 = time.monotonic()
-    system = build_witness_system(problem)
+    system = system or build_witness_system(problem)
     scale = system.scale
 
     def weight(Y: Surface) -> int:

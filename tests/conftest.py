@@ -1,8 +1,13 @@
+import itertools
 import os
 
 import pytest
 
+from plateau.lattice import Cell, CubicalComplex, GridSpec
+from plateau.linalg import GF2
+from plateau.linking import DualLoop
 from plateau.scenarios import build_problem, load_scenario, run
+from plateau.spanning import SpanningProblem, canonical_L
 from plateau.witness import build_witness_system
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
@@ -22,6 +27,51 @@ def scenario_path(name: str) -> str:
 
 def load(name: str):
     return load_scenario(scenario_path(name))
+
+
+def n4_sphere_problem() -> SpanningProblem:
+    """n = 4, m = 3: the boundary of one 4-cell's 3-face, a 2-sphere."""
+    grid = GridSpec(4, 0, ((0, 4), (0, 4), (0, 4), (0, 3)))
+    A = CubicalComplex(grid, Cell((1, 1, 1, 1), 0b0111).faces())
+    return SpanningProblem(A, grid, 3, canonical_L(A, 3, GF2))
+
+
+def rectangle_loops(grid: GridSpec) -> list[DualLoop]:
+    """All axis-aligned dual rectangle loops of the grid, as voxel walks.
+
+    In each coordinate plane (p, q), with the other voxel coordinates inside
+    the box, the corners p0 < p1 and q0 < q1 range from one voxel below the
+    box up to its upper end.  This is the loop set whose crossing masks
+    `oracle.build_loop_catalogue` computes from prefix masks; tests walk it
+    through `linking.crossed_faces` as the reference.
+    """
+    n = grid.n
+    out = []
+    for p, q in itertools.combinations(range(n), 2):
+        others = [a for a in range(n) if a not in (p, q)]
+        p_lo, p_hi = grid.box[p][0] - 1, grid.box[p][1]
+        q_lo, q_hi = grid.box[q][0] - 1, grid.box[q][1]
+        for pos in itertools.product(*(range(*grid.box[a]) for a in others)):
+            fixed = [0] * n
+            for a, v in zip(others, pos):
+                fixed[a] = v
+
+            def voxel(vp: int, vq: int) -> tuple[int, ...]:
+                v = list(fixed)
+                v[p], v[q] = vp, vq
+                return tuple(v)
+
+            for p0 in range(p_lo, p_hi):
+                for p1 in range(p0 + 1, p_hi + 1):
+                    for q0 in range(q_lo, q_hi):
+                        for q1 in range(q0 + 1, q_hi + 1):
+                            out.append(DualLoop(
+                                tuple(voxel(t, q0) for t in range(p0, p1))
+                                + tuple(voxel(p1, t) for t in range(q0, q1))
+                                + tuple(voxel(t, q1) for t in range(p1, p0, -1))
+                                + tuple(voxel(p0, t) for t in range(q1, q0, -1))
+                            ))
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -21,7 +21,7 @@ from plateau.diagnostics import (
 from plateau.lattice import Cell, CubicalComplex, GridSpec, build_skeleton, connected_components
 from plateau.linalg import GF2
 from plateau.linking import crossed_faces, linking_number, loop_crossing_parity
-from plateau.oracle import OracleConfig, isoperimetric_scan, loop_catalogue, oracle_surface
+from plateau.oracle import OracleConfig, isoperimetric_scan, oracle_surface
 from plateau.scenarios import _rectangle_ring, run
 from plateau.solver import (
     SolverConfig,
@@ -35,7 +35,7 @@ from plateau.solver import (
 from plateau.spanning import SpanningProblem, Surface, canonical_L, spans
 from plateau.witness import build_witness_system
 
-from conftest import SCENARIO_NAMES, load
+from conftest import SCENARIO_NAMES, load, rectangle_loops
 
 
 def _rect_disk_problem(w: int, h: int) -> SpanningProblem:
@@ -142,7 +142,7 @@ def test_criterion_5_linking_loops_meet_every_spanning_surface(
     rings = connected_components(tiny_problem.A)
     assert len(rings) == 3
     selected = []
-    for loop in loop_catalogue(grid)[::7]:
+    for loop in rectangle_loops(grid)[::7]:
         links = [linking_number(loop, ring, grid) % 2 for ring in rings]
         if sum(links) == 1:
             selected.append(loop)

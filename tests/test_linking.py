@@ -12,8 +12,9 @@ from plateau.linking import (
     loop_crossing_parity,
     step_face,
 )
-from plateau.oracle import loop_catalogue
 from plateau.spanning import fundamental_cycle
+
+from conftest import rectangle_loops
 
 
 def test_dual_loop_validation():
@@ -97,7 +98,7 @@ def test_linking_axis_order_independence(tiny_problem):
     so the crossing count is identical, sign included."""
     grid = tiny_problem.grid
     rings = connected_components(tiny_problem.A)
-    loops = loop_catalogue(grid)[::97][:12]
+    loops = rectangle_loops(grid)[::97][:12]
     for loop in loops:
         for ring in rings:
             vals = {

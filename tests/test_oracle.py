@@ -3,20 +3,21 @@ from fractions import Fraction
 
 import pytest
 
+from plateau.linking import crossed_faces
 from plateau.oracle import (
     OracleConfig,
     build_loop_catalogue,
     crop_problem,
     isoperimetric_scan,
-    loop_catalogue,
     oracle_surface,
     packing_lower_bound,
 )
 from plateau.scenarios import build_problem, scenario_from_dict
 from plateau.solver import SolverConfig, solve, surface_weight
 from plateau.spanning import spans
+from plateau.witness import build_witness_system
 
-from conftest import load, scenario_path
+from conftest import load, n4_sphere_problem, rectangle_loops, scenario_path
 
 GF3 = {"kind": "gfp", "p": 3}
 
@@ -43,7 +44,7 @@ def test_crop_keeps_nonconstant_axes(torus_problem):
 
 
 def test_loop_catalogue_is_closed_loops(tiny_problem):
-    loops = loop_catalogue(tiny_problem.grid)
+    loops = rectangle_loops(tiny_problem.grid)
     assert len(loops) > 100
     for loop in loops[::211]:
         steps = loop.steps()
@@ -65,6 +66,42 @@ def test_loop_masks_are_forcing(tiny_problem, tiny_system):
                 ok = True
                 break
         assert ok
+
+
+@pytest.mark.parametrize("name", [
+    "rings_tiny", "rings_tiny-cropped", "torus", "n4_sphere",
+    "sphere_shell", "disk3",
+])
+def test_loop_masks_match_walked_loops(name):
+    """The catalogue's prefix-XOR masks are exactly the masks of the walked
+    rectangle loops, deduplicated, sorted and filtered the same way."""
+    if name == "n4_sphere":
+        problem = n4_sphere_problem()
+    else:
+        problem = build_problem(load(name.removesuffix("-cropped")))
+        if name.endswith("-cropped"):
+            problem = crop_problem(problem)
+    system = build_witness_system(problem)
+    masks = build_loop_catalogue(system)
+    if name in ("sphere_shell", "disk3"):
+        assert masks == []
+        return
+    walked = set()
+    for loop in rectangle_loops(problem.grid):
+        g = 0
+        for face, _ in crossed_faces(loop, problem.grid):
+            g ^= 1 << system.column[face]
+        walked.add(g)
+    walked.discard(0)
+    expected = [
+        g for g in sorted(walked, key=lambda g: (bin(g).count("1"), g))
+        if any(
+            bin(s.particular & g).count("1") % 2 == 1
+            and all(bin(v & g).count("1") % 2 == 0 for v in s.basis)
+            for s in system.spaces
+        )
+    ]
+    assert masks and masks == expected
 
 
 def test_packing_lower_bound_sound(tiny_problem, tiny_system):
@@ -134,6 +171,22 @@ def test_oracle_budget_exhaustion(tiny_problem):
     assert res.lower_bound <= res.best_weight
     d = res.to_dict()
     assert d["optimal"] is False
+
+
+@pytest.mark.parametrize("name", ["disk3", "rings_tiny", "torus"])
+def test_warm_scan_builds_one_witness_system(name, monkeypatch):
+    """The warm start's `solve` reuses the scan's witness system."""
+    calls = []
+
+    def counted(problem):
+        calls.append(problem)
+        return build_witness_system(problem)
+
+    monkeypatch.setattr("plateau.oracle.build_witness_system", counted)
+    monkeypatch.setattr("plateau.solver.build_witness_system", counted)
+    res = isoperimetric_scan(build_problem(load(name)), OracleConfig())
+    assert res.optimal
+    assert len(calls) == 1
 
 
 def test_oracle_matches_solver_on_tiny(tiny_problem):

@@ -306,6 +306,12 @@ def test_cli_error_paths(tmp_path, capsys):
         ("density.coeffs", {"density": {"kind": "coordinate-affine", "coeffs": 5}}),
         ("L[0].cochain", {"L": [{"cochain": 5}]}),
         ("field m ", {"m": 0}),
+        ("field m ", {"m": 2.7}),
+        ("field m ", {"m": True}),
+        ("field seed ", {"seed": 1.5}),
+        ("solver.max_passes", {"solver": {"max_passes": 2.9}}),
+        ("grid.box", {"grid": {**raw["grid"], "box": [[0.5, 5.9], [0, 5]]}}),
+        ("L[0].cochain", {"L": [{"cochain": [[1, 1, "1", 1]]}]}),
     ):
         path = tmp_path / "malformed.json"
         path.write_text(json.dumps({**raw, **change}))

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from plateau.lattice import Cell, CubicalComplex, GridSpec
-from plateau.linalg import GF2
 from plateau.solver import (
     SolverConfig,
     _admissible_regions,
@@ -18,14 +17,10 @@ from plateau.solver import (
     solve,
     surface_weight,
 )
-from plateau.spanning import (
-    SpanningProblem,
-    Surface,
-    canonical_L,
-    relative_coboundary_dominates,
-    spans,
-)
+from plateau.spanning import Surface, relative_coboundary_dominates, spans
 from plateau.witness import build_witness_system
+
+from conftest import n4_sphere_problem
 
 
 def test_solver_config_validation():
@@ -242,9 +237,7 @@ def test_local_replace_matches_enumeration(
 def test_local_replace_n4_m3_smoke():
     """A side-2 region in n=4, m=3 has 32 interior 3-cells; the move on the
     full fill around a 2-sphere finishes and keeps the surface spanning."""
-    grid = GridSpec(4, 0, ((0, 4), (0, 4), (0, 4), (0, 3)))
-    A = CubicalComplex(grid, Cell((1, 1, 1, 1), 0b0111).faces())
-    problem = SpanningProblem(A, grid, 3, canonical_L(A, 3, GF2))
+    problem = n4_sphere_problem()
     system = build_witness_system(problem)
     X = initial_fill(problem, system)
     lows, highs = next(_admissible_regions(problem, 2))
