@@ -31,6 +31,8 @@ class GridSpec:
             raise ValueError(f"ambient dimension must be in 1..6, got {self.n}")
         if len(self.box) != self.n:
             raise ValueError("bounding box must have one (low, high) pair per axis")
+        if self.k < 0:
+            raise ValueError(f"grid.k must be nonnegative, got {self.k}")
         for low, high in self.box:
             if low >= high:
                 raise ValueError(f"degenerate box axis: low={low} high={high}")
@@ -57,7 +59,7 @@ class Cell:
 
     @property
     def dim(self) -> int:
-        return bin(self.free_axes).count("1")
+        return self.free_axes.bit_count()
 
     def has_axis(self, a: int) -> bool:
         return bool(self.free_axes >> a & 1)

@@ -1,16 +1,18 @@
 """Exact linear algebra over GF(2), GF(p) and the rationals.
 
-Matrices are small and dense enough that exact elimination into the
-(unique) reduced row echelon form is the right tool; rows are inserted one
-at a time, so span membership and rank growth need no re-reduction.  GF(2)
-rows are packed into Python ints; other fields use lists of ints /
-Fractions.  `solve`, `kernel_basis` and `solution_spaces` read solutions off
-one echelon in the same way.
+Matrices are small and sparse, and exact elimination into the (unique)
+reduced row echelon form is the right tool; rows are inserted one at a time,
+so span membership and rank growth need no re-reduction.  GF(2) rows are
+packed into Python ints; other fields use sparse dict rows, column -> nonzero
+int mod p or Fraction.  Rows are replaced, never changed in place, so
+echelons, matrices and subspaces share them; `_dense` gives a row's entry
+list where it leaves the module.  `solve`, `kernel_basis` and
+`solution_spaces` read solutions off one echelon in the same way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -36,8 +38,9 @@ class Coeffs:
     def __post_init__(self) -> None:
         if self.kind not in ("gf2", "gfp", "rational"):
             raise ValueError(f"unknown coefficient kind {self.kind!r}")
-        if self.kind == "gfp" and not _is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
+        # below 2**31, trial division takes at most 46,341 steps
+        if self.kind == "gfp" and not (self.p < 2**31 and _is_prime(self.p)):
+            raise ValueError(f"coeffs.p must be a prime below 2**31, got {self.p}")
 
     @property
     def zero(self):
@@ -105,11 +108,14 @@ def _pack(F: Coeffs, vec: Sequence) -> int:
     return int(digits or b"0", 2)
 
 
-def _unpack(x: int, cols: int) -> list[int]:
-    """The length-cols 0/1 list of a packed GF(2) vector."""
+def _dense(F: Coeffs, row, cols: int) -> list:
+    """The length-cols entry list of a row in internal form."""
+    if F.kind != "gf2":
+        zero = F.zero
+        return [row.get(j, zero) for j in range(cols)]
     if not cols:
         return []
-    return list(f"{x:0{cols}b}"[::-1].encode().translate(_DIGIT_VALUE))
+    return list(f"{row:0{cols}b}"[::-1].encode().translate(_DIGIT_VALUE))
 
 
 def bit_indices(x: int):
@@ -126,7 +132,7 @@ def _to_row(F: Coeffs, vec: Sequence, cols: int):
         raise ValueError(f"vector of length {len(vec)} exceeds {cols} columns")
     if F.kind == "gf2":
         return _pack(F, vec)
-    return [F.reduce(v) for v in vec] + [F.zero] * (cols - len(vec))
+    return {j: x for j, x in enumerate(map(F.reduce, vec)) if x}
 
 
 class _Gf2Echelon:
@@ -171,52 +177,60 @@ class _Gf2Echelon:
         return True
 
 
-def _minus_multiple(F: Coeffs, row: list, f, v: list) -> list:
-    """row - f * v, skipping the zero entries of v."""
-    return [F.sub(x, F.mul(f, y)) if y else x for x, y in zip(row, v)]
+def _minus_multiple(F: Coeffs, row: dict, f, v: dict) -> dict:
+    """The sparse row row - f * v, as a new dict; f is nonzero."""
+    out = dict(row)
+    p = F.p
+    for j, y in v.items():
+        x = out.get(j, 0) - f * y
+        if p:
+            x %= p
+        if x:
+            out[j] = x
+        else:
+            del out[j]
+    return out
 
 
 class _Echelon:
-    """Rows over GF(p) or Q in reduced echelon form, grown one row at a time.
+    """Sparse rows over GF(p) or Q in reduced echelon form, grown one row at a time.
 
-    Each stored row is keyed by its pivot, its first nonzero column, carries
-    a one there and a zero at every other stored row's pivot.
+    Each stored row is keyed by its pivot, its lowest column, carries a one
+    there and holds no other stored row's pivot.
     """
 
     def __init__(self, coeffs: Coeffs) -> None:
         self.coeffs = coeffs
-        self.rows: dict[int, list] = {}
+        self.rows: dict[int, dict] = {}
 
     def copy(self) -> "_Echelon":
-        # add() replaces rows and never changes one in place
         E = _Echelon(self.coeffs)
         E.rows = dict(self.rows)
         return E
 
-    def _reduce(self, v: list) -> list:
-        F = self.coeffs
-        for c, row in self.rows.items():
-            f = v[c]
-            if f != F.zero:
-                v = _minus_multiple(F, v, f, row)
+    def _reduce(self, v: dict) -> dict:
+        # no stored row holds another's pivot, so the entries of v at the
+        # pivots stay as they are while v is reduced
+        for c in [c for c in v if c in self.rows]:
+            v = _minus_multiple(self.coeffs, v, v[c], self.rows[c])
         return v
 
-    def contains(self, v: list) -> bool:
-        zero = self.coeffs.zero
-        return all(x == zero for x in self._reduce(v))
+    def contains(self, v: dict) -> bool:
+        return not self._reduce(v)
 
-    def add(self, v: list) -> bool:
+    def add(self, v: dict) -> bool:
         """Add v to the span; False iff it was already in it."""
         F = self.coeffs
         v = self._reduce(v)
-        c = next((j for j, x in enumerate(v) if x != F.zero), None)
-        if c is None:
+        if not v:
             return False
-        inv = F.inv(v[c])
-        v = [F.mul(inv, x) if x else x for x in v]
+        c = min(v)
+        if v[c] != 1:
+            inv = F.inv(v[c])
+            v = {j: F.mul(inv, x) for j, x in v.items()}
         for k, row in self.rows.items():
-            f = row[c]
-            if f != F.zero:
+            f = row.get(c)
+            if f:
                 self.rows[k] = _minus_multiple(F, row, f, v)
         self.rows[c] = v
         return True
@@ -227,7 +241,8 @@ def _echelon(coeffs: Coeffs):
 
 
 class FieldMatrix:
-    """Exact matrix over a field, stored as rows in internal form."""
+    """Exact matrix over a field, stored as rows in internal form: packed
+    ints over GF(2), sparse dicts otherwise."""
 
     def __init__(self, coeffs: Coeffs, rows: int, cols: int):
         if rows < 0 or cols < 0:
@@ -235,15 +250,13 @@ class FieldMatrix:
         self.coeffs = coeffs
         self.rows = rows
         self.cols = cols
-        self._rows: list = [
-            0 if coeffs.kind == "gf2" else [coeffs.zero] * cols for _ in range(rows)
-        ]
+        self._rows: list = [0 if coeffs.kind == "gf2" else {} for _ in range(rows)]
 
     def __getitem__(self, ij):
         i, j = ij
         if self.coeffs.kind == "gf2":
             return self._rows[i] >> j & 1
-        return self._rows[i][j]
+        return self._rows[i].get(j, self.coeffs.zero)
 
     def __setitem__(self, ij, v) -> None:
         i, j = ij
@@ -252,12 +265,14 @@ class FieldMatrix:
             if self._rows[i] >> j & 1 != v:
                 self._rows[i] ^= 1 << j
         else:
-            self._rows[i][j] = v
+            # the row may be shared: replace it
+            row = {**self._rows[i], j: v}
+            if not v:
+                del row[j]
+            self._rows[i] = row
 
     def row(self, i: int) -> list:
-        if self.coeffs.kind == "gf2":
-            return _unpack(self._rows[i], self.cols)
-        return list(self._rows[i])
+        return _dense(self.coeffs, self._rows[i], self.cols)
 
     @classmethod
     def from_rows(cls, coeffs: Coeffs, rows: Sequence[Sequence], cols: int):
@@ -270,7 +285,7 @@ class FieldMatrix:
         """Matrix whose row i holds value v at column j for each (j, v) in rows[i]."""
         out = []
         for r in rows:
-            x = 0 if coeffs.kind == "gf2" else [coeffs.zero] * cols
+            x = 0 if coeffs.kind == "gf2" else {}
             for j, v in r:
                 if not 0 <= j < cols:
                     raise ValueError(f"column {j} out of range")
@@ -279,7 +294,7 @@ class FieldMatrix:
                     x[j] = v
                 elif v != x >> j & 1:
                     x ^= 1 << j
-            out.append(x)
+            out.append(x if coeffs.kind == "gf2" else {j: v for j, v in x.items() if v})
         return cls._packed(coeffs, out, cols)
 
     @classmethod
@@ -299,7 +314,10 @@ class FieldMatrix:
                 for j in bit_indices(r):
                     cols[j] |= bit
             return FieldMatrix._packed(self.coeffs, cols, self.rows)
-        cols = [[r[j] for r in self._rows] for j in range(self.cols)]
+        cols = [{} for _ in range(self.cols)]
+        for i, r in enumerate(self._rows):
+            for j, x in r.items():
+                cols[j][i] = x
         return FieldMatrix._packed(self.coeffs, cols, self.rows)
 
     def apply(self, v: Sequence) -> list:
@@ -309,12 +327,12 @@ class FieldMatrix:
         F = self.coeffs
         if F.kind == "gf2":
             packed = _pack(F, v)
-            return [bin(r & packed).count("1") & 1 for r in self._rows]
+            return [(r & packed).bit_count() & 1 for r in self._rows]
         out = []
         for r in self._rows:
             acc = F.zero
-            for a, b in zip(r, v):
-                acc = F.add(acc, F.mul(a, b))
+            for j, a in r.items():
+                acc = F.add(acc, F.mul(a, v[j]))
             out.append(acc)
         return out
 
@@ -330,66 +348,67 @@ def row_reduce(M: FieldMatrix) -> tuple[FieldMatrix, int, list[int]]:
     for r in M._rows:
         E.add(r)
     pivots = sorted(E.rows)
-    zero_rows = [0 if F.kind == "gf2" else [F.zero] * M.cols
-                 for _ in range(M.rows - len(pivots))]
+    zero_rows = [0 if F.kind == "gf2" else {} for _ in range(M.rows - len(pivots))]
     R = FieldMatrix._packed(F, [E.rows[c] for c in pivots] + zero_rows, M.cols)
     return R, len(pivots), pivots
 
 
-@dataclass
 class Subspace:
-    """Row-reduced basis of a subspace of coeffs**ambient_dim.
+    """Subspace of coeffs**ambient_dim, held as its reduced echelon form.
 
-    The basis is not to be changed after construction: membership tests
-    reuse an elimination state built from it.
+    The constructor adds rows in FieldMatrix's internal form.  The echelon is
+    not changed afterwards: `contains` tests against it, and `extending` and
+    `sum` grow copies of it.
     """
 
-    coeffs: Coeffs
-    ambient_dim: int
-    basis: list[list]
-    _reducer: Optional[object] = field(default=None, init=False, repr=False, compare=False)
+    def __init__(self, coeffs: Coeffs, ambient_dim: int, rows: Iterable = ()):
+        self.coeffs = coeffs
+        self.ambient_dim = ambient_dim
+        self._echelon = _echelon(coeffs)
+        for r in rows:
+            self._echelon.add(r)
+
+    @property
+    def rows(self) -> list:
+        """The echelon's rows in internal form, by increasing pivot."""
+        E = self._echelon
+        return [E.rows[c] for c in sorted(E.rows)]
+
+    @property
+    def basis(self) -> list[list]:
+        """The echelon's rows as entry lists, by increasing pivot."""
+        return [_dense(self.coeffs, r, self.ambient_dim) for r in self.rows]
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self._echelon.rows)
 
     @classmethod
     def row_space(cls, M: FieldMatrix) -> "Subspace":
         """The span of the rows of M."""
-        R, rank, _ = row_reduce(M)
-        return cls(M.coeffs, M.cols, [R.row(i) for i in range(rank)])
+        return cls(M.coeffs, M.cols, M._rows)
 
     @classmethod
     def from_vectors(cls, coeffs: Coeffs, ambient_dim: int, vectors: Iterable[Sequence]):
-        vecs = [list(v) for v in vectors]
-        return cls.row_space(FieldMatrix.from_rows(coeffs, vecs, ambient_dim))
-
-    def _new_reducer(self):
-        E = _echelon(self.coeffs)
-        for b in self.basis:
-            E.add(_to_row(self.coeffs, b, self.ambient_dim))
-        return E
+        return cls(coeffs, ambient_dim, [_to_row(coeffs, v, ambient_dim) for v in vectors])
 
     def contains(self, v: Sequence) -> bool:
-        if self._reducer is None:
-            self._reducer = self._new_reducer()
-        return self._reducer.contains(_to_row(self.coeffs, v, self.ambient_dim))
+        return self._echelon.contains(_to_row(self.coeffs, v, self.ambient_dim))
 
     def extending(self, vectors: Iterable[Sequence]) -> list[list]:
         """The vectors, in order, that each lie outside the span of this
         subspace and of the vectors kept before them."""
-        E = self._new_reducer()
-        return [
-            list(v) for v in vectors
-            if E.add(_to_row(self.coeffs, v, self.ambient_dim))
-        ]
+        E = self._echelon.copy()
+        return [list(v) for v in vectors if E.add(_to_row(self.coeffs, v, self.ambient_dim))]
 
     def sum(self, other: "Subspace") -> "Subspace":
         if other.ambient_dim != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        return Subspace.from_vectors(
-            self.coeffs, self.ambient_dim, self.basis + other.basis
-        )
+        out = Subspace(self.coeffs, self.ambient_dim)
+        out._echelon = self._echelon.copy()
+        for r in other._echelon.rows.values():
+            out._echelon.add(r)
+        return out
 
 
 def _augmented_echelon(M: FieldMatrix, rhs: Sequence):
@@ -398,7 +417,7 @@ def _augmented_echelon(M: FieldMatrix, rhs: Sequence):
     E = _echelon(F)
     for r, b in zip(M._rows, rhs):
         b = F.reduce(b)
-        E.add(r | b << M.cols if F.kind == "gf2" else r + [b])
+        E.add(r | b << M.cols if F.kind == "gf2" else ({**r, M.cols: b} if b else r))
     return E
 
 
@@ -424,21 +443,21 @@ def _read_off(E, cols: int) -> Optional[tuple]:
             for j in bit_indices((r & full) ^ (1 << c)):
                 kernel[j] |= 1 << c
         return particular, [kernel[j] for j in free]
+    # a pivot row holds its pivot, free columns and the right-hand side
     F = E.coeffs
-    particular = [F.zero] * cols
-    kernel = {j: [F.one if i == j else F.zero for i in range(cols)] for j in free}
+    particular = {c: r[cols] for c, r in E.rows.items() if cols in r}
+    kernel = {j: {j: F.one} for j in free}
     for c, r in E.rows.items():
-        particular[c] = r[cols]
-        for j in free:
-            if r[j]:
-                kernel[j][c] = F.sub(F.zero, r[j])
+        for j, x in r.items():
+            if j != c and j != cols:
+                kernel[j][c] = F.sub(F.zero, x)
     return particular, [kernel[j] for j in free]
 
 
 def kernel_basis(M: FieldMatrix) -> Subspace:
     """Basis of the right null space {v : M v = 0}."""
     _, kernel = _read_off(_augmented_echelon(M, [0] * M.rows), M.cols)
-    return Subspace.row_space(FieldMatrix._packed(M.coeffs, kernel, M.cols))
+    return Subspace(M.coeffs, M.cols, kernel)
 
 
 def solve(M: FieldMatrix, b: Sequence) -> Optional[list]:
@@ -449,7 +468,7 @@ def solve(M: FieldMatrix, b: Sequence) -> Optional[list]:
     solution = _read_off(_augmented_echelon(M, b), M.cols)
     if solution is None:
         return None
-    x = _unpack(solution[0], M.cols) if F.kind == "gf2" else solution[0]
+    x = _dense(F, solution[0], M.cols)
     if M.apply(x) != [F.reduce(v) for v in b]:
         raise AssertionError("solve returned x with M x != b")
     return x

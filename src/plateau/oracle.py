@@ -145,10 +145,10 @@ def build_loop_catalogue(system: WitnessSystem) -> list[int]:
     masks.discard(0)
 
     valid: list[int] = []
-    for g in sorted(masks, key=lambda m: (bin(m).count("1"), m)):
+    for g in sorted(masks, key=lambda m: (m.bit_count(), m)):
         for s in system.spaces:
-            if bin(s.particular & g).count("1") & 1 and all(
-                not bin(v & g).count("1") & 1 for v in s.basis
+            if (s.particular & g).bit_count() & 1 and all(
+                not (v & g).bit_count() & 1 for v in s.basis
             ):
                 valid.append(g)
                 break

@@ -146,9 +146,7 @@ def _augmented(image: RestrictionImage, problem: SpanningProblem) -> Restriction
         return image
     n0 = image.A_data.cochain_dim(0)
     extra = [[problem.coeffs.one] * n0] if n0 else []
-    cob = Subspace.from_vectors(
-        problem.coeffs, n0, image.coboundaries.basis + extra
-    )
+    cob = image.coboundaries.sum(Subspace.from_vectors(problem.coeffs, n0, extra))
     return RestrictionImage(image.A_data, image.degree, image.image, cob)
 
 

@@ -35,7 +35,7 @@ from typing import Callable, Optional, Sequence
 
 from .cochain import CellIndexing, boundary_incidences
 from .lattice import Cell, build_skeleton
-from .linalg import Coeffs, FieldMatrix, Subspace, bit_indices, solution_spaces
+from .linalg import Coeffs, FieldMatrix, Subspace, _minus_multiple, bit_indices, solution_spaces
 from .spanning import SpanningProblem, Surface
 
 
@@ -153,13 +153,15 @@ class Gf2AffineSpace:
 
 
 class GenericAffineSpace:
-    """Same interface as Gf2AffineSpace over GF(p) or the rationals."""
+    """Same interface as Gf2AffineSpace over GF(p) or the rationals, on
+    `linalg`'s sparse rows.  Rows are replaced, never changed in place, so a
+    copy shares them with its parent."""
 
-    def __init__(self, coeffs: Coeffs, ncols: int, particular: list, basis: list[list]):
+    def __init__(self, coeffs: Coeffs, ncols: int, particular: dict, basis: list[dict]):
         self.coeffs = coeffs
         self.ncols = ncols
-        self.particular = list(particular)
-        self.basis = [list(v) for v in basis]
+        self.particular = particular
+        self.basis = list(basis)
 
     def copy(self) -> "GenericAffineSpace":
         return GenericAffineSpace(self.coeffs, self.ncols, self.particular, self.basis)
@@ -169,70 +171,46 @@ class GenericAffineSpace:
         return len(self.basis)
 
     def forced_mask(self) -> int:
-        mask = 0
-        for col in range(self.ncols):
-            if self.particular[col] and not any(v[col] for v in self.basis):
-                mask |= 1 << col
-        return mask
+        held = set().union(*self.basis)
+        return sum(1 << col for col in self.particular if col not in held)
 
     def support_mask(self) -> int:
-        mask = 0
-        for col, x in enumerate(self.particular):
-            if x:
-                mask |= 1 << col
-        return mask
+        return sum(1 << col for col in self.particular)
 
     def can_zero(self, col: int) -> bool:
-        return not self.particular[col] or any(v[col] for v in self.basis)
+        return col not in self.particular or any(col in v for v in self.basis)
 
     def constrain_zero(self, col: int) -> bool:
         F = self.coeffs
-        pivot = None
-        for i, v in enumerate(self.basis):
-            if v[col]:
-                pivot = i
-                break
-        if self.particular[col]:
-            if pivot is None:
-                return False
-            pv = self.basis[pivot]
-            factor = F.mul(self.particular[col], F.inv(pv[col]))
-            self.particular = [
-                F.sub(x, F.mul(factor, y)) for x, y in zip(self.particular, pv)
-            ]
-        if pivot is not None:
-            pv = self.basis[pivot]
-            inv = F.inv(pv[col])
-            new_basis = []
-            for j, v in enumerate(self.basis):
-                if j == pivot:
-                    continue
-                if v[col]:
-                    factor = F.mul(v[col], inv)
-                    v = [F.sub(x, F.mul(factor, y)) for x, y in zip(v, pv)]
-                new_basis.append(v)
-            self.basis = new_basis
+        pivot = next((i for i, v in enumerate(self.basis) if col in v), None)
+        if pivot is None:
+            return col not in self.particular
+        pv = self.basis.pop(pivot)
+        inv = F.inv(pv[col])
+        if col in self.particular:
+            self.particular = _minus_multiple(
+                F, self.particular, F.mul(self.particular[col], inv), pv)
+        self.basis = [
+            _minus_multiple(F, v, F.mul(v[col], inv), pv) if col in v else v
+            for v in self.basis
+        ]
         return True
 
-    def member_within(self, allowed: int) -> Optional[list]:
+    def member_within(self, allowed: int) -> Optional[dict]:
         F = self.coeffs
-        forbidden = [c for c in range(self.ncols) if not allowed >> c & 1]
-        rows = [list(v) for v in self.basis]
-        t = list(self.particular)
-        pivots: list[tuple[int, list]] = []
-        for v in rows:
-            for col, pv in pivots:
-                if v[col]:
-                    factor = F.mul(v[col], F.inv(pv[col]))
-                    v = [F.sub(x, F.mul(factor, y)) for x, y in zip(v, pv)]
-            pc = next((c for c in forbidden if v[c]), None)
+        pivots: list[tuple[int, dict, object]] = []  # (column, row, 1 / entry)
+        for v in self.basis:
+            for col, pv, inv in pivots:
+                if col in v:
+                    v = _minus_multiple(F, v, F.mul(v[col], inv), pv)
+            pc = min((c for c in v if not allowed >> c & 1), default=None)
             if pc is not None:
-                pivots.append((pc, v))
-        for col, pv in pivots:
-            if t[col]:
-                factor = F.mul(t[col], F.inv(pv[col]))
-                t = [F.sub(x, F.mul(factor, y)) for x, y in zip(t, pv)]
-        if any(t[c] for c in forbidden):
+                pivots.append((pc, v, F.inv(v[pc])))
+        t = self.particular
+        for col, pv, inv in pivots:
+            if col in t:
+                t = _minus_multiple(F, t, F.mul(t[col], inv), pv)
+        if any(not allowed >> c & 1 for c in t):
             return None
         return t
 
@@ -326,7 +304,7 @@ def build_witness_system(problem: SpanningProblem) -> WitnessSystem:
         else:
             # in reduced echelon form each pivot column lies in one basis
             # vector only, so constrain_zero updates few vectors
-            basis = Subspace.from_vectors(F, ncols, kernel).basis
+            basis = Subspace(F, ncols, kernel).rows
             spaces.append(GenericAffineSpace(F, ncols, particular, basis))
     column = {c: j for j, c in enumerate(mcells)}
     table = problem.weight_table()
@@ -442,10 +420,10 @@ def branch_and_bound(
             avail = g & ~exclude
             if avail and (
                 best_loop is None
-                or bin(avail).count("1") < bin(best_loop).count("1")
+                or avail.bit_count() < best_loop.bit_count()
             ):
                 best_loop = avail
-                if bin(avail).count("1") <= 2:
+                if avail.bit_count() <= 2:
                     break
         if best_loop is not None:
             branch_cols = list(bit_indices(best_loop))

@@ -9,11 +9,10 @@ from plateau.cochain import (
     boundary_matrix,
     cohomology,
     component_count,
-    quotient_basis,
     restriction_image,
 )
 from plateau.lattice import Cell, CubicalComplex, GridSpec, build_skeleton
-from plateau.linalg import GF2, RATIONAL, Coeffs, FieldMatrix, Subspace, row_reduce
+from plateau.linalg import GF2, RATIONAL, Coeffs, FieldMatrix, row_reduce
 
 GF5 = Coeffs("gfp", 5)
 
@@ -120,12 +119,13 @@ def test_component_count():
 
 
 def _rereduced_quotient_basis(cocycles, coboundaries):
-    """Reference: re-reduce coboundaries + kept reps + v for every cocycle v."""
-    F, n = cocycles.coeffs, cocycles.ambient_dim
+    """Reference: re-reduce coboundaries + kept reps + v for every cocycle
+    vector v, in order."""
+    F, n = coboundaries.coeffs, coboundaries.ambient_dim
     current = list(coboundaries.basis)
     rank = row_reduce(FieldMatrix.from_rows(F, current, n))[1]
     reps = []
-    for v in cocycles.basis:
+    for v in cocycles:
         r = row_reduce(FieldMatrix.from_rows(F, current + [v], n))[1]
         if r > rank:
             reps.append(list(v))
@@ -160,9 +160,7 @@ def test_quotient_basis_matches_rereduction(F, make):
     X, h1 = make()
     H = cohomology(X, 1, F)
     assert H.dim == h1
-    assert H.basis_reps == _rereduced_quotient_basis(H.cocycles, H.coboundaries)
+    assert H.basis_reps == _rereduced_quotient_basis(H.cocycles.basis, H.coboundaries)
     # reversed cocycle order: the first independent cocycles are kept
-    rev = Subspace(F, H.cocycles.ambient_dim, H.cocycles.basis[::-1])
-    assert quotient_basis(rev, H.coboundaries) == _rereduced_quotient_basis(
-        rev, H.coboundaries
-    )
+    rev = H.cocycles.basis[::-1]
+    assert H.coboundaries.extending(rev) == _rereduced_quotient_basis(rev, H.coboundaries)

@@ -11,6 +11,7 @@ from plateau.linalg import (
     Coeffs,
     FieldMatrix,
     Subspace,
+    _dense,
     kernel_basis,
     row_reduce,
     solution_spaces,
@@ -29,6 +30,11 @@ def test_coeffs_validation():
         Coeffs("gfp")
     with pytest.raises(ValueError):
         Coeffs("float")
+    # the largest prime below the bound is accepted; a larger one is
+    # rejected before any trial division
+    assert Coeffs("gfp", 2**31 - 1).p == 2**31 - 1
+    with pytest.raises(ValueError, match="coeffs.p"):
+        Coeffs("gfp", 2**61 - 1)
 
 
 @pytest.mark.parametrize("F", FIELDS)
@@ -226,9 +232,8 @@ def _order(F):
 
 def _members(F, particular, kernel, ncols):
     """Every member of particular + span(kernel), as tuples of entries."""
-    if F.kind == "gf2":
-        particular = [particular >> j & 1 for j in range(ncols)]
-        kernel = [[v >> j & 1 for j in range(ncols)] for v in kernel]
+    particular = _dense(F, particular, ncols)
+    kernel = [_dense(F, v, ncols) for v in kernel]
     out = set()
     for combo in itertools.product(range(_order(F)), repeat=len(kernel)):
         x = particular
@@ -274,7 +279,8 @@ def test_solution_spaces_over_rationals(data):
         if solve(A, b) is None:
             assert solution is None
             continue
-        particular, kernel = solution
+        particular = _dense(RATIONAL, solution[0], ncols)
+        kernel = [_dense(RATIONAL, v, ncols) for v in solution[1]]
         assert A.apply(particular) == b
         for v in kernel:
             assert all(e == 0 for e in A.apply(v))

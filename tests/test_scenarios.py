@@ -292,6 +292,8 @@ def test_cli_error_paths(tmp_path, capsys):
     for field, change in (
         ("grid.box", {"grid": {**raw["grid"], "box": [5, 5]}}),
         ("coeffs.p", {"coeffs": {"kind": "gfp"}}),
+        ("coeffs.p", {"coeffs": {"kind": "gfp", "p": 1000000000000000003}}),
+        ("grid.k", {"grid": {**raw["grid"], "k": -1}}),
         ("'grid'", {"grid": 5}),
         ("'boundary'", {"boundary": "disk"}),
         ("'density'", {"density": 3}),

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plateau.cochain import boundary_incidences
-from plateau.linalg import GF2, Coeffs, FieldMatrix, solution_spaces
+from plateau.linalg import GF2, Coeffs, FieldMatrix, Subspace, _dense, solution_spaces
 from plateau.scenarios import build_problem, scenario_from_dict
 from plateau.solver import (
     SolverConfig, contract_to_witnesses, greedy_minimize, solve, surface_weight,
@@ -112,14 +114,104 @@ def test_keyed_space_rejects_basis_without_private_columns():
 
 def test_generic_affine_space_matches_gf2():
     GF3 = Coeffs("gfp", 3)
-    space = GenericAffineSpace(GF3, 3, [1, 0, 0], [[1, 1, 0], [0, 0, 1]])
+    space = GenericAffineSpace(GF3, 3, {0: 1}, [{0: 1, 1: 1}, {2: 1}])
     assert space.support_mask() == 0b001
     assert space.can_zero(0)
     assert space.constrain_zero(0)
-    assert all(v[0] == 0 for v in space.basis)
-    assert space.particular[0] == 0
+    assert all(v.get(0, 0) == 0 for v in space.basis)
+    assert space.particular.get(0, 0) == 0
     member = space.member_within(0b010)
-    assert member is not None and member[0] == 0 and member[2] == 0
+    assert member is not None and member.get(0, 0) == 0 and member.get(2, 0) == 0
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_generic_space_matches_bruteforce(data):
+    """GF(3) systems through `solution_spaces` and a reduced basis, as
+    `build_witness_system` builds them, then random `constrain_zero` and
+    `copy` steps: `member_within`, `forced_mask` and `can_zero` agree with
+    brute force, and a copy never changes its parent's rows."""
+    F = Coeffs("gfp", 3)
+    ncols = data.draw(st.integers(1, 5))
+    rows = data.draw(st.lists(
+        st.lists(st.integers(0, 2), min_size=ncols + 1, max_size=ncols + 1),
+        min_size=1, max_size=ncols + 2,
+    ))
+    shared = data.draw(st.integers(0, len(rows) - 1))
+    system = FieldMatrix.from_rows(F, rows, ncols + 1)
+    for i, solution in enumerate(solution_spaces(system, shared)):
+        own = rows[:shared] + [rows[shared + i]]
+        expected = {
+            x for x in itertools.product(range(3), repeat=ncols)
+            if all(sum(a * b for a, b in zip(r, x)) % 3 == r[ncols] for r in own)
+        }
+        if solution is None:
+            assert not expected
+            continue
+        particular, kernel = solution
+        space = GenericAffineSpace(F, ncols, particular, Subspace(F, ncols, kernel).rows)
+        snapshots = []
+        for _ in range(data.draw(st.integers(0, 6))):
+            assert all(space.particular.values())
+            assert all(all(v.values()) for v in space.basis)
+            members = set()
+            for combo in itertools.product(range(3), repeat=space.dim):
+                x = _dense(F, space.particular, ncols)
+                for c, v in zip(combo, space.basis):
+                    x = [(a + c * v.get(j, 0)) % 3 for j, a in enumerate(x)]
+                members.add(tuple(x))
+            assert members == expected
+            assert space.forced_mask() == sum(
+                1 << j for j in range(ncols) if all(x[j] for x in expected))
+            for j in range(ncols):
+                assert space.can_zero(j) == any(not x[j] for x in expected)
+            for allowed in data.draw(st.lists(st.integers(0, (1 << ncols) - 1),
+                                              max_size=4)):
+                inside = [x for x in expected
+                          if all(allowed >> j & 1 for j in range(ncols) if x[j])]
+                member = space.member_within(allowed)
+                if member is None:
+                    assert not inside
+                else:
+                    assert tuple(_dense(F, member, ncols)) in inside
+            if data.draw(st.booleans()):
+                snapshots.append((space, dict(space.particular),
+                                  [dict(v) for v in space.basis]))
+                space = space.copy()
+            col = data.draw(st.integers(0, ncols - 1))
+            expected = {x for x in expected if not x[col]}
+            assert space.constrain_zero(col) == bool(expected)
+            if not expected:
+                break
+        for old, particular, basis in snapshots:
+            assert (old.particular, old.basis) == (particular, basis)
+
+
+def _witness_digest(system) -> str:
+    """Digest of every witness space's dense particular and basis, in order."""
+    F, n = system.problem.coeffs, system.ncols
+    lines = []
+    for s in system.spaces:
+        lines.append(" ".join(map(str, _dense(F, s.particular, n))))
+        lines.extend(" ".join(map(str, _dense(F, v, n))) for v in s.basis)
+        lines.append("")
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name, field, digest", [
+    ("disk3", "gf3", "e2a121676066ba83"),
+    ("disk3", "rational", "e2a121676066ba83"),
+    ("torus", "gf3", "63df5f44c2f73f0e"),
+    ("torus", "rational", "29e9272debf86ab4"),
+], ids=["disk3-gf3", "disk3-rational", "torus-gf3", "torus-rational"])
+def test_generic_witness_spaces_are_pinned(name, field, digest):
+    """The GF(3) and Q witness spaces of two shipped scenarios are pinned
+    entry by entry and in basis order: the reduced echelon form is unique,
+    so a change of row form or elimination order must not move them."""
+    with open(scenario_path(name)) as fh:
+        raw = json.load(fh)
+    problem = build_problem(scenario_from_dict({**raw, "coeffs": FIELD_SPECS[field]}))
+    assert _witness_digest(build_witness_system(problem)) == digest
 
 
 def test_witness_system_agrees_with_spans(disk_problem, disk_system):
@@ -147,9 +239,7 @@ def test_witness_chain_boundaries_in_A(field):
     a_pos = {c: i for i, c in enumerate(sorted(a_lower))}
 
     def entries(w):
-        if F.kind == "gf2":
-            return [w >> j & 1 for j in range(system.ncols)]
-        return w
+        return _dense(F, w, system.ncols)
 
     def boundary_and_pairing(w, cls):
         bd = {}
