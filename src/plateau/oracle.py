@@ -34,6 +34,12 @@ class OracleConfig:
     use_loops: bool = True
     warm_start: bool = True
 
+    def __post_init__(self):
+        if self.budget < 1:
+            raise ValueError(f"oracle budget must be at least 1, got {self.budget}")
+        if self.time_limit <= 0:
+            raise ValueError(f"oracle time_limit must be positive, got {self.time_limit}")
+
 
 @dataclass
 class OracleResult:
@@ -157,27 +163,29 @@ def build_loop_catalogue(system: WitnessSystem) -> list[int]:
 
 def packing_lower_bound(
     loops: list[int], satisfied_mask: int, excluded_mask: int,
-    weights: Sequence[int],
+    weights: Sequence[int], floors: dict[int, int],
 ) -> tuple[int, bool]:
     """Greedy face-disjoint loop packing; (bound, feasible).
 
     Each packed loop forces one distinct cell among its available faces, so
     the sum of per-loop minimum face weights bounds any completion from below.
-    A loop with no available face at all proves the node infeasible.
+    `floors[g]` is loop g's minimum over all its faces, used when none is
+    excluded.  A loop with no available face at all proves the node infeasible.
     """
     used = 0
     lb = 0
+    keep = ~excluded_mask
     for g in loops:
         if g & satisfied_mask:
             continue
-        avail = g & ~excluded_mask
+        avail = g & keep
         if not avail:
             return lb, False
         if avail & used:
             # a cell satisfying an already-packed loop could satisfy this one
             continue
         used |= avail
-        lb += min(weights[j] for j in bit_indices(avail))
+        lb += floors[g] if avail == g else min(weights[j] for j in bit_indices(avail))
     return lb, True
 
 
@@ -208,10 +216,10 @@ def isoperimetric_scan(
         best_mask = system.mask_of(X_ub.mcells) | a_mask
         best_weight = system.weight(best_mask)
 
-    def node_bound(include: int, exclude: int, w: int):
-        lb, feasible = packing_lower_bound(
-            loops, include | a_mask, exclude, weights
-        )
+    floors = {g: min(weights[j] for j in bit_indices(g)) for g in loops}
+
+    def node_bound(live: list[int], include_bit: int, exclude: int, w: int):
+        lb, feasible = packing_lower_bound(live, include_bit, exclude, weights, floors)
         return (w + lb), feasible
 
     search = branch_and_bound(

@@ -46,12 +46,13 @@ class Gf2AffineSpace:
     that vector and in no other.  `linalg._read_off` gives each kernel vector
     its own free column, and `constrain_zero` keeps the property, because the
     vector it removes holds no other vector's key.  A member's value at a key
-    then says whether that key's vector is in its combination, so
-    `member_within` fixes the vectors keyed outside `allowed` in one pass and
-    eliminates over the vectors keyed inside it only.
+    then says whether that key's vector is in its combination.  `reduced`,
+    the particular with every key cleared, is the one member zero on all
+    keys: `member_within` starts from it and eliminates over the vectors
+    keyed inside `allowed` only.
     """
 
-    __slots__ = ("ncols", "particular", "vecs", "or_mask", "key_mask")
+    __slots__ = ("ncols", "particular", "reduced", "vecs", "or_mask", "key_mask")
 
     def __init__(self, ncols: int, particular: int, basis: list[int]):
         once = twice = 0
@@ -70,11 +71,15 @@ class Gf2AffineSpace:
         self.vecs = vecs
         self.or_mask = once
         self.key_mask = sum(1 << k for k in vecs)
+        self.reduced = particular
+        for k in bit_indices(particular & self.key_mask):
+            self.reduced ^= vecs[k]
 
     def copy(self) -> "Gf2AffineSpace":
         out = Gf2AffineSpace.__new__(Gf2AffineSpace)
         out.ncols = self.ncols
         out.particular = self.particular
+        out.reduced = self.reduced
         out.vecs = dict(self.vecs)
         out.or_mask = self.or_mask
         out.key_mask = self.key_mask
@@ -105,50 +110,49 @@ class Gf2AffineSpace:
         if not self.or_mask & bit:
             return not self.particular & bit
         # the first vector holding col leaves the basis and clears col in
-        # the particular and in every later vector
+        # the particular, `reduced` (it holds no other key) and later vectors
         vecs = {}
         pivot = None
         or_mask = 0
         for k, v in self.vecs.items():
             if v & bit:
                 if pivot is None:
-                    pivot = k
+                    pivot = v
+                    self.key_mask ^= 1 << k
                     continue
-                v ^= self.vecs[pivot]
+                v ^= pivot
             vecs[k] = v
             or_mask |= v
         if self.particular & bit:
-            self.particular ^= self.vecs[pivot]
+            self.particular ^= pivot
+        if self.reduced & bit:
+            self.reduced ^= pivot
         self.vecs = vecs
         self.or_mask = or_mask
-        self.key_mask ^= 1 << pivot
         return True
 
     def member_within(self, allowed: int) -> Optional[int]:
         """Some member with support inside the allowed bitmask, or None."""
         forbidden = ~allowed
-        # a member is zero at each forbidden key, which fixes whether that
-        # key's vector is in its combination; keys are private, so this
-        # does not cascade
-        t = self.particular
-        for k in bit_indices(t & self.key_mask & forbidden):
-            t ^= self.vecs[k]
+        t = self.reduced
         if not t & forbidden:
             return t
-        pivots: list[tuple[int, int]] = []
+        # eliminate the vectors keyed inside allowed on the forbidden
+        # columns, each pivot keyed by its lowest forbidden column
+        pivots: dict[int, int] = {}
         for k in bit_indices(self.key_mask & allowed):
             v = self.vecs[k]
-            for bit, pv in pivots:
-                if v >> bit & 1:
-                    v ^= pv
-            rem = v & forbidden
-            if rem:
-                pivots.append(((rem & -rem).bit_length() - 1, v))
-        for bit, pv in pivots:
-            if t >> bit & 1:
-                t ^= pv
-        if t & forbidden:
-            return None
+            while rem := v & forbidden:
+                low = (rem & -rem).bit_length() - 1
+                if low not in pivots:
+                    pivots[low] = v
+                    break
+                v ^= pivots[low]
+        while rem := t & forbidden:
+            low = (rem & -rem).bit_length() - 1
+            if low not in pivots:
+                return None
+            t ^= pivots[low]
         return t
 
 
@@ -326,6 +330,7 @@ class _Node:
     weight: int
     spaces: list
     bound: int
+    live: list  # the loops not met by the parent's include | fixed
 
 
 @dataclass
@@ -350,7 +355,7 @@ def branch_and_bound(
     incumbent: Optional[int],
     *,
     loops: Sequence[int] = (),
-    bound: Optional[Callable[[int, int, int], tuple[int, bool]]] = None,
+    bound: Optional[Callable[[list, int, int, int], tuple[int, bool]]] = None,
     budget: int,
     deadline: Optional[float] = None,
 ) -> SearchResult:
@@ -366,19 +371,24 @@ def branch_and_bound(
     unsatisfied loop, when `loops` are given and one is left, or else one
     column of an unmet witness support.  Child i includes column i and
     excludes the columns before it; a support column also gets the child
-    that excludes it, while some face of a loop must be included.
-    `bound(include, exclude, weight)` returns a lower bound for a node and
-    whether it is feasible; without it the bound is the node's own weight.
+    that excludes it, while some face of a loop must be included.  Each node
+    carries its live loops, those of `loops` that `include | fixed` misses,
+    in order: its parent's list, filtered once its forced cells are in
+    (included cells only grow, so a met loop stays met below).
+    `bound(live, include_bit, exclude, weight)` bounds a child from its
+    parent's live loops and its one new column (0 if it only excludes), and
+    says whether it is feasible; without it the bound is the node's weight.
     The search stops after `budget` nodes or at the `time.monotonic()`
     instant `deadline`.
     """
-    node_bound = bound or (lambda include, exclude, w: (w, True))
+    node_bound = bound or (lambda live, include_bit, exclude, w: (w, True))
     best = incumbent
     best_mask: Optional[int] = None
-    root_bound, feasible = node_bound(0, 0, 0)
+    root_live = [g for g in loops if not g & fixed]
+    root_bound, feasible = node_bound(root_live, 0, 0, 0)
     if not feasible:
         raise AssertionError("root infeasible despite existing witnesses")
-    stack = [_Node(0, 0, 0, spaces, root_bound)]
+    stack = [_Node(0, 0, 0, spaces, root_bound, root_live)]
     nodes = 0
 
     while stack:
@@ -411,12 +421,11 @@ def branch_and_bound(
             if best is None or w < best:
                 best, best_mask = w, allowed_now
             continue
+        live = [g for g in nd.live if not g & include]
 
         # choose the branching columns
         best_loop = None
-        for g in loops:
-            if g & allowed_now:
-                continue
+        for g in live:
             avail = g & ~exclude
             if avail and (
                 best_loop is None
@@ -443,11 +452,11 @@ def branch_and_bound(
         children: list[_Node] = []
         sub_spaces, sub_exclude = unmet, exclude
         for i, col in enumerate(branch_cols):
-            b, _ = node_bound(include | 1 << col, sub_exclude, w + weights[col])
+            b, _ = node_bound(live, 1 << col, sub_exclude, w + weights[col])
             if best is None or b < best:
                 children.append(
                     _Node(include | 1 << col, sub_exclude, w + weights[col],
-                          sub_spaces, b)
+                          sub_spaces, b, live)
                 )
             if best_loop is not None and i == len(branch_cols) - 1:
                 break  # some face of the loop must be included
@@ -456,9 +465,9 @@ def branch_and_bound(
                 break
             sub_spaces, sub_exclude = nxt, sub_exclude | 1 << col
         else:
-            b, feas = node_bound(include, sub_exclude, w)
+            b, feas = node_bound(live, 0, sub_exclude, w)
             if feas and (best is None or b < best):
-                children.insert(0, _Node(include, sub_exclude, w, sub_spaces, b))
+                children.insert(0, _Node(include, sub_exclude, w, sub_spaces, b, live))
         stack.extend(reversed(children))
 
     found = None if best_mask is None else (best, best_mask)

@@ -1,8 +1,10 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
+from plateau.linalg import bit_indices
 from plateau.linking import crossed_faces
 from plateau.oracle import (
     OracleConfig,
@@ -104,14 +106,63 @@ def test_loop_masks_match_walked_loops(name):
     assert masks and masks == expected
 
 
+def _floors(loops, weights):
+    return {g: min(weights[j] for j in bit_indices(g)) for g in loops}
+
+
 def test_packing_lower_bound_sound(tiny_problem, tiny_system):
     masks = build_loop_catalogue(tiny_system)
-    weights = [
-        Fraction(1) for _ in range(tiny_system.ncols)
-    ]
-    lb, feasible = packing_lower_bound(masks, 0, 0, weights)
+    weights = tiny_system.weights
+    lb, feasible = packing_lower_bound(masks, 0, 0, weights, _floors(masks, weights))
     assert feasible
-    assert 0 < lb <= 21  # never above the certified optimum
+    # never above the certified optimum, on the scaled integer weights
+    assert 0 < lb <= 21 * tiny_system.scale
+
+
+def _packing_over_catalogue(loops, satisfied, excluded, weights):
+    """The greedy packing with every loop's minimum taken over its
+    available faces, scanning the whole catalogue."""
+    used = lb = 0
+    for g in loops:
+        if g & satisfied:
+            continue
+        avail = g & ~excluded
+        if not avail:
+            return lb, False
+        if not avail & used:
+            used |= avail
+            lb += min(weights[j] for j in bit_indices(avail))
+    return lb, True
+
+
+@pytest.mark.parametrize("name", ["rings_tiny", "torus"])
+def test_packing_over_live_loops_matches_full_catalogue(name):
+    """The bound a search node computes from its live loops and one new
+    column equals the bound over the whole catalogue with the node's
+    `include | a_mask`, for random include and exclude masks."""
+    problem = crop_problem(build_problem(load(name)))
+    system = build_witness_system(problem)
+    loops = build_loop_catalogue(system)
+    weights = system.weights
+    floors = _floors(loops, weights)
+    a_mask = system.mask_of(problem.A.cells_of_dim(problem.m))
+    free = [j for j in range(system.ncols) if not a_mask >> j & 1]
+    rng = random.Random(name)
+    for _ in range(60):
+        include = exclude = 0
+        for j in free:
+            r = rng.random()
+            if r < 0.08:
+                include |= 1 << j
+            elif r < 0.3:
+                exclude |= 1 << j
+        live = [g for g in loops if not g & (include | a_mask)]
+        col = rng.choice([j for j in free if not (include | exclude) >> j & 1])
+        for bit in (0, 1 << col):
+            full = _packing_over_catalogue(loops, include | bit | a_mask, exclude, weights)
+            assert packing_lower_bound(
+                loops, include | bit | a_mask, exclude, weights, floors) == full
+            assert packing_lower_bound(live, bit, exclude, weights, floors) == full
 
 
 def test_oracle_disk_exact(disk_problem):
@@ -161,6 +212,30 @@ def test_cold_search_tree_without_loops_is_pinned(name, pinned):
         OracleConfig(budget=5_000, warm_start=False, use_loops=False),
     )
     assert (res.nodes, res.best_weight, res.lower_bound, res.optimal) == pinned
+
+
+def test_budget_stopped_search_with_loops_is_pinned():
+    """A loop-bearing search that the budget stops: the wide rings of the
+    certify benchmark (seed 1) keep their incumbent and packing bound."""
+    problem = build_problem(scenario_from_dict({
+        "name": "rings-wide4",
+        "grid": {"n": 3, "k": 0, "box": [[0, 5], [0, 5], [0, 4]]},
+        "boundary": {"tag": "three_rings", "size": 4, "origin": [0, 0],
+                     "spacing": 1, "z0": 1},
+        "m": 2,
+        "seed": 256,
+    }))
+    res = isoperimetric_scan(problem, OracleConfig(budget=5_000, warm_start=False))
+    assert (res.nodes, res.best_weight, res.lower_bound, res.optimal) == (
+        5_000, 60, 28, False)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("budget", 0), ("budget", -3), ("time_limit", 0), ("time_limit", -1.0),
+])
+def test_oracle_config_rejects_empty_limits(field, value):
+    with pytest.raises(ValueError, match=field):
+        OracleConfig(**{field: value})
 
 
 def test_oracle_budget_exhaustion(tiny_problem):

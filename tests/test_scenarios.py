@@ -319,3 +319,6 @@ def test_cli_error_paths(tmp_path, capsys):
         path.write_text(json.dumps({**raw, **change}))
         assert main(["solve", str(path)]) == 2
         assert field in capsys.readouterr().err
+    for budget in ("0", "-3"):
+        assert main(["oracle", scenario_path("disk3"), "--budget", budget]) == 2
+        assert "budget" in capsys.readouterr().err

@@ -55,6 +55,10 @@ def _check_keys(space) -> None:
     for k, v in space.vecs.items():
         assert v >> k & 1
         assert not any(w >> k & 1 for j, w in space.vecs.items() if j != k)
+    # `reduced` is the member that is zero on every key: reduced ^ particular
+    # lies in the span of the basis
+    assert not space.reduced & space.key_mask
+    assert space.reduced in _members(space)
 
 
 @given(st.data())
@@ -62,7 +66,8 @@ def _check_keys(space) -> None:
 def test_keyed_space_matches_bruteforce(data):
     """Random systems through `solution_spaces`, then random `constrain_zero`
     and `copy` steps: `member_within` agrees with brute force, every basis
-    vector keeps a private column, and a copy never shares state."""
+    vector keeps a private column, `reduced` stays the member zero on every
+    key, and a copy never shares state."""
     ncols = data.draw(st.integers(1, 10))
     rows = data.draw(st.lists(
         st.lists(st.integers(0, 1), min_size=ncols + 1, max_size=ncols + 1),
@@ -94,15 +99,18 @@ def test_keyed_space_matches_bruteforce(data):
                 else:
                     assert member in expected and member & ~allowed == 0
             if data.draw(st.booleans()):
-                snapshots.append((space, space.particular, space.basis))
-                space = space.copy()
+                snapshots.append((space, space.particular, space.reduced, dict(space.vecs)))
+                old, space = space, space.copy()
+                assert space.vecs is not old.vecs
+                _check_keys(space)
             col = data.draw(st.integers(0, ncols - 1))
             expected = {x for x in expected if not x >> col & 1}
             assert space.constrain_zero(col) == bool(expected)
             if not expected:
                 break
-        for old, particular, basis in snapshots:
-            assert (old.particular, old.basis) == (particular, basis)
+            _check_keys(space)
+        for old, particular, reduced, vecs in snapshots:
+            assert (old.particular, old.reduced, old.vecs) == (particular, reduced, vecs)
 
 
 def test_keyed_space_rejects_basis_without_private_columns():
