@@ -42,6 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle", help="certified exhaustive minimum")
     p_oracle.add_argument("scenario")
     p_oracle.add_argument("--budget", type=int, default=500_000)
+    p_oracle.add_argument("--time-limit", type=float, default=540.0, metavar="SECONDS")
     return parser
 
 
@@ -67,7 +68,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "oracle":
             scenario = load_scenario(args.scenario)
             problem = build_problem(scenario)
-            result = isoperimetric_scan(problem, OracleConfig(budget=args.budget))
+            cfg = OracleConfig(budget=args.budget, time_limit=args.time_limit)
+            result = isoperimetric_scan(problem, cfg)
             import json
 
             print(json.dumps(result.to_dict(), indent=2, sort_keys=True))

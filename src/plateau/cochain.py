@@ -177,9 +177,8 @@ def restriction_image(X: CubicalComplex, A: CubicalComplex, d: int, coeffs: Coef
     A_data = A_data or CochainComplexData(A, coeffs)
     X_cocycles = kernel_basis(X_data.delta(d))
     xpos = X_data.indexing.position(d)
-    where = [xpos[c] for c in A_data.indexing.order(d)]
-    restricted = [[v[i] for i in where] for v in X_cocycles.basis]
-    image = Subspace.from_vectors(coeffs, A_data.cochain_dim(d), restricted)
+    where = {xpos[c]: i for i, c in enumerate(A_data.indexing.order(d))}
+    image = X_cocycles.restricted(where, A_data.cochain_dim(d))
     return RestrictionImage(A_data, d, image, coboundary_space(A_data, d))
 
 

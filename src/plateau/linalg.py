@@ -392,6 +392,17 @@ class Subspace:
     def from_vectors(cls, coeffs: Coeffs, ambient_dim: int, vectors: Iterable[Sequence]):
         return cls(coeffs, ambient_dim, [_to_row(coeffs, v, ambient_dim) for v in vectors])
 
+    def restricted(self, positions: dict[int, int], ambient_dim: int) -> "Subspace":
+        """The span of the vectors' entries at the keys of `positions`, entry
+        j moved to coordinate positions[j] of an ambient_dim-space."""
+        if self.coeffs.kind == "gf2":
+            keep = sum(1 << j for j in positions)
+            rows = [sum(1 << positions[j] for j in bit_indices(r & keep)) for r in self.rows]
+        else:
+            rows = [{positions[j]: x for j, x in r.items() if j in positions}
+                    for r in self.rows]
+        return Subspace(self.coeffs, ambient_dim, rows)
+
     def contains(self, v: Sequence) -> bool:
         return self._echelon.contains(_to_row(self.coeffs, v, self.ambient_dim))
 

@@ -1,20 +1,27 @@
-"""Exhaustive minimization with certified optimality (branch and bound).
+"""Exhaustive minimization with certified optimality (root LP, then branch and bound).
 
-The search is `witness.branch_and_bound` over the whole (cropped) box:
-branching includes or excludes one m-cell at a time, exclusion constrains
-every class's witness space, and a node is closed as soon as the included
-cells alone carry a witness for every class.  Lower bounds come from
-face-disjoint packings of dual-lattice loops whose crossing parity is odd on
-every witness of some class: each such loop forces at least one of its
-crossed faces into any spanning surface.
+Every spanning surface meets each dual-lattice loop whose crossing parity is
+odd on every witness of some class: the loop forces at least one of its
+crossed faces into the surface.  Before any search, the loop-packing LP over
+the root's loops (max sum y_g with each face's load at most its weight) gives
+a lower bound, checked exactly in integers, and its dual prices, rounded at
+1/2, give a candidate surface.  When that surface, or the solver's warm
+start, spans and weighs no more than the bound, it is certified optimal
+without a single search node.
 
-A budget caps the number of expanded nodes; on exhaustion the best surface
-found is reported together with a still-valid global lower bound.
+Otherwise the search is `witness.branch_and_bound` over the whole (cropped)
+box: branching includes or excludes one m-cell at a time, exclusion
+constrains every class's witness space, and a node is closed as soon as the
+included cells alone carry a witness for every class.  Node lower bounds come
+from greedy face-disjoint packings of the same loops.  A budget caps the
+number of expanded nodes; on exhaustion the best surface found is reported
+together with a still-valid global lower bound, at least the LP's.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,7 +44,7 @@ class OracleConfig:
     def __post_init__(self):
         if self.budget < 1:
             raise ValueError(f"oracle budget must be at least 1, got {self.budget}")
-        if self.time_limit <= 0:
+        if not self.time_limit > 0:  # also rejects NaN
             raise ValueError(f"oracle time_limit must be positive, got {self.time_limit}")
 
 
@@ -50,6 +57,9 @@ class OracleResult:
     best_mcells: frozenset[Cell]
     cropped_box: tuple[tuple[int, int], ...]
     loop_count: int
+    # lp_root: the root LP bound certified the incumbent with no search;
+    # done: the search finished; budget, time: a limit stopped it
+    stop: str
 
     def to_dict(self) -> dict:
         return {
@@ -60,6 +70,7 @@ class OracleResult:
             "cells": len(self.best_mcells),
             "cropped_box": [list(b) for b in self.cropped_box],
             "loop_count": self.loop_count,
+            "stop": self.stop,
         }
 
 
@@ -190,6 +201,141 @@ def packing_lower_bound(
 
 
 # ---------------------------------------------------------------------------
+# root LP
+
+_EPS = 1e-9
+_Y_SCALE = 1 << 20  # exact_packing_bound floors each y_g to a multiple of 2**-20
+
+
+def loop_packing_lp(
+    loops: Sequence[int], weights: Sequence[int]
+) -> Optional[tuple[list[float], dict[int, float]]]:
+    """The loop-packing LP max sum y_g s.t. sum over g crossing e of y_g <= weights[e].
+
+    Primal simplex on a sparse float tableau, one row per face that some
+    loop crosses; the rows start with their slacks basic at the origin, which
+    is feasible, so there is no phase 1.  Bland's rule (the lowest-index
+    entering variable, loops before slacks, and on ratio ties the leaving
+    row with the lowest-index basic variable) rules out cycling; the simplex
+    still stops after 10 * (rows + loops) pivots and then returns None, as it
+    does when rounding leaves an entering column with no positive entry.
+    Otherwise it returns (y, price): y[k] for loop k, and for each crossed
+    face column the final reduced cost of its slack, which is the face's
+    value in an optimal solution of the covering LP
+    min sum w_e x_e s.t. sum over e in g of x_e >= 1.  No float decides a
+    result: `exact_packing_bound` checks y, and the spanning test checks the
+    rounded prices.
+    """
+    faces = sorted({e for g in loops for e in bit_indices(g)})
+    row_of = {e: i for i, e in enumerate(faces)}
+    nl, obj = len(loops), len(faces)
+    # rows[i] for face i, basic variable basic[i] (loop k, or nl + i for the
+    # face's slack); rows[obj] holds the objective's reduced costs
+    rows: list[dict[int, float]] = [{nl + i: 1.0} for i in range(obj)] + [{}]
+    holders = {nl + i: {i} for i in range(obj)}  # variable -> rows holding it
+    for k, g in enumerate(loops):
+        holders[k] = {row_of[e] for e in bit_indices(g)}
+        for i in holders[k]:
+            rows[i][k] = 1.0
+        rows[obj][k] = -1.0
+        holders[k].add(obj)
+    rhs = [float(weights[e]) for e in faces] + [0.0]
+    basic = list(range(nl, nl + obj))
+
+    for _ in range(10 * (obj + nl)):
+        cost = rows[obj]
+        enter = min((j for j, c in cost.items() if c < -_EPS), default=None)
+        if enter is None:
+            y = [0.0] * nl
+            for i, j in enumerate(basic):
+                if j < nl:
+                    y[j] = rhs[i]
+            return y, {e: cost.get(nl + i, 0.0) for i, e in enumerate(faces)}
+        leave, ratio = None, 0.0
+        for i in holders[enter]:
+            a = rows[i][enter]
+            if i != obj and a > _EPS:
+                t = rhs[i] / a
+                if leave is None or t < ratio - _EPS or (
+                    t <= ratio + _EPS and basic[i] < basic[leave]
+                ):
+                    leave, ratio = i, t
+        if leave is None:
+            return None  # every loop crosses a face, so only rounding gets here
+        a = rows[leave][enter]
+        pivot = {j: v / a for j, v in rows[leave].items()}
+        rows[leave], rhs[leave], basic[leave] = pivot, rhs[leave] / a, enter
+        for i in list(holders[enter]):
+            if i == leave:
+                continue
+            row = rows[i]
+            f = row[enter]
+            for j, v in pivot.items():
+                x = row.get(j, 0.0) - f * v
+                if abs(x) > _EPS:
+                    if j not in row:
+                        holders[j].add(i)
+                    row[j] = x
+                elif j in row:
+                    del row[j]
+                    holders[j].discard(i)
+            rhs[i] = max(0.0, rhs[i] - f * rhs[leave])
+    return None
+
+
+def exact_packing_bound(
+    loops: Sequence[int], y: Sequence[float], weights: Sequence[int]
+) -> Fraction:
+    """An exact lower bound on the weight of every column set meeting all loops.
+
+    Each y[k] is floored to a non-negative multiple of 2**-20, the face loads
+    of these values are summed in integers, and their total is divided by
+    the worst overload max_e load_e / weights[e] when that exceeds 1, which
+    makes the packing feasible.  A set S meeting every loop then weighs at
+    least sum_{e in S} load_e >= sum_k y[k].
+    """
+    q = [max(0, math.floor(v * _Y_SCALE)) for v in y]
+    load: dict[int, int] = {}
+    for g, qk in zip(loops, q):
+        if qk:
+            for e in bit_indices(g):
+                load[e] = load.get(e, 0) + qk
+    overload = Fraction(1)
+    for e, x in load.items():
+        cap = weights[e] * _Y_SCALE
+        if x > cap:
+            if not cap:
+                return Fraction(0)
+            overload = max(overload, Fraction(x, cap))
+    return Fraction(sum(q), _Y_SCALE) / overload
+
+
+def root_lp(
+    system: WitnessSystem, loops: list[int], a_mask: int
+) -> Optional[tuple[int, Optional[int]]]:
+    """(lower, primal) from the loop-packing LP over the loops that miss `a_mask`.
+
+    `lower` is the exact bound rounded up, valid because every surface
+    weight is an integer on the system's scale; `primal` is `a_mask` plus
+    the faces priced above 1/2, when that spans, else None.  None when no
+    loop is left or `loop_packing_lp` gives up.
+    """
+    loops = [g for g in loops if not g & a_mask]
+    if not loops:
+        return None
+    lp = loop_packing_lp(loops, system.weights)
+    if lp is None:
+        return None
+    y, price = lp
+    lower = math.ceil(exact_packing_bound(loops, y, system.weights))
+    mask = a_mask
+    for e, x in price.items():
+        if x > 0.5:
+            mask |= 1 << e
+    return lower, (mask if system.spans_mask(mask) else None)
+
+
+# ---------------------------------------------------------------------------
 # certified scan
 
 
@@ -202,7 +348,7 @@ def isoperimetric_scan(
     work = crop_problem(problem)
     if not work.L:
         return OracleResult(
-            Fraction(0), Fraction(0), True, 0, frozenset(), work.grid.box, 0
+            Fraction(0), Fraction(0), True, 0, frozenset(), work.grid.box, 0, "done"
         )
     system = build_witness_system(work)
     weights = system.weights
@@ -211,36 +357,46 @@ def isoperimetric_scan(
 
     best_weight: Optional[int] = None
     best_mask = 0
-    if cfg.warm_start:
+    lower = 0
+    root = root_lp(system, loops, a_mask)
+    if root is not None:
+        lower, primal = root
+        if primal is not None:
+            best_mask, best_weight = primal, system.weight(primal)
+    if cfg.warm_start and (best_weight is None or best_weight > lower):
         X_ub, _ = solve(work, SolverConfig(), system)
-        best_mask = system.mask_of(X_ub.mcells) | a_mask
-        best_weight = system.weight(best_mask)
+        warm = system.mask_of(X_ub.mcells) | a_mask
+        w = system.weight(warm)
+        if best_weight is None or w < best_weight:
+            best_mask, best_weight = warm, w
+    nodes, stop = 0, "lp_root"
+    if best_weight is None or best_weight > lower:
+        floors = {g: min(weights[j] for j in bit_indices(g)) for g in loops}
 
-    floors = {g: min(weights[j] for j in bit_indices(g)) for g in loops}
+        def node_bound(live: list[int], include_bit: int, exclude: int, w: int):
+            lb, feasible = packing_lower_bound(live, include_bit, exclude, weights, floors)
+            return (w + lb), feasible
 
-    def node_bound(live: list[int], include_bit: int, exclude: int, w: int):
-        lb, feasible = packing_lower_bound(live, include_bit, exclude, weights, floors)
-        return (w + lb), feasible
-
-    search = branch_and_bound(
-        system.copy_spaces(), a_mask, weights, best_weight, loops=loops,
-        bound=node_bound, budget=cfg.budget, deadline=t0 + cfg.time_limit,
-    )
-    if search.best is not None:
-        best_weight, best_mask = search.best
-    if best_weight is None:
-        if not search.exhausted:
-            raise AssertionError("search ended without any spanning surface")
-        # budget ran out before any incumbent: fall back to the full fill,
-        # which always spans (the box is contractible)
-        best_mask = system.full_mask()
-        best_weight = system.weight(best_mask)
-    if search.exhausted:
-        lower = min(search.open_bounds + [best_weight])
-        optimal = lower == best_weight
-    else:
-        lower = best_weight
-        optimal = True
+        search = branch_and_bound(
+            system.copy_spaces(), a_mask, weights, best_weight, loops=loops,
+            bound=node_bound, budget=cfg.budget, deadline=t0 + cfg.time_limit,
+        )
+        nodes = search.nodes
+        if search.best is not None:
+            best_weight, best_mask = search.best
+        if best_weight is None:
+            if not search.exhausted:
+                raise AssertionError("search ended without any spanning surface")
+            # budget ran out before any incumbent: fall back to the full fill,
+            # which always spans (the box is contractible)
+            best_mask = system.full_mask()
+            best_weight = system.weight(best_mask)
+        if search.exhausted:
+            lower = max(lower, min(search.open_bounds + [best_weight]))
+            stop = "budget" if nodes >= cfg.budget else "time"
+        else:
+            lower = best_weight
+            stop = "done"
 
     cells = frozenset(
         system.mcells[j] for j in bit_indices(best_mask & ~a_mask)
@@ -248,8 +404,8 @@ def isoperimetric_scan(
     # report against the original problem (crop preserves the optimum)
     scale = system.scale
     return OracleResult(
-        Fraction(best_weight, scale), Fraction(lower, scale), optimal,
-        search.nodes, cells, work.grid.box, len(loops),
+        Fraction(best_weight, scale), Fraction(lower, scale), lower == best_weight,
+        nodes, cells, work.grid.box, len(loops), stop,
     )
 
 

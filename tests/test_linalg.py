@@ -124,6 +124,20 @@ def test_kernel_vectors_annihilate(mx):
     assert K.dim == M.cols - rank
 
 
+@given(matrix_and_x(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_restricted_matches_restricting_the_vectors(mx, data):
+    """Restricting the echelon rows gives the subspace spanned by the
+    restricted basis vectors, echelon row for row."""
+    F, entries, _ = mx
+    S = Subspace.from_vectors(F, len(entries[0]), entries)
+    where = data.draw(st.lists(st.integers(0, S.ambient_dim - 1), unique=True))
+    positions = {j: i for i, j in enumerate(where)}
+    expected = Subspace.from_vectors(
+        F, len(where), [[v[j] for j in where] for v in S.basis])
+    assert S.restricted(positions, len(where)).rows == expected.rows
+
+
 def test_rational_entries_exact():
     M = FieldMatrix.from_rows(
         RATIONAL, [[Fraction(1, 3), Fraction(1, 6)]], 2

@@ -10,9 +10,12 @@ from plateau.oracle import (
     OracleConfig,
     build_loop_catalogue,
     crop_problem,
+    exact_packing_bound,
     isoperimetric_scan,
+    loop_packing_lp,
     oracle_surface,
     packing_lower_bound,
+    root_lp,
 )
 from plateau.scenarios import build_problem, scenario_from_dict
 from plateau.solver import SolverConfig, solve, surface_weight
@@ -185,19 +188,26 @@ def test_oracle_tiny_rings_regression(tiny_problem):
     assert surface_weight(X) == 21
 
 
+def _without_root_lp(monkeypatch):
+    """Skip the root LP, so that the search runs exactly as it would on an
+    instance the LP does not certify."""
+    monkeypatch.setattr("plateau.oracle.root_lp", lambda system, loops, a_mask: None)
+
+
 @pytest.mark.parametrize("name, pinned", [
     ("rings_tiny", (669, 21, 21, True)),
     ("torus", (4047, Fraction(9, 2), Fraction(9, 2), True)),
 ])
-def test_cold_search_tree_is_pinned(name, pinned):
+def test_cold_search_tree_is_pinned(name, pinned, monkeypatch):
     """The cold search under a 5,000-node budget visits a fixed tree.  A
-    change to the bounds or the branching (such as LP-dual node bounds)
-    changes these numbers on purpose; a change to the cost per node must
-    not."""
+    change to the bounds or the branching changes these numbers on purpose;
+    a change to the cost per node must not."""
+    _without_root_lp(monkeypatch)
     res = isoperimetric_scan(
         build_problem(load(name)), OracleConfig(budget=5_000, warm_start=False)
     )
     assert (res.nodes, res.best_weight, res.lower_bound, res.optimal) == pinned
+    assert res.stop == "done"
 
 
 @pytest.mark.parametrize("name, pinned", [
@@ -212,26 +222,127 @@ def test_cold_search_tree_without_loops_is_pinned(name, pinned):
         OracleConfig(budget=5_000, warm_start=False, use_loops=False),
     )
     assert (res.nodes, res.best_weight, res.lower_bound, res.optimal) == pinned
+    assert res.stop == "budget"
 
 
-def test_budget_stopped_search_with_loops_is_pinned():
-    """A loop-bearing search that the budget stops: the wide rings of the
-    certify benchmark (seed 1) keep their incumbent and packing bound."""
-    problem = build_problem(scenario_from_dict({
-        "name": "rings-wide4",
-        "grid": {"n": 3, "k": 0, "box": [[0, 5], [0, 5], [0, 4]]},
-        "boundary": {"tag": "three_rings", "size": 4, "origin": [0, 0],
-                     "spacing": 1, "z0": 1},
-        "m": 2,
-        "seed": 256,
-    }))
+# the wide rings of the certify benchmark (seed 1)
+RINGS_WIDE4 = {
+    "name": "rings-wide4",
+    "grid": {"n": 3, "k": 0, "box": [[0, 5], [0, 5], [0, 4]]},
+    "boundary": {"tag": "three_rings", "size": 4, "origin": [0, 0],
+                 "spacing": 1, "z0": 1},
+    "m": 2,
+    "seed": 256,
+}
+
+
+def test_budget_stopped_search_with_loops_is_pinned(monkeypatch):
+    """A loop-bearing search that the budget stops keeps its incumbent and
+    packing bound."""
+    _without_root_lp(monkeypatch)
+    problem = build_problem(scenario_from_dict(RINGS_WIDE4))
     res = isoperimetric_scan(problem, OracleConfig(budget=5_000, warm_start=False))
     assert (res.nodes, res.best_weight, res.lower_bound, res.optimal) == (
         5_000, 60, 28, False)
+    assert res.stop == "budget"
+
+
+@pytest.mark.parametrize("name, optimum", [
+    ("rings_tiny", 21),
+    ("torus", Fraction(9, 2)),
+    ("rings-wide4", 32),
+    ("rings_d1", 40),
+])
+def test_root_lp_certifies_without_search(name, optimum):
+    """The cold root LP certifies every loop-bearing instance at node 0, so a
+    one-node budget suffices."""
+    if name == "rings-wide4":
+        problem = build_problem(scenario_from_dict(RINGS_WIDE4))
+    else:
+        problem = build_problem(load(name))
+    res = isoperimetric_scan(problem, OracleConfig(budget=1, warm_start=False))
+    assert (res.nodes, res.best_weight, res.lower_bound, res.optimal) == (
+        0, optimum, optimum, True)
+    assert res.stop == "lp_root"
+    X = oracle_surface(problem, res)
+    assert spans(X) and surface_weight(X) == optimum
+
+
+def _root_loops(name):
+    problem = crop_problem(build_problem(load(name)))
+    system = build_witness_system(problem)
+    a_mask = system.mask_of(problem.A.cells_of_dim(problem.m))
+    loops = [g for g in build_loop_catalogue(system) if not g & a_mask]
+    return system, loops, a_mask
+
+
+def _loads(loops, y):
+    load = {}
+    for g, v in zip(loops, y):
+        for e in bit_indices(g):
+            load[e] = load.get(e, 0) + Fraction(v)
+    return load
+
+
+@pytest.mark.parametrize("name, value", [("rings_tiny", 21), ("torus", 36)])
+def test_exact_bound_scales_down_infeasible_packings(name, value):
+    """Perturbed LP solutions that overload some face are scaled down to a
+    bound no higher than the LP value (scaled units); the unperturbed one
+    reaches it up to rounding."""
+    system, loops, _ = _root_loops(name)
+    weights = system.weights
+    y, _ = loop_packing_lp(loops, weights)
+    assert value - 1 < exact_packing_bound(loops, y, weights) <= value
+    rng = random.Random(name)
+    for _ in range(20):
+        bumped = [v * rng.uniform(1.0, 1.6) + rng.uniform(0.0, 0.3) for v in y]
+        load = _loads(loops, bumped)
+        assert any(x > weights[e] for e, x in load.items())
+        assert exact_packing_bound(loops, bumped, weights) <= value
+    # a packing through a zero-weight face proves nothing
+    zero = list(weights)
+    zero[next(bit_indices(loops[0]))] = 0
+    assert exact_packing_bound(loops, [1.0] * len(loops), zero) == 0
+
+
+def test_non_spanning_primal_falls_back_to_search(monkeypatch):
+    """With one face dropped from the LP's rounded primal, the candidate no
+    longer spans: nothing is certified at the root, the search finds the
+    same optimum, and the LP bound stays the floor of a stopped search."""
+    system, loops, a_mask = _root_loops("rings_tiny")
+    y, price = loop_packing_lp(loops, system.weights)
+    dropped = min(e for e, x in price.items() if x > 0.5)
+
+    def without_one_face(loops, weights):
+        y, price = loop_packing_lp(loops, weights)
+        return y, {**price, dropped: 0.0}
+
+    monkeypatch.setattr("plateau.oracle.loop_packing_lp", without_one_face)
+    assert root_lp(system, loops, a_mask) == (21, None)
+    problem = build_problem(load("rings_tiny"))
+    res = isoperimetric_scan(problem, OracleConfig(budget=5_000, warm_start=False))
+    assert res.nodes > 0 and res.stop == "done"
+    assert (res.best_weight, res.lower_bound, res.optimal) == (21, 21, True)
+    # stopped at once, the search's own bound is the greedy packing's 20
+    res = isoperimetric_scan(problem, OracleConfig(budget=1, warm_start=False))
+    assert (res.stop, res.lower_bound, res.optimal) == ("budget", 21, False)
+    # a warm start that meets the LP bound needs no search
+    res = isoperimetric_scan(problem, OracleConfig())
+    assert (res.nodes, res.stop, res.best_weight, res.optimal) == (0, "lp_root", 21, True)
+
+
+def test_search_stop_reasons():
+    cold = dict(use_loops=False, warm_start=False)
+    res = isoperimetric_scan(
+        build_problem(load("rings_tiny")), OracleConfig(time_limit=1e-9, **cold))
+    assert (res.stop, res.nodes, res.optimal) == ("time", 0, False)
+    res = isoperimetric_scan(build_problem(load("disk3")), OracleConfig(**cold))
+    assert (res.stop, res.optimal) == ("done", True)
 
 
 @pytest.mark.parametrize("field, value", [
     ("budget", 0), ("budget", -3), ("time_limit", 0), ("time_limit", -1.0),
+    ("time_limit", float("nan")),
 ])
 def test_oracle_config_rejects_empty_limits(field, value):
     with pytest.raises(ValueError, match=field):
@@ -246,6 +357,7 @@ def test_oracle_budget_exhaustion(tiny_problem):
     assert res.lower_bound <= res.best_weight
     d = res.to_dict()
     assert d["optimal"] is False
+    assert d["stop"] == "budget"
 
 
 @pytest.mark.parametrize("name", ["disk3", "rings_tiny", "torus"])

@@ -322,3 +322,6 @@ def test_cli_error_paths(tmp_path, capsys):
     for budget in ("0", "-3"):
         assert main(["oracle", scenario_path("disk3"), "--budget", budget]) == 2
         assert "budget" in capsys.readouterr().err
+    for seconds in ("0", "-1.5", "nan"):
+        assert main(["oracle", scenario_path("disk3"), "--time-limit", seconds]) == 2
+        assert "time_limit" in capsys.readouterr().err
