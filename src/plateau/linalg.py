@@ -403,6 +403,12 @@ class Subspace:
                     for r in self.rows]
         return Subspace(self.coeffs, ambient_dim, rows)
 
+    def vanishing_below(self, k: int) -> "Subspace":
+        """The vectors of this subspace that are zero at every column below k:
+        the span of the echelon rows that pivot at k or later."""
+        rows = [r for c, r in self._echelon.rows.items() if c >= k]
+        return Subspace(self.coeffs, self.ambient_dim, rows)
+
     def contains(self, v: Sequence) -> bool:
         return self._echelon.contains(_to_row(self.coeffs, v, self.ambient_dim))
 

@@ -117,14 +117,15 @@ def crop_problem(problem: SpanningProblem) -> SpanningProblem:
 # dual-loop catalogue
 
 
-def build_loop_catalogue(system: WitnessSystem) -> list[int]:
+def build_loop_catalogue(system: WitnessSystem, deadline: float = math.inf) -> list[int]:
     """Crossing masks of dual loops that are odd on some class's witnesses.
 
     The loops are the axis-aligned voxel rectangles of every coordinate plane
     (p, q), corners up to one voxel outside the box: they subsume lines,
     elbows, U-shapes and the unit squares around single edges.  Only applies
     to codimension-one surfaces over GF(2); otherwise empty.  Returned masks
-    are deduplicated and sorted by popcount for greedy packing.
+    are deduplicated and sorted by popcount for greedy packing; none once the
+    `time.monotonic()` instant `deadline`, checked once per plane, passes.
     """
     problem = system.problem
     box = problem.grid.box
@@ -148,6 +149,8 @@ def build_loop_catalogue(system: WitnessSystem) -> list[int]:
     for p, q in itertools.combinations(range(n), 2):
         others = (range(1) if b in (p, q) else range(*box[b]) for b in range(n))
         for t in itertools.product(*others):
+            if time.monotonic() > deadline:
+                return []
             # corner[i][k]: prefix[p] ^ prefix[q] at voxel (ext[p][i], ext[q][k]);
             # with d = corner[i] ^ corner[j], rectangle i < j, k < l has mask d[k] ^ d[l]
             corner = [[0] * len(ext[q]) for _ in ext[p]]
@@ -208,7 +211,7 @@ _Y_SCALE = 1 << 20  # exact_packing_bound floors each y_g to a multiple of 2**-2
 
 
 def loop_packing_lp(
-    loops: Sequence[int], weights: Sequence[int]
+    loops: Sequence[int], weights: Sequence[int], deadline: float = math.inf
 ) -> Optional[tuple[list[float], dict[int, float]]]:
     """The loop-packing LP max sum y_g s.t. sum over g crossing e of y_g <= weights[e].
 
@@ -217,8 +220,9 @@ def loop_packing_lp(
     is feasible, so there is no phase 1.  Bland's rule (the lowest-index
     entering variable, loops before slacks, and on ratio ties the leaving
     row with the lowest-index basic variable) rules out cycling; the simplex
-    still stops after 10 * (rows + loops) pivots and then returns None, as it
-    does when rounding leaves an entering column with no positive entry.
+    still stops after 10 * (rows + loops) pivots, or past `deadline` (checked
+    every 8 pivots), and then returns None, as it does when rounding
+    leaves an entering column with no positive entry.
     Otherwise it returns (y, price): y[k] for loop k, and for each crossed
     face column the final reduced cost of its slack, which is the face's
     value in an optimal solution of the covering LP
@@ -242,7 +246,9 @@ def loop_packing_lp(
     rhs = [float(weights[e]) for e in faces] + [0.0]
     basic = list(range(nl, nl + obj))
 
-    for _ in range(10 * (obj + nl)):
+    for it in range(10 * (obj + nl)):
+        if it % 8 == 0 and time.monotonic() > deadline:
+            return None
         cost = rows[obj]
         enter = min((j for j, c in cost.items() if c < -_EPS), default=None)
         if enter is None:
@@ -311,7 +317,7 @@ def exact_packing_bound(
 
 
 def root_lp(
-    system: WitnessSystem, loops: list[int], a_mask: int
+    system: WitnessSystem, loops: list[int], a_mask: int, deadline: float = math.inf
 ) -> Optional[tuple[int, Optional[int]]]:
     """(lower, primal) from the loop-packing LP over the loops that miss `a_mask`.
 
@@ -323,7 +329,7 @@ def root_lp(
     loops = [g for g in loops if not g & a_mask]
     if not loops:
         return None
-    lp = loop_packing_lp(loops, system.weights)
+    lp = loop_packing_lp(loops, system.weights, deadline)
     if lp is None:
         return None
     y, price = lp
@@ -344,7 +350,7 @@ def isoperimetric_scan(
 ) -> OracleResult:
     """Certified minimum weight over all spanning surfaces of the problem."""
     cfg = cfg or OracleConfig()
-    t0 = time.monotonic()
+    deadline = time.monotonic() + cfg.time_limit
     work = crop_problem(problem)
     if not work.L:
         return OracleResult(
@@ -353,17 +359,18 @@ def isoperimetric_scan(
     system = build_witness_system(work)
     weights = system.weights
     a_mask = system.mask_of(work.A.cells_of_dim(work.m))
-    loops = build_loop_catalogue(system) if cfg.use_loops else []
+    loops = build_loop_catalogue(system, deadline) if cfg.use_loops else []
 
     best_weight: Optional[int] = None
     best_mask = 0
     lower = 0
-    root = root_lp(system, loops, a_mask)
+    root = root_lp(system, loops, a_mask, deadline)
     if root is not None:
         lower, primal = root
         if primal is not None:
             best_mask, best_weight = primal, system.weight(primal)
-    if cfg.warm_start and (best_weight is None or best_weight > lower):
+    timed_out = time.monotonic() > deadline  # the search then stops at once
+    if cfg.warm_start and not timed_out and (best_weight is None or best_weight > lower):
         X_ub, _ = solve(work, SolverConfig(), system)
         warm = system.mask_of(X_ub.mcells) | a_mask
         w = system.weight(warm)
@@ -379,7 +386,7 @@ def isoperimetric_scan(
 
         search = branch_and_bound(
             system.copy_spaces(), a_mask, weights, best_weight, loops=loops,
-            bound=node_bound, budget=cfg.budget, deadline=t0 + cfg.time_limit,
+            bound=node_bound, budget=cfg.budget, deadline=deadline,
         )
         nodes = search.nodes
         if search.best is not None:

@@ -1,8 +1,13 @@
 """Spanning problems: class sets on the boundary complex and the spanning test.
 
 A candidate surface X = A u (face closure of chosen m-cells) spans a class l
-on A iff l does not extend over X, i.e. l lies outside the image of the
-restriction map on degree (m-1) cohomology, taken modulo coboundaries of A.
+on A iff l does not extend over X: no (m-1)-cocycle on X restricts to l.
+`spans` asks this directly, with one linear system over X's m-cells whose
+unknowns are the cochain's values off A; it builds no complex for X and
+takes no quotient, since coboundaries of A (and, for m = 1, constants)
+always extend.  The restriction image of H^(m-1)(X) in H^(m-1)(A), taken
+modulo A's coboundaries, answers the same question; the randomized suite
+below checks the verdict against it.
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ from typing import Optional
 from .cochain import (
     CellIndexing,
     CochainComplexData,
-    RestrictionImage,
     boundary_incidences,
     coboundary_space,
     restriction_image,
@@ -30,7 +34,7 @@ from .lattice import (
     cofaces,
     connected_components,
 )
-from .linalg import Coeffs, Subspace
+from .linalg import Coeffs, FieldMatrix, Subspace
 
 
 @dataclass
@@ -87,10 +91,6 @@ class SpanningProblem:
                 raise ValueError("L must avoid the zero class")
         self.density.validate(self.grid, self.m)
 
-    @property
-    def reduced_degree(self) -> bool:
-        return self.m == 1
-
     def surface(self, mcells) -> "Surface":
         return Surface(self, frozenset(mcells))
 
@@ -141,24 +141,42 @@ class Surface:
         return Surface(self.problem, self.mcells | set(cells))
 
 
-def _augmented(image: RestrictionImage, problem: SpanningProblem) -> RestrictionImage:
-    if not problem.reduced_degree:
-        return image
-    n0 = image.A_data.cochain_dim(0)
-    extra = [[problem.coeffs.one] * n0] if n0 else []
-    cob = image.coboundaries.sum(Subspace.from_vectors(problem.coeffs, n0, extra))
-    return RestrictionImage(image.A_data, image.degree, image.image, cob)
-
-
 def spans(X: Surface) -> bool:
-    """True iff no class of L extends over X."""
-    problem = X.problem
-    if not problem.L:
-        return True
-    d = problem.m - 1
-    image = restriction_image(X.complex, problem.A, d, problem.coeffs)
-    image = _augmented(image, problem)
-    return not any(image.contains_class(cls.rep) for cls in problem.L)
+    """True iff no class of L extends over X: no cochain u on the (m-1)-faces
+    off A makes l + u a cocycle on X's m-cells.
+
+    One system decides every class.  The row of m-cell s holds [s:e] at the
+    column of each face e off A, then at class column i the sum of
+    [s:e] l_i(e) over its faces in A.  A pivot is a row's lowest column, so
+    the echelon rows that pivot in a class column have no unknown part and
+    span the obstructions; l_i extends iff none of them is nonzero at its
+    column.  A's own m-cells would give zero rows, as each l_i is a cocycle.
+    Coboundaries of A, and for m = 1 constants, extend, so no quotient is
+    taken.
+    """
+    problem, L = X.problem, X.problem.L
+    A_pos = CellIndexing(problem.A).position(problem.m - 1)
+    # faces met earlier get higher columns: a row whose lowest column is a
+    # face no earlier row holds becomes a pivot with no elimination
+    column: dict[Cell, int] = {}
+    rows = []
+    for cell in X.mcells:
+        row, on_A = [], []
+        for e, s in boundary_incidences(cell):
+            p = A_pos.get(e)
+            if p is None:
+                row.append((column.setdefault(e, -1 - len(column)), s))
+            else:
+                on_A.append((p, s))
+        if on_A:
+            row += [(i, sum(s * cls.rep[p] for p, s in on_A)) for i, cls in enumerate(L)]
+        rows.append(row)
+    nu = len(column)
+    M = FieldMatrix.from_sparse_rows(
+        problem.coeffs, [((nu + j, s) for j, s in row) for row in rows], nu + len(L))
+    blocked = Subspace.row_space(M).vanishing_below(nu).restricted(
+        {nu + i: i for i in range(len(L))}, len(L))
+    return all(any(v[i] for v in blocked.basis) for i in range(len(L)))
 
 
 def relative_coboundary_dominates(
@@ -329,7 +347,6 @@ def spanning_lemma_suite(problem: SpanningProblem, trials: int, seed: int) -> Su
                 problem.grid, set(X.complex.cells) | {iso} | iso.faces()
             )
             image = restriction_image(enlarged, problem.A, problem.m - 1, problem.coeffs)
-            image = _augmented(image, problem)
             verdict2 = not any(image.contains_class(c.rep) for c in problem.L)
             if verdict2 == verdict:
                 report.isolated_pass += 1

@@ -3,11 +3,12 @@ import os
 
 import pytest
 
+from plateau.cochain import coboundary_space, restriction_image
 from plateau.lattice import Cell, CubicalComplex, GridSpec
 from plateau.linalg import GF2
 from plateau.linking import DualLoop
 from plateau.scenarios import build_problem, load_scenario, run
-from plateau.spanning import SpanningProblem, canonical_L
+from plateau.spanning import SpanningProblem, Surface, canonical_L
 from plateau.witness import build_witness_system
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
@@ -34,6 +35,20 @@ def n4_sphere_problem() -> SpanningProblem:
     grid = GridSpec(4, 0, ((0, 4), (0, 4), (0, 4), (0, 3)))
     A = CubicalComplex(grid, Cell((1, 1, 1, 1), 0b0111).faces())
     return SpanningProblem(A, grid, 3, canonical_L(A, 3, GF2))
+
+
+def restriction_spans(X: Surface) -> bool:
+    """The restriction-image definition of spanning, the reference for
+    `spanning.spans`: no class of L lies in the image of H^(m-1)(X) in
+    H^(m-1)(A), taken modulo A's coboundaries and, for m = 1, the constants.
+
+    It restricts the whole cocycle space of X's face-closed complex to A;
+    `spans` solves one extension system over X's m-cells instead.
+    """
+    problem = X.problem
+    image = restriction_image(X.complex, problem.A, problem.m - 1, problem.coeffs)
+    cob = coboundary_space(image.A_data, problem.m - 1, problem.m == 1)
+    return not any(image.image.sum(cob).contains(cls.rep) for cls in problem.L)
 
 
 def rectangle_loops(grid: GridSpec) -> list[DualLoop]:

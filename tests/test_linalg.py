@@ -128,7 +128,10 @@ def test_kernel_vectors_annihilate(mx):
 @settings(max_examples=60, deadline=None)
 def test_restricted_matches_restricting_the_vectors(mx, data):
     """Restricting the echelon rows gives the subspace spanned by the
-    restricted basis vectors, echelon row for row."""
+    restricted basis vectors, echelon row for row.  `vanishing_below(k)` is
+    the part of S that is zero below column k: it lies in S, its vectors
+    vanish there, and its dimension is dim S minus the rank of S's first k
+    columns."""
     F, entries, _ = mx
     S = Subspace.from_vectors(F, len(entries[0]), entries)
     where = data.draw(st.lists(st.integers(0, S.ambient_dim - 1), unique=True))
@@ -136,6 +139,11 @@ def test_restricted_matches_restricting_the_vectors(mx, data):
     expected = Subspace.from_vectors(
         F, len(where), [[v[j] for j in where] for v in S.basis])
     assert S.restricted(positions, len(where)).rows == expected.rows
+    k = data.draw(st.integers(0, S.ambient_dim))
+    tail = S.vanishing_below(k)
+    assert all(S.contains(v) and not any(v[:k]) for v in tail.basis)
+    head = S.restricted({j: j for j in range(k)}, k)
+    assert tail.dim == S.dim - head.dim
 
 
 def test_rational_entries_exact():

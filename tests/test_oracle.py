@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -191,7 +192,7 @@ def test_oracle_tiny_rings_regression(tiny_problem):
 def _without_root_lp(monkeypatch):
     """Skip the root LP, so that the search runs exactly as it would on an
     instance the LP does not certify."""
-    monkeypatch.setattr("plateau.oracle.root_lp", lambda system, loops, a_mask: None)
+    monkeypatch.setattr("plateau.oracle.root_lp", lambda system, loops, a_mask, deadline: None)
 
 
 @pytest.mark.parametrize("name, pinned", [
@@ -313,8 +314,8 @@ def test_non_spanning_primal_falls_back_to_search(monkeypatch):
     y, price = loop_packing_lp(loops, system.weights)
     dropped = min(e for e, x in price.items() if x > 0.5)
 
-    def without_one_face(loops, weights):
-        y, price = loop_packing_lp(loops, weights)
+    def without_one_face(loops, weights, deadline):
+        y, price = loop_packing_lp(loops, weights, deadline)
         return y, {**price, dropped: 0.0}
 
     monkeypatch.setattr("plateau.oracle.loop_packing_lp", without_one_face)
@@ -338,6 +339,26 @@ def test_search_stop_reasons():
     assert (res.stop, res.nodes, res.optimal) == ("time", 0, False)
     res = isoperimetric_scan(build_problem(load("disk3")), OracleConfig(**cold))
     assert (res.stop, res.optimal) == ("done", True)
+
+
+def test_deadline_stops_catalogue_and_root_lp():
+    """The time limit holds before the search too.  Under 1 ms, rings_d3,
+    whose catalogue and root LP alone take half a second, stops at 0 nodes
+    with the full fill and the bound it has; a passed deadline gives no
+    loops and no LP solution."""
+    problem = build_problem(load("rings_d3"))
+    start = time.monotonic()
+    res = isoperimetric_scan(problem, OracleConfig(time_limit=0.001))
+    assert time.monotonic() - start < 0.4
+    assert (res.stop, res.nodes, res.optimal) == ("time", 0, False)
+    assert res.lower_bound <= 75
+    system = build_witness_system(crop_problem(problem))
+    assert res.best_weight == Fraction(system.weight(system.full_mask()), system.scale)
+    passed = time.monotonic() - 1
+    assert build_loop_catalogue(system, passed) == []
+    loops = build_loop_catalogue(system)
+    assert loop_packing_lp(loops, system.weights, passed) is None
+    assert loop_packing_lp(loops[:50], system.weights) is not None
 
 
 @pytest.mark.parametrize("field, value", [

@@ -1,9 +1,12 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from plateau.lattice import Cell, CubicalComplex, GridSpec
-from plateau.linalg import GF2
+from plateau.linalg import GF2, RATIONAL, Coeffs
 from plateau.spanning import (
     CohomologyClass,
     SpanningProblem,
@@ -14,6 +17,11 @@ from plateau.spanning import (
     spanning_lemma_suite,
     spans,
 )
+from plateau.witness import build_witness_system
+
+from conftest import restriction_spans
+
+FIELDS = (GF2, Coeffs("gfp", 3), RATIONAL)
 
 
 def test_canonical_L_three_rings(tiny_problem):
@@ -129,3 +137,63 @@ def test_non_manifold_boundary_rejected():
         check_closed_manifold(theta, 2)
     square = CubicalComplex(grid, horizontal[:2] + vertical[:2])
     check_closed_manifold(square, 1)
+
+
+def _block(lo, hi) -> list[Cell]:
+    """The cells with anchors from lo up to hi - 1 along each axis where
+    lo < hi, spanning those axes, and at lo along the others."""
+    axes = sum(1 << a for a, (l, h) in enumerate(zip(lo, hi)) if h > l)
+    ranges = (range(l, max(h, l + 1)) for l, h in zip(lo, hi))
+    return [Cell(anchor, axes) for anchor in itertools.product(*ranges)]
+
+
+@st.composite
+def spanning_surfaces(draw, n: int, m: int):
+    """A random small problem whose A bounds one or two m-dimensional blocks
+    (so its classes are `canonical_L`'s), and random cell sets of its box,
+    some holding a block's filling."""
+    F = draw(st.sampled_from(FIELDS))
+    side = draw(st.integers(2, 3 if n < 4 else 2))  # Q on a 3^4 box takes seconds
+    grid = GridSpec(n, 0, ((0, side),) * n)
+    blocks = []
+    for _ in range(draw(st.integers(1, 2))):
+        axes = draw(st.sets(st.integers(0, n - 1), min_size=m, max_size=m))
+        lo, hi = [], []
+        for a in range(n):
+            low = draw(st.integers(0, side - 1 if a in axes else side))
+            lo.append(low)
+            hi.append(draw(st.integers(low + 1, side)) if a in axes else low)
+        blocks.append(_block(lo, hi))
+    faces: dict[Cell, int] = {}
+    for c in {c for block in blocks for c in block}:
+        for f in c.faces():
+            faces[f] = faces.get(f, 0) + 1
+    A = CubicalComplex(grid, [f for f, k in faces.items() if k == 1])
+    try:
+        problem = SpanningProblem(A, grid, m, canonical_L(A, m, F), F)
+    except ValueError:  # the blocks touch: A is no closed manifold
+        assume(False)
+    assume(problem.L)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    box = problem.box_mcells()
+    surfaces = []
+    for _ in range(3):
+        keep = draw(st.sampled_from((0.3, 0.7, 0.9)))
+        cells = {c for c in box if rng.random() < keep}
+        if draw(st.booleans()):
+            cells |= set(rng.choice(blocks))
+        surfaces.append(frozenset(cells))
+    return problem, surfaces
+
+
+@pytest.mark.parametrize("n, m", [(2, 1), (3, 2), (3, 3), (4, 2), (4, 3)])
+@given(data=st.data())
+@settings(max_examples=6, deadline=None)
+def test_spans_matches_restriction_image_and_witnesses(n, m, data):
+    """`spans` agrees with the restriction-image definition and with the
+    witness system on random small problems over GF(2), GF(3) and Q."""
+    problem, surfaces = data.draw(spanning_surfaces(n, m))
+    system = build_witness_system(problem)
+    for cells in surfaces:
+        X = Surface(problem, cells)
+        assert spans(X) == restriction_spans(X) == system.spans_surface(X)
