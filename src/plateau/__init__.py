@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from .density import DensityField
 from .lattice import (
-    BallQuery,
     Cell,
     CubicalComplex,
     GridSpec,
@@ -22,7 +21,6 @@ from .lattice import (
     complex_to_text,
     connected_components,
     export_off,
-    restrict_to_ball,
 )
 from .linalg import GF2, RATIONAL, Coeffs, FieldMatrix, Subspace
 from .cochain import CellIndexing, boundary_matrix, cohomology, restriction_image

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .lattice import Cell, CubicalComplex, connected_components
+from .lattice import Cell, CubicalComplex
 from .linalg import Coeffs, FieldMatrix, Subspace, kernel_basis
 
 
@@ -157,10 +157,6 @@ class RestrictionImage:
         """Class membership of a cocycle on A, modulo coboundaries of A."""
         return self.image.sum(self.coboundaries).contains(rep)
 
-    def quotient_dim(self) -> int:
-        joint = self.image.sum(self.coboundaries)
-        return joint.dim - self.coboundaries.dim
-
 
 def restriction_image(X: CubicalComplex, A: CubicalComplex, d: int, coeffs: Coeffs,
                       X_data: Optional[CochainComplexData] = None,
@@ -180,7 +176,3 @@ def restriction_image(X: CubicalComplex, A: CubicalComplex, d: int, coeffs: Coef
     where = {xpos[c]: i for i, c in enumerate(A_data.indexing.order(d))}
     image = X_cocycles.restricted(where, A_data.cochain_dim(d))
     return RestrictionImage(A_data, d, image, coboundary_space(A_data, d))
-
-
-def component_count(X: CubicalComplex) -> int:
-    return len(connected_components(X))

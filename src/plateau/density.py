@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .lattice import Cell, GridSpec
+from .lattice import Cell, GridSpec, box_cells
 
 
 @dataclass(frozen=True)
@@ -54,6 +54,8 @@ class DensityField:
         return self.offset + self.slope * dist
 
     def at_cell(self, cell: Cell, grid: GridSpec) -> Fraction:
+        if self.kind == "constant":
+            return self.value
         point = tuple(x * grid.side for x in cell.barycenter())
         return self(point)
 
@@ -66,14 +68,14 @@ class DensityField:
         # radial: a center shorter than n leaves trailing axes unused
         return axis >= len(self.center)
 
-    def validate(self, grid: GridSpec, top_dim: int) -> None:
-        """Check the [a, b] bounds on every top-cell barycenter of the box."""
-        from .lattice import build_skeleton
-
-        skel = build_skeleton(grid, top_dim)
-        for cell in skel.cells_of_dim(top_dim):
+    def validate(self, grid: GridSpec, dim: int) -> None:
+        """Check the [a, b] bounds at the barycenter of every dim-cell of the
+        box; a constant density is checked at the first cell only."""
+        for cell in box_cells(grid.box, dim):
             v = self.at_cell(cell, grid)
             if not self.a <= v <= self.b:
                 raise ValueError(
                     f"density {v} at cell {cell} escapes bounds [{self.a}, {self.b}]"
                 )
+            if self.kind == "constant":
+                return

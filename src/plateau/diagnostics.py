@@ -2,17 +2,20 @@
 
 Slicing tables, density profiles, regularity constants, and monotonicity
 ratios.  Pass/fail decisions stay in exact rational arithmetic; pi enters
-only in reported float ratios, never in assertions.
+only in reported float ratios, never in assertions.  Distances are squared
+and in half-lattice units (side / 2), where a cell's barycenter is the int
+tuple 2 * anchor + axis bit: a ball of radius r is d2 <= (2r / side)**2.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .lattice import Cell, _dist2, cell_measure
+from .lattice import Cell
 from .solver import cell_weight
 from .spanning import Surface
 
@@ -20,8 +23,35 @@ from .spanning import Surface
 _ALPHA = {0: 1.0, 1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0}
 
 
-def _ambient_barycenter(cell: Cell, side: Fraction) -> tuple[Fraction, ...]:
-    return tuple(x * side for x in cell.barycenter())
+def _exact(v: Fraction):
+    """v as an int when it is whole, so lattice comparisons stay in ints."""
+    return v.numerator if v.denominator == 1 else v
+
+
+def _half_lattice(cells: Sequence[Cell]) -> list[tuple[int, ...]]:
+    return [tuple(2 * x + (c.free_axes >> a & 1) for a, x in enumerate(c.anchor))
+            for c in cells]
+
+
+def _radius2(r: Fraction, side: Fraction):
+    return _exact((2 * r / side) ** 2)
+
+
+def _probe(X: Surface, point: Sequence[Fraction]) -> list[tuple[object, Fraction]]:
+    """(d2 from the point, weight) of every free m-cell, in one pass; d2 is
+    an int when the point lies on the half-lattice."""
+    cells = X.free_mcells()
+    q = [_exact(2 * Fraction(x) / X.problem.grid.side) for x in point]
+    return [
+        (sum((b - p) ** 2 for b, p in zip(bc, q)), cell_weight(c, X.problem))
+        for bc, c in zip(_half_lattice(cells), cells)
+    ]
+
+
+def _ball_weight(probe: list, r: Fraction, side: Fraction) -> Fraction:
+    """Weight of the probed cells whose barycenter lies within r."""
+    r2 = _radius2(r, side)
+    return sum((w for d2, w in probe if d2 <= r2), Fraction(0))
 
 
 @dataclass
@@ -56,16 +86,16 @@ def slicing_check(X: Surface, center: Sequence[Fraction], shell_width: Fraction)
     the integrated slice measure; the calibrated claim is lhs within a sqrt(n)
     factor of rhs, not the continuous inequality verbatim.
     """
-    grid = X.problem.grid
-    if shell_width < grid.side:
+    side = X.problem.grid.side
+    if shell_width < side:
         raise ValueError("shell width must be at least one cell side")
     center = tuple(Fraction(c) for c in center)
     bands: dict[int, Fraction] = {}
     rhs = Fraction(0)
-    for c in X.free_mcells():
-        w = cell_weight(c, X.problem)
+    width = 2 * shell_width / side  # in half-lattice units
+    for d2, w in _probe(X, center):
         rhs += w
-        j = _band_index(_dist2(_ambient_barycenter(c, grid.side), center), shell_width)
+        j = _band_index(d2, width)
         bands[j] = bands.get(j, Fraction(0)) + w
     table = [
         (j * shell_width, bw, bw / shell_width) for j, bw in sorted(bands.items())
@@ -103,28 +133,11 @@ class DensityProfile:
         return "\n".join(lines) + "\n"
 
 
-def _surface_vertices(X: Surface, free_only: bool = True) -> list[tuple[int, ...]]:
+def _surface_vertices(cells: Sequence[Cell]) -> list[tuple[int, ...]]:
     verts: set[tuple[int, ...]] = set()
-    cells = X.free_mcells() if free_only else X.complex.cells
     for c in cells:
         verts.update(c.corners())
     return sorted(verts)
-
-
-def _weighted_ball_measure(
-    X: Surface, point: tuple[Fraction, ...], r: Fraction, weighted: bool
-) -> Fraction:
-    grid = X.problem.grid
-    total = Fraction(0)
-    r2 = r**2
-    for c in X.free_mcells():
-        if _dist2(_ambient_barycenter(c, grid.side), point) <= r2:
-            total += (
-                cell_weight(c, X.problem)
-                if weighted
-                else cell_measure(c, grid)
-            )
-    return total
 
 
 def density_profile(
@@ -133,12 +146,15 @@ def density_profile(
     point = tuple(Fraction(p) for p in point)
     side = X.problem.grid.side
     lattice = tuple(p / side for p in point)
-    if any(v.denominator != 1 for v in lattice) or tuple(
-        int(v) for v in lattice
-    ) not in set(_surface_vertices(X, free_only=False)):
+    vertex = tuple(int(v) for v in lattice)
+    if any(v.denominator != 1 for v in lattice) or (
+        Cell(vertex, 0) not in X.problem.A
+        and not any(vertex in c.corners() for c in X.mcells)
+    ):
         raise ValueError("profile point must be a lattice point of the surface")
     rs = sorted(Fraction(r) for r in radii)
-    g = [_weighted_ball_measure(X, point, r, weighted=True) for r in rs]
+    probe = _probe(X, point)
+    g = [_ball_weight(probe, r, side) for r in rs]
     for a, b in zip(g, g[1:]):
         if a > b:
             raise AssertionError("profile must be monotone in r")
@@ -156,7 +172,8 @@ class RegularityReport:
 def regularity_constant(X: Surface, max_radius: Fraction) -> RegularityReport:
     """c_hat = min over surface lattice points p and dyadic radii r <= R of
     measure(X within r of p) / r^m, in exact rationals."""
-    if not X.free_mcells():
+    cells = X.free_mcells()
+    if not cells:
         raise ValueError("surface has no cells outside A")
     grid = X.problem.grid
     m = X.problem.m
@@ -167,17 +184,22 @@ def regularity_constant(X: Surface, max_radius: Fraction) -> RegularityReport:
         r *= 2
     if not radii:
         raise ValueError("max radius below one cell side")
+    # a ball's measure is count * side**m; one sorted pass serves every r
+    bary = _half_lattice(cells)
+    cutoffs = [(_radius2(r, grid.side), grid.side**m / r**m, r) for r in radii]
     c_hat: Optional[Fraction] = None
     worst = None
     count = 0
-    for v in _surface_vertices(X):
-        point = tuple(Fraction(x) * grid.side for x in v)
-        for r in radii:
-            val = _weighted_ball_measure(X, point, r, weighted=False) / r**m
+    for v in _surface_vertices(cells):
+        d2 = sorted(
+            sum((b - 2 * x) ** 2 for b, x in zip(bc, v)) for bc in bary
+        )
+        for r2, unit, r in cutoffs:
+            val = bisect_right(d2, r2) * unit
             count += 1
             if c_hat is None or val < c_hat:
                 c_hat = val
-                worst = (point, r)
+                worst = (tuple(Fraction(x) * grid.side for x in v), r)
     if c_hat is None:
         raise AssertionError("no surface lattice point was sampled")
     return RegularityReport(c_hat, max_radius, count, worst)
@@ -216,6 +238,8 @@ def monotonicity_check(
     assertion (lattice surfaces need not be pointwise minimizers)."""
     point = tuple(Fraction(p) for p in point)
     m = X.problem.m
+    side = X.problem.grid.side
+    probe = _probe(X, point)
     pairs = []
     ratios: list[Optional[Fraction]] = []
     warnings = []
@@ -224,8 +248,8 @@ def monotonicity_check(
         if s > r:
             raise ValueError(f"pair ({r}, {s}) must satisfy s <= r")
         pairs.append((r, s))
-        gs = _weighted_ball_measure(X, point, s, weighted=True)
-        gr = _weighted_ball_measure(X, point, r, weighted=True)
+        gs = _ball_weight(probe, s, side)
+        gr = _ball_weight(probe, r, side)
         if gs == 0:
             ratios.append(None)
             continue
@@ -241,7 +265,7 @@ def monotonicity_check(
 
 def default_probe_point(X: Surface) -> tuple[Fraction, ...]:
     """Deterministic lattice point on X outside A, for report probes."""
-    verts = _surface_vertices(X)
+    verts = _surface_vertices(X.free_mcells())
     if not verts:
         raise ValueError("surface has no cells outside A")
     side = X.problem.grid.side

@@ -1,7 +1,7 @@
-"""Cubical complexes on dyadic grids: cells, faces, skeleta, balls, components.
+"""Cubical complexes on dyadic grids: cells, faces, skeleta, components.
 
 All geometry is exact: anchors are integer lattice coordinates at a fixed
-dyadic level, distances and measures are Fractions.  Cells are identified
+dyadic level, measures are Fractions.  Cells are identified
 combinatorially (minimal-corner anchor + bitmask of free axes), never by
 floating point data.
 """
@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 @dataclass(frozen=True)
@@ -42,10 +42,10 @@ class GridSpec:
         return Fraction(1, 2**self.k)
 
     def contains_cell(self, cell: "Cell") -> bool:
-        for a in range(self.n):
-            low, high = self.box[a]
-            top = cell.anchor[a] + (1 if cell.has_axis(a) else 0)
-            if cell.anchor[a] < low or top > high:
+        free = cell.free_axes
+        for a, (low, high) in enumerate(self.box):
+            x = cell.anchor[a]
+            if x < low or x + (free >> a & 1) > high:
                 return False
         return True
 
@@ -184,66 +184,27 @@ def _close(cells: set[Cell]) -> set[Cell]:
     return out
 
 
+def box_cells(box: Sequence[tuple[int, int]], d: int,
+              interior: bool = False) -> Iterator[Cell]:
+    """Every d-cell of an integer box; with interior=True only those that
+    meet the open box, each fixed axis strictly between its ends."""
+    for axes in itertools.combinations(range(len(box)), d):
+        mask = sum(1 << a for a in axes)
+        ranges = [
+            range(low, high) if mask >> a & 1
+            else range(low + interior, high + 1 - interior)
+            for a, (low, high) in enumerate(box)
+        ]
+        for anchor in itertools.product(*ranges):
+            yield Cell(anchor, mask)
+
+
 def build_skeleton(grid: GridSpec, d: int) -> CubicalComplex:
     """Full d-skeleton of every cube of the bounding box."""
     if not 0 <= d <= grid.n:
         raise ValueError(f"skeleton dimension {d} out of range 0..{grid.n}")
-    cells: set[Cell] = set()
-    for dd in range(d + 1):
-        for axes in itertools.combinations(range(grid.n), dd):
-            mask = sum(1 << a for a in axes)
-            ranges = []
-            for a in range(grid.n):
-                low, high = grid.box[a]
-                ranges.append(range(low, high if a in axes else high + 1))
-            for anchor in itertools.product(*ranges):
-                cells.add(Cell(anchor, mask))
+    cells = [c for dd in range(d + 1) for c in box_cells(grid.box, dd)]
     return CubicalComplex(grid, cells, closed=True)
-
-
-@dataclass(frozen=True)
-class BallQuery:
-    """Closed ball (or thin shell at its frontier) in lattice units."""
-
-    center: tuple[Fraction, ...]
-    radius: Fraction
-
-    def __post_init__(self) -> None:
-        if self.radius <= 0:
-            raise ValueError("ball radius must be positive")
-
-
-def _dist2(p: Sequence[Fraction], q: Sequence[Fraction]) -> Fraction:
-    return sum((a - b) ** 2 for a, b in zip(p, q))
-
-
-def restrict_to_ball(
-    X: CubicalComplex, q: BallQuery, mode: str = "closed-ball"
-) -> CubicalComplex:
-    """Cells of X selected by barycenter distance to q.center.
-
-    closed-ball: barycenter within distance r; sphere-shell: barycenter
-    distance in (r - half cell diagonal, r].  Exact rational comparisons.
-    """
-    if mode not in ("closed-ball", "sphere-shell"):
-        raise ValueError(f"unknown ball mode {mode!r}")
-    r2 = q.radius**2
-    n = X.grid.n
-    # squared inner shell radius, (r - sqrt(n)/2)^2 compared without sqrt:
-    # d in (r - w, r] with w = sqrt(n)/2  <=>  d2 <= r2 and (r - d)^2 < n/4.
-    picked = []
-    for c in X.cells:
-        d2 = _dist2(c.barycenter(), q.center)
-        if d2 > r2:
-            continue
-        if mode == "sphere-shell":
-            # drop cells with d <= r - w, w = sqrt(n)/2; squared out:
-            # t = r2 + n/4 - d2 >= 0  and  n * r2 <= t * t.
-            t = r2 + Fraction(n, 4) - d2
-            if t >= 0 and n * r2 <= t * t:
-                continue
-        picked.append(c)
-    return CubicalComplex(X.grid, picked)
 
 
 def connected_components(X: CubicalComplex) -> list[CubicalComplex]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .lattice import Cell, CubicalComplex, GridSpec, build_skeleton, cell_measure
+from .lattice import Cell, CubicalComplex, GridSpec, box_cells, cell_measure
 from .linalg import bit_indices
 from .spanning import (
     SpanningProblem,
@@ -271,6 +271,7 @@ def _check_region(problem: SpanningProblem, lows: Sequence[int],
 def local_replace(
     X: Surface, lows: Sequence[int], highs: Sequence[int],
     system: Optional[WitnessSystem] = None,
+    interior: Optional[Sequence[Cell]] = None,
 ) -> Surface:
     """Exact minimum-weight refilling of X inside one small region.
 
@@ -280,16 +281,15 @@ def local_replace(
     itself is returned when it has no m-cell in the interior, or when no
     refill is strictly lighter than its own.  The search stops after
     LOCAL_NODE_CAP nodes with the lightest refill found so far.  Raises
-    ValueError when X has interior m-cells but does not span.
+    ValueError when X has interior m-cells but does not span.  `solve`
+    passes the interior m-cells of a region it has checked already.
     """
     problem = X.problem
     m = problem.m
-    _check_region(problem, lows, highs, "region", "the boundary complex A")
+    if interior is None:
+        _check_region(problem, lows, highs, "region", "the boundary complex A")
+        interior = list(box_cells(tuple(zip(lows, highs)), m, interior=True))
     system = system or build_witness_system(problem)
-    region = GridSpec(problem.grid.n, problem.grid.k, tuple(zip(lows, highs)))
-    interior, _ = _region_split(
-        build_skeleton(region, m).sorted_cells(m), lows, highs
-    )
     current = X.mcells.intersection(interior)
     if not current:
         return X
@@ -360,7 +360,7 @@ def skeleton_push(X: Surface, lows: Sequence[int],
     _check_region(problem, lows, highs, "coarse block")
     block_grid = GridSpec(n, grid.k, tuple(zip(lows, highs)))
     interior, frontier = _region_split(
-        build_skeleton(block_grid, m).sorted_cells(m), lows, highs
+        sorted(box_cells(block_grid.box, m)), lows, highs
     )
     interior_set = set(interior)
     inside_now = sorted(c for c in X.mcells if c in interior_set)
@@ -431,15 +431,18 @@ def skeleton_push(X: Surface, lows: Sequence[int],
 
 
 def _admissible_regions(problem: SpanningProblem, side: int):
-    grid = problem.grid
-    n = grid.n
-    ranges = [
-        range(grid.box[a][0], grid.box[a][1] - side + 1) for a in range(n)
-    ]
+    """Regions of the given side whose interior avoids A.  The low corners
+    of the regions whose interior one cell of A meets form a small box."""
+    blocked = set()
+    for c in problem.A.cells:
+        blocked.update(itertools.product(*(
+            range(x + 1 - side, x + (c.free_axes >> a & 1))
+            for a, x in enumerate(c.anchor)
+        )))
+    ranges = [range(low, high - side + 1) for low, high in problem.grid.box]
     for lows in itertools.product(*ranges):
-        highs = [lo + side for lo in lows]
-        if not _region_split(problem.A.cells, lows, highs)[0]:
-            yield lows, highs
+        if lows not in blocked:
+            yield lows, [lo + side for lo in lows]
 
 
 def solve(
@@ -467,6 +470,10 @@ def solve(
     if ws < w:
         moves.append(("witness_seed", Fraction(ws - w, scale)))
         X, w = seed, ws
+    regions = [  # with their interior m-cells, listed once for every pass
+        (lows, highs, list(box_cells(tuple(zip(lows, highs)), problem.m, True)))
+        for lows, highs in _admissible_regions(problem, cfg.local_box_side)
+    ]
     for _ in range(cfg.max_passes):
         improved = False
         Xc = contract_to_witnesses(X, system)
@@ -477,9 +484,9 @@ def solve(
                 moves.append(("witness_contract", Fraction(wc - w, scale)))
                 X, w = Xc, wc
                 improved = True
-        for lows, highs in _admissible_regions(problem, cfg.local_box_side):
+        for lows, highs, interior in regions:
             # local_replace returns X itself unless a refill is strictly lighter
-            X2 = local_replace(X, lows, highs, system)
+            X2 = local_replace(X, lows, highs, system, interior)
             if X2 is not X:
                 w2 = weight(X2)
                 moves.append(("local_replace", Fraction(w2 - w, scale)))

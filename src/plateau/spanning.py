@@ -29,8 +29,8 @@ from .lattice import (
     Cell,
     CubicalComplex,
     GridSpec,
+    box_cells,
     build_skeleton,
-    cell_measure,
     cofaces,
     connected_components,
 )
@@ -72,6 +72,7 @@ class SpanningProblem:
     L: list[CohomologyClass]
     coeffs: Coeffs = field(default_factory=lambda: Coeffs("gf2"))
     density: DensityField = field(default_factory=DensityField)
+    _mcells: Optional[list] = field(default=None, init=False, repr=False, compare=False)
     _weights: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -89,23 +90,26 @@ class SpanningProblem:
                 raise ValueError("class representative is not a cocycle")
             if class_is_zero(cls, self.coeffs, reduced):
                 raise ValueError("L must avoid the zero class")
+        if self.m > self.grid.n:
+            raise ValueError(f"m = {self.m} exceeds the grid dimension {self.grid.n}")
         self.density.validate(self.grid, self.m)
 
     def surface(self, mcells) -> "Surface":
         return Surface(self, frozenset(mcells))
 
     def box_mcells(self) -> list[Cell]:
-        return build_skeleton(self.grid, self.m).sorted_cells(self.m)
+        """Every m-cell of the box, sorted, listed once per problem."""
+        if self._mcells is None:
+            self._mcells = sorted(box_cells(self.grid.box, self.m))
+        return self._mcells
 
     def weight_table(self) -> dict[Cell, Fraction]:
         """Weight of every m-cell of the box, computed once per problem:
         the density at the cell's barycenter times the cell's measure."""
         if self._weights is None:
             grid, f = self.grid, self.density
-            self._weights = {
-                c: f.at_cell(c, grid) * cell_measure(c, grid)
-                for c in self.box_mcells()
-            }
+            measure = grid.side ** self.m
+            self._weights = {c: f.at_cell(c, grid) * measure for c in self.box_mcells()}
         return self._weights
 
 

@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .cochain import CellIndexing, boundary_incidences
-from .lattice import Cell, build_skeleton
+from .lattice import Cell, box_cells
 from .linalg import Coeffs, FieldMatrix, Subspace, _minus_multiple, bit_indices, solution_spaces
 from .spanning import SpanningProblem, Surface
 
@@ -269,11 +269,12 @@ class WitnessSystem:
 def build_witness_system(problem: SpanningProblem) -> WitnessSystem:
     """Set up the witness spaces and integer weights on the full box grid."""
     m = problem.m
-    idx = CellIndexing(build_skeleton(problem.grid, m))
-    mcells = idx.order(m)
+    mcells = problem.box_mcells()
     A_lower = problem.A.cells_of_dim(m - 1)
     row_index = {
-        c: i for i, c in enumerate(c for c in idx.order(m - 1) if c not in A_lower)
+        c: i for i, c in enumerate(
+            c for c in sorted(box_cells(problem.grid.box, m - 1)) if c not in A_lower
+        )
     }
     A_pos = CellIndexing(problem.A).position(m - 1)
     F = problem.coeffs

@@ -1,13 +1,16 @@
 import itertools
+import math
 import os
+from fractions import Fraction
 
 import pytest
 
 from plateau.cochain import coboundary_space, restriction_image
-from plateau.lattice import Cell, CubicalComplex, GridSpec
+from plateau.lattice import Cell, CubicalComplex, GridSpec, cell_measure
 from plateau.linalg import GF2
 from plateau.linking import DualLoop
 from plateau.scenarios import build_problem, load_scenario, run
+from plateau.solver import cell_weight
 from plateau.spanning import SpanningProblem, Surface, canonical_L
 from plateau.witness import build_witness_system
 
@@ -49,6 +52,58 @@ def restriction_spans(X: Surface) -> bool:
     image = restriction_image(X.complex, problem.A, problem.m - 1, problem.coeffs)
     cob = coboundary_space(image.A_data, problem.m - 1, problem.m == 1)
     return not any(image.image.sum(cob).contains(cls.rep) for cls in problem.L)
+
+
+def _dist2(p, q) -> Fraction:
+    return sum((a - b) ** 2 for a, b in zip(p, q))
+
+
+def ball_measure(X: Surface, point, r: Fraction, weighted: bool) -> Fraction:
+    """Measure of X's free m-cells whose ambient barycenter lies within r of
+    the point, in Fractions: the reference for the diagnostics' ball sums.
+
+    `diagnostics` compares squared distances in half-lattice units instead.
+    """
+    grid = X.problem.grid
+    total = Fraction(0)
+    for c in X.free_mcells():
+        bary = tuple(x * grid.side for x in c.barycenter())
+        if _dist2(bary, point) <= r**2:
+            total += cell_weight(c, X.problem) if weighted else cell_measure(c, grid)
+    return total
+
+
+def slicing_bands(X: Surface, center, shell_width: Fraction) -> list:
+    """(t_low, band weight) per nonempty band, from ambient Fraction distances:
+    band j holds the cells with floor(distance / width) = j."""
+    bands: dict[int, Fraction] = {}
+    for c in X.free_mcells():
+        bary = tuple(x * X.problem.grid.side for x in c.barycenter())
+        q = _dist2(bary, center) / shell_width**2
+        j = math.isqrt(q.numerator // q.denominator)
+        bands[j] = bands.get(j, Fraction(0)) + cell_weight(c, X.problem)
+    return [(j * shell_width, w) for j, w in sorted(bands.items())]
+
+
+def regularity_reference(X: Surface, max_radius: Fraction):
+    """(c_hat, sample count, worst) of `diagnostics.regularity_constant`,
+    from one Fraction ball sum per (surface vertex, dyadic radius) pair."""
+    side, m = X.problem.grid.side, X.problem.m
+    radii = []
+    r = side
+    while r <= max_radius:
+        radii.append(r)
+        r *= 2
+    verts = sorted({v for c in X.free_mcells() for v in c.corners()})
+    c_hat, worst, count = None, None, 0
+    for v in verts:
+        point = tuple(Fraction(x) * side for x in v)
+        for r in radii:
+            val = ball_measure(X, point, r, weighted=False) / r**m
+            count += 1
+            if c_hat is None or val < c_hat:
+                c_hat, worst = val, (point, r)
+    return c_hat, count, worst
 
 
 def rectangle_loops(grid: GridSpec) -> list[DualLoop]:

@@ -1,7 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import ball_measure, regularity_reference, slicing_bands
+from plateau.density import DensityField
 from plateau.diagnostics import (
     _band_index,
     default_probe_point,
@@ -10,9 +14,10 @@ from plateau.diagnostics import (
     regularity_constant,
     slicing_check,
 )
-from plateau.lattice import Cell
+from plateau.lattice import Cell, CubicalComplex, GridSpec, box_cells
+from plateau.linalg import GF2
 from plateau.solver import SolverConfig, solve, surface_weight
-from plateau.spanning import Surface
+from plateau.spanning import SpanningProblem, Surface
 
 
 @pytest.fixture(scope="module")
@@ -161,3 +166,71 @@ def test_default_probe_point_rejects_empty(disk_problem):
     empty = Surface(disk_problem, frozenset(disk_problem.A.cells_of_dim(2)))
     with pytest.raises(ValueError, match="no cells outside A"):
         default_probe_point(empty)
+
+
+@st.composite
+def _surfaces(draw):
+    """A surface on a small n = 2 or 3 box at level k <= 2, with a
+    constant, affine or radial density and some of its m-cells in A."""
+    n = draw(st.sampled_from((2, 3)))
+    k = draw(st.integers(0, 2))
+    m = draw(st.integers(1, n))
+    box = tuple(
+        (lo, lo + draw(st.integers(1, 3 if n == 2 else 2)))
+        for lo in (draw(st.integers(-1, 1)) for _ in range(n))
+    )
+    grid = GridSpec(n, k, box)
+    cells = sorted(box_cells(box, m))
+    keep = draw(st.lists(st.sampled_from(cells), min_size=1, max_size=12, unique=True))
+    in_A = draw(st.lists(st.sampled_from(keep), max_size=len(keep) - 1, unique=True))
+    half = Fraction(1, 2)
+    kind = draw(st.sampled_from(("constant", "coordinate-affine", "radial")))
+    density = DensityField(
+        kind=kind, value=Fraction(draw(st.integers(1, 3))), offset=Fraction(4),
+        coeffs=tuple(draw(st.sampled_from((0, Fraction(1, 3), half))) for _ in range(n)),
+        center=(half,) * n, slope=half, a=Fraction(1, 100), b=Fraction(100),
+    )
+    problem = SpanningProblem(CubicalComplex(grid, in_A), grid, m, [], GF2, density)
+    return Surface(problem, frozenset(keep))
+
+
+def _coords(side):
+    """Coordinates on the lattice, on the half-lattice, and off both."""
+    return st.builds(
+        lambda num, den: Fraction(num, den) * side,
+        st.integers(-6, 12), st.sampled_from((1, 2, 3, 5)),
+    )
+
+
+@given(X=_surfaces(), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_diagnostics_match_fraction_reference(X, data):
+    """All four diagnostics equal the ambient-Fraction reference, for probe
+    points on and off the half-lattice."""
+    side, m, n = X.problem.grid.side, X.problem.m, X.problem.grid.n
+    center = tuple(data.draw(_coords(side)) for _ in range(n))
+    radius = st.builds(lambda q: q * side / 4, st.integers(1, 16))
+
+    width = side * data.draw(st.sampled_from((1, Fraction(3, 2), 2, Fraction(5, 2))))
+    rep = slicing_check(X, center, width)
+    assert [(t, bw) for t, bw, _ in rep.bands] == slicing_bands(X, center, width)
+    assert rep.rhs == surface_weight(X)
+
+    corners = sorted({v for c in X.free_mcells() for v in c.corners()})
+    vertex = tuple(x * side for x in data.draw(st.sampled_from(corners)))
+    radii = data.draw(st.lists(radius, min_size=1, max_size=4))
+    prof = density_profile(X, vertex, radii)
+    assert prof.g == [ball_measure(X, vertex, r, True) for r in sorted(radii)]
+
+    max_radius = side * data.draw(st.integers(1, 4))
+    reg = regularity_constant(X, max_radius)
+    assert (reg.c_hat, reg.sample_size, reg.worst) == regularity_reference(X, max_radius)
+
+    for point in (center, vertex):
+        pairs = [tuple(sorted(p, reverse=True)) for p in data.draw(
+            st.lists(st.tuples(radius, radius), min_size=1, max_size=3))]
+        expected = []
+        for r, s in pairs:
+            gr, gs = ball_measure(X, point, r, True), ball_measure(X, point, s, True)
+            expected.append(None if gs == 0 else (gr / r**m) / (gs / s**m))
+        assert monotonicity_check(X, point, pairs).ratios == expected

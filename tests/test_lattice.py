@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plateau.lattice import (
-    BallQuery,
     Cell,
     CubicalComplex,
     GridSpec,
@@ -15,7 +14,6 @@ from plateau.lattice import (
     complex_from_text,
     complex_to_text,
     connected_components,
-    restrict_to_ball,
 )
 
 
@@ -93,24 +91,6 @@ def test_cell_measure_dyadic():
     assert cell_measure(Cell((0, 0), 0b11), grid) == Fraction(1, 4)
     assert cell_measure(Cell((0, 0), 0b1), grid) == Fraction(1, 2)
     assert cell_measure(Cell((0, 0), 0), grid) == 1
-
-
-def test_restrict_to_ball_modes():
-    grid = GridSpec(2, 0, ((0, 4), (0, 4)))
-    skel = build_skeleton(grid, 2)
-    q = BallQuery((Fraction(2), Fraction(2)), Fraction(1))
-    ball = restrict_to_ball(skel, q)
-    # picked cells obey the bound; the face closure may add nearby faces
-    assert all(
-        sum((x - y) ** 2 for x, y in zip(c.barycenter(), q.center)) <= 1
-        for c in ball.cells_of_dim(2)
-    )
-    shell = restrict_to_ball(skel, q, mode="sphere-shell")
-    assert shell.cells_of_dim(2) <= ball.cells_of_dim(2)
-    with pytest.raises(ValueError):
-        restrict_to_ball(skel, q, mode="nope")
-    with pytest.raises(ValueError):
-        BallQuery((Fraction(0),), Fraction(0))
 
 
 def test_connected_components():

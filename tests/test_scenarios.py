@@ -1,10 +1,12 @@
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
 from plateau.cli import main
-from plateau.lattice import connected_components
+from plateau.lattice import Cell, CubicalComplex, build_skeleton, connected_components
+from plateau.linalg import GF2
 from plateau.scenarios import (
     build_boundary,
     build_problem,
@@ -14,6 +16,7 @@ from plateau.scenarios import (
     run,
     scenario_from_dict,
 )
+from plateau.spanning import SpanningProblem
 
 from conftest import SCENARIO_NAMES, load, scenario_path
 
@@ -325,3 +328,63 @@ def test_cli_error_paths(tmp_path, capsys):
     for seconds in ("0", "-1.5", "nan"):
         assert main(["oracle", scenario_path("disk3"), "--time-limit", seconds]) == 2
         assert "time_limit" in capsys.readouterr().err
+
+
+def _far_corner_density(kind: str, box, free: tuple[int, ...]) -> dict:
+    """A density that leaves [a, b] only at the m-cell in the box's far
+    corner whose free axes are `free` (a constant one leaves it everywhere).
+
+    The affine slope is 1 along the free axes and 2 along the others, so that
+    cell is the unique maximum, 1/2 above every other cell.  The radial
+    center sits at the corner, one step out along the fixed axes, so that
+    cell is the unique nearest one, 1/2 nearer than every other cell.
+    """
+    high = [h for _, h in box]
+    if kind == "constant":
+        return {"kind": "constant", "value": "3", "a": "1", "b": "2"}
+    if kind == "coordinate-affine":
+        coeffs = [1 if a in free else 2 for a in range(len(box))]
+        top = 1 + sum(c * h for c, h in zip(coeffs, high)) - Fraction(len(free), 2)
+        return {"kind": kind, "offset": "1", "coeffs": [str(c) for c in coeffs],
+                "a": "1/1000", "b": str(top - Fraction(1, 4))}
+    center = [h if a in free else h + 1 for a, h in enumerate(high)]
+    nearest = Fraction(1, 2) if len(free) == len(box) else 1
+    return {"kind": kind, "offset": "1", "slope": "1", "center": [str(c) for c in center],
+            "a": str(1 + nearest + Fraction(1, 4)), "b": "1000"}
+
+
+_BOUND_CASES = [
+    ("disk3", kind, (0, 1)) for kind in ("constant", "coordinate-affine", "radial")
+] + [
+    ("rings_tiny", kind, free)
+    for kind in ("coordinate-affine", "radial")
+    for free in ((0, 1), (0, 2), (1, 2))
+]
+
+
+@pytest.mark.parametrize(
+    "name,kind,free", _BOUND_CASES,
+    ids=[f"{name}-{kind}-free{''.join(map(str, free))}" for name, kind, free in _BOUND_CASES],
+)
+def test_density_bounds_enforced(name, kind, free, tmp_path, capsys):
+    with open(scenario_path(name)) as fh:
+        raw = json.load(fh)
+    raw["density"] = _far_corner_density(kind, raw["grid"]["box"], free)
+    scenario = scenario_from_dict(raw)
+    grid, m, f = scenario.grid, scenario.m, scenario.density
+    if kind != "constant":
+        corner = Cell(
+            tuple(h - 1 if a in free else h for a, (_, h) in enumerate(grid.box)),
+            sum(1 << a for a in free),
+        )
+        outside = [
+            c for c in build_skeleton(grid, m).cells_of_dim(m)
+            if not f.a <= f.at_cell(c, grid) <= f.b
+        ]
+        assert outside == [corner]
+    with pytest.raises(ValueError, match="escapes bounds"):
+        SpanningProblem(CubicalComplex(grid, []), grid, m, [], GF2, f)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(raw))
+    assert main(["solve", str(path), "--diagnostics", "none"]) == 2
+    assert "escapes bounds" in capsys.readouterr().err

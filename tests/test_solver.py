@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from plateau.lattice import Cell, CubicalComplex, GridSpec
+from plateau.lattice import Cell, CubicalComplex, GridSpec, box_cells
 from plateau.solver import (
     SolverConfig,
     _admissible_regions,
@@ -232,6 +232,25 @@ def test_local_replace_matches_enumeration(
             assert Y is X
         assert current - moved <= dominated
     assert improved  # some rings_tiny cases have a strictly lighter refill
+
+
+@pytest.mark.parametrize("side", (1, 2))
+def test_admissible_regions_and_interiors(disk_problem, tiny_problem, side):
+    """A region is admissible iff no cell of A lies in its interior, and the
+    interior that `solve` lists once per region is the box m-cells inside it."""
+    for problem in (disk_problem, tiny_problem, n4_sphere_problem()):
+        box = problem.grid.box
+        expected = [
+            lows for lows in itertools.product(*(range(lo, hi - side + 1) for lo, hi in box))
+            if not any(
+                _in_interior(c, lows, [lo + side for lo in lows]) for c in problem.A.cells
+            )
+        ]
+        regions = list(_admissible_regions(problem, side))
+        assert [lows for lows, _ in regions] == expected
+        for lows, highs in regions:
+            interior = box_cells(tuple(zip(lows, highs)), problem.m, interior=True)
+            assert sorted(interior) == _interior_mcells(problem, lows, highs)
 
 
 def test_local_replace_n4_m3_smoke():
