@@ -131,17 +131,10 @@ def cohomology(X: CubicalComplex, d: int, coeffs: Coeffs,
     data = data or CochainComplexData(X, coeffs)
     cocycles = kernel_basis(data.delta(d))
     coboundaries = coboundary_space(data, d, reduced)
-    reps = quotient_basis(cocycles, coboundaries)
+    # a cocycle joins the quotient basis iff it lies outside the span of the
+    # coboundaries and of the cocycles kept before it
+    reps = coboundaries.extending(cocycles.basis)
     return CohomologySpace(data, d, cocycles, coboundaries, reps, reduced and d == 0)
-
-
-def quotient_basis(cocycles: Subspace, coboundaries: Subspace) -> list[list]:
-    """Cocycle vectors forming a basis of cocycles / coboundaries.
-
-    A cocycle is kept iff it lies outside the span of the coboundaries and
-    of the cocycles kept before it.
-    """
-    return coboundaries.extending(cocycles.basis)
 
 
 @dataclass

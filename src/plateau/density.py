@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .lattice import Cell, GridSpec, box_cells
 
@@ -40,24 +40,21 @@ class DensityField:
         if not 0 < self.hoelder_alpha <= 1:
             raise ValueError("hoelder exponent must lie in (0, 1]")
 
-    def __call__(self, point: Sequence[Fraction]) -> Fraction:
-        if self.kind == "constant":
-            return self.value
-        if self.kind == "coordinate-affine":
-            acc = self.offset
-            for c, x in zip(self.coeffs, point):
-                acc += c * x
-            return acc
-        dist = max(
-            (abs(x - c) for c, x in zip(self.center, point)), default=Fraction(0)
-        )
-        return self.offset + self.slope * dist
-
     def at_cell(self, cell: Cell, grid: GridSpec) -> Fraction:
+        """f at the cell's barycenter, in integers until the last step: the
+        barycenter is h / 2**(k+1) with h = 2 * anchor + axis bit, and the
+        coefficients (or center) are ints over their common denominator q."""
         if self.kind == "constant":
             return self.value
-        point = tuple(x * grid.side for x in cell.barycenter())
-        return self(point)
+        half = 2 ** (grid.k + 1)
+        h = [2 * x + (cell.free_axes >> a & 1) for a, x in enumerate(cell.anchor)]
+        data = self.coeffs if self.kind == "coordinate-affine" else self.center
+        q = math.lcm(*(c.denominator for c in data))
+        ints = [c.numerator * (q // c.denominator) for c in data]
+        if self.kind == "coordinate-affine":
+            return self.offset + Fraction(sum(c * x for c, x in zip(ints, h)), q * half)
+        dist = max((abs(x * q - c * half) for c, x in zip(ints, h)), default=0)
+        return self.offset + self.slope * Fraction(dist, q * half)
 
     def constant_along(self, axis: int) -> bool:
         """Whether f is independent of the given coordinate."""

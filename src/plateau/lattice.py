@@ -3,7 +3,9 @@
 All geometry is exact: anchors are integer lattice coordinates at a fixed
 dyadic level, measures are Fractions.  Cells are identified
 combinatorially (minimal-corner anchor + bitmask of free axes), never by
-floating point data.
+floating point data.  A cell is a NamedTuple, so hashing, comparison and
+construction run in C; it compares equal to the plain tuple
+(anchor, free_axes).
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
 @dataclass(frozen=True)
@@ -50,9 +52,12 @@ class GridSpec:
         return True
 
 
-@dataclass(frozen=True, order=True)
-class Cell:
-    """A d-cell of the grid: minimal corner + bitmask of spanned axes."""
+class Cell(NamedTuple):
+    """A d-cell of the grid: minimal corner + bitmask of spanned axes.
+
+    Hash, order and repr are those of the tuple (anchor, free_axes), and a
+    cell compares equal to that plain tuple.
+    """
 
     anchor: tuple[int, ...]
     free_axes: int

@@ -27,10 +27,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .lattice import Cell, CubicalComplex, GridSpec
+from .lattice import Cell
 from .linalg import bit_indices
 from .solver import SolverConfig, frac_str, solve
-from .spanning import CohomologyClass, SpanningProblem, Surface
+from .spanning import SpanningProblem, Surface
 from .witness import WitnessSystem, branch_and_bound, build_witness_system
 
 
@@ -102,15 +102,7 @@ def crop_problem(problem: SpanningProblem) -> SpanningProblem:
     new_box = tuple(box)
     if new_box == grid.box:
         return problem
-    new_grid = GridSpec(n, grid.k, new_box)
-    new_A = CubicalComplex(new_grid, problem.A.cells, closed=True)
-    new_L = [
-        CohomologyClass(new_A, cls.degree, list(cls.rep), cls.label)
-        for cls in problem.L
-    ]
-    return SpanningProblem(
-        new_A, new_grid, problem.m, new_L, problem.coeffs, problem.density
-    )
+    return problem.cropped(new_box)
 
 
 # ---------------------------------------------------------------------------

@@ -258,20 +258,25 @@ def _solid_boundary(grid: GridSpec, solids: set[tuple[int, ...]]) -> set[Cell]:
 
 
 def _verify_closed_manifold(
-    A: CubicalComplex, dim: int, expected_components: int
-) -> CubicalComplex:
+    A: CubicalComplex, dim: int, expected_components: int, m: int
+) -> tuple[CubicalComplex, Optional[list[CubicalComplex]]]:
     """Check a builtin's component count and that it is a closed manifold of
-    dimension dim: curves for the disk and rings, surfaces for torus and shell."""
+    dimension dim: curves for the disk and rings, surfaces for torus and shell.
+    Returns A and, for m = 1 or dim = m - 1, its components checked for `canonical_L`."""
     comps = connected_components(A)
     if len(comps) != expected_components:
         raise ValueError(
             f"boundary has {len(comps)} components, expected {expected_components}"
         )
     check_closed_manifold(A, dim)
-    return A
+    return A, comps if m in (1, dim + 1) else None
 
 
 def build_boundary(scenario: Scenario) -> CubicalComplex:
+    return _boundary(scenario)[0]
+
+
+def _boundary(scenario: Scenario) -> tuple[CubicalComplex, Optional[list[CubicalComplex]]]:
     grid = scenario.grid
     spec = scenario.boundary
     tag = spec["tag"]
@@ -283,7 +288,7 @@ def build_boundary(scenario: Scenario) -> CubicalComplex:
         lo, hi = (x0, y0), (x0 + size, y0 + size)
         _require_in_box(grid, (0, 1), lo, hi)
         ring = CubicalComplex(grid, _rectangle_ring(grid, (0, 1), lo, hi, {}))
-        return _verify_closed_manifold(ring, 1, 1)
+        return _verify_closed_manifold(ring, 1, 1, scenario.m)
     if tag == "three_rings":
         if grid.n != 3:
             raise ValueError("three_rings requires a 3-dimensional grid")
@@ -300,7 +305,7 @@ def build_boundary(scenario: Scenario) -> CubicalComplex:
         cells: set[Cell] = set()
         for i in range(3):
             cells |= _rectangle_ring(grid, (0, 1), lo, hi, {2: z0 + i * spacing})
-        return _verify_closed_manifold(CubicalComplex(grid, cells), 1, 3)
+        return _verify_closed_manifold(CubicalComplex(grid, cells), 1, 3, scenario.m)
     if tag == "torus_longitude":
         if grid.n != 3:
             raise ValueError("torus_longitude requires a 3-dimensional grid")
@@ -323,7 +328,7 @@ def build_boundary(scenario: Scenario) -> CubicalComplex:
             )
         }
         torus = CubicalComplex(grid, _solid_boundary(grid, solids))
-        return _verify_closed_manifold(torus, 2, 1)
+        return _verify_closed_manifold(torus, 2, 1, scenario.m)
     if tag == "sphere_shell":
         if grid.n != 3:
             raise ValueError("sphere_shell requires a 3-dimensional grid")
@@ -335,7 +340,7 @@ def build_boundary(scenario: Scenario) -> CubicalComplex:
             itertools.product(*(range(lo, hi) for lo, hi in box))
         )
         shell = CubicalComplex(grid, _solid_boundary(grid, solids))
-        return _verify_closed_manifold(shell, 2, 1)
+        return _verify_closed_manifold(shell, 2, 1, scenario.m)
     if tag == "custom":
         path = spec.get("path")
         if not isinstance(path, str):
@@ -344,7 +349,7 @@ def build_boundary(scenario: Scenario) -> CubicalComplex:
             A = complex_from_text(fh.read())
         if A.grid != grid:
             raise ValueError("custom boundary grid differs from the scenario grid")
-        return A
+        return A, None
     raise ValueError(f"unknown boundary tag {tag!r}")
 
 
@@ -354,9 +359,10 @@ def _require_in_box(grid, axes, lo, hi) -> None:
             raise ValueError(f"boundary rectangle outside the box on axis {a}")
 
 
-def build_classes(scenario: Scenario, A: CubicalComplex) -> list[CohomologyClass]:
+def build_classes(scenario: Scenario, A: CubicalComplex,
+                  comps: Optional[list[CubicalComplex]] = None) -> list[CohomologyClass]:
     if scenario.L_spec == "canonical":
-        return canonical_L(A, scenario.m, scenario.coeffs)
+        return canonical_L(A, scenario.m, scenario.coeffs, comps)
     if not isinstance(scenario.L_spec, list):
         raise ValueError(
             f'scenario field L must be "canonical" or a list of classes, got {scenario.L_spec!r}'
@@ -389,8 +395,8 @@ def build_classes(scenario: Scenario, A: CubicalComplex) -> list[CohomologyClass
 
 
 def build_problem(scenario: Scenario) -> SpanningProblem:
-    A = build_boundary(scenario)
-    L = build_classes(scenario, A)
+    A, comps = _boundary(scenario)
+    L = build_classes(scenario, A, comps)
     return SpanningProblem(
         A, scenario.grid, scenario.m, L, scenario.coeffs, scenario.density
     )

@@ -12,6 +12,7 @@ below checks the verdict against it.
 
 from __future__ import annotations
 
+import copy
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -50,18 +51,6 @@ class CohomologyClass:
     label: str = ""
 
 
-def class_is_zero(cls: CohomologyClass, coeffs: Coeffs, reduced: bool) -> bool:
-    """Whether the representative is a coboundary (the zero class)."""
-    A_data = CochainComplexData(cls.A, coeffs)
-    return coboundary_space(A_data, cls.degree, reduced).contains(cls.rep)
-
-
-def class_is_cocycle(cls: CohomologyClass, coeffs: Coeffs) -> bool:
-    A_data = CochainComplexData(cls.A, coeffs)
-    delta = A_data.delta(cls.degree)
-    return all(v == coeffs.zero for v in delta.apply(cls.rep))
-
-
 @dataclass
 class SpanningProblem:
     """The data (A, C, L, m, coefficients, density) of one minimization."""
@@ -82,13 +71,16 @@ class SpanningProblem:
             raise ValueError("boundary complex must live on the problem grid")
         if self.A.dim > self.m:
             raise ValueError("boundary complex dimension exceeds m")
-        reduced = self.m == 1
+        if self.L:
+            A_data = CochainComplexData(self.A, self.coeffs)
+            delta = A_data.delta(self.m - 1)
+            coboundaries = coboundary_space(A_data, self.m - 1, reduced=self.m == 1)
         for cls in self.L:
             if cls.degree != self.m - 1:
                 raise ValueError("class degree must be m - 1")
-            if not class_is_cocycle(cls, self.coeffs):
+            if any(v != self.coeffs.zero for v in delta.apply(cls.rep)):
                 raise ValueError("class representative is not a cocycle")
-            if class_is_zero(cls, self.coeffs, reduced):
+            if coboundaries.contains(cls.rep):
                 raise ValueError("L must avoid the zero class")
         if self.m > self.grid.n:
             raise ValueError(f"m = {self.m} exceeds the grid dimension {self.grid.n}")
@@ -111,6 +103,18 @@ class SpanningProblem:
             measure = grid.side ** self.m
             self._weights = {c: f.at_cell(c, grid) * measure for c in self.box_mcells()}
         return self._weights
+
+    def cropped(self, box: tuple[tuple[int, int], ...]) -> "SpanningProblem":
+        """This problem on a sub-box of its box that still holds A: the class
+        and density checks passed on the larger box, so only A's containment runs."""
+        if any(lo < lo0 or hi > hi0 for (lo, hi), (lo0, hi0) in zip(box, self.grid.box)):
+            raise ValueError("a cropped box must lie inside the problem box")
+        grid = GridSpec(self.grid.n, self.grid.k, box)
+        A = CubicalComplex(grid, self.A.cells, closed=True)
+        out = copy.copy(self)
+        out.A, out.grid, out._mcells, out._weights = A, grid, None, None
+        out.L = [CohomologyClass(A, c.degree, list(c.rep), c.label) for c in self.L]
+        return out
 
 
 class Surface:
@@ -262,24 +266,28 @@ def fundamental_cycle(comp: CubicalComplex, m: int) -> dict[Cell, int]:
     return orientation
 
 
-def canonical_L(A: CubicalComplex, m: int, coeffs: Coeffs) -> list[CohomologyClass]:
+def canonical_L(A: CubicalComplex, m: int, coeffs: Coeffs,
+                comps: Optional[list[CubicalComplex]] = None) -> list[CohomologyClass]:
     """One generator class per closed-manifold component of A.
 
     Over GF(2) the generator is the indicator of a single top cell; over other
     fields the cell is weighted by its orientation so the pairing with the
     fundamental cycle is 1.  For m = 1 the classes live in reduced degree 0.
+    `comps`, when given, are A's components, already checked to be closed
+    (m-1)-manifolds.  One coboundary space drops the zero classes.
     """
-    comps = connected_components(A)
+    if comps is None:
+        comps = connected_components(A)
+        for comp in comps if m >= 2 else ():
+            check_closed_manifold(comp, m - 1)
     if not comps:
         return []
-    indexing = CellIndexing(A)
-    pos = indexing.position(m - 1)
-    n = len(indexing.order(m - 1))
+    A_data = CochainComplexData(A, coeffs)
+    pos = A_data.indexing.position(m - 1)
+    coboundaries = coboundary_space(A_data, m - 1, reduced=m == 1)
     out = []
     for ci, comp in enumerate(comps):
-        if m >= 2:
-            check_closed_manifold(comp, m - 1)
-        rep = [coeffs.zero] * n
+        rep = [coeffs.zero] * len(pos)
         if m == 1:
             for c in comp.cells_of_dim(0):
                 rep[pos[c]] = coeffs.one
@@ -290,9 +298,8 @@ def canonical_L(A: CubicalComplex, m: int, coeffs: Coeffs) -> list[CohomologyCla
             else:
                 orientation = fundamental_cycle(comp, m)
                 rep[pos[marked]] = coeffs.reduce(orientation[marked])
-        cls = CohomologyClass(A, m - 1, rep, label=f"component-{ci}")
-        if not class_is_zero(cls, coeffs, reduced=m == 1):
-            out.append(cls)
+        if not coboundaries.contains(rep):
+            out.append(CohomologyClass(A, m - 1, rep, label=f"component-{ci}"))
     return out
 
 

@@ -54,6 +54,21 @@ def restriction_spans(X: Surface) -> bool:
     return not any(image.image.sum(cob).contains(cls.rep) for cls in problem.L)
 
 
+def density_reference(f, cell: Cell, grid: GridSpec) -> Fraction:
+    """f at the cell's barycenter from Fraction ambient coordinates: the
+    reference for `DensityField.at_cell`, which stays in integers."""
+    point = tuple(x * grid.side for x in cell.barycenter())
+    if f.kind == "constant":
+        return f.value
+    if f.kind == "coordinate-affine":
+        acc = f.offset
+        for c, x in zip(f.coeffs, point):
+            acc += c * x
+        return acc
+    dist = max((abs(x - c) for c, x in zip(f.center, point)), default=Fraction(0))
+    return f.offset + f.slope * dist
+
+
 def _dist2(p, q) -> Fraction:
     return sum((a - b) ** 2 for a, b in zip(p, q))
 

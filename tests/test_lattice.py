@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plateau.cochain import boundary_incidences
 from plateau.lattice import (
     Cell,
     CubicalComplex,
@@ -56,6 +57,43 @@ def test_faces_of_faces_pair_up(n, data):
         for g in f.faces():
             counts[g] = counts.get(g, 0) + 1
     assert set(counts.values()) == {2}
+
+
+CELLS = st.integers(1, 6).flatmap(lambda n: st.builds(
+    Cell, st.tuples(*[st.integers(-4, 4)] * n), st.integers(0, (1 << n) - 1)))
+
+
+@given(cells=st.lists(CELLS, min_size=1, max_size=30))
+@settings(max_examples=80, deadline=None)
+def test_cell_is_its_tuple(cells):
+    """Hash, order and repr of a cell are those of (anchor, free_axes), it
+    compares equal to that plain tuple, and its fields are read-only."""
+    for c in cells:
+        assert hash(c) == hash((c.anchor, c.free_axes))
+        assert c == (c.anchor, c.free_axes)
+        assert repr(c) == f"Cell(anchor={c.anchor!r}, free_axes={c.free_axes!r})"
+        for field in ("anchor", "free_axes"):
+            with pytest.raises(AttributeError):
+                setattr(c, field, getattr(c, field))
+    assert sorted(cells) == sorted(cells, key=lambda c: (c.anchor, c.free_axes))
+
+
+def test_cube_faces_and_incidences():
+    """The six faces of the unit 3-cube and their signs, listed by hand."""
+    cube = Cell((0, 0, 0), 0b111)
+    signed = [
+        (Cell((1, 0, 0), 0b110), 1), (Cell((0, 0, 0), 0b110), -1),
+        (Cell((0, 1, 0), 0b101), -1), (Cell((0, 0, 0), 0b101), 1),
+        (Cell((0, 0, 1), 0b011), 1), (Cell((0, 0, 0), 0b011), -1),
+    ]
+    assert boundary_incidences(cube) == signed
+    assert cube.faces() == {f for f, _ in signed}
+    square = Cell((1, 2, 3), 0b101)
+    assert boundary_incidences(square) == [
+        (Cell((2, 2, 3), 0b100), 1), (Cell((1, 2, 3), 0b100), -1),
+        (Cell((1, 2, 4), 0b001), -1), (Cell((1, 2, 3), 0b001), 1),
+    ]
+    assert square.corners() == [(1, 2, 3), (1, 2, 4), (2, 2, 3), (2, 2, 4)]
 
 
 def test_cofaces_inverse_of_faces():

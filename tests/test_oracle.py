@@ -1,10 +1,13 @@
+import importlib.util
 import json
+import os
 import random
 import time
 from fractions import Fraction
 
 import pytest
 
+from plateau.lattice import CubicalComplex
 from plateau.linalg import bit_indices
 from plateau.linking import crossed_faces
 from plateau.oracle import (
@@ -20,10 +23,10 @@ from plateau.oracle import (
 )
 from plateau.scenarios import build_problem, scenario_from_dict
 from plateau.solver import SolverConfig, solve, surface_weight
-from plateau.spanning import spans
+from plateau.spanning import CohomologyClass, SpanningProblem, spans
 from plateau.witness import build_witness_system
 
-from conftest import load, n4_sphere_problem, rectangle_loops, scenario_path
+from conftest import SCENARIO_NAMES, load, n4_sphere_problem, rectangle_loops, scenario_path
 
 GF3 = {"kind": "gfp", "p": 3}
 
@@ -47,6 +50,49 @@ def test_crop_keeps_nonconstant_axes(torus_problem):
     assert cropped.grid.box[0] == torus_problem.grid.box[0]
     assert cropped.grid.box[1] == torus_problem.grid.box[1]
     assert cropped.grid.box[2] == (1, 3)
+
+
+def _certify_instances(seed: int) -> list[dict]:
+    """The certify benchmark's scenario dicts, from its generator."""
+    path = os.path.join(os.path.dirname(__file__), "..", "bench", "generate.py")
+    spec = importlib.util.spec_from_file_location("bench_generate", path)
+    generate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generate)
+    return generate.certify_instances(seed)
+
+
+CROP_CASES = [(name, load(name).raw) for name in SCENARIO_NAMES] + [
+    (d["name"], d) for d in _certify_instances(1)
+]
+
+
+@pytest.mark.parametrize("raw", [raw for _, raw in CROP_CASES],
+                         ids=[name for name, _ in CROP_CASES])
+def test_crop_equals_full_construction(raw):
+    """The cropped problem, built without repeating the class and density
+    checks, equals one the full constructor builds and checks on its box."""
+    problem = build_problem(scenario_from_dict(raw))
+    problem.weight_table()  # a table of the larger box must not carry over
+    cropped = crop_problem(problem)
+    A = CubicalComplex(cropped.grid, problem.A.cells)
+    full = SpanningProblem(
+        A, cropped.grid, problem.m,
+        [CohomologyClass(A, c.degree, list(c.rep), c.label) for c in problem.L],
+        problem.coeffs, problem.density,
+    )
+    assert cropped.grid == full.grid
+    assert cropped.A.cells == full.A.cells
+    assert [(c.A, c.rep) for c in cropped.L] == [(A, c.rep) for c in full.L]
+    assert cropped.weight_table() == full.weight_table()
+    assert cropped == full
+
+
+def test_cropped_box_must_hold_A(tiny_problem):
+    with pytest.raises(ValueError, match="inside the problem box"):
+        tiny_problem.cropped(((-1, 3), (0, 3), (1, 3)))
+    with pytest.raises(ValueError, match="outside bounding box"):
+        tiny_problem.cropped(((0, 2), (0, 3), (1, 3)))
+    assert tiny_problem.cropped(tiny_problem.grid.box) == tiny_problem
 
 
 def test_loop_catalogue_is_closed_loops(tiny_problem):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from plateau.cochain import boundary_incidences
 from plateau.lattice import Cell, CubicalComplex, GridSpec
 from plateau.linalg import GF2, RATIONAL, Coeffs
 from plateau.spanning import (
@@ -64,6 +65,54 @@ def test_non_cocycle_rejected_torus(torus_problem):
     cls = CohomologyClass(A, 1, rep, "edge")
     with pytest.raises(ValueError, match="cocycle"):
         SpanningProblem(A, torus_problem.grid, 2, [cls], GF2)
+
+
+def _classes_with_bad_last(case: str, F: Coeffs):
+    """(A, grid, m, L): every class of L but the last is a nonzero cocycle.
+
+    m = 2: two unit-square rings and a filled square, far apart; the good
+    classes mark one edge of each ring.  m = 1: two isolated vertices and an
+    edge; the good classes mark one vertex each.
+    """
+    if case in ("cocycle", "coboundary"):
+        grid, m = GridSpec(3, 0, ((0, 3), (0, 3), (0, 4))), 2
+        rings = Cell((0, 0, 0), 0b011).faces() | Cell((0, 0, 2), 0b011).faces()
+        A = CubicalComplex(grid, rings | {Cell((1, 1, 4), 0b011)})
+        marked = [Cell((0, 0, 0), 0b001), Cell((0, 0, 2), 0b001)]
+    else:
+        grid, m = GridSpec(2, 0, ((0, 3), (0, 3))), 1
+        A = CubicalComplex(grid, [Cell((0, 0), 0), Cell((2, 0), 0), Cell((0, 2), 0b01)])
+        marked = [Cell((0, 0), 0), Cell((2, 0), 0)]
+    lower = sorted(A.cells_of_dim(m - 1))
+
+    def cochain(values: dict) -> list:
+        return [F.reduce(values.get(c, 0)) for c in lower]
+
+    L = [CohomologyClass(A, m - 1, cochain({c: 1}), f"good-{i}")
+         for i, c in enumerate(marked)]
+    if case == "cocycle":  # an edge of the filled square
+        bad = cochain({Cell((1, 1, 4), 0b001): 1})
+    elif case == "coboundary":  # delta of a ring vertex
+        v = Cell((0, 0, 0), 0)
+        bad = cochain({e: s for e in lower for f, s in boundary_incidences(e) if f == v})
+    elif case == "end":  # one end of the edge
+        bad = cochain({Cell((0, 2), 0): 1})
+    else:  # the constant 0-cochain
+        bad = cochain({c: 1 for c in lower})
+    return A, grid, m, L + [CohomologyClass(A, m - 1, bad, "bad")]
+
+
+@pytest.mark.parametrize("F", [GF2, Coeffs("gfp", 3)], ids=["gf2", "gf3"])
+@pytest.mark.parametrize("case, match", [
+    ("cocycle", "not a cocycle"), ("coboundary", "zero class"),
+    ("end", "not a cocycle"), ("constant", "zero class"),
+])
+def test_only_last_class_is_bad(case, match, F):
+    """One coboundary space checks every class, not only the first."""
+    A, grid, m, L = _classes_with_bad_last(case, F)
+    SpanningProblem(A, grid, m, L[:-1], F)
+    with pytest.raises(ValueError, match=match):
+        SpanningProblem(A, grid, m, L, F)
 
 
 def test_boundary_dim_invariant(disk_problem):
