@@ -11,6 +11,7 @@ construction run in C; it compares equal to the plain tuple
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -202,6 +203,27 @@ def box_cells(box: Sequence[tuple[int, int]], d: int,
         ]
         for anchor in itertools.product(*ranges):
             yield Cell(anchor, mask)
+
+
+class HalfLattice:
+    """Integer ids of a box's cells: sum_a (2 (anchor[a] - lo_a) + bit_a) *
+    strides[a], bit_a being axis a's free bit.  The faces along a free axis
+    a sit at id +- strides[a]; `faces[free_axes]` lists (id offset, sign) in
+    `cochain.boundary_incidences`' order and signs: along the j-th free axis
+    (from 0), (-1)**j on the high face and its negative on the low one."""
+
+    def __init__(self, box: Sequence[tuple[int, int]]):
+        self.strides = list(itertools.accumulate(
+            (2 * (hi - lo) + 1 for lo, hi in box[:-1]), operator.mul, initial=1))
+        self.faces = [[(s * self.strides[a], s * (-1) ** j)
+                       for j, a in enumerate(a for a in range(len(box)) if mask >> a & 1)
+                       for s in (1, -1)] for mask in range(1 << len(box))]
+        low = 2 * sum(lo * s for (lo, _), s in zip(box, self.strides))
+        self.base = [sum(s for a, s in enumerate(self.strides) if mask >> a & 1) - low
+                     for mask in range(1 << len(box))]
+
+    def id(self, cell: Cell) -> int:
+        return self.base[cell.free_axes] + 2 * sum(map(operator.mul, cell.anchor, self.strides))
 
 
 def build_skeleton(grid: GridSpec, d: int) -> CubicalComplex:

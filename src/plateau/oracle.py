@@ -22,12 +22,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .lattice import Cell
+from .lattice import Cell, HalfLattice
 from .linalg import bit_indices
 from .solver import SolverConfig, frac_str, solve
 from .spanning import SpanningProblem, Surface
@@ -118,53 +119,56 @@ def build_loop_catalogue(system: WitnessSystem, deadline: float = math.inf) -> l
     to codimension-one surfaces over GF(2); otherwise empty.  Returned masks
     are deduplicated and sorted by popcount for greedy packing; none once the
     `time.monotonic()` instant `deadline`, checked once per plane, passes.
+
+    Face column j is a parity word: one bit per vector of each space (its
+    particular, then its basis) that holds column j, and above them mask bit
+    j.  XOR is linear, so a loop's word is its parity on every vector below
+    its mask, and it is kept iff some space's field reads 1.
     """
     problem = system.problem
     box = problem.grid.box
     n = len(box)
     if problem.coeffs.kind != "gf2" or problem.m != n - 1:
         return []
-    column = system.column
-    ext = [range(lo - 1, hi + 1) for lo, hi in box]
-    # prefix[a][v]: XOR of the columns of the in-box faces normal to axis a
+    parity, fields, nbits = [0] * system.ncols, [], 0
+    for s in system.spaces:
+        fields.append((((1 << s.dim + 1) - 1) << nbits, 1 << nbits))
+        for v in (s.particular, *s.basis):
+            for j in bit_indices(v):
+                parity[j] |= 1 << nbits
+            nbits += 1
+    # faces and voxels keyed by half-lattice ids of the box widened by one
+    # voxel; ext[a] holds the voxel terms (2i + 1) strides[a] along axis a,
+    # and the face of voxel v normal to axis a below it sits at v - strides[a]
+    H = HalfLattice([(lo - 1, hi + 1) for lo, hi in box])
+    word = {H.id(c): 1 << nbits + j | parity[j] for j, c in enumerate(system.mcells)}
+    ext = [[(2 * i + 1) * s for i in range(hi - lo + 2)] for (lo, hi), s in zip(box, H.strides)]
+    # prefix[a][v]: XOR of the words of the in-box faces normal to axis a
     # on the voxel line through v, up to v.  A rectangle crosses four such
-    # segments, each the XOR of two prefixes, so its mask is the XOR of
+    # segments, each the XOR of two prefixes, so its word is the XOR of
     # prefix[p] ^ prefix[q] over its four corner voxels.
     prefix: list[dict] = [{} for _ in box]
-    for v in itertools.product(*ext):
-        for a, line in enumerate(prefix):
-            col = column.get(Cell(v, (1 << n) - 1 ^ 1 << a))
-            below = line.get(v[:a] + (v[a] - 1,) + v[a + 1:], 0)
-            line[v] = below if col is None else below ^ 1 << col
+    for v in map(sum, itertools.product(*ext)):
+        for line, s in zip(prefix, H.strides):
+            line[v] = line.get(v - 2 * s, 0) ^ word.get(v - s, 0)
 
-    masks: set[int] = set()
+    words: set[int] = set()
     for p, q in itertools.combinations(range(n), 2):
-        others = (range(1) if b in (p, q) else range(*box[b]) for b in range(n))
-        for t in itertools.product(*others):
+        others = ([0] if b in (p, q) else ext[b][1:-1] for b in range(n))
+        for base in map(sum, itertools.product(*others)):
             if time.monotonic() > deadline:
                 return []
             # corner[i][k]: prefix[p] ^ prefix[q] at voxel (ext[p][i], ext[q][k]);
-            # with d = corner[i] ^ corner[j], rectangle i < j, k < l has mask d[k] ^ d[l]
-            corner = [[0] * len(ext[q]) for _ in ext[p]]
-            for (i, x), (k, y) in itertools.product(enumerate(ext[p]), enumerate(ext[q])):
-                v = t[:p] + (x,) + t[p + 1:q] + (y,) + t[q + 1:]
-                corner[i][k] = prefix[p][v] ^ prefix[q][v]
+            # with d = corner[i] ^ corner[j], rectangle i < j, k < l has word d[k] ^ d[l]
+            corner = [[prefix[p][v] ^ prefix[q][v] for v in (base + x + y for y in ext[q])]
+                      for x in ext[p]]
             for i, low in enumerate(corner):
                 for high in corner[i + 1:]:
-                    d = [a ^ b for a, b in zip(low, high)]
+                    d = list(map(operator.xor, low, high))
                     for k, dk in enumerate(d):
-                        masks.update(dk ^ dl for dl in d[k + 1:])
-    masks.discard(0)
-
-    valid: list[int] = []
-    for g in sorted(masks, key=lambda m: (m.bit_count(), m)):
-        for s in system.spaces:
-            if (s.particular & g).bit_count() & 1 and all(
-                not (v & g).bit_count() & 1 for v in s.basis
-            ):
-                valid.append(g)
-                break
-    return valid
+                        words.update(map(dk.__xor__, d[k + 1:]))
+    valid = {w >> nbits for f, one in fields for w in words if w & f == one}
+    return sorted(valid, key=lambda g: (g.bit_count(), g))
 
 
 def packing_lower_bound(

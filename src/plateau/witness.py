@@ -5,8 +5,8 @@ supported on X's m-cells has boundary supported on A with <l, bd w> = 1.
 The witnesses for one class form an affine subspace of the m-chain space of
 the full box; spanning tests against any X reduce to asking whether that
 affine space meets the coordinate subspace supported on X.  The rows
-"bd w vanishes off A" are shared by all classes: `linalg.solution_spaces`
-reduces them once, in the same incremental elimination that serves cochains
+"bd w vanishes off A", one per face off A keyed by its `lattice.HalfLattice`
+id, are shared by all classes: `linalg.solution_spaces` reduces them once, in the same incremental elimination that serves cochains
 and the spanning test, and reads each class's space off a copy.  This is the
 engine behind the greedy solver, its local moves and the exhaustive oracle;
 it is cross-checked against the direct cohomological definition in the tests.
@@ -33,8 +33,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .cochain import CellIndexing, boundary_incidences
-from .lattice import Cell, box_cells
+from .cochain import CellIndexing
+from .lattice import Cell, HalfLattice
 from .linalg import Coeffs, FieldMatrix, Subspace, _minus_multiple, bit_indices, solution_spaces
 from .spanning import SpanningProblem, Surface
 
@@ -267,44 +267,45 @@ class WitnessSystem:
 
 
 def build_witness_system(problem: SpanningProblem) -> WitnessSystem:
-    """Set up the witness spaces and integer weights on the full box grid."""
-    m = problem.m
+    """Set up the witness spaces and integer weights on the full box grid.
+
+    One pass over the m-cells (the columns) builds the rows on `HalfLattice`
+    ids: a face off A adds the cell to its own row, a face on A adds its
+    pairing with each class to that class's row, whose right-hand side is 1.
+    Row order does not matter: the reduced echelon form is unique."""
+    m, F = problem.m, problem.coeffs
     mcells = problem.box_mcells()
-    A_lower = problem.A.cells_of_dim(m - 1)
-    row_index = {
-        c: i for i, c in enumerate(
-            c for c in sorted(box_cells(problem.grid.box, m - 1)) if c not in A_lower
-        )
-    }
-    A_pos = CellIndexing(problem.A).position(m - 1)
-    F = problem.coeffs
-    nrows = len(row_index)
-    # column j of the system: the boundary of m-cell j off A, then its
-    # pairing with each class; a last column holds the right-hand side
-    columns = []
-    for cell in mcells:
-        bd = boundary_incidences(cell)
-        entries = [(row_index[f], s) for f, s in bd if f in row_index]
-        for li, cls in enumerate(problem.L):
-            acc = F.zero
-            for f, s in bd:
-                p = A_pos.get(f)
-                if p is not None:
-                    acc = F.add(acc, F.mul(F.reduce(s), cls.rep[p]))
-            entries.append((nrows + li, acc))
-        columns.append(entries)
-    columns.append([(nrows + li, F.one) for li in range(len(problem.L))])
-    system = FieldMatrix.from_sparse_rows(F, columns, nrows + len(problem.L)).transpose()
-    ncols = len(mcells)
+    ncols, gf2 = len(mcells), F.kind == "gf2"
+    H = HalfLattice(problem.grid.box)
+    on_A = {H.id(c): [cls.rep[p] for cls in problem.L]
+            for c, p in CellIndexing(problem.A).position(m - 1).items()}
+    rows: dict = {}  # face id -> row in FieldMatrix's internal form
+    pairing: list[dict] = [{} for _ in problem.L]  # class -> {column: value}
+    for j, cell in enumerate(mcells):
+        at, acc = H.id(cell), None
+        for offset, sign in H.faces[cell.free_axes]:
+            vals = on_A.get(at + offset)
+            if vals is not None:
+                s = F.reduce(sign)
+                acc = [F.add(x, F.mul(s, v)) for x, v in zip(acc or [F.zero] * len(vals), vals)]
+            elif gf2:
+                rows[at + offset] = rows.get(at + offset, 0) | 1 << j
+            else:
+                rows.setdefault(at + offset, {})[j] = F.reduce(sign)
+        for row, x in zip(pairing, acc or ()):
+            if x:
+                row[j] = x
+    rhs = [sum(1 << c for c in r) | 1 << ncols if gf2 else {**r, ncols: F.one} for r in pairing]
+    system = FieldMatrix._packed(F, [*rows.values(), *rhs], ncols + 1)
     spaces = []
-    for solution in solution_spaces(system, nrows):
+    for solution in solution_spaces(system, len(rows)):
         if solution is None:
             raise ValueError(
                 "class admits no witness chain in the box; "
                 "check the problem setup"
             )
         particular, kernel = solution
-        if F.kind == "gf2":
+        if gf2:
             spaces.append(Gf2AffineSpace(ncols, particular, kernel))
         else:
             # in reduced echelon form each pivot column lies in one basis

@@ -1,3 +1,4 @@
+import importlib.util
 import itertools
 import math
 import os
@@ -9,7 +10,7 @@ from plateau.cochain import coboundary_space, restriction_image
 from plateau.lattice import Cell, CubicalComplex, GridSpec, cell_measure
 from plateau.linalg import GF2
 from plateau.linking import DualLoop
-from plateau.scenarios import build_problem, load_scenario, run
+from plateau.scenarios import build_problem, load_scenario, run, scenario_from_dict
 from plateau.solver import cell_weight
 from plateau.spanning import SpanningProblem, Surface, canonical_L
 from plateau.witness import build_witness_system
@@ -31,6 +32,21 @@ def scenario_path(name: str) -> str:
 
 def load(name: str):
     return load_scenario(scenario_path(name))
+
+
+def bench_instances(workload: str, seed: int) -> list[dict]:
+    """A benchmark workload's scenario dicts, from its generator."""
+    path = os.path.join(os.path.dirname(__file__), "..", "bench", "generate.py")
+    spec = importlib.util.spec_from_file_location("bench_generate", path)
+    generate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generate)
+    return generate.GENERATORS[workload](seed)
+
+
+def bench_problem(workload: str, seed: int, name: str) -> SpanningProblem:
+    """The named instance of a benchmark workload, built."""
+    [raw] = [d for d in bench_instances(workload, seed) if d["name"] == name]
+    return build_problem(scenario_from_dict(raw))
 
 
 def n4_sphere_problem() -> SpanningProblem:

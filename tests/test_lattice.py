@@ -9,6 +9,8 @@ from plateau.lattice import (
     Cell,
     CubicalComplex,
     GridSpec,
+    HalfLattice,
+    box_cells,
     build_skeleton,
     cell_measure,
     cofaces,
@@ -94,6 +96,45 @@ def test_cube_faces_and_incidences():
         (Cell((1, 2, 4), 0b001), -1), (Cell((1, 2, 3), 0b001), 1),
     ]
     assert square.corners() == [(1, 2, 3), (1, 2, 4), (2, 2, 3), (2, 2, 4)]
+
+
+BOXES = st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.tuples(st.integers(-3, 2), st.integers(1, 3 if n <= 3 else 2)).map(
+        lambda lw: (lw[0], lw[0] + lw[1])), min_size=n, max_size=n))
+
+
+@given(box=BOXES, data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_half_lattice_ids(box, data):
+    """Half-lattice ids number a box's cells of every dimension one to one
+    onto 0..prod(2 w_a + 1) - 1, as the defining sum says; each face of a
+    cell lies at id +- strides[a], and the face table gives
+    `boundary_incidences`' faces and signs in its order."""
+    n = len(box)
+    H = HalfLattice(box)
+    widths = [2 * (hi - lo) + 1 for lo, hi in box]
+    strides = [1]
+    for w in widths[:-1]:
+        strides.append(strides[-1] * w)
+    assert H.strides == strides
+    cells = [c for d in range(n + 1) for c in box_cells(box, d)]
+    ids = [H.id(c) for c in cells]
+    assert ids == [
+        sum((2 * (x - lo) + (c.free_axes >> a & 1)) * s
+            for a, (x, (lo, _), s) in enumerate(zip(c.anchor, box, strides)))
+        for c in cells
+    ]
+    total = 1
+    for w in widths:
+        total *= w
+    assert sorted(ids) == list(range(total))
+    d = data.draw(st.integers(1, n))
+    for c in box_cells(box, d):
+        at = H.id(c)
+        assert {H.id(f) for f in c.faces()} == {
+            at + sign * strides[a] for a in c.axes() for sign in (1, -1)}
+        assert [(at + offset, sign) for offset, sign in H.faces[c.free_axes]] == [
+            (H.id(f), sign) for f, sign in boundary_incidences(c)]
 
 
 def test_cofaces_inverse_of_faces():

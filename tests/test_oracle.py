@@ -1,4 +1,3 @@
-import importlib.util
 import json
 import os
 import random
@@ -26,7 +25,10 @@ from plateau.solver import SolverConfig, solve, surface_weight
 from plateau.spanning import CohomologyClass, SpanningProblem, spans
 from plateau.witness import build_witness_system
 
-from conftest import SCENARIO_NAMES, load, n4_sphere_problem, rectangle_loops, scenario_path
+from conftest import (
+    SCENARIO_NAMES, bench_instances, bench_problem, load, n4_sphere_problem, rectangle_loops,
+    scenario_path,
+)
 
 GF3 = {"kind": "gfp", "p": 3}
 
@@ -52,17 +54,8 @@ def test_crop_keeps_nonconstant_axes(torus_problem):
     assert cropped.grid.box[2] == (1, 3)
 
 
-def _certify_instances(seed: int) -> list[dict]:
-    """The certify benchmark's scenario dicts, from its generator."""
-    path = os.path.join(os.path.dirname(__file__), "..", "bench", "generate.py")
-    spec = importlib.util.spec_from_file_location("bench_generate", path)
-    generate = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(generate)
-    return generate.certify_instances(seed)
-
-
 CROP_CASES = [(name, load(name).raw) for name in SCENARIO_NAMES] + [
-    (d["name"], d) for d in _certify_instances(1)
+    (d["name"], d) for d in bench_instances("certify", 1)
 ]
 
 
@@ -122,13 +115,18 @@ def test_loop_masks_are_forcing(tiny_problem, tiny_system):
 
 @pytest.mark.parametrize("name", [
     "rings_tiny", "rings_tiny-cropped", "torus", "n4_sphere",
-    "sphere_shell", "disk3",
+    "sphere_shell", "disk3", "rings-wide5",
 ])
 def test_loop_masks_match_walked_loops(name):
     """The catalogue's prefix-XOR masks are exactly the masks of the walked
-    rectangle loops, deduplicated, sorted and filtered the same way."""
+    rectangle loops, deduplicated, sorted and filtered the same way: kept
+    iff odd on some space's particular and even on each of its basis
+    vectors, one vector at a time.  rings-wide5 is the seed-1 certify
+    instance, cropped as the oracle crops it (three classes, 52-vector bases)."""
     if name == "n4_sphere":
         problem = n4_sphere_problem()
+    elif name == "rings-wide5":
+        problem = crop_problem(bench_problem("certify", 1, name))
     else:
         problem = build_problem(load(name.removesuffix("-cropped")))
         if name.endswith("-cropped"):

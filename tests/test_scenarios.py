@@ -1,8 +1,14 @@
+import contextlib
+import copy
+import io
 import json
 import os
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plateau.cli import main
 from plateau.lattice import Cell, CubicalComplex, build_skeleton, connected_components
@@ -328,6 +334,76 @@ def test_cli_error_paths(tmp_path, capsys):
     for seconds in ("0", "-1.5", "nan"):
         assert main(["oracle", scenario_path("disk3"), "--time-limit", seconds]) == 2
         assert "time_limit" in capsys.readouterr().err
+
+
+# Fields the loader reads as an integer, an integer pair, a list of pairs, an
+# object or the boundary tag; the required ones may also go missing.
+REQUIRED_FIELDS = {
+    ("grid",), ("grid", "n"), ("grid", "k"), ("grid", "box"), ("boundary",),
+    ("boundary", "tag"), ("boundary", "spacing"), ("m",), ("seed",),
+}
+
+
+def _fuzz_fields(raw: dict) -> list[tuple[tuple, str]]:
+    """(path, shape) of every such field of a scenario dict."""
+    fields = [(("grid",), "object"), (("boundary",), "object"), (("boundary", "tag"), "tag"),
+              (("grid", "n"), "int"), (("grid", "k"), "int"), (("m",), "int"),
+              (("seed",), "int"), (("grid", "box"), "pairs")]
+    fields += [(("grid", "box", a, i), "int") for a in range(raw["grid"]["n"]) for i in (0, 1)]
+    for key, value in raw["boundary"].items():
+        if key != "tag":
+            shape = ("int" if isinstance(value, int)
+                     else "pair" if isinstance(value[0], int) else "pairs")
+            fields.append((("boundary", key), shape))
+    return fields
+
+
+FUZZ_CASES = [
+    (name, path, shape) for name in ("disk3", "rings_tiny", "torus", "sphere_shell")
+    for path, shape in _fuzz_fields(load(name).raw)
+]
+SMALL = st.integers(-3, 3)
+WRONG_TYPE = {
+    "int": st.one_of(st.text(max_size=3), st.none(), st.lists(SMALL, max_size=2)),
+    "pair": st.one_of(st.text(max_size=3), st.none(), SMALL,
+                      st.dictionaries(st.text(max_size=2), SMALL, max_size=2)),
+    "object": st.one_of(st.text(max_size=3), st.none(), SMALL, st.lists(SMALL, max_size=2)),
+    "tag": st.one_of(st.none(), SMALL, st.lists(SMALL, max_size=2)),
+}
+WRONG_TYPE["pairs"] = WRONG_TYPE["pair"]
+
+
+@given(case=st.sampled_from(FUZZ_CASES), data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_malformed_scenario_exits_2(case, data):
+    """A shipped scenario broken at one known field (a wrong type, a missing
+    required key, a non-integral number or a boolean) makes `plateau solve`
+    exit 2 with an error line, never run or raise."""
+    name, path, shape = case
+    raw = copy.deepcopy(load(name).raw)
+    breaks = ["type", "fraction", "boolean"] + ["missing"] * (path in REQUIRED_FIELDS)
+    how = data.draw(st.sampled_from(breaks))
+    *parents, last = path
+    holder = raw
+    for key in parents:
+        holder = holder[key]
+    if how == "missing":
+        del holder[last]
+    else:
+        holder[last] = data.draw({
+            "type": WRONG_TYPE[shape],
+            "fraction": st.floats(-8, 8).filter(lambda x: not x.is_integer()),
+            "boolean": st.booleans(),
+        }[how])
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario = os.path.join(tmp, "broken.json")
+        with open(scenario, "w") as fh:
+            json.dump(raw, fh)
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["solve", scenario])
+    assert code == 2, (path, raw)
+    assert err.getvalue().startswith("error:")
 
 
 def _far_corner_density(kind: str, box, free: tuple[int, ...]) -> dict:

@@ -17,7 +17,7 @@ from plateau.solver import (
 from plateau.spanning import Surface
 from plateau.witness import Gf2AffineSpace, GenericAffineSpace, build_witness_system
 
-from conftest import scenario_path
+from conftest import bench_problem, n4_sphere_problem, scenario_path
 
 FIELD_SPECS = {"gf2": "gf2", "gf3": {"kind": "gfp", "p": 3}, "rational": "rational"}
 
@@ -211,14 +211,28 @@ def _witness_digest(system) -> str:
     ("disk3", "rational", "e2a121676066ba83"),
     ("torus", "gf3", "63df5f44c2f73f0e"),
     ("torus", "rational", "29e9272debf86ab4"),
-], ids=["disk3-gf3", "disk3-rational", "torus-gf3", "torus-rational"])
+    ("rings_tiny", "gf2", "0b9e5be0474b3507"),
+    ("torus", "gf2", "7a8060e5834d9804"),
+    ("sphere_shell", "gf2", "66a994d6bb12558d"),
+    ("n4_sphere", "gf2", "5f4d726ff866492a"),
+    ("disk-const", "gf2", "37b08683f3f37b1f"),
+], ids=["disk3-gf3", "disk3-rational", "torus-gf3", "torus-rational", "rings_tiny-gf2",
+        "torus-gf2", "sphere_shell-gf2", "n4_sphere-gf2", "disk-const-gf2"])
 def test_generic_witness_spaces_are_pinned(name, field, digest):
-    """The GF(3) and Q witness spaces of two shipped scenarios are pinned
-    entry by entry and in basis order: the reduced echelon form is unique,
-    so a change of row form or elimination order must not move them."""
-    with open(scenario_path(name)) as fh:
-        raw = json.load(fh)
-    problem = build_problem(scenario_from_dict({**raw, "coeffs": FIELD_SPECS[field]}))
+    """Witness spaces are pinned entry by entry and in basis order: GF(3)
+    and Q on two shipped scenarios, and GF(2) on three shipped scenarios
+    (three classes; m = n - 1 with a 272-vector basis; m = n), the n = 4
+    sphere and the seed-1 solve disk-const (n = m = 2).  The reduced echelon
+    form is unique, so a change of row form, row order or elimination order
+    must not move them."""
+    if name == "n4_sphere":
+        problem = n4_sphere_problem()
+    elif name == "disk-const":
+        problem = bench_problem("solve", 1, name)
+    else:
+        with open(scenario_path(name)) as fh:
+            raw = json.load(fh)
+        problem = build_problem(scenario_from_dict({**raw, "coeffs": FIELD_SPECS[field]}))
     assert _witness_digest(build_witness_system(problem)) == digest
 
 
