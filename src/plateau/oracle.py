@@ -3,11 +3,12 @@
 Every spanning surface meets each dual-lattice loop whose crossing parity is
 odd on every witness of some class: the loop forces at least one of its
 crossed faces into the surface.  Before any search, the loop-packing LP over
-the root's loops (max sum y_g with each face's load at most its weight) gives
-a lower bound, checked exactly in integers, and its dual prices, rounded at
-1/2, give a candidate surface.  When that surface, or the solver's warm
-start, spans and weighs no more than the bound, it is certified optimal
-without a single search node.
+the root's loops (max sum y_g with each face's load at most its weight; a
+loop enters the simplex only once the dual prices violate it) gives a lower
+bound, checked exactly in integers, and its dual prices, rounded at 1/2,
+give a candidate surface.  When that surface, or the solver's warm start,
+spans and weighs no more than the bound, it is certified optimal without a
+single search node.
 
 Otherwise the search is `witness.branch_and_bound` over the whole (cropped)
 box: branching includes or excludes one m-cell at a time, exclusion
@@ -204,6 +205,7 @@ def packing_lower_bound(
 
 _EPS = 1e-9
 _Y_SCALE = 1 << 20  # exact_packing_bound floors each y_g to a multiple of 2**-20
+_ADMIT = 10  # most loops that enter the tableau in a pricing round after the first
 
 
 def loop_packing_lp(
@@ -213,15 +215,22 @@ def loop_packing_lp(
 
     Primal simplex on a sparse float tableau, one row per face that some
     loop crosses; the rows start with their slacks basic at the origin, which
-    is feasible, so there is no phase 1.  Bland's rule (the lowest-index
-    entering variable, loops before slacks, and on ratio ties the leaving
-    row with the lowest-index basic variable) rules out cycling; the simplex
-    still stops after 10 * (rows + loops) pivots, or past `deadline` (checked
-    every 8 pivots), and then returns None, as it does when rounding
-    leaves an entering column with no positive entry.
-    Otherwise it returns (y, price): y[k] for loop k, and for each crossed
-    face column the final reduced cost of its slack, which is the face's
-    value in an optimal solution of the covering LP
+    is feasible, so there is no phase 1.  Loops enter lazily: the slack
+    columns hold B^-1, so a loop's column is the sum of its faces' slack
+    columns and its reduced cost is its price sum minus 1.  At each optimum
+    over the columns so far, the violated loops (price sum below 1) enter the
+    current basis in catalogue order and face-disjoint: at the origin a
+    greedy packing of all loops, later at most `_ADMIT` per round (larger
+    batches fill in B^-1 faster).  With none violated the optimum is global.
+    Each loop enters once, and Bland's rule (the lowest-index entering
+    variable, loops before slacks, and on ratio ties the leaving row with the
+    lowest-index basic variable) rules out cycling in between, so the simplex
+    ends; it still stops after 10 * (rows + loops) pivots, or past `deadline`
+    (checked every 8 pivots), and then returns None, as it does when rounding
+    leaves an entering column with no positive entry.  Otherwise it returns
+    (y, price): y[k] for loop k, and for each crossed face column the final
+    reduced cost of its slack, which is the face's value in an optimal
+    solution of the covering LP
     min sum w_e x_e s.t. sum over e in g of x_e >= 1.  No float decides a
     result: `exact_packing_bound` checks y, and the spanning test checks the
     rounded prices.
@@ -229,18 +238,15 @@ def loop_packing_lp(
     faces = sorted({e for g in loops for e in bit_indices(g)})
     row_of = {e: i for i, e in enumerate(faces)}
     nl, obj = len(loops), len(faces)
+    cols = [[row_of[e] for e in bit_indices(g)] for g in loops]
     # rows[i] for face i, basic variable basic[i] (loop k, or nl + i for the
     # face's slack); rows[obj] holds the objective's reduced costs
     rows: list[dict[int, float]] = [{nl + i: 1.0} for i in range(obj)] + [{}]
     holders = {nl + i: {i} for i in range(obj)}  # variable -> rows holding it
-    for k, g in enumerate(loops):
-        holders[k] = {row_of[e] for e in bit_indices(g)}
-        for i in holders[k]:
-            rows[i][k] = 1.0
-        rows[obj][k] = -1.0
-        holders[k].add(obj)
     rhs = [float(weights[e]) for e in faces] + [0.0]
     basic = list(range(nl, nl + obj))
+    idle = list(range(nl))  # loops not yet in the tableau, in catalogue order
+    cap = nl  # most loops admitted in a pricing round: all of them at the origin
 
     for it in range(10 * (obj + nl)):
         if it % 8 == 0 and time.monotonic() > deadline:
@@ -248,11 +254,30 @@ def loop_packing_lp(
         cost = rows[obj]
         enter = min((j for j, c in cost.items() if c < -_EPS), default=None)
         if enter is None:
-            y = [0.0] * nl
-            for i, j in enumerate(basic):
-                if j < nl:
-                    y[j] = rhs[i]
-            return y, {e: cost.get(nl + i, 0.0) for i, e in enumerate(faces)}
+            price = [cost.get(nl + i, 0.0) for i in range(obj)]
+            used, admitted = 0, []
+            for k in idle:
+                if loops[k] & used:
+                    continue
+                s = sum(map(price.__getitem__, cols[k]))
+                if s < 1 - _EPS:
+                    used |= loops[k]
+                    admitted.append(k)
+                    col: dict[int, float] = {}
+                    for i in cols[k]:
+                        for r in holders[nl + i]:
+                            col[r] = col.get(r, 0.0) + rows[r][nl + i]
+                    col[obj] = s - 1.0
+                    holders[k] = {r for r, a in col.items() if abs(a) > _EPS}
+                    for r in holders[k]:
+                        rows[r][k] = col[r]
+                    if len(admitted) == cap:
+                        break
+            if not admitted:
+                value = dict(zip(basic, rhs))
+                return [value.get(k, 0.0) for k in range(nl)], dict(zip(faces, price))
+            idle = [k for k in idle if k not in holders]  # admitted loops have holders
+            enter, cap = admitted[0], _ADMIT
         leave, ratio = None, 0.0
         for i in holders[enter]:
             a = rows[i][enter]

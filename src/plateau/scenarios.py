@@ -122,7 +122,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         coeffs = Coeffs("gfp", _as_int(kind["p"], "coeffs.p"))
     else:
         raise ValueError(f"unknown coefficient field {kind!r}")
-    density = _density_from_dict(_block(data, "density", {"kind": "constant"}))
+    density = _density_from_dict(_block(data, "density", {"kind": "constant"}), grid.n)
     solver_cfg = _solver_from_dict(_block(data, "solver", {}))
     diag = parse_diagnostics(data.get("diagnostics", "all"))
     return Scenario(
@@ -181,7 +181,7 @@ def _block(data: dict, key: str, default: Optional[dict] = None) -> dict:
     return value
 
 
-def _density_from_dict(d: dict) -> DensityField:
+def _density_from_dict(d: dict, n: int) -> DensityField:
     kind = d.get("kind", "constant")
     kwargs: dict[str, Any] = {"kind": kind}
     for key in ("value", "offset", "slope", "a", "b", "hoelder_alpha", "hoelder_const"):
@@ -189,10 +189,10 @@ def _density_from_dict(d: dict) -> DensityField:
             kwargs[key] = parse_rational(d[key])
     for key in ("coeffs", "center"):
         if key in d:
-            if not isinstance(d[key], (list, tuple)):
-                raise ValueError(
-                    f"scenario field density.{key} must be a list of rationals, got {d[key]!r}"
-                )
+            # a shorter list leaves the trailing axes unused; a longer one is an error
+            if not isinstance(d[key], (list, tuple)) or len(d[key]) > n:
+                raise ValueError(f"scenario field density.{key} must be a list of at most "
+                                 f"{n} rationals, got {d[key]!r}")
             kwargs[key] = tuple(parse_rational(v) for v in d[key])
     if "a" not in kwargs or "b" not in kwargs:
         lo, hi = _density_range_hint(kwargs)

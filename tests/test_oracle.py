@@ -5,6 +5,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plateau.lattice import CubicalComplex
 from plateau.linalg import bit_indices
@@ -297,6 +299,7 @@ def test_budget_stopped_search_with_loops_is_pinned(monkeypatch):
     ("torus", Fraction(9, 2)),
     ("rings-wide4", 32),
     ("rings_d1", 40),
+    ("rings_d3", 75),
 ])
 def test_root_lp_certifies_without_search(name, optimum):
     """The cold root LP certifies every loop-bearing instance at node 0, so a
@@ -327,6 +330,39 @@ def _loads(loops, y):
         for e in bit_indices(g):
             load[e] = load.get(e, 0) + Fraction(v)
     return load
+
+
+@st.composite
+def packing_instances(draw):
+    """1-30 loop masks over at most 16 faces, some of them repeats, sub- or
+    super-masks of earlier ones; weights 1-5, or all 1 (degenerate)."""
+    nfaces = draw(st.integers(1, 16))
+    loops = []
+    for _ in range(draw(st.integers(1, 30))):
+        g = sum(1 << e for e in draw(st.sets(st.integers(0, nfaces - 1), min_size=1)))
+        if loops and draw(st.booleans()):
+            h = draw(st.sampled_from(loops))
+            g = draw(st.sampled_from([h, h & g or h, h | g]))
+        loops.append(g)
+    if draw(st.booleans()):
+        return loops, [1] * nfaces
+    return loops, draw(st.lists(st.integers(1, 5), min_size=nfaces, max_size=nfaces))
+
+
+@given(packing_instances())
+@settings(max_examples=300, deadline=None)
+def test_loop_packing_lp_is_optimal(instance):
+    """y is a feasible packing, the prices a feasible cover, and their values
+    agree, so both are optimal; the exact bound never exceeds the LP value."""
+    loops, weights = instance
+    y, price = loop_packing_lp(loops, weights)
+    tol = 1e-6
+    assert min(y) >= -tol
+    assert all(x <= weights[e] + tol for e, x in _loads(loops, y).items())
+    assert min(price.values()) >= -tol
+    assert all(sum(price[e] for e in bit_indices(g)) >= 1 - tol for g in loops)
+    assert abs(sum(y) - sum(weights[e] * x for e, x in price.items())) <= tol
+    assert exact_packing_bound(loops, y, weights) <= sum(y) + tol
 
 
 @pytest.mark.parametrize("name, value", [("rings_tiny", 21), ("torus", 36)])
@@ -387,7 +423,7 @@ def test_search_stop_reasons():
 
 def test_deadline_stops_catalogue_and_root_lp():
     """The time limit holds before the search too.  Under 1 ms, rings_d3,
-    whose catalogue and root LP alone take half a second, stops at 0 nodes
+    whose catalogue and root LP take tens of milliseconds, stops at 0 nodes
     with the full fill and the bound it has; a passed deadline gives no
     loops and no LP solution."""
     problem = build_problem(load("rings_d3"))

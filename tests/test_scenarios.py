@@ -315,6 +315,8 @@ def test_cli_error_paths(tmp_path, capsys):
         ("solver.max_passes", {"solver": {"max_passes": None}}),
         ("boundary.origin", {"boundary": {"tag": "disk", "origin": 5}}),
         ("density.coeffs", {"density": {"kind": "coordinate-affine", "coeffs": 5}}),
+        ("density.coeffs", {"density": {"kind": "coordinate-affine",
+                                        "coeffs": ["1/8", "0", "0", "5"]}}),
         ("L[0].cochain", {"L": [{"cochain": 5}]}),
         ("field m ", {"m": 0}),
         ("field m ", {"m": 2.7}),
@@ -328,6 +330,11 @@ def test_cli_error_paths(tmp_path, capsys):
         path.write_text(json.dumps({**raw, **change}))
         assert main(["solve", str(path)]) == 2
         assert field in capsys.readouterr().err
+    torus = load("torus").raw
+    path.write_text(json.dumps(
+        {**torus, "density": {**torus["density"], "center": ["3", "1", "0", "2"]}}))
+    assert main(["solve", str(path)]) == 2
+    assert "density.center" in capsys.readouterr().err
     for budget in ("0", "-3"):
         assert main(["oracle", scenario_path("disk3"), "--budget", budget]) == 2
         assert "budget" in capsys.readouterr().err
@@ -337,7 +344,8 @@ def test_cli_error_paths(tmp_path, capsys):
 
 
 # Fields the loader reads as an integer, an integer pair, a list of pairs, an
-# object or the boundary tag; the required ones may also go missing.
+# object, a tag, a rational or a list of rationals; the required ones may
+# also go missing.
 REQUIRED_FIELDS = {
     ("grid",), ("grid", "n"), ("grid", "k"), ("grid", "box"), ("boundary",),
     ("boundary", "tag"), ("boundary", "spacing"), ("m",), ("seed",),
@@ -355,12 +363,22 @@ def _fuzz_fields(raw: dict) -> list[tuple[tuple, str]]:
             shape = ("int" if isinstance(value, int)
                      else "pair" if isinstance(value[0], int) else "pairs")
             fields.append((("boundary", key), shape))
+    if "density" in raw:
+        fields += [(("density",), "object"), (("density", "kind"), "tag")]
+        fields += [(("density", key), "rationals" if key in ("coeffs", "center") else "rational")
+                   for key in raw["density"] if key != "kind"]
     return fields
 
 
+# the shipped scenarios, plus disk3 with an affine and a constant density,
+# so that every density field the loader reads appears in some base
+FUZZ_BASES = {name: load(name).raw for name in ("disk3", "rings_tiny", "torus", "sphere_shell")}
+FUZZ_BASES["disk3-affine"] = {**FUZZ_BASES["disk3"], "density": {
+    "kind": "coordinate-affine", "coeffs": ["1/8", "0"], "offset": "1", "a": "1", "b": "2",
+    "hoelder_alpha": "1", "hoelder_const": "1/8"}}
+FUZZ_BASES["disk3-constant"] = {**FUZZ_BASES["disk3"], "density": {"kind": "constant", "value": "3/2"}}
 FUZZ_CASES = [
-    (name, path, shape) for name in ("disk3", "rings_tiny", "torus", "sphere_shell")
-    for path, shape in _fuzz_fields(load(name).raw)
+    (name, path, shape) for name, raw in FUZZ_BASES.items() for path, shape in _fuzz_fields(raw)
 ]
 SMALL = st.integers(-3, 3)
 WRONG_TYPE = {
@@ -371,17 +389,24 @@ WRONG_TYPE = {
     "tag": st.one_of(st.none(), SMALL, st.lists(SMALL, max_size=2)),
 }
 WRONG_TYPE["pairs"] = WRONG_TYPE["pair"]
+# no text here parses as a rational
+WRONG_TYPE["rational"] = st.one_of(st.text("xy/ .", max_size=3), st.none(),
+                                   st.lists(SMALL, max_size=2))
+WRONG_TYPE["rationals"] = st.one_of(WRONG_TYPE["rational"].filter(lambda v: type(v) is not list),
+                                    SMALL, st.lists(WRONG_TYPE["rational"], min_size=1, max_size=2))
 
 
 @given(case=st.sampled_from(FUZZ_CASES), data=st.data())
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=200, deadline=None)
 def test_malformed_scenario_exits_2(case, data):
     """A shipped scenario broken at one known field (a wrong type, a missing
-    required key, a non-integral number or a boolean) makes `plateau solve`
-    exit 2 with an error line, never run or raise."""
+    required key, a non-integral number, a boolean, or a density tuple longer
+    than n) makes `plateau solve` exit 2 with an error line, never run or
+    raise."""
     name, path, shape = case
-    raw = copy.deepcopy(load(name).raw)
+    raw = copy.deepcopy(FUZZ_BASES[name])
     breaks = ["type", "fraction", "boolean"] + ["missing"] * (path in REQUIRED_FIELDS)
+    breaks += ["long"] * (shape == "rationals")
     how = data.draw(st.sampled_from(breaks))
     *parents, last = path
     holder = raw
@@ -389,6 +414,10 @@ def test_malformed_scenario_exits_2(case, data):
         holder = holder[key]
     if how == "missing":
         del holder[last]
+    elif how == "long":
+        n = raw["grid"]["n"]
+        holder[last] = holder[last] + data.draw(st.lists(
+            st.sampled_from(["0", "5", "1/8"]), min_size=n + 1 - len(holder[last]), max_size=n + 2))
     else:
         holder[last] = data.draw({
             "type": WRONG_TYPE[shape],
