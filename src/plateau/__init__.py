@@ -23,7 +23,7 @@ from .lattice import (
     export_off,
 )
 from .linalg import GF2, RATIONAL, Coeffs, FieldMatrix, Subspace
-from .cochain import CellIndexing, boundary_matrix, cohomology, restriction_image
+from .cochain import CellIndexing, cohomology, restriction_image
 from .spanning import (
     CohomologyClass,
     SpanningProblem,
@@ -33,7 +33,7 @@ from .spanning import (
     relative_coboundary_dominates,
     spans,
 )
-from .linking import DualLoop, bounding_chain, linking_number
+from .linking import DualLoop
 from .witness import WitnessSystem, build_witness_system
 from .solver import (
     SolveReport,
@@ -41,7 +41,6 @@ from .solver import (
     greedy_minimize,
     initial_fill,
     local_replace,
-    skeleton_push,
     solve,
     surface_weight,
 )

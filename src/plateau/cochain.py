@@ -52,19 +52,6 @@ class CellIndexing:
         return self._pos[d]
 
 
-def boundary_matrix(X: CubicalComplex, d: int, coeffs: Coeffs,
-                    indexing: Optional[CellIndexing] = None) -> FieldMatrix:
-    """Boundary operator C_d(X) -> C_{d-1}(X); rows are (d-1)-cells."""
-    idx = indexing or CellIndexing(X)
-    cols = idx.order(d)
-    rows = idx.position(d - 1)
-    M = FieldMatrix(coeffs, len(rows), len(cols))
-    for j, c in enumerate(cols):
-        for f, sign in boundary_incidences(c):
-            M[rows[f], j] = sign
-    return M
-
-
 class CochainComplexData:
     """Coboundary matrices of one complex over one field, cached per degree."""
 

@@ -6,8 +6,8 @@ so span membership and rank growth need no re-reduction.  GF(2) rows are
 packed into Python ints; other fields use sparse dict rows, column -> nonzero
 int mod p or Fraction.  Rows are replaced, never changed in place, so
 echelons, matrices and subspaces share them; `_dense` gives a row's entry
-list where it leaves the module.  `solve`, `kernel_basis` and
-`solution_spaces` read solutions off one echelon in the same way.
+list where it leaves the module.  `kernel_basis` and `solution_spaces`
+read solutions off one echelon in the same way.
 """
 
 from __future__ import annotations
@@ -244,13 +244,14 @@ class FieldMatrix:
     """Exact matrix over a field, stored as rows in internal form: packed
     ints over GF(2), sparse dicts otherwise."""
 
-    def __init__(self, coeffs: Coeffs, rows: int, cols: int):
-        if rows < 0 or cols < 0:
+    def __init__(self, coeffs: Coeffs, rows: list, cols: int):
+        """Matrix taking ownership of rows already in internal form."""
+        if cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         self.coeffs = coeffs
-        self.rows = rows
+        self.rows = len(rows)
         self.cols = cols
-        self._rows: list = [0 if coeffs.kind == "gf2" else {} for _ in range(rows)]
+        self._rows = rows
 
     def __getitem__(self, ij):
         i, j = ij
@@ -258,26 +259,13 @@ class FieldMatrix:
             return self._rows[i] >> j & 1
         return self._rows[i].get(j, self.coeffs.zero)
 
-    def __setitem__(self, ij, v) -> None:
-        i, j = ij
-        v = self.coeffs.reduce(v)
-        if self.coeffs.kind == "gf2":
-            if self._rows[i] >> j & 1 != v:
-                self._rows[i] ^= 1 << j
-        else:
-            # the row may be shared: replace it
-            row = {**self._rows[i], j: v}
-            if not v:
-                del row[j]
-            self._rows[i] = row
-
     def row(self, i: int) -> list:
         return _dense(self.coeffs, self._rows[i], self.cols)
 
     @classmethod
     def from_rows(cls, coeffs: Coeffs, rows: Sequence[Sequence], cols: int):
         """Matrix with the given rows; a short row is padded with zeros."""
-        return cls._packed(coeffs, [_to_row(coeffs, r, cols) for r in rows], cols)
+        return cls(coeffs, [_to_row(coeffs, r, cols) for r in rows], cols)
 
     @classmethod
     def from_sparse_rows(cls, coeffs: Coeffs, rows: Sequence[Iterable[tuple[int, object]]],
@@ -295,15 +283,7 @@ class FieldMatrix:
                 elif v != x >> j & 1:
                     x ^= 1 << j
             out.append(x if coeffs.kind == "gf2" else {j: v for j, v in x.items() if v})
-        return cls._packed(coeffs, out, cols)
-
-    @classmethod
-    def _packed(cls, coeffs: Coeffs, rows: list, cols: int) -> "FieldMatrix":
-        """Matrix taking ownership of rows already in internal form."""
-        out = cls(coeffs, 0, cols)
-        out.rows = len(rows)
-        out._rows = rows
-        return out
+        return cls(coeffs, out, cols)
 
     def transpose(self) -> "FieldMatrix":
         """The transposed matrix: row j holds column j of this one."""
@@ -313,12 +293,12 @@ class FieldMatrix:
                 bit = 1 << i
                 for j in bit_indices(r):
                     cols[j] |= bit
-            return FieldMatrix._packed(self.coeffs, cols, self.rows)
+            return FieldMatrix(self.coeffs, cols, self.rows)
         cols = [{} for _ in range(self.cols)]
         for i, r in enumerate(self._rows):
             for j, x in r.items():
                 cols[j][i] = x
-        return FieldMatrix._packed(self.coeffs, cols, self.rows)
+        return FieldMatrix(self.coeffs, cols, self.rows)
 
     def apply(self, v: Sequence) -> list:
         """Matrix-vector product M @ v."""
@@ -349,7 +329,7 @@ def row_reduce(M: FieldMatrix) -> tuple[FieldMatrix, int, list[int]]:
         E.add(r)
     pivots = sorted(E.rows)
     zero_rows = [0 if F.kind == "gf2" else {} for _ in range(M.rows - len(pivots))]
-    R = FieldMatrix._packed(F, [E.rows[c] for c in pivots] + zero_rows, M.cols)
+    R = FieldMatrix(F, [E.rows[c] for c in pivots] + zero_rows, M.cols)
     return R, len(pivots), pivots
 
 
@@ -428,16 +408,6 @@ class Subspace:
         return out
 
 
-def _augmented_echelon(M: FieldMatrix, rhs: Sequence):
-    """Echelon of the augmented matrix [M | rhs]."""
-    F = M.coeffs
-    E = _echelon(F)
-    for r, b in zip(M._rows, rhs):
-        b = F.reduce(b)
-        E.add(r | b << M.cols if F.kind == "gf2" else ({**r, M.cols: b} if b else r))
-    return E
-
-
 def _read_off(E, cols: int) -> Optional[tuple]:
     """(particular, kernel rows) of the augmented system held by E.
 
@@ -473,22 +443,11 @@ def _read_off(E, cols: int) -> Optional[tuple]:
 
 def kernel_basis(M: FieldMatrix) -> Subspace:
     """Basis of the right null space {v : M v = 0}."""
-    _, kernel = _read_off(_augmented_echelon(M, [0] * M.rows), M.cols)
+    E = _echelon(M.coeffs)
+    for r in M._rows:
+        E.add(r)
+    _, kernel = _read_off(E, M.cols)
     return Subspace(M.coeffs, M.cols, kernel)
-
-
-def solve(M: FieldMatrix, b: Sequence) -> Optional[list]:
-    """Some x with M x = b, or None iff b is outside the column space."""
-    if len(b) != M.rows:
-        raise ValueError("dimension mismatch in solve")
-    F = M.coeffs
-    solution = _read_off(_augmented_echelon(M, b), M.cols)
-    if solution is None:
-        return None
-    x = _dense(F, solution[0], M.cols)
-    if M.apply(x) != [F.reduce(v) for v in b]:
-        raise AssertionError("solve returned x with M x != b")
-    return x
 
 
 def solution_spaces(M: FieldMatrix, shared: int) -> list[Optional[tuple]]:

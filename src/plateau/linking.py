@@ -1,22 +1,18 @@
-"""Linking numbers of dual-lattice loops with boundary components (n=3, m=2).
+"""Dual-lattice loops and the grid faces they cross.
 
 Loops run through voxel centers (dual lattice), so every step crosses exactly
-one grid face transversally.  The linking number with a closed curve component
-is the signed count of crossings with an explicit integral 2-chain bounding
-the curve, built by an axis-sweep prism construction.
-
-This module serves linking-number checks (acceptance criterion 5) and the
-tests; the oracle computes its loops' crossing masks from witness columns.
+one grid face transversally, with a sign.  Paired with a bounding chain of a
+boundary curve, the signed crossings give a linking number; the tests build
+those chains.  The oracle computes its loops' crossing masks from prefix
+words instead, and the tests walk loops through `crossed_faces` as its
+reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
 
-from .cochain import boundary_incidences
-from .lattice import Cell, CubicalComplex, GridSpec
-from .spanning import fundamental_cycle
+from .lattice import Cell, GridSpec
 
 
 @dataclass(frozen=True)
@@ -70,84 +66,3 @@ def crossed_faces(loop: DualLoop, grid: GridSpec) -> list[tuple[Cell, int]]:
         if grid.contains_cell(face):
             out.append((face, sign))
     return out
-
-
-def bounding_chain(
-    cycle: dict[Cell, int], grid: GridSpec, axis_order: Optional[Sequence[int]] = None
-) -> dict[Cell, int]:
-    """An integral 2-chain F with boundary equal to the given 1-cycle.
-
-    Sweeps the cycle to the low box corner one axis at a time; the shadow
-    faces of each swept edge telescope so the boundary works out exactly.
-    Raises if the input is not a cycle.
-    """
-    order = list(axis_order) if axis_order is not None else list(range(grid.n))
-    F: dict[Cell, int] = {}
-    cur = {c: v for c, v in cycle.items() if v}
-    for c in cur:
-        if c.dim != 1:
-            raise ValueError("bounding_chain expects a 1-chain")
-    for axis in order:
-        low = grid.box[axis][0]
-        nxt: dict[Cell, int] = {}
-        for edge, coeff in cur.items():
-            f = edge.axes()[0]
-            if f == axis:
-                continue  # absorbed by the shadow walls of the other edges
-            sigma = 1 if axis < f else -1
-            mask = 1 << axis | 1 << f
-            for t in range(low, edge.anchor[axis]):
-                anchor = list(edge.anchor)
-                anchor[axis] = t
-                face = Cell(tuple(anchor), mask)
-                F[face] = F.get(face, 0) + sigma * coeff
-            proj_anchor = list(edge.anchor)
-            proj_anchor[axis] = low
-            proj = Cell(tuple(proj_anchor), edge.free_axes)
-            nxt[proj] = nxt.get(proj, 0) + coeff
-        cur = {c: v for c, v in nxt.items() if v}
-    if cur:
-        raise ValueError("input 1-chain is not a cycle")
-    F = {c: v for c, v in F.items() if v}
-    # edges parallel to a sweep axis are silently absorbed above, so a
-    # non-cycle can survive the telescoping; verify the boundary explicitly
-    if chain_boundary(F) != {c: v for c, v in cycle.items() if v}:
-        raise ValueError("input 1-chain is not a cycle")
-    return F
-
-
-def chain_boundary(chain: dict[Cell, int]) -> dict[Cell, int]:
-    out: dict[Cell, int] = {}
-    for c, coeff in chain.items():
-        for f, sign in boundary_incidences(c):
-            out[f] = out.get(f, 0) + sign * coeff
-    return {c: v for c, v in out.items() if v}
-
-
-def linking_number(
-    gamma: DualLoop, Ai: CubicalComplex, grid: GridSpec,
-    axis_order: Optional[Sequence[int]] = None,
-) -> int:
-    """Linking number of a dual loop with a closed-curve boundary component."""
-    if grid.n != 3:
-        raise ValueError("linking numbers are computed for n = 3")
-    orientation = fundamental_cycle(Ai, 2)
-    F = bounding_chain(orientation, grid, axis_order)
-    residue = chain_boundary(F)
-    if residue != {c: v for c, v in orientation.items() if v}:
-        raise AssertionError("bounding chain failed verification")
-    total = 0
-    for face, sign in crossed_faces(gamma, grid):
-        total += sign * F.get(face, 0)
-    return total
-
-
-def loop_crossing_parity(loop: DualLoop, chain_support: Iterable[Cell],
-                         grid: GridSpec) -> int:
-    """Mod-2 crossing count of a dual loop with a set of (n-1)-cells."""
-    support = set(chain_support)
-    count = 0
-    for face, _ in crossed_faces(loop, grid):
-        if face in support:
-            count ^= 1
-    return count

@@ -40,7 +40,6 @@ from .witness import WitnessSystem, branch_and_bound, build_witness_system
 class OracleConfig:
     budget: int = 500_000
     time_limit: float = 540.0
-    use_loops: bool = True
     warm_start: bool = True
 
     def __post_init__(self):
@@ -380,7 +379,7 @@ def isoperimetric_scan(
     system = build_witness_system(work)
     weights = system.weights
     a_mask = system.mask_of(work.A.cells_of_dim(work.m))
-    loops = build_loop_catalogue(system, deadline) if cfg.use_loops else []
+    loops = build_loop_catalogue(system, deadline)
 
     best_weight: Optional[int] = None
     best_mask = 0

@@ -6,14 +6,13 @@ on A iff l does not extend over X: no (m-1)-cocycle on X restricts to l.
 unknowns are the cochain's values off A; it builds no complex for X and
 takes no quotient, since coboundaries of A (and, for m = 1, constants)
 always extend.  The restriction image of H^(m-1)(X) in H^(m-1)(A), taken
-modulo A's coboundaries, answers the same question; the randomized suite
-below checks the verdict against it.
+modulo A's coboundaries, answers the same question; the tests check the
+verdict against it.
 """
 
 from __future__ import annotations
 
 import copy
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -31,7 +30,6 @@ from .lattice import (
     CubicalComplex,
     GridSpec,
     box_cells,
-    build_skeleton,
     cofaces,
     connected_components,
 )
@@ -271,20 +269,20 @@ def canonical_L(A: CubicalComplex, m: int, coeffs: Coeffs,
     """One generator class per closed-manifold component of A.
 
     Over GF(2) the generator is the indicator of a single top cell; over other
-    fields the cell is weighted by its orientation so the pairing with the
-    fundamental cycle is 1.  For m = 1 the classes live in reduced degree 0.
+    fields the cell is weighted by its orientation.  Either way the class
+    pairs to 1 with its component's fundamental cycle, so it is not zero.  For
+    m = 1 the classes are component indicators in reduced degree 0, and the
+    one component of a connected A is the constant: then there is no class.
     `comps`, when given, are A's components, already checked to be closed
-    (m-1)-manifolds.  One coboundary space drops the zero classes.
+    (m-1)-manifolds.
     """
     if comps is None:
         comps = connected_components(A)
         for comp in comps if m >= 2 else ():
             check_closed_manifold(comp, m - 1)
-    if not comps:
+    if m == 1 and len(comps) == 1:
         return []
-    A_data = CochainComplexData(A, coeffs)
-    pos = A_data.indexing.position(m - 1)
-    coboundaries = coboundary_space(A_data, m - 1, reduced=m == 1)
+    pos = CellIndexing(A).position(m - 1)
     out = []
     for ci, comp in enumerate(comps):
         rep = [coeffs.zero] * len(pos)
@@ -298,92 +296,5 @@ def canonical_L(A: CubicalComplex, m: int, coeffs: Coeffs,
             else:
                 orientation = fundamental_cycle(comp, m)
                 rep[pos[marked]] = coeffs.reduce(orientation[marked])
-        if not coboundaries.contains(rep):
-            out.append(CohomologyClass(A, m - 1, rep, label=f"component-{ci}"))
+        out.append(CohomologyClass(A, m - 1, rep, label=f"component-{ci}"))
     return out
-
-
-# ---------------------------------------------------------------------------
-# randomized structural checks
-
-
-@dataclass
-class SuiteReport:
-    trials: int
-    monotone_pass: int = 0
-    monotone_fail: int = 0
-    isolated_pass: int = 0
-    isolated_fail: int = 0
-    low_dim_pass: int = 0
-    low_dim_fail: int = 0
-    failures: list[str] = field(default_factory=list)
-
-    @property
-    def all_passed(self) -> bool:
-        return not (self.monotone_fail or self.isolated_fail or self.low_dim_fail)
-
-
-def spanning_lemma_suite(problem: SpanningProblem, trials: int, seed: int) -> SuiteReport:
-    """Randomized checks of the structural spanning facts.
-
-    - enlarging a spanning surface keeps it spanning (monotonicity);
-    - adding an isolated lower-dimensional cell never changes the verdict;
-    - complexes of dimension <= m-2 have trivial H^(m-1).
-    """
-    rng = random.Random(seed)
-    report = SuiteReport(trials=trials)
-    all_mcells = problem.box_mcells()
-    from .cochain import cohomology
-
-    for _ in range(trials):
-        base = frozenset(c for c in all_mcells if rng.random() < 0.6)
-        X = problem.surface(base)
-        verdict = spans(X)
-        extra = [c for c in all_mcells if c not in base and rng.random() < 0.3]
-        if verdict:
-            bigger = X.with_added(extra)
-            if spans(bigger):
-                report.monotone_pass += 1
-            else:
-                report.monotone_fail += 1
-                report.failures.append(f"monotonicity broken adding {extra[:3]}...")
-        else:
-            report.monotone_pass += 1
-
-        iso = _isolated_low_cell(problem, X, rng)
-        if iso is None:
-            report.isolated_pass += 1
-        else:
-            enlarged = CubicalComplex(
-                problem.grid, set(X.complex.cells) | {iso} | iso.faces()
-            )
-            image = restriction_image(enlarged, problem.A, problem.m - 1, problem.coeffs)
-            verdict2 = not any(image.contains_class(c.rep) for c in problem.L)
-            if verdict2 == verdict:
-                report.isolated_pass += 1
-            else:
-                report.isolated_fail += 1
-                report.failures.append(f"isolated cell {iso} flipped the verdict")
-
-        if problem.m >= 2:
-            low = build_skeleton(problem.grid, problem.m - 2)
-            keep = [c for c in low.cells if rng.random() < 0.5]
-            Z = CubicalComplex(problem.grid, keep)
-            h = cohomology(Z, problem.m - 1, problem.coeffs)
-            if h.dim == 0:
-                report.low_dim_pass += 1
-            else:
-                report.low_dim_fail += 1
-                report.failures.append("low-dimensional complex has H^(m-1) != 0")
-        else:
-            report.low_dim_pass += 1
-    return report
-
-
-def _isolated_low_cell(problem: SpanningProblem, X: Surface, rng) -> Optional[Cell]:
-    """A random vertex not in X's closure (safe to add in isolation)."""
-    skel = build_skeleton(problem.grid, 0)
-    candidates = [c for c in skel.sorted_cells(0) if c not in X.complex]
-    if not candidates:
-        return None
-    return rng.choice(candidates)

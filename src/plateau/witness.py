@@ -296,7 +296,7 @@ def build_witness_system(problem: SpanningProblem) -> WitnessSystem:
             if x:
                 row[j] = x
     rhs = [sum(1 << c for c in r) | 1 << ncols if gf2 else {**r, ncols: F.one} for r in pairing]
-    system = FieldMatrix._packed(F, [*rows.values(), *rhs], ncols + 1)
+    system = FieldMatrix(F, [*rows.values(), *rhs], ncols + 1)
     spaces = []
     for solution in solution_spaces(system, len(rows)):
         if solution is None:

@@ -2,18 +2,26 @@ import importlib.util
 import itertools
 import math
 import os
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable, Optional, Sequence
 
 import pytest
 
-from plateau.cochain import coboundary_space, restriction_image
-from plateau.lattice import Cell, CubicalComplex, GridSpec, cell_measure
+from plateau.cochain import boundary_incidences, coboundary_space, restriction_image
+from plateau.lattice import Cell, CubicalComplex, GridSpec, box_cells, cell_measure
 from plateau.linalg import GF2
-from plateau.linking import DualLoop
+from plateau.linking import DualLoop, crossed_faces
 from plateau.scenarios import build_problem, load_scenario, run, scenario_from_dict
 from plateau.solver import cell_weight
-from plateau.spanning import SpanningProblem, Surface, canonical_L
-from plateau.witness import build_witness_system
+from plateau.spanning import (
+    SpanningProblem,
+    Surface,
+    canonical_L,
+    fundamental_cycle,
+    relative_coboundary_dominates,
+)
+from plateau.witness import WitnessSystem, build_witness_system
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 SCENARIO_NAMES = (
@@ -56,16 +64,18 @@ def n4_sphere_problem() -> SpanningProblem:
     return SpanningProblem(A, grid, 3, canonical_L(A, 3, GF2))
 
 
-def restriction_spans(X: Surface) -> bool:
+def restriction_spans(X: Surface, K: Optional[CubicalComplex] = None) -> bool:
     """The restriction-image definition of spanning, the reference for
     `spanning.spans`: no class of L lies in the image of H^(m-1)(X) in
     H^(m-1)(A), taken modulo A's coboundaries and, for m = 1, the constants.
 
-    It restricts the whole cocycle space of X's face-closed complex to A;
-    `spans` solves one extension system over X's m-cells instead.
+    It restricts the whole cocycle space of X's face-closed complex, or of
+    the complex K holding A when one is given, to A; `spans` solves one
+    extension system over X's m-cells instead.
     """
     problem = X.problem
-    image = restriction_image(X.complex, problem.A, problem.m - 1, problem.coeffs)
+    K = X.complex if K is None else K
+    image = restriction_image(K, problem.A, problem.m - 1, problem.coeffs)
     cob = coboundary_space(image.A_data, problem.m - 1, problem.m == 1)
     return not any(image.image.sum(cob).contains(cls.rep) for cls in problem.L)
 
@@ -173,6 +183,236 @@ def rectangle_loops(grid: GridSpec) -> list[DualLoop]:
                                 + tuple(voxel(p0, t) for t in range(q1, q0, -1))
                             ))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Linking numbers of dual loops with boundary curves (n = 3): the signed
+# crossings of a loop with an integral 2-chain that bounds the curve, built
+# by an axis-sweep prism construction (acceptance criterion 5).
+
+
+def bounding_chain(
+    cycle: dict[Cell, int], grid: GridSpec, axis_order: Optional[Sequence[int]] = None
+) -> dict[Cell, int]:
+    """An integral 2-chain F with boundary equal to the given 1-cycle.
+
+    Sweeps the cycle to the low box corner one axis at a time; the shadow
+    faces of each swept edge telescope so the boundary works out exactly.
+    Raises if the input is not a cycle.
+    """
+    order = list(axis_order) if axis_order is not None else list(range(grid.n))
+    F: dict[Cell, int] = {}
+    cur = {c: v for c, v in cycle.items() if v}
+    for c in cur:
+        if c.dim != 1:
+            raise ValueError("bounding_chain expects a 1-chain")
+    for axis in order:
+        low = grid.box[axis][0]
+        nxt: dict[Cell, int] = {}
+        for edge, coeff in cur.items():
+            f = edge.axes()[0]
+            if f == axis:
+                continue  # absorbed by the shadow walls of the other edges
+            sigma = 1 if axis < f else -1
+            mask = 1 << axis | 1 << f
+            for t in range(low, edge.anchor[axis]):
+                anchor = list(edge.anchor)
+                anchor[axis] = t
+                face = Cell(tuple(anchor), mask)
+                F[face] = F.get(face, 0) + sigma * coeff
+            proj_anchor = list(edge.anchor)
+            proj_anchor[axis] = low
+            proj = Cell(tuple(proj_anchor), edge.free_axes)
+            nxt[proj] = nxt.get(proj, 0) + coeff
+        cur = {c: v for c, v in nxt.items() if v}
+    if cur:
+        raise ValueError("input 1-chain is not a cycle")
+    F = {c: v for c, v in F.items() if v}
+    # edges parallel to a sweep axis are silently absorbed above, so a
+    # non-cycle can survive the telescoping; verify the boundary explicitly
+    if chain_boundary(F) != {c: v for c, v in cycle.items() if v}:
+        raise ValueError("input 1-chain is not a cycle")
+    return F
+
+
+def chain_boundary(chain: dict[Cell, int]) -> dict[Cell, int]:
+    out: dict[Cell, int] = {}
+    for c, coeff in chain.items():
+        for f, sign in boundary_incidences(c):
+            out[f] = out.get(f, 0) + sign * coeff
+    return {c: v for c, v in out.items() if v}
+
+
+def linking_number(
+    gamma: DualLoop, Ai: CubicalComplex, grid: GridSpec,
+    axis_order: Optional[Sequence[int]] = None,
+) -> int:
+    """Linking number of a dual loop with a closed-curve boundary component."""
+    if grid.n != 3:
+        raise ValueError("linking numbers are computed for n = 3")
+    orientation = fundamental_cycle(Ai, 2)
+    F = bounding_chain(orientation, grid, axis_order)
+    residue = chain_boundary(F)
+    if residue != {c: v for c, v in orientation.items() if v}:
+        raise AssertionError("bounding chain failed verification")
+    total = 0
+    for face, sign in crossed_faces(gamma, grid):
+        total += sign * F.get(face, 0)
+    return total
+
+
+def loop_crossing_parity(loop: DualLoop, chain_support: Iterable[Cell],
+                         grid: GridSpec) -> int:
+    """Mod-2 crossing count of a dual loop with a set of (n-1)-cells."""
+    support = set(chain_support)
+    count = 0
+    for face, _ in crossed_faces(loop, grid):
+        if face in support:
+            count ^= 1
+    return count
+
+
+# ---------------------------------------------------------------------------
+# The paper's deformation step: the push of a surface onto cube frontiers,
+# with its (4n)^m shadow bound (acceptance criterion 3).  No program path
+# uses it; local_replace minimizes each region exactly instead.
+
+
+def _region_split(
+    cells: Iterable[Cell], lows: Sequence[int], highs: Sequence[int]
+) -> tuple[list[Cell], list[Cell]]:
+    """(interior, frontier) among the cells that lie in the closed region."""
+    interior, frontier = [], []
+    for c in cells:
+        inside = True
+        on_boundary = False
+        for a, (low, high) in enumerate(zip(lows, highs)):
+            lo = c.anchor[a]
+            hi = lo + (1 if c.has_axis(a) else 0)
+            if lo < low or hi > high:
+                inside = False
+                break
+            if not c.has_axis(a) and (lo == low or lo == high):
+                on_boundary = True
+        if inside:
+            (frontier if on_boundary else interior).append(c)
+    return interior, frontier
+
+
+@dataclass
+class PushOutcome:
+    surface: Surface
+    accepted: bool
+    shadow_measure: Fraction
+    interior_measure: Fraction
+
+    @property
+    def ratio_ok(self) -> bool:
+        n = self.surface.problem.grid.n
+        m = self.surface.problem.m
+        bound = Fraction(4 * n) ** m
+        return self.shadow_measure <= bound * self.interior_measure
+
+
+def _project_point(p: tuple[Fraction, ...], v: tuple[Fraction, ...]):
+    """Radial projection of v from center p onto the frontier of the 2-block."""
+    d = tuple(x - y for x, y in zip(v, p))
+    mx = max(abs(x) for x in d)
+    if mx == 0:
+        return None
+    t = 1 / mx
+    landing = tuple(y + t * x for x, y in zip(d, p))
+    facets = [
+        (a, 1 if d[a] > 0 else -1) for a in range(len(d)) if abs(d[a]) == mx
+    ]
+    return landing, facets
+
+
+def skeleton_push(X: Surface, lows: Sequence[int],
+                  system: Optional[WitnessSystem] = None) -> PushOutcome:
+    """Push X out of the open coarse block (side 2) onto its frontier.
+
+    The interior content is replaced by the boundary cells met by the radial
+    cones from the block center; the move is rolled back if the relative
+    coboundary domination fails (the continuous projection argument does not
+    automatically survive rounding to cells).
+    """
+    problem = X.problem
+    grid = problem.grid
+    n, m = grid.n, problem.m
+    highs = [lo + 2 for lo in lows]
+    box = grid.box
+    for a in range(n):
+        if not box[a][0] <= lows[a] < highs[a] <= box[a][1]:
+            raise ValueError("coarse block outside the grid box")
+    if _region_split(problem.A.cells, lows, highs)[0]:
+        raise ValueError("coarse block interior touches A")
+    block_grid = GridSpec(n, grid.k, tuple(zip(lows, highs)))
+    interior, frontier = _region_split(
+        sorted(box_cells(block_grid.box, m)), lows, highs
+    )
+    interior_set = set(interior)
+    inside_now = sorted(c for c in X.mcells if c in interior_set)
+    if not inside_now:
+        return PushOutcome(X, True, Fraction(0), Fraction(0))
+
+    center = tuple(Fraction(lo + 1) for lo in lows)
+    frontier_by_facet: dict[tuple[int, int], list[Cell]] = {}
+    for b in frontier:
+        for a in range(n):
+            if not b.has_axis(a):
+                if b.anchor[a] == lows[a]:
+                    frontier_by_facet.setdefault((a, -1), []).append(b)
+                if b.anchor[a] == highs[a]:
+                    frontier_by_facet.setdefault((a, 1), []).append(b)
+
+    shadow: set[Cell] = set()
+    for c in inside_now:
+        landings: dict[tuple[int, int], list[tuple[Fraction, ...]]] = {}
+        for corner in c.corners():
+            pt = _project_point(center, tuple(Fraction(x) for x in corner))
+            if pt is None:
+                continue
+            landing, facets = pt
+            for facet in facets:
+                landings.setdefault(facet, []).append(landing)
+        for facet, pts in landings.items():
+            axes = [a for a in range(n) if a != facet[0]]
+            los = [min(p[a] for p in pts) for a in axes]
+            his = [max(p[a] for p in pts) for a in axes]
+            for b in frontier_by_facet.get(facet, []):
+                ok = True
+                for i, a in enumerate(axes):
+                    blo = Fraction(b.anchor[a])
+                    bhi = blo + (1 if b.has_axis(a) else 0)
+                    if bhi < los[i] or blo > his[i]:
+                        ok = False
+                        break
+                if ok and b.dim == m:
+                    shadow.add(b)
+
+    shadow_measure = sum(
+        (cell_measure(b, grid) for b in shadow), Fraction(0)
+    )
+    interior_measure = sum(
+        (cell_measure(c, grid) for c in inside_now), Fraction(0)
+    )
+    bound = Fraction(4 * n) ** m
+    if shadow_measure > bound * interior_measure:
+        raise AssertionError("skeleton push exceeded the (4n)^m measure bound")
+
+    x_interior, x_frontier = _region_split(X.complex.cells, lows, highs)
+    T = CubicalComplex(block_grid, x_frontier, closed=True)
+    Xin = CubicalComplex(block_grid, x_interior + x_frontier, closed=True)
+    Y = CubicalComplex(block_grid, set(T.cells) | shadow)
+    if not relative_coboundary_dominates(Y, Xin, T, m - 1, problem.coeffs):
+        return PushOutcome(X, False, shadow_measure, interior_measure)
+    new_mcells = (X.mcells - interior_set) | shadow
+    result = Surface(problem, frozenset(new_mcells))
+    system = system or build_witness_system(problem)
+    if not system.spans_surface(result):
+        return PushOutcome(X, False, shadow_measure, interior_measure)
+    return PushOutcome(result, True, shadow_measure, interior_measure)
 
 
 @pytest.fixture(scope="session")

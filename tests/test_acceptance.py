@@ -20,7 +20,7 @@ from plateau.diagnostics import (
 )
 from plateau.lattice import Cell, CubicalComplex, GridSpec, build_skeleton, connected_components
 from plateau.linalg import GF2
-from plateau.linking import crossed_faces, linking_number, loop_crossing_parity
+from plateau.linking import crossed_faces
 from plateau.oracle import OracleConfig, isoperimetric_scan, oracle_surface
 from plateau.scenarios import _rectangle_ring, run
 from plateau.solver import (
@@ -28,14 +28,20 @@ from plateau.solver import (
     greedy_minimize,
     initial_fill,
     local_replace,
-    skeleton_push,
     solve,
     surface_weight,
 )
 from plateau.spanning import SpanningProblem, Surface, canonical_L, spans
 from plateau.witness import build_witness_system
 
-from conftest import SCENARIO_NAMES, load, rectangle_loops
+from conftest import (
+    SCENARIO_NAMES,
+    linking_number,
+    load,
+    loop_crossing_parity,
+    rectangle_loops,
+    skeleton_push,
+)
 
 
 def _rect_disk_problem(w: int, h: int) -> SpanningProblem:

@@ -3,10 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plateau.cochain import (
-    CellIndexing,
     CochainComplexData,
     boundary_incidences,
-    boundary_matrix,
     cohomology,
     restriction_image,
 )
@@ -64,12 +62,11 @@ def test_delta_squared_zero(F):
         assert all(v == F.zero for v in d1.apply(col))
 
 
-def test_boundary_matrix_shape():
+def test_coboundary_matrix_shape():
+    """delta(1) of a 2x2 square maps the 12 edges' cochains to the 4 squares'."""
     grid = GridSpec(2, 0, ((0, 2), (0, 2)))
-    skel = build_skeleton(grid, 2)
-    idx = CellIndexing(skel)
-    M = boundary_matrix(skel, 2, GF2, idx)
-    assert (M.rows, M.cols) == (12, 4)
+    M = CochainComplexData(build_skeleton(grid, 2), GF2).delta(1)
+    assert (M.rows, M.cols) == (4, 12)
 
 
 @pytest.mark.parametrize("F", [GF2, GF5, RATIONAL])

@@ -15,7 +15,6 @@ from plateau.linalg import (
     kernel_basis,
     row_reduce,
     solution_spaces,
-    solve,
 )
 
 GF3 = Coeffs("gfp", 3)
@@ -59,11 +58,21 @@ def test_row_reduce_rank(F):
     assert len(pivots) == rank
 
 
+def _solve(M, b):
+    """Some x with M x = b, or None: the one system that `solution_spaces`
+    reads off the augmented rows [M | b] when every row is shared but the
+    last.  M has at least one row."""
+    F = M.coeffs
+    aug = FieldMatrix.from_rows(F, [M.row(i) + [v] for i, v in enumerate(b)], M.cols + 1)
+    (solution,) = solution_spaces(aug, M.rows - 1)
+    return None if solution is None else _dense(F, solution[0], M.cols)
+
+
 @pytest.mark.parametrize("F", FIELDS)
 def test_solve_and_kernel(F):
     M = FieldMatrix.from_rows(F, [[1, 1, 0], [0, 1, 1]], 3)
     b = [F.one, F.one]
-    x = solve(M, b)
+    x = _solve(M, b)
     assert x is not None
     assert M.apply(x) == [F.reduce(v) for v in b]
     K = kernel_basis(M)
@@ -74,7 +83,7 @@ def test_solve_and_kernel(F):
 
 def test_solve_inconsistent():
     M = FieldMatrix.from_rows(GF2, [[1, 1], [1, 1]], 2)
-    assert solve(M, [0, 1]) is None
+    assert _solve(M, [0, 1]) is None
 
 
 def test_subspace_membership():
@@ -101,12 +110,12 @@ def matrix_and_x(draw):
 @given(matrix_and_x())
 @settings(max_examples=80, deadline=None)
 def test_solve_recovers_consistent_rhs(mx):
-    """For b = M x the solver finds some solution with M x' = b."""
+    """For b = M x, `solution_spaces` on [M | b] finds some x' with M x' = b."""
     F, entries, x = mx
     M = FieldMatrix.from_rows(F, entries, len(entries[0]))
     xr = [F.reduce(v) for v in x]
     b = M.apply(xr)
-    got = solve(M, b)
+    got = _solve(M, b)
     assert got is not None
     assert M.apply(got) == b
 
@@ -150,7 +159,7 @@ def test_rational_entries_exact():
     M = FieldMatrix.from_rows(
         RATIONAL, [[Fraction(1, 3), Fraction(1, 6)]], 2
     )
-    x = solve(M, [Fraction(1)])
+    x = _solve(M, [Fraction(1)])
     assert x is not None
     assert Fraction(1, 3) * x[0] + Fraction(1, 6) * x[1] == 1
 
@@ -164,27 +173,23 @@ def test_from_rows_rejects_overlong_row(F):
 
 
 def _per_entry(F, rows, cols):
-    M = FieldMatrix(F, len(rows), cols)
-    for i, r in enumerate(rows):
-        for j, v in enumerate(r):
-            M[i, j] = v
-    return M
+    """Reference: the rows' entries reduced one at a time, zero-padded."""
+    return [[F.reduce(v) for v in r] + [F.zero] * (cols - len(r)) for r in rows]
 
 
-def _gauss_jordan(M):
-    """Reference: textbook Gauss-Jordan on entries, lowest-column pivots."""
-    F = M.coeffs
-    R = [[M[i, j] for j in range(M.cols)] for i in range(M.rows)]
+def _gauss_jordan(F, rows, cols):
+    """Reference: textbook Gauss-Jordan on entry lists, lowest-column pivots."""
+    R = [list(r) for r in rows]
     pivots: list[int] = []
-    for col in range(M.cols):
+    for col in range(cols):
         lead = len(pivots)
-        piv = next((i for i in range(lead, M.rows) if R[i][col] != F.zero), None)
+        piv = next((i for i in range(lead, len(R)) if R[i][col] != F.zero), None)
         if piv is None:
             continue
         R[lead], R[piv] = R[piv], R[lead]
         inv = F.inv(R[lead][col])
         R[lead] = [F.mul(inv, x) for x in R[lead]]
-        for i in range(M.rows):
+        for i in range(len(R)):
             f = R[i][col]
             if i != lead and f != F.zero:
                 R[i] = [F.sub(x, F.mul(f, p)) for x, p in zip(R[i], R[lead])]
@@ -207,9 +212,8 @@ def ragged_rows(draw):
 @settings(max_examples=150, deadline=None)
 def test_packed_kernels_match_per_entry_definitions(frc):
     F, rows, cols = frc
-    ref = _per_entry(F, rows, cols)
+    dense = _per_entry(F, rows, cols)
     M = FieldMatrix.from_rows(F, rows, cols)
-    dense = [[ref[i, j] for j in range(cols)] for i in range(len(rows))]
     assert [M.row(i) for i in range(M.rows)] == dense
     sparse = FieldMatrix.from_sparse_rows(F, [list(enumerate(r)) for r in rows], cols)
     assert [sparse.row(i) for i in range(sparse.rows)] == dense
@@ -218,7 +222,7 @@ def test_packed_kernels_match_per_entry_definitions(frc):
     assert all(T[j, i] == dense[i][j] for i in range(len(rows)) for j in range(cols))
 
     R, rank, pivots = row_reduce(M)
-    ref_R, ref_pivots = _gauss_jordan(ref)
+    ref_R, ref_pivots = _gauss_jordan(F, dense, cols)
     assert pivots == ref_pivots and rank == len(ref_pivots)
     assert [R.row(i) for i in range(R.rows)] == ref_R
 
@@ -298,7 +302,12 @@ def test_solution_spaces_over_rationals(data):
             RATIONAL, [M.row(i)[:ncols] for i in list(range(shared)) + [own]], ncols
         )
         b = [M[i, ncols] for i in list(range(shared)) + [own]]
-        if solve(A, b) is None:
+        augmented = FieldMatrix.from_rows(
+            RATIONAL, [M.row(i) for i in list(range(shared)) + [own]], ncols + 1
+        )
+        _, rank, _ = row_reduce(A)
+        # consistent iff appending b to the columns of A keeps the rank
+        if row_reduce(augmented)[1] != rank:
             assert solution is None
             continue
         particular = _dense(RATIONAL, solution[0], ncols)
@@ -306,7 +315,6 @@ def test_solution_spaces_over_rationals(data):
         assert A.apply(particular) == b
         for v in kernel:
             assert all(e == 0 for e in A.apply(v))
-        _, rank, _ = row_reduce(A)
         assert len(kernel) == ncols - rank
         assert Subspace.from_vectors(RATIONAL, ncols, kernel).dim == len(kernel)
 

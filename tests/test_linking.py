@@ -3,18 +3,16 @@ import itertools
 import pytest
 
 from plateau.lattice import Cell, GridSpec, connected_components
-from plateau.linking import (
-    DualLoop,
-    bounding_chain,
-    chain_boundary,
-    crossed_faces,
-    linking_number,
-    loop_crossing_parity,
-    step_face,
-)
+from plateau.linking import DualLoop, crossed_faces, step_face
 from plateau.spanning import fundamental_cycle
 
-from conftest import rectangle_loops
+from conftest import (
+    bounding_chain,
+    chain_boundary,
+    linking_number,
+    loop_crossing_parity,
+    rectangle_loops,
+)
 
 
 def test_dual_loop_validation():

@@ -241,6 +241,12 @@ def _without_root_lp(monkeypatch):
     monkeypatch.setattr("plateau.oracle.root_lp", lambda system, loops, a_mask, deadline: None)
 
 
+def _without_loops(monkeypatch):
+    """An empty loop catalogue: no LP bound, and every node branches on a
+    support column."""
+    monkeypatch.setattr("plateau.oracle.build_loop_catalogue", lambda system, deadline=None: [])
+
+
 @pytest.mark.parametrize("name, pinned", [
     ("rings_tiny", (669, 21, 21, True)),
     ("torus", (4047, Fraction(9, 2), Fraction(9, 2), True)),
@@ -261,12 +267,12 @@ def test_cold_search_tree_is_pinned(name, pinned, monkeypatch):
     ("rings_tiny", (5_000, 21, 1, False)),
     ("torus", (5_000, 6, Fraction(9, 8), False)),
 ])
-def test_cold_search_tree_without_loops_is_pinned(name, pinned):
+def test_cold_search_tree_without_loops_is_pinned(name, pinned, monkeypatch):
     """Without the loop catalogue every node branches on a support column,
     exclusion first; the budget-stopped search pins that order."""
+    _without_loops(monkeypatch)
     res = isoperimetric_scan(
-        build_problem(load(name)),
-        OracleConfig(budget=5_000, warm_start=False, use_loops=False),
+        build_problem(load(name)), OracleConfig(budget=5_000, warm_start=False)
     )
     assert (res.nodes, res.best_weight, res.lower_bound, res.optimal) == pinned
     assert res.stop == "budget"
@@ -412,12 +418,12 @@ def test_non_spanning_primal_falls_back_to_search(monkeypatch):
     assert (res.nodes, res.stop, res.best_weight, res.optimal) == (0, "lp_root", 21, True)
 
 
-def test_search_stop_reasons():
-    cold = dict(use_loops=False, warm_start=False)
+def test_search_stop_reasons(monkeypatch):
+    _without_loops(monkeypatch)
     res = isoperimetric_scan(
-        build_problem(load("rings_tiny")), OracleConfig(time_limit=1e-9, **cold))
+        build_problem(load("rings_tiny")), OracleConfig(time_limit=1e-9, warm_start=False))
     assert (res.stop, res.nodes, res.optimal) == ("time", 0, False)
-    res = isoperimetric_scan(build_problem(load("disk3")), OracleConfig(**cold))
+    res = isoperimetric_scan(build_problem(load("disk3")), OracleConfig(warm_start=False))
     assert (res.stop, res.optimal) == ("done", True)
 
 
@@ -450,10 +456,9 @@ def test_oracle_config_rejects_empty_limits(field, value):
         OracleConfig(**{field: value})
 
 
-def test_oracle_budget_exhaustion(tiny_problem):
-    res = isoperimetric_scan(
-        tiny_problem, OracleConfig(budget=1, use_loops=False, warm_start=False)
-    )
+def test_oracle_budget_exhaustion(tiny_problem, monkeypatch):
+    _without_loops(monkeypatch)
+    res = isoperimetric_scan(tiny_problem, OracleConfig(budget=1, warm_start=False))
     assert not res.optimal
     assert res.lower_bound <= res.best_weight
     d = res.to_dict()

@@ -13,14 +13,13 @@ from plateau.solver import (
     greedy_minimize,
     initial_fill,
     local_replace,
-    skeleton_push,
     solve,
     surface_weight,
 )
 from plateau.spanning import Surface, relative_coboundary_dominates, spans
 from plateau.witness import build_witness_system
 
-from conftest import n4_sphere_problem
+from conftest import n4_sphere_problem, skeleton_push
 
 
 def test_solver_config_validation():
