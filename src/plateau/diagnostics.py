@@ -19,8 +19,12 @@ from .lattice import Cell
 from .solver import cell_weight
 from .spanning import Surface
 
-# unit-ball volumes used in reported ratios (floats by design)
-_ALPHA = {0: 1.0, 1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0}
+# unit-ball volumes used in reported ratios (floats by design), for every m
+# the schema accepts: alpha_m = alpha_(m-2) * 2 pi / m gives 1, 2, pi and
+# 4 pi / 3 to the bit for m <= 3
+_ALPHA = [1.0, 2.0]
+for _m in range(2, 7):
+    _ALPHA.append(_ALPHA[_m - 2] * 2 * math.pi / _m)
 
 
 def _exact(v: Fraction):

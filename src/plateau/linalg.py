@@ -51,11 +51,16 @@ class Coeffs:
         return Fraction(1) if self.kind == "rational" else 1
 
     def reduce(self, x):
-        if self.kind == "gf2":
-            return x & 1 if isinstance(x, int) else int(x) % 2
-        if self.kind == "gfp":
-            return int(x) % self.p
-        return Fraction(x)
+        """x in the field; a rational num/den maps to num * den^-1 mod p."""
+        if self.kind == "rational":
+            return Fraction(x)
+        p = self.p or 2
+        if isinstance(x, int):
+            return x % p
+        x = Fraction(x)
+        if x.denominator % p == 0:
+            raise ValueError(f"{x} has no value mod {p}: {p} divides its denominator")
+        return x.numerator * pow(x.denominator, -1, p) % p
 
     def add(self, a, b):
         if self.kind == "gf2":

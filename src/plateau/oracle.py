@@ -21,6 +21,7 @@ together with a still-valid global lower bound, at least the LP's.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -234,7 +235,7 @@ def loop_packing_lp(
     result: `exact_packing_bound` checks y, and the spanning test checks the
     rounded prices.
     """
-    faces = sorted({e for g in loops for e in bit_indices(g)})
+    faces = list(bit_indices(functools.reduce(operator.or_, loops, 0)))
     row_of = {e: i for i, e in enumerate(faces)}
     nl, obj = len(loops), len(faces)
     cols = [[row_of[e] for e in bit_indices(g)] for g in loops]

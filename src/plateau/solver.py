@@ -1,17 +1,19 @@
 """Minimization of weighted area over spanning surfaces.
 
 Pipeline: fill the full m-skeleton (contractible box, so it spans), greedily
-remove cells while the spanning verdict survives, then sweep local
+remove cells in one pass while the spanning verdict survives (a cell that
+cannot go at its turn never can, see `greedy_minimize`), then sweep local
 replacements over small subboxes.  A local replacement is an exact
 minimization of one region's interior on the witness branch-and-bound that
 the oracle also runs.  Every accepted move preserves spanning by
-construction and the final surface is 1-minimal.
+construction and the final surface is 1-minimal.  Every stage works on the
+caller's witness system; only `solve` and `assert_one_minimal` build one
+when none is given.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import random
 import time
@@ -64,9 +66,6 @@ class SolveReport:
             "wall_time_seconds": round(self.wall_time, 3),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
 
 def frac_str(x: Fraction) -> str:
     """Exact report form of a rational: "p/q", or "p" for an integer."""
@@ -85,79 +84,53 @@ def surface_weight(X: Surface) -> Fraction:
     )
 
 
-def initial_fill(problem: SpanningProblem,
-                 system: Optional[WitnessSystem] = None) -> Surface:
+def initial_fill(system: WitnessSystem) -> Surface:
     """A u all m-cells of the box; spans because the box is contractible."""
+    problem = system.problem
     X = problem.surface(problem.box_mcells())
-    system = system or build_witness_system(problem)
     if not system.spans_surface(X):
         raise AssertionError("full skeleton fill does not span; inconsistent L")
     return X
 
 
 def greedy_minimize(
-    X0: Surface, cfg: SolverConfig, system: Optional[WitnessSystem] = None
-) -> tuple[Surface, SolveReport]:
+    X0: Surface, cfg: SolverConfig, system: WitnessSystem
+) -> tuple[Surface, list[tuple[str, Fraction]]]:
     """Remove cells one at a time while every class keeps a witness chain.
 
-    The result is 1-minimal: no single remaining cell can be removed without
-    breaking the spanning verdict.
+    Returns the reduced surface and one ("remove", -weight) move per removed
+    cell.  One pass leaves it 1-minimal: a cell stays only when some space
+    holds its column in `particular` and in no basis vector, and zeroing
+    other columns only adds multiples of vectors that lack that column, so
+    no later removal frees a kept cell.  Raises ValueError unless X0 spans.
     """
     problem = X0.problem
-    t0 = time.monotonic()
-    system = system or build_witness_system(problem)
-    if not system.spans_surface(X0):
-        raise ValueError("greedy_minimize requires a spanning start surface")
     spaces = system.copy_spaces()
-    a_cells = problem.A.cells_of_dim(problem.m)
-    present = set(X0.mcells)
-    for cell in system.mcells:
-        if cell not in present and cell not in a_cells:
-            ok = all(s.constrain_zero(system.column[cell]) for s in spaces)
-            if not ok:
-                raise ValueError("start surface lost a witness (internal error)")
+    keep = system.mask_of(X0.mcells) | system.mask_of(problem.A.cells_of_dim(problem.m))
+    for col in bit_indices(system.full_mask() & ~keep):
+        if not all(s.constrain_zero(col) for s in spaces):
+            raise ValueError("greedy_minimize requires a spanning start surface")
 
     weights, scale = system.weights, system.scale
-    free = sorted(c for c in present if c not in a_cells)
+    free = X0.free_mcells()
     if cfg.removal_order == "heaviest-first":
         free.sort(key=lambda c: (-weights[system.column[c]], c.anchor, c.free_axes))
     else:
-        rng = random.Random(cfg.seed)
-        rng.shuffle(free)
+        random.Random(cfg.seed).shuffle(free)
 
-    initial = w = system.weight(system.mask_of(present))
     moves: list[tuple[str, Fraction]] = []
-    removed: set[Cell] = set()
-    changed = True
-    while changed:
-        changed = False
-        for cell in free:
-            if cell in removed:
-                continue
-            col = system.column[cell]
-            if all(s.can_zero(col) for s in spaces):
-                for s in spaces:
-                    s.constrain_zero(col)
-                removed.add(cell)
-                w -= weights[col]
-                moves.append(("remove", Fraction(-weights[col], scale)))
-                changed = True
-    result = Surface(problem, frozenset(present - removed))
-    report = SolveReport(
-        Fraction(initial, scale), Fraction(w, scale), moves,
-        spans_verified=system.spans_surface(result),
-        wall_time=time.monotonic() - t0,
-    )
-    if not report.spans_verified:
-        raise AssertionError("greedy result lost the spanning property")
-    return result, report
+    removed = []
+    for cell in free:
+        col = system.column[cell]
+        if all(s.can_zero(col) for s in spaces):
+            for s in spaces:
+                s.constrain_zero(col)
+            removed.append(cell)
+            moves.append(("remove", Fraction(-weights[col], scale)))
+    return Surface(problem, X0.mcells.difference(removed)), moves
 
 
-def contract_to_witnesses(
-    X: Optional[Surface] = None,
-    system: Optional[WitnessSystem] = None,
-    problem: Optional[SpanningProblem] = None,
-) -> Surface:
+def contract_to_witnesses(system: WitnessSystem, X: Optional[Surface] = None) -> Surface:
     """Union of one low-weight witness chain per class.
 
     Within each class's witness space (restricted to X when one is given,
@@ -167,11 +140,7 @@ def contract_to_witnesses(
     unrestricted form escapes poor 1-minimal surfaces that greedy removal
     gets stuck on.
     """
-    if problem is None:
-        if X is None:
-            raise ValueError("need a surface or a problem")
-        problem = X.problem
-    system = system or build_witness_system(problem)
+    problem = system.problem
     a_mask = system.mask_of(problem.A.cells_of_dim(problem.m))
     allowed = system.full_mask() if X is None else (
         system.mask_of(X.mcells) | a_mask
@@ -255,8 +224,7 @@ def _check_region(problem: SpanningProblem, lows: Sequence[int],
 
 
 def local_replace(
-    X: Surface, lows: Sequence[int], highs: Sequence[int],
-    system: Optional[WitnessSystem] = None,
+    X: Surface, lows: Sequence[int], highs: Sequence[int], system: WitnessSystem,
     interior: Optional[Sequence[Cell]] = None,
 ) -> Surface:
     """Exact minimum-weight refilling of X inside one small region.
@@ -275,7 +243,6 @@ def local_replace(
     if interior is None:
         _check_region(problem, lows, highs)
         interior = list(box_cells(tuple(zip(lows, highs)), m, interior=True))
-    system = system or build_witness_system(problem)
     current = X.mcells.intersection(interior)
     if not current:
         return X
@@ -328,14 +295,13 @@ def solve(
     def weight(Y: Surface) -> int:
         return system.weight(system.mask_of(Y.mcells))
 
-    X = initial_fill(problem, system)
+    X = initial_fill(system)
     initial_weight = weight(X)
-    X, greedy_report = greedy_minimize(X, cfg, system)
-    moves = list(greedy_report.moves)
+    X, moves = greedy_minimize(X, cfg, system)
     w = weight(X)
     # witness re-seeding: minimize the union of per-class witness chains
     # drawn from the whole box, and keep it if it beats the greedy surface
-    seed = contract_to_witnesses(None, system, problem)
+    seed = contract_to_witnesses(system)
     seed, _ = greedy_minimize(seed, cfg, system)
     ws = weight(seed)
     if ws < w:
@@ -347,7 +313,7 @@ def solve(
     ]
     for _ in range(cfg.max_passes):
         improved = False
-        Xc = contract_to_witnesses(X, system)
+        Xc = contract_to_witnesses(system, X)
         if weight(Xc) < w:
             Xc, _ = greedy_minimize(Xc, cfg, system)
             wc = weight(Xc)
@@ -364,8 +330,8 @@ def solve(
                 X, w = X2, w2
                 improved = True
         if improved:
-            X, rep2 = greedy_minimize(X, cfg, system)
-            moves.extend(rep2.moves)
+            X, removals = greedy_minimize(X, cfg, system)
+            moves += removals
             w = weight(X)
         else:
             break

@@ -93,7 +93,7 @@ def test_criterion_3_push_shadow_bound(tiny_problem, tiny_system):
     """Every block push satisfies shadow <= (4n)^m * interior, exactly."""
     from plateau.solver import _admissible_regions
 
-    X = initial_fill(tiny_problem, tiny_system)
+    X = initial_fill(tiny_system)
     X, _ = greedy_minimize(X, SolverConfig(), tiny_system)
     n, m = tiny_problem.grid.n, tiny_problem.m
     bound = Fraction(4 * n) ** m
@@ -122,7 +122,7 @@ def test_criterion_4_local_replace_preserves_spanning(
         (tiny_problem, tiny_system, 5),
     ):
         regions = list(_admissible_regions(problem, 2))
-        X0 = initial_fill(problem, system)
+        X0 = initial_fill(system)
         for seed in range(nseeds):
             rng = random.Random(seed)
             X, _ = greedy_minimize(
@@ -156,7 +156,7 @@ def test_criterion_5_linking_loops_meet_every_spanning_surface(
             break
     assert len(selected) >= 10
 
-    surfaces = [initial_fill(tiny_problem, tiny_system)]
+    surfaces = [initial_fill(tiny_system)]
     res = isoperimetric_scan(tiny_problem, OracleConfig())
     surfaces.append(oracle_surface(tiny_problem, res))
     for seed in range(3):

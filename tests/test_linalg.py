@@ -36,6 +36,17 @@ def test_coeffs_validation():
         Coeffs("gfp", 2**61 - 1)
 
 
+def test_reduce_maps_rationals_into_the_field():
+    """num/den is num * den^-1 mod p, never a truncation; ints keep x mod p."""
+    assert [GF3.reduce(Fraction(a, 2)) for a in (1, 3, -5)] == [2, 0, 2]
+    assert [GF2.reduce(Fraction(a, 3)) for a in (1, 2, 5)] == [1, 0, 1]
+    assert [F.reduce(-7) for F in (GF2, GF3, GF5)] == [1, 2, 3]
+    assert RATIONAL.reduce(Fraction(3, 2)) == Fraction(3, 2)
+    for F, x in ((GF2, Fraction(3, 2)), (GF3, Fraction(1, 3)), (GF5, Fraction(2, 15))):
+        with pytest.raises(ValueError, match="divides its denominator"):
+            F.reduce(x)
+
+
 @pytest.mark.parametrize("F", FIELDS)
 def test_field_axioms_spotcheck(F):
     vals = [F.reduce(x) for x in (-2, -1, 0, 1, 2, 3)]

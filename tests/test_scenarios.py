@@ -11,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plateau.cli import main
-from plateau.lattice import Cell, CubicalComplex, build_skeleton, connected_components
+from plateau.lattice import (
+    Cell, CubicalComplex, GridSpec, build_skeleton, complex_to_text, connected_components,
+)
 from plateau.linalg import GF2
 from plateau.scenarios import (
     build_boundary,
@@ -235,6 +237,25 @@ def test_cli_solve_diagnostics_none(capsys):
     assert data["diagnostics"] == {}
 
 
+def test_cli_solve_four_cube(tmp_path, capsys):
+    """m = 4 with every diagnostic: the boundary of a unit 4-cube in a box
+    of side 2 spans with that cube alone."""
+    grid = GridSpec(4, 0, ((0, 2),) * 4)
+    cube = CubicalComplex(grid, [Cell((0, 0, 0, 0), 0b1111)])
+    boundary = tmp_path / "cube4.txt"
+    boundary.write_text(complex_to_text(
+        CubicalComplex(grid, [c for c in cube.cells if c.dim < 4])))
+    path = tmp_path / "cube4.json"
+    path.write_text(json.dumps({
+        "name": "cube4", "grid": {"n": 4, "k": 0, "box": [[0, 2]] * 4},
+        "boundary": {"tag": "custom", "path": str(boundary)}, "m": 4, "seed": 1}))
+    code = main(["solve", str(path), "--diagnostics", "all"])
+    assert code == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["solve"]["final_weight"] == "1"
+    assert set(data["diagnostics"]) == {"slicing", "profile", "regularity", "monotonicity"}
+
+
 def test_cli_check(tmp_path, capsys):
     run(load("disk3"), out_dir=str(tmp_path))
     surf = str(tmp_path / "disk3.surface.txt")
@@ -424,6 +445,13 @@ def test_malformed_scenario_exits_2(case, data):
             "fraction": st.floats(-8, 8).filter(lambda x: not x.is_integer()),
             "boolean": st.booleans(),
         }[how])
+    code, err = _solve_exit(raw)
+    assert code == 2, (path, raw)
+    assert err.startswith("error:")
+
+
+def _solve_exit(raw: dict) -> tuple[int, str]:
+    """Exit code and standard error of `plateau solve` on a scenario dict."""
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         scenario = os.path.join(tmp, "broken.json")
@@ -431,8 +459,83 @@ def test_malformed_scenario_exits_2(case, data):
             json.dump(raw, fh)
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             code = main(["solve", scenario])
-    assert code == 2, (path, raw)
-    assert err.getvalue().startswith("error:")
+    return code, err.getvalue()
+
+
+# disk3's A is one ring; its 1-cells are the cells an L cochain may name
+RING_EDGES = build_boundary(load("disk3")).cells_of_dim(1)
+NOT_INT = st.one_of(WRONG_TYPE["int"], st.booleans(),
+                    st.floats(-8, 8).filter(lambda x: not x.is_integer()))
+NOT_RATIONAL = st.one_of(WRONG_TYPE["rational"], st.booleans(), st.floats(-8, 8))
+
+
+@st.composite
+def _broken_item(draw):
+    """An [x, y, mask, coeff] item on an edge of A with one position broken."""
+    edge = draw(st.sampled_from(sorted(RING_EDGES)))
+    item = [*edge.anchor, edge.free_axes, "1"]
+    at = draw(st.integers(0, 3))
+    item[at] = draw(NOT_RATIONAL if at == 3 else NOT_INT)
+    return item
+
+
+MALFORMED_ITEMS = st.one_of(
+    st.none(), SMALL, st.text("xy", max_size=3),
+    st.lists(SMALL, max_size=6).filter(lambda item: len(item) != 4),
+    _broken_item(),
+    # a well-formed item on a cell that is not an edge of A
+    st.tuples(st.integers(-1, 6), st.integers(-1, 6), st.integers(0, 4)).filter(
+        lambda t: Cell(t[:2], t[2]) not in RING_EDGES).map(lambda t: [*t, "1"]),
+)
+MALFORMED_L = st.one_of(
+    st.one_of(st.none(), SMALL, st.text("xy", max_size=3),
+              st.dictionaries(st.text(max_size=2), SMALL, max_size=2)),
+    st.lists(st.one_of(st.none(), SMALL, st.text(max_size=3), st.lists(SMALL, max_size=2)),
+             min_size=1, max_size=2),
+    st.one_of(st.none(), SMALL, st.text(max_size=3),
+              st.dictionaries(st.text(max_size=2), SMALL, max_size=2)).map(
+        lambda cochain: [{"cochain": cochain}]),
+    st.lists(MALFORMED_ITEMS, min_size=1, max_size=2).map(lambda items: [{"cochain": items}]),
+)
+
+
+@given(L=MALFORMED_L)
+@settings(max_examples=150, deadline=None)
+def test_malformed_L_exits_2(L):
+    """An L field that is no list, holds an entry that is no object, a
+    cochain that is no list, or an item that is no [*anchor, mask, coeff]
+    on an (m-1)-cell of A makes `plateau solve` exit 2 with an error line."""
+    code, err = _solve_exit({**FUZZ_BASES["disk3"], "L": L})
+    assert code == 2, L
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("coeffs, coeff, outcome", [
+    ("gf2", "1/3", "9"),  # 3^-1 = 1 mod 2
+    ("gf2", "1/2", "divides its denominator"),
+    ("gf2", "3/2", "divides its denominator"),
+    ("gf2", "2/3", "zero class"),
+    ({"kind": "gfp", "p": 3}, "1/2", "9"),  # 2^-1 = 2 mod 3
+    ({"kind": "gfp", "p": 3}, "-5/4", "9"),  # -5 * 4^-1 = 1 mod 3
+    ({"kind": "gfp", "p": 3}, "3/2", "zero class"),  # 3 * 2^-1 = 0 mod 3
+    ({"kind": "gfp", "p": 3}, "1/3", "divides its denominator"),
+    ("rational", "3/2", "9"),
+    ("rational", "0/7", "zero class"),
+], ids=lambda v: f"gf{v['p']}" if isinstance(v, dict) else None)
+def test_L_coefficients_reduce_exactly(coeffs, coeff, outcome, tmp_path, capsys):
+    """A rational class coefficient num/den is num * den^-1 in GF(p); a
+    denominator that p divides exits 2, as does a coefficient that is 0 there."""
+    path = tmp_path / "disk3_L.json"
+    path.write_text(json.dumps({**FUZZ_BASES["disk3"], "coeffs": coeffs,
+                                "L": [{"cochain": [[1, 1, 1, coeff]]}]}))
+    code = main(["solve", str(path), "--diagnostics", "none"])
+    out, err = capsys.readouterr()
+    if outcome == "9":
+        assert code == 0
+        assert json.loads(out)["solve"]["final_weight"] == "9"
+    else:
+        assert code == 2
+        assert outcome in err
 
 
 def _far_corner_density(kind: str, box, free: tuple[int, ...]) -> dict:

@@ -32,25 +32,26 @@ def test_solver_config_validation():
 
 
 def test_initial_fill_spans(disk_problem, disk_system):
-    X = initial_fill(disk_problem, disk_system)
+    X = initial_fill(disk_system)
     assert disk_system.spans_surface(X)
     assert spans(X)
 
 
 def test_greedy_minimize_disk(disk_problem, disk_system):
-    X = initial_fill(disk_problem, disk_system)
-    Y, report = greedy_minimize(X, SolverConfig(), disk_system)
-    assert report.spans_verified
+    X = initial_fill(disk_system)
+    Y, moves = greedy_minimize(X, SolverConfig(), disk_system)
+    assert disk_system.spans_surface(Y)
     assert surface_weight(Y) == 9
+    assert sum(delta for _, delta in moves) == surface_weight(Y) - surface_weight(X)
     assert_one_minimal(Y, disk_system)
 
 
 def test_greedy_random_orders_span(disk_problem, disk_system):
-    X = initial_fill(disk_problem, disk_system)
+    X = initial_fill(disk_system)
     for seed in range(5):
         cfg = SolverConfig(removal_order="random", seed=seed)
-        Y, report = greedy_minimize(X, cfg, disk_system)
-        assert report.spans_verified
+        Y, _ = greedy_minimize(X, cfg, disk_system)
+        assert disk_system.spans_surface(Y)
         assert_one_minimal(Y, disk_system)
         assert surface_weight(Y) >= 9
 
@@ -62,10 +63,10 @@ def test_greedy_requires_spanning_start(disk_problem, disk_system):
 
 
 def test_contract_to_witnesses_spans(tiny_problem, tiny_system):
-    X = contract_to_witnesses(None, tiny_system, tiny_problem)
+    X = contract_to_witnesses(tiny_system)
     assert tiny_system.spans_surface(X)
     # restricted contraction of a spanning surface also spans
-    Y = contract_to_witnesses(X, tiny_system)
+    Y = contract_to_witnesses(tiny_system, X)
     assert tiny_system.spans_surface(Y)
     assert Y.mcells <= X.mcells
 
@@ -113,23 +114,23 @@ def test_local_replace_drops_cells_that_domination_keeps(disk_problem, disk_syst
     assert not relative_coboundary_dominates(trace, Xin, trace, 1, disk_problem.coeffs)
 
 
-def test_local_replace_rejects_bad_region(disk_problem):
+def test_local_replace_rejects_bad_region(disk_problem, disk_system):
     X = Surface(
         disk_problem,
         frozenset(Cell((x, y), 0b11) for x in range(1, 4) for y in range(1, 4)),
     )
     with pytest.raises(ValueError, match="outside the grid box"):
-        local_replace(X, (0, 0), (9, 9))
+        local_replace(X, (0, 0), (9, 9), disk_system)
     with pytest.raises(ValueError, match="touches the boundary"):
-        local_replace(X, (0, 0), (3, 3))  # interior contains part of the ring
+        local_replace(X, (0, 0), (3, 3), disk_system)  # interior contains part of the ring
     holed = X.without(Cell((2, 2), 0b11))
     with pytest.raises(ValueError, match="requires a spanning surface"):
-        local_replace(holed, (1, 1), (3, 3))
+        local_replace(holed, (1, 1), (3, 3), disk_system)
 
 
 def test_local_replace_random_soundness(tiny_problem, tiny_system):
     """Seeded random spanning surfaces stay spanning under local_replace."""
-    X0 = initial_fill(tiny_problem, tiny_system)
+    X0 = initial_fill(tiny_system)
     regions = list(_admissible_regions(tiny_problem, 2))
     rng = random.Random(5)
     failures = 0
@@ -204,7 +205,7 @@ def test_local_replace_matches_enumeration(
         (tiny_problem, tiny_system, range(2), 2),
     ):
         regions = list(_admissible_regions(problem, 2))
-        X0 = initial_fill(problem, system)
+        X0 = initial_fill(system)
         for seed in seeds:
             cfg = SolverConfig(removal_order="random", seed=seed)
             X, _ = greedy_minimize(X0, cfg, system)
@@ -257,7 +258,7 @@ def test_local_replace_n4_m3_smoke():
     full fill around a 2-sphere finishes and keeps the surface spanning."""
     problem = n4_sphere_problem()
     system = build_witness_system(problem)
-    X = initial_fill(problem, system)
+    X = initial_fill(system)
     lows, highs = next(_admissible_regions(problem, 2))
     assert len(_interior_mcells(problem, lows, highs)) == 32
     Y = local_replace(X, lows, highs, system)
@@ -266,7 +267,7 @@ def test_local_replace_n4_m3_smoke():
 
 
 def test_skeleton_push_bound_and_domination(tiny_problem, tiny_system):
-    X = initial_fill(tiny_problem, tiny_system)
+    X = initial_fill(tiny_system)
     X, _ = greedy_minimize(X, SolverConfig(), tiny_system)
     bound = Fraction(4 * 3) ** 2
     outcomes = []

@@ -11,6 +11,7 @@ from plateau.linalg import GF2, RATIONAL, Coeffs
 from plateau.solver import (
     SolverConfig,
     _admissible_regions,
+    assert_one_minimal,
     greedy_minimize,
     initial_fill,
     local_replace,
@@ -303,16 +304,23 @@ def test_spanning_lemmas(n, m, data):
 @settings(max_examples=6, deadline=None)
 def test_local_moves_keep_spanning(n, m, data):
     """On every spanning surface of a random small problem, the full fill
-    and its greedy reduction included, a local move in any admissible side-2
-    region returns a surface that still spans and weighs no more."""
+    and its greedy reduction included, one greedy pass in either removal
+    order leaves a spanning 1-minimal surface, and a local move in any admissible
+    side-2 region returns a surface that still spans and weighs no more."""
     problem, surfaces = data.draw(spanning_surfaces(n, m))
     system = build_witness_system(problem)
-    fill = initial_fill(problem, system)
+    fill = initial_fill(system)
     greedy, _ = greedy_minimize(fill, SolverConfig(), system)
     regions = list(_admissible_regions(problem, 2))
+    seed = data.draw(st.integers(0, 99))
+    orders = (SolverConfig(), SolverConfig(removal_order="random", seed=seed))
     for X in [fill, greedy] + [Surface(problem, cells) for cells in surfaces]:
         if not spans(X):
             continue
+        for cfg in orders:
+            Y, _ = greedy_minimize(X, cfg, system)
+            assert spans(Y)
+            assert_one_minimal(Y, system)
         for lows, highs in regions:
             Y = local_replace(X, lows, highs, system)
             assert spans(Y)

@@ -326,7 +326,7 @@ def test_integer_weights_over_one_scale(name, changes):
         assert type(system.weights[j]) is int
         assert system.weights[j] == (0 if c in a_cells else table[c] * scale)
     X, report = solve(problem, SolverConfig())
-    seed = contract_to_witnesses(None, system, problem)
+    seed = contract_to_witnesses(system)
     surfaces = [X, seed, greedy_minimize(seed, SolverConfig(), system)[0]]
     for Y in surfaces:
         mask = system.mask_of(Y.mcells)
