@@ -8,9 +8,9 @@ the reduced group of the empty complex is zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
-from .lattice import Cell, CubicalComplex
+from .lattice import Cell, CubicalComplex, HalfLattice
 from .linalg import Coeffs, FieldMatrix, Subspace, kernel_basis
 
 
@@ -62,18 +62,27 @@ class CochainComplexData:
         self._delta: dict[int, FieldMatrix] = {}
 
     def delta(self, d: int) -> FieldMatrix:
-        """Coboundary C^d -> C^{d+1}: transpose of the boundary operator."""
+        """Coboundary C^d -> C^{d+1}: transpose of the boundary operator.
+
+        Row i is the (d+1)-cell of sorted position i, column j the d-cell of
+        sorted position j; faces are found by `HalfLattice` id offsets, and
+        rows are built in FieldMatrix's internal form."""
         if d not in self._delta:
-            idx = self.indexing
-            pos = idx.position(d)
-            self._delta[d] = FieldMatrix.from_sparse_rows(
-                self.coeffs,
-                [
-                    [(pos[f], sign) for f, sign in boundary_incidences(c)]
-                    for c in idx.order(d + 1)
-                ],
-                len(pos),
-            )
+            F, idx = self.coeffs, self.indexing
+            H = HalfLattice(self.complex.grid.box)
+            pos = {H.id(c): j for j, c in enumerate(idx.order(d))}
+            rows = []
+            if F.kind == "gf2":
+                for c in idx.order(d + 1):
+                    at = H.id(c)
+                    rows.append(sum(1 << pos[at + offset] for offset, _ in H.faces[c.free_axes]))
+            else:
+                unit = {1: F.reduce(1), -1: F.reduce(-1)}
+                for c in idx.order(d + 1):
+                    at = H.id(c)
+                    rows.append({pos[at + offset]: unit[sign]
+                                 for offset, sign in H.faces[c.free_axes]})
+            self._delta[d] = FieldMatrix(F, rows, len(pos))
         return self._delta[d]
 
     def cochain_dim(self, d: int) -> int:
@@ -132,10 +141,6 @@ class RestrictionImage:
     degree: int
     image: Subspace
     coboundaries: Subspace
-
-    def contains_class(self, rep: Sequence) -> bool:
-        """Class membership of a cocycle on A, modulo coboundaries of A."""
-        return self.image.sum(self.coboundaries).contains(rep)
 
 
 def restriction_image(X: CubicalComplex, A: CubicalComplex, d: int, coeffs: Coeffs,

@@ -174,9 +174,6 @@ class CubicalComplex:
     def union(self, other: "CubicalComplex") -> "CubicalComplex":
         return CubicalComplex(self.grid, self._cells | other._cells, closed=True)
 
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** d * len(s) for d, s in self._by_dim.items())
-
 
 def _close(cells: set[Cell]) -> set[Cell]:
     out = set(cells)
@@ -210,7 +207,11 @@ class HalfLattice:
     strides[a], bit_a being axis a's free bit.  The faces along a free axis
     a sit at id +- strides[a]; `faces[free_axes]` lists (id offset, sign) in
     `cochain.boundary_incidences`' order and signs: along the j-th free axis
-    (from 0), (-1)**j on the high face and its negative on the low one."""
+    (from 0), (-1)**j on the high face and its negative on the low one.
+    Users: `witness.build_witness_system`, `spanning.spans` and
+    `SpanningProblem.face_classes` key the problem's faces by these ids,
+    `cochain.CochainComplexData.delta` a complex's cells, and
+    `oracle.build_loop_catalogue` the faces of a box widened by one voxel."""
 
     def __init__(self, box: Sequence[tuple[int, int]]):
         self.strides = list(itertools.accumulate(

@@ -258,37 +258,10 @@ class FieldMatrix:
         self.cols = cols
         self._rows = rows
 
-    def __getitem__(self, ij):
-        i, j = ij
-        if self.coeffs.kind == "gf2":
-            return self._rows[i] >> j & 1
-        return self._rows[i].get(j, self.coeffs.zero)
-
-    def row(self, i: int) -> list:
-        return _dense(self.coeffs, self._rows[i], self.cols)
-
     @classmethod
     def from_rows(cls, coeffs: Coeffs, rows: Sequence[Sequence], cols: int):
         """Matrix with the given rows; a short row is padded with zeros."""
         return cls(coeffs, [_to_row(coeffs, r, cols) for r in rows], cols)
-
-    @classmethod
-    def from_sparse_rows(cls, coeffs: Coeffs, rows: Sequence[Iterable[tuple[int, object]]],
-                         cols: int) -> "FieldMatrix":
-        """Matrix whose row i holds value v at column j for each (j, v) in rows[i]."""
-        out = []
-        for r in rows:
-            x = 0 if coeffs.kind == "gf2" else {}
-            for j, v in r:
-                if not 0 <= j < cols:
-                    raise ValueError(f"column {j} out of range")
-                v = coeffs.reduce(v)
-                if coeffs.kind != "gf2":
-                    x[j] = v
-                elif v != x >> j & 1:
-                    x ^= 1 << j
-            out.append(x if coeffs.kind == "gf2" else {j: v for j, v in x.items() if v})
-        return cls(coeffs, out, cols)
 
     def transpose(self) -> "FieldMatrix":
         """The transposed matrix: row j holds column j of this one."""
@@ -387,12 +360,6 @@ class Subspace:
             rows = [{positions[j]: x for j, x in r.items() if j in positions}
                     for r in self.rows]
         return Subspace(self.coeffs, ambient_dim, rows)
-
-    def vanishing_below(self, k: int) -> "Subspace":
-        """The vectors of this subspace that are zero at every column below k:
-        the span of the echelon rows that pivot at k or later."""
-        rows = [r for c, r in self._echelon.rows.items() if c >= k]
-        return Subspace(self.coeffs, self.ambient_dim, rows)
 
     def contains(self, v: Sequence) -> bool:
         return self._echelon.contains(_to_row(self.coeffs, v, self.ambient_dim))

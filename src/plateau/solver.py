@@ -130,28 +130,23 @@ def greedy_minimize(
     return Surface(problem, X0.mcells.difference(removed)), moves
 
 
-def contract_to_witnesses(system: WitnessSystem, X: Optional[Surface] = None) -> Surface:
-    """Union of one low-weight witness chain per class.
+def contract_to_witnesses(system: WitnessSystem) -> Surface:
+    """Union of one low-weight witness chain per class, drawn from the box.
 
-    Within each class's witness space (restricted to X when one is given,
-    otherwise over the whole box), coordinates are zeroed greedily
-    heaviest-first; the surviving particular member is a witness chain
-    supported on the kept cells, so the union spans by construction.  The
-    unrestricted form escapes poor 1-minimal surfaces that greedy removal
-    gets stuck on.
+    Within each class's witness space, coordinates are zeroed greedily
+    heaviest-first; the surviving particular member is a witness chain, so
+    the union spans by construction.  It escapes poor 1-minimal surfaces
+    that greedy removal gets stuck on.
     """
     problem = system.problem
     a_mask = system.mask_of(problem.A.cells_of_dim(problem.m))
-    allowed = system.full_mask() if X is None else (
-        system.mask_of(X.mcells) | a_mask
-    )
     # several deterministic zeroing orders of the free columns; per class the
     # lightest survivor wins (which cells a greedy zeroing leaves is highly
     # order-sensitive)
     weights, mcells = system.weights, system.mcells
     orders = [
         sorted(
-            bit_indices(allowed & ~a_mask),
+            bit_indices(system.full_mask() & ~a_mask),
             key=lambda j, a=axis, s=sign: (
                 -weights[j], s * mcells[j].anchor[a], mcells[j]
             ),
@@ -162,10 +157,6 @@ def contract_to_witnesses(system: WitnessSystem, X: Optional[Surface] = None) ->
 
     candidates: list[list[int]] = []
     for space in system.spaces:
-        space = space.copy()
-        for col in bit_indices(system.full_mask() & ~allowed):
-            if not space.constrain_zero(col):
-                raise ValueError("contract_to_witnesses requires a spanning surface")
         supports: list[int] = []
         for order in orders:
             sp = space.copy()
@@ -313,14 +304,6 @@ def solve(
     ]
     for _ in range(cfg.max_passes):
         improved = False
-        Xc = contract_to_witnesses(system, X)
-        if weight(Xc) < w:
-            Xc, _ = greedy_minimize(Xc, cfg, system)
-            wc = weight(Xc)
-            if wc < w:
-                moves.append(("witness_contract", Fraction(wc - w, scale)))
-                X, w = Xc, wc
-                improved = True
         for lows, highs, interior in regions:
             # local_replace returns X itself unless a refill is strictly lighter
             X2 = local_replace(X, lows, highs, system, interior)

@@ -5,9 +5,14 @@ on A iff l does not extend over X: no (m-1)-cocycle on X restricts to l.
 `spans` asks this directly, with one linear system over X's m-cells whose
 unknowns are the cochain's values off A; it builds no complex for X and
 takes no quotient, since coboundaries of A (and, for m = 1, constants)
-always extend.  The restriction image of H^(m-1)(X) in H^(m-1)(A), taken
-modulo A's coboundaries, answers the same question; the tests check the
-verdict against it.
+always extend.  It works on `lattice.HalfLattice` ids, as the witness build
+does, and reads the values of L's classes on A from the problem's
+`face_classes` table, which both share.  Each row goes straight into
+`linalg`'s echelon in its internal form: an unknown face met k-th sits at
+column B - k, with B = 2m |X's m-cells| an upper bound on their number, and
+class i at column B + 1 + i.  The restriction image of H^(m-1)(X) in
+H^(m-1)(A), taken modulo A's coboundaries, answers the same question; the
+tests check the verdict against it.
 """
 
 from __future__ import annotations
@@ -29,11 +34,12 @@ from .lattice import (
     Cell,
     CubicalComplex,
     GridSpec,
+    HalfLattice,
     box_cells,
     cofaces,
     connected_components,
 )
-from .linalg import Coeffs, FieldMatrix, Subspace
+from .linalg import Coeffs, _echelon
 
 
 @dataclass
@@ -61,6 +67,7 @@ class SpanningProblem:
     density: DensityField = field(default_factory=DensityField)
     _mcells: Optional[list] = field(default=None, init=False, repr=False, compare=False)
     _weights: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
+    _faces: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.m < 1:
@@ -93,6 +100,15 @@ class SpanningProblem:
             self._mcells = sorted(box_cells(self.grid.box, self.m))
         return self._mcells
 
+    def face_classes(self) -> dict[int, list]:
+        """Every (m-1)-cell of A by its `HalfLattice` id on the box, with the
+        values of L's classes there in L's order; computed once per problem."""
+        if self._faces is None:
+            H = HalfLattice(self.grid.box)
+            pos = CellIndexing(self.A).position(self.m - 1)
+            self._faces = {H.id(c): [cls.rep[p] for cls in self.L] for c, p in pos.items()}
+        return self._faces
+
     def weight_table(self) -> dict[Cell, Fraction]:
         """Weight of every m-cell of the box, computed once per problem:
         the density at the cell's barycenter times the cell's measure."""
@@ -110,7 +126,7 @@ class SpanningProblem:
         grid = GridSpec(self.grid.n, self.grid.k, box)
         A = CubicalComplex(grid, self.A.cells, closed=True)
         out = copy.copy(self)
-        out.A, out.grid, out._mcells, out._weights = A, grid, None, None
+        out.A, out.grid, out._mcells, out._weights, out._faces = A, grid, None, None, None
         out.L = [CohomologyClass(A, c.degree, list(c.rep), c.label) for c in self.L]
         return out
 
@@ -152,37 +168,52 @@ def spans(X: Surface) -> bool:
     off A makes l + u a cocycle on X's m-cells.
 
     One system decides every class.  The row of m-cell s holds [s:e] at the
-    column of each face e off A, then at class column i the sum of
-    [s:e] l_i(e) over its faces in A.  A pivot is a row's lowest column, so
-    the echelon rows that pivot in a class column have no unknown part and
-    span the obstructions; l_i extends iff none of them is nonzero at its
-    column.  A's own m-cells would give zero rows, as each l_i is a cocycle.
-    Coboundaries of A, and for m = 1 constants, extend, so no quotient is
-    taken.
+    column B - k of each face e off A, e being the k-th such face met (from
+    0), and at class column B + 1 + i the sum of [s:e] l_i(e) over its faces
+    in A; B = 2m |X's m-cells| bounds the number of unknown faces, so every
+    row is complete, and packed over GF(2), as it is built.  A pivot is a
+    row's lowest column, so the echelon rows that pivot above B have no
+    unknown part and span the obstructions; l_i extends iff none of them is
+    nonzero at its column.  Faces met earlier hold the higher columns, so a
+    row whose newest face no earlier row holds becomes a pivot without
+    back-substitution.  A's own m-cells give zero rows, as each l_i is a
+    cocycle.  Coboundaries of A, and for m = 1 constants, extend, so no
+    quotient is taken.
     """
-    problem, L = X.problem, X.problem.L
-    A_pos = CellIndexing(problem.A).position(problem.m - 1)
-    # faces met earlier get higher columns: a row whose lowest column is a
-    # face no earlier row holds becomes a pivot with no elimination
-    column: dict[Cell, int] = {}
-    rows = []
+    problem = X.problem
+    F, nclasses = problem.coeffs, len(problem.L)
+    gf2 = F.kind == "gf2"
+    H = HalfLattice(problem.grid.box)
+    on_A = problem.face_classes()
+    B = 2 * problem.m * len(X.mcells)
+    unit = {1: F.reduce(1), -1: F.reduce(-1)}
+    column: dict[int, int] = {}  # face id -> column
+    E = _echelon(F)
     for cell in X.mcells:
-        row, on_A = [], []
-        for e, s in boundary_incidences(cell):
-            p = A_pos.get(e)
-            if p is None:
-                row.append((column.setdefault(e, -1 - len(column)), s))
+        at, acc = H.id(cell), None
+        row = 0 if gf2 else {}
+        for offset, sign in H.faces[cell.free_axes]:
+            vals = on_A.get(at + offset)
+            if vals is not None:
+                acc = [x + sign * v for x, v in zip(acc or [0] * nclasses, vals)]
+                continue
+            j = column.setdefault(at + offset, B - len(column))
+            if gf2:
+                row |= 1 << j
             else:
-                on_A.append((p, s))
-        if on_A:
-            row += [(i, sum(s * cls.rep[p] for p, s in on_A)) for i, cls in enumerate(L)]
-        rows.append(row)
-    nu = len(column)
-    M = FieldMatrix.from_sparse_rows(
-        problem.coeffs, [((nu + j, s) for j, s in row) for row in rows], nu + len(L))
-    blocked = Subspace.row_space(M).vanishing_below(nu).restricted(
-        {nu + i: i for i in range(len(L))}, len(L))
-    return all(any(v[i] for v in blocked.basis) for i in range(len(L)))
+                row[j] = unit[sign]
+        for i, x in enumerate(acc or ()):
+            if x := F.reduce(x):
+                if gf2:
+                    row |= 1 << B + 1 + i
+                else:
+                    row[B + 1 + i] = x
+        E.add(row)
+    hit = 0
+    for c, r in E.rows.items():
+        if c > B:
+            hit |= r >> B + 1 if gf2 else sum(1 << j - B - 1 for j in r)
+    return hit == (1 << nclasses) - 1
 
 
 def relative_coboundary_dominates(

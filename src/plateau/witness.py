@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .cochain import CellIndexing
 from .lattice import Cell, HalfLattice
 from .linalg import Coeffs, FieldMatrix, Subspace, _minus_multiple, bit_indices, solution_spaces
 from .spanning import SpanningProblem, Surface
@@ -272,13 +271,14 @@ def build_witness_system(problem: SpanningProblem) -> WitnessSystem:
     One pass over the m-cells (the columns) builds the rows on `HalfLattice`
     ids: a face off A adds the cell to its own row, a face on A adds its
     pairing with each class to that class's row, whose right-hand side is 1.
-    Row order does not matter: the reduced echelon form is unique."""
+    The class values on A come from `SpanningProblem.face_classes`, the
+    table `spanning.spans` reads too.  Row order does not matter: the
+    reduced echelon form is unique."""
     m, F = problem.m, problem.coeffs
     mcells = problem.box_mcells()
     ncols, gf2 = len(mcells), F.kind == "gf2"
     H = HalfLattice(problem.grid.box)
-    on_A = {H.id(c): [cls.rep[p] for cls in problem.L]
-            for c, p in CellIndexing(problem.A).position(m - 1).items()}
+    on_A = problem.face_classes()
     rows: dict = {}  # face id -> row in FieldMatrix's internal form
     pairing: list[dict] = [{} for _ in problem.L]  # class -> {column: value}
     for j, cell in enumerate(mcells):

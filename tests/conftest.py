@@ -1,5 +1,6 @@
 import importlib.util
 import itertools
+import json
 import math
 import os
 from dataclasses import dataclass
@@ -10,7 +11,7 @@ import pytest
 
 from plateau.cochain import boundary_incidences, coboundary_space, restriction_image
 from plateau.lattice import Cell, CubicalComplex, GridSpec, box_cells, cell_measure
-from plateau.linalg import GF2
+from plateau.linalg import GF2, FieldMatrix, Subspace, _dense
 from plateau.linking import DualLoop, crossed_faces
 from plateau.scenarios import build_problem, load_scenario, run, scenario_from_dict
 from plateau.solver import cell_weight
@@ -40,6 +41,13 @@ def scenario_path(name: str) -> str:
 
 def load(name: str):
     return load_scenario(scenario_path(name))
+
+
+def problem_over(name: str, coeffs) -> SpanningProblem:
+    """A shipped scenario's problem with other coefficients."""
+    with open(scenario_path(name)) as fh:
+        raw = json.load(fh)
+    return build_problem(scenario_from_dict({**raw, "coeffs": coeffs}))
 
 
 def bench_instances(workload: str, seed: int) -> list[dict]:
@@ -78,6 +86,34 @@ def restriction_spans(X: Surface, K: Optional[CubicalComplex] = None) -> bool:
     image = restriction_image(K, problem.A, problem.m - 1, problem.coeffs)
     cob = coboundary_space(image.A_data, problem.m - 1, problem.m == 1)
     return not any(image.image.sum(cob).contains(cls.rep) for cls in problem.L)
+
+
+def matrix_row(M: FieldMatrix, i: int) -> list:
+    """Row i of a FieldMatrix as an entry list."""
+    return _dense(M.coeffs, M._rows[i], M.cols)
+
+
+def matrix_entry(M: FieldMatrix, i: int, j: int):
+    """Entry (i, j) of a FieldMatrix."""
+    return matrix_row(M, i)[j]
+
+
+def vanishing_below(S: Subspace, k: int) -> Subspace:
+    """The vectors of S that are zero at every column below k: the span of
+    the echelon rows that pivot at k or later, as `spanning.spans` reads its
+    obstructions off its echelon."""
+    rows = [r for c, r in S._echelon.rows.items() if c >= k]
+    return Subspace(S.coeffs, S.ambient_dim, rows)
+
+
+def contains_class(image, rep) -> bool:
+    """Membership of a cocycle on A in a `RestrictionImage`, modulo A's
+    coboundaries."""
+    return image.image.sum(image.coboundaries).contains(rep)
+
+
+def euler_characteristic(X: CubicalComplex) -> int:
+    return sum((-1) ** d * len(X.cells_of_dim(d)) for d in range(X.dim + 1))
 
 
 def density_reference(f, cell: Cell, grid: GridSpec) -> Fraction:

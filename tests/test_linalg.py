@@ -17,6 +17,8 @@ from plateau.linalg import (
     solution_spaces,
 )
 
+from conftest import matrix_entry, matrix_row, vanishing_below
+
 GF3 = Coeffs("gfp", 3)
 GF5 = Coeffs("gfp", 5)
 FIELDS = [GF2, GF5, RATIONAL]
@@ -74,7 +76,7 @@ def _solve(M, b):
     reads off the augmented rows [M | b] when every row is shared but the
     last.  M has at least one row."""
     F = M.coeffs
-    aug = FieldMatrix.from_rows(F, [M.row(i) + [v] for i, v in enumerate(b)], M.cols + 1)
+    aug = FieldMatrix.from_rows(F, [matrix_row(M, i) + [v] for i, v in enumerate(b)], M.cols + 1)
     (solution,) = solution_spaces(aug, M.rows - 1)
     return None if solution is None else _dense(F, solution[0], M.cols)
 
@@ -148,7 +150,7 @@ def test_kernel_vectors_annihilate(mx):
 @settings(max_examples=60, deadline=None)
 def test_restricted_matches_restricting_the_vectors(mx, data):
     """Restricting the echelon rows gives the subspace spanned by the
-    restricted basis vectors, echelon row for row.  `vanishing_below(k)` is
+    restricted basis vectors, echelon row for row.  `vanishing_below(S, k)` is
     the part of S that is zero below column k: it lies in S, its vectors
     vanish there, and its dimension is dim S minus the rank of S's first k
     columns."""
@@ -160,7 +162,7 @@ def test_restricted_matches_restricting_the_vectors(mx, data):
         F, len(where), [[v[j] for j in where] for v in S.basis])
     assert S.restricted(positions, len(where)).rows == expected.rows
     k = data.draw(st.integers(0, S.ambient_dim))
-    tail = S.vanishing_below(k)
+    tail = vanishing_below(S, k)
     assert all(S.contains(v) and not any(v[:k]) for v in tail.basis)
     head = S.restricted({j: j for j in range(k)}, k)
     assert tail.dim == S.dim - head.dim
@@ -225,17 +227,15 @@ def test_packed_kernels_match_per_entry_definitions(frc):
     F, rows, cols = frc
     dense = _per_entry(F, rows, cols)
     M = FieldMatrix.from_rows(F, rows, cols)
-    assert [M.row(i) for i in range(M.rows)] == dense
-    sparse = FieldMatrix.from_sparse_rows(F, [list(enumerate(r)) for r in rows], cols)
-    assert [sparse.row(i) for i in range(sparse.rows)] == dense
+    assert [matrix_row(M, i) for i in range(M.rows)] == dense
     T = M.transpose()
     assert (T.rows, T.cols) == (cols, len(rows))
-    assert all(T[j, i] == dense[i][j] for i in range(len(rows)) for j in range(cols))
+    assert all(matrix_entry(T, j, i) == dense[i][j] for i in range(len(rows)) for j in range(cols))
 
     R, rank, pivots = row_reduce(M)
     ref_R, ref_pivots = _gauss_jordan(F, dense, cols)
     assert pivots == ref_pivots and rank == len(ref_pivots)
-    assert [R.row(i) for i in range(R.rows)] == ref_R
+    assert [matrix_row(R, i) for i in range(R.rows)] == ref_R
 
     free = [j for j in range(cols) if j not in ref_pivots]
     ref_kernel = []
@@ -290,7 +290,7 @@ def test_solution_spaces_match_bruteforce(F, max_cols, data):
     solutions = solution_spaces(M, shared)
     assert len(solutions) == 2
     for own, solution in zip((shared, shared + 1), solutions):
-        rows = [M.row(i) for i in range(shared)] + [M.row(own)]
+        rows = [matrix_row(M, i) for i in range(shared)] + [matrix_row(M, own)]
         expected = {
             x for x in itertools.product(range(_order(F)), repeat=ncols)
             if all(F.reduce(sum(a * b for a, b in zip(r, x))) == r[ncols] for r in rows)
@@ -310,11 +310,11 @@ def test_solution_spaces_over_rationals(data):
     ncols = M.cols - 1
     for own, solution in zip((shared, shared + 1), solution_spaces(M, shared)):
         A = FieldMatrix.from_rows(
-            RATIONAL, [M.row(i)[:ncols] for i in list(range(shared)) + [own]], ncols
+            RATIONAL, [matrix_row(M, i)[:ncols] for i in list(range(shared)) + [own]], ncols
         )
-        b = [M[i, ncols] for i in list(range(shared)) + [own]]
+        b = [matrix_entry(M, i, ncols) for i in list(range(shared)) + [own]]
         augmented = FieldMatrix.from_rows(
-            RATIONAL, [M.row(i) for i in list(range(shared)) + [own]], ncols + 1
+            RATIONAL, [matrix_row(M, i) for i in list(range(shared)) + [own]], ncols + 1
         )
         _, rank, _ = row_reduce(A)
         # consistent iff appending b to the columns of A keeps the rank

@@ -1,4 +1,3 @@
-import json
 import os
 import random
 import time
@@ -28,18 +27,11 @@ from plateau.spanning import CohomologyClass, SpanningProblem, spans
 from plateau.witness import build_witness_system
 
 from conftest import (
-    SCENARIO_NAMES, bench_instances, bench_problem, load, n4_sphere_problem, rectangle_loops,
-    scenario_path,
+    SCENARIO_NAMES, bench_instances, bench_problem, load, n4_sphere_problem, problem_over,
+    rectangle_loops,
 )
 
 GF3 = {"kind": "gfp", "p": 3}
-
-
-def _over(name: str, coeffs):
-    """A shipped scenario's problem with other coefficients."""
-    with open(scenario_path(name)) as fh:
-        raw = json.load(fh)
-    return build_problem(scenario_from_dict({**raw, "coeffs": coeffs}))
 
 
 def test_crop_tiny_rings(tiny_problem):
@@ -508,7 +500,7 @@ def test_oracle_no_loops_for_higher_codim():
 
 @pytest.mark.parametrize("coeffs", [GF3, "rational"], ids=["gf3", "rational"])
 def test_cold_oracle_certifies_disk_over_other_fields(coeffs):
-    problem = _over("disk3", coeffs)
+    problem = problem_over("disk3", coeffs)
     res = isoperimetric_scan(problem, OracleConfig(warm_start=False))
     assert res.optimal
     assert res.best_weight == res.lower_bound == 9
@@ -518,7 +510,7 @@ def test_cold_oracle_certifies_disk_over_other_fields(coeffs):
 def test_oracle_budget_exhaustion_over_gf3():
     """A budget-stopped search over GF(3) still reports a spanning incumbent
     and a valid lower bound."""
-    problem = _over("rings_tiny", GF3)
+    problem = problem_over("rings_tiny", GF3)
     res = isoperimetric_scan(problem, OracleConfig(budget=200, warm_start=False))
     assert res.lower_bound <= res.best_weight
     X = oracle_surface(problem, res)

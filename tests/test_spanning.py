@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from plateau.cochain import boundary_incidences, cohomology
+from plateau.cochain import CochainComplexData, boundary_incidences, cohomology
 from plateau.lattice import Cell, CubicalComplex, GridSpec, build_skeleton
 from plateau.linalg import GF2, RATIONAL, Coeffs
 from plateau.solver import (
@@ -28,7 +28,7 @@ from plateau.spanning import (
 )
 from plateau.witness import build_witness_system
 
-from conftest import chain_boundary, restriction_spans
+from conftest import chain_boundary, problem_over, restriction_spans
 
 FIELDS = (GF2, Coeffs("gfp", 3), RATIONAL)
 
@@ -171,6 +171,53 @@ def test_spans_matches_witness_system(tiny_problem, tiny_system):
         mcells = frozenset(c for c in box if rng.random() < 0.8)
         X = Surface(tiny_problem, mcells)
         assert spans(X) == tiny_system.spans_surface(X)
+
+
+def test_spans_matches_restriction_image_rings_tiny_gf3():
+    """The three-class rings_tiny problem over GF(3): `spans` agrees with
+    the restriction-image definition on the empty surface, the full fill, a
+    1-minimal surface, that surface minus each of a few cells, and random
+    subsets of the box.  Each class is then moved by a random coboundary of
+    A, which spreads it over many edges with both signs; the verdicts stay."""
+    F = Coeffs("gfp", 3)
+    problem = problem_over("rings_tiny", {"kind": "gfp", "p": 3})
+    assert len(problem.L) == 3 and problem.coeffs == F
+    system = build_witness_system(problem)
+    box = problem.box_mcells()
+    X, _ = greedy_minimize(initial_fill(system), SolverConfig(), system)
+    rng = random.Random(3)
+    surfaces = [frozenset(), frozenset(box), X.mcells]
+    surfaces += [X.mcells - {c} for c in rng.sample(sorted(X.mcells), 4)]
+    keeps = (0.5, 0.8, 0.8, 0.8, 0.9, 0.9, 0.95)
+    surfaces += [frozenset(c for c in box if rng.random() < keep) for keep in keeps]
+    verdicts = []
+    for cells in surfaces:
+        Y = Surface(problem, cells)
+        verdicts.append(spans(Y))
+        assert verdicts[-1] == restriction_spans(Y) == system.spans_surface(Y)
+    assert verdicts[:3] == [False, True, True]
+    assert not any(verdicts[3:7])
+    delta = CochainComplexData(problem.A, F).delta(0)
+    for _ in range(4):
+        moved = SpanningProblem(problem.A, problem.grid, 2, [
+            CohomologyClass(problem.A, 1, [F.add(x, y) for x, y in zip(cls.rep, delta.apply(
+                [rng.randrange(3) for _ in range(delta.cols)]))])
+            for cls in problem.L
+        ], F)
+        assert [spans(Surface(moved, cells)) for cells in surfaces] == verdicts
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=["gf2", "gf3", "q"])
+def test_spans_of_the_empty_surface(F, disk_problem):
+    """The empty surface spans exactly when L is empty."""
+    disk = SpanningProblem(disk_problem.A, disk_problem.grid, 2,
+                           canonical_L(disk_problem.A, 2, F), F)
+    empty = Surface(disk, frozenset())
+    assert spans(empty) is restriction_spans(empty) is False
+    grid = GridSpec(2, 0, ((0, 3), (0, 3)))
+    point = CubicalComplex(grid, [Cell((1, 1), 0)])
+    none = Surface(SpanningProblem(point, grid, 1, canonical_L(point, 1, F), F), frozenset())
+    assert spans(none) is restriction_spans(none) is True
 
 
 def test_fundamental_cycle_is_cycle(tiny_problem):
