@@ -23,7 +23,7 @@ from .lattice import (
     export_off,
 )
 from .linalg import GF2, RATIONAL, Coeffs, FieldMatrix, Subspace
-from .cochain import CellIndexing, cohomology, restriction_image
+from .cochain import cohomology, restriction_image
 from .spanning import (
     CohomologyClass,
     SpanningProblem,

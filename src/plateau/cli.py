@@ -42,7 +42,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle", help="certified exhaustive minimum")
     p_oracle.add_argument("scenario")
     p_oracle.add_argument("--budget", type=int, default=500_000)
-    p_oracle.add_argument("--time-limit", type=float, default=540.0, metavar="SECONDS")
+    p_oracle.add_argument(
+        "--time-limit", type=float, default=540.0, metavar="SECONDS",
+        help="wall-clock limit, first checked after the crop and the witness build, "
+        "which always finish",
+    )
     return parser
 
 

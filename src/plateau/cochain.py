@@ -32,33 +32,12 @@ def boundary_incidences(cell: Cell) -> list[tuple[Cell, int]]:
     return out
 
 
-class CellIndexing:
-    """Canonical (sorted) cell orderings of one complex, per dimension."""
-
-    def __init__(self, X: CubicalComplex):
-        self.complex = X
-        self._order: dict[int, list[Cell]] = {}
-        self._pos: dict[int, dict[Cell, int]] = {}
-
-    def order(self, d: int) -> list[Cell]:
-        if d not in self._order:
-            cells = self.complex.sorted_cells(d)
-            self._order[d] = cells
-            self._pos[d] = {c: i for i, c in enumerate(cells)}
-        return self._order[d]
-
-    def position(self, d: int) -> dict[Cell, int]:
-        self.order(d)
-        return self._pos[d]
-
-
 class CochainComplexData:
     """Coboundary matrices of one complex over one field, cached per degree."""
 
     def __init__(self, X: CubicalComplex, coeffs: Coeffs):
         self.complex = X
         self.coeffs = coeffs
-        self.indexing = CellIndexing(X)
         self._delta: dict[int, FieldMatrix] = {}
 
     def delta(self, d: int) -> FieldMatrix:
@@ -68,17 +47,17 @@ class CochainComplexData:
         sorted position j; faces are found by `HalfLattice` id offsets, and
         rows are built in FieldMatrix's internal form."""
         if d not in self._delta:
-            F, idx = self.coeffs, self.indexing
-            H = HalfLattice(self.complex.grid.box)
-            pos = {H.id(c): j for j, c in enumerate(idx.order(d))}
+            F, X = self.coeffs, self.complex
+            H = HalfLattice(X.grid.box)
+            pos = {H.id(c): j for j, c in enumerate(X.sorted_cells(d))}
             rows = []
             if F.kind == "gf2":
-                for c in idx.order(d + 1):
+                for c in X.sorted_cells(d + 1):
                     at = H.id(c)
                     rows.append(sum(1 << pos[at + offset] for offset, _ in H.faces[c.free_axes]))
             else:
                 unit = {1: F.reduce(1), -1: F.reduce(-1)}
-                for c in idx.order(d + 1):
+                for c in X.sorted_cells(d + 1):
                     at = H.id(c)
                     rows.append({pos[at + offset]: unit[sign]
                                  for offset, sign in H.faces[c.free_axes]})
@@ -86,7 +65,7 @@ class CochainComplexData:
         return self._delta[d]
 
     def cochain_dim(self, d: int) -> int:
-        return len(self.indexing.order(d))
+        return len(self.complex.cells_of_dim(d))
 
 
 def coboundary_space(data: CochainComplexData, d: int,
@@ -157,7 +136,7 @@ def restriction_image(X: CubicalComplex, A: CubicalComplex, d: int, coeffs: Coef
     X_data = X_data or CochainComplexData(X, coeffs)
     A_data = A_data or CochainComplexData(A, coeffs)
     X_cocycles = kernel_basis(X_data.delta(d))
-    xpos = X_data.indexing.position(d)
-    where = {xpos[c]: i for i, c in enumerate(A_data.indexing.order(d))}
+    xpos = X.position(d)
+    where = {xpos[c]: i for i, c in enumerate(A.sorted_cells(d))}
     image = X_cocycles.restricted(where, A_data.cochain_dim(d))
     return RestrictionImage(A_data, d, image, coboundary_space(A_data, d))

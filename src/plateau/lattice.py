@@ -139,6 +139,8 @@ class CubicalComplex:
             self._by_dim.setdefault(c.dim, set()).add(c)  # type: ignore[arg-type]
         self._by_dim = {d: frozenset(s) for d, s in self._by_dim.items()}
         self._cells = frozenset(cellset)
+        self._sorted: dict[int, list[Cell]] = {}
+        self._position: dict[int, dict[Cell, int]] = {}
 
     @property
     def cells(self) -> frozenset[Cell]:
@@ -148,7 +150,16 @@ class CubicalComplex:
         return self._by_dim.get(d, frozenset())
 
     def sorted_cells(self, d: int) -> list[Cell]:
-        return sorted(self.cells_of_dim(d))
+        """The d-cells in sorted order: one shared list per complex and d."""
+        if d not in self._sorted:
+            self._sorted[d] = sorted(self.cells_of_dim(d))
+        return self._sorted[d]
+
+    def position(self, d: int) -> dict[Cell, int]:
+        """Each d-cell's index in `sorted_cells(d)`: one shared dict per complex and d."""
+        if d not in self._position:
+            self._position[d] = {c: i for i, c in enumerate(self.sorted_cells(d))}
+        return self._position[d]
 
     @property
     def dim(self) -> int:
@@ -281,17 +292,16 @@ def complex_from_text(text: str) -> CubicalComplex:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty complex file")
-    head = lines[0].split()
-    n, k = int(head[0]), int(head[1])
-    nums = list(map(int, head[2:]))
-    if len(nums) != 2 * n:
-        raise ValueError("malformed complex header")
-    box = tuple((nums[2 * i], nums[2 * i + 1]) for i in range(n))
-    grid = GridSpec(n, k, box)
+    head = list(map(int, lines[0].split()))
+    if len(head) != 2 + 2 * head[0]:  # n, k and n (low, high) pairs
+        raise ValueError(f"malformed complex header {lines[0]!r}")
+    n, k = head[:2]
+    grid = GridSpec(n, k, tuple(zip(head[2::2], head[3::2])))
     cells = []
     for ln in lines[1:]:
         vals = list(map(int, ln.split()))
-        if len(vals) != n + 1:
+        # n anchor coordinates, then an axis mask below 2**n
+        if len(vals) != n + 1 or not 0 <= vals[n] < 1 << n:
             raise ValueError(f"malformed cell line: {ln!r}")
         cells.append(Cell(tuple(vals[:n]), vals[n]))
     return CubicalComplex(grid, cells)

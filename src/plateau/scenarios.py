@@ -30,14 +30,11 @@ from .lattice import (
     CubicalComplex,
     GridSpec,
     complex_from_text,
-    connected_components,
     export_off,
 )
 from .linalg import GF2, Coeffs
 from .solver import SolverConfig, frac_str, solve
-from .spanning import (
-    CohomologyClass, SpanningProblem, Surface, canonical_L, check_closed_manifold, spans,
-)
+from .spanning import CohomologyClass, SpanningProblem, Surface, canonical_L, spans
 
 DIAGNOSTIC_NAMES = ("slicing", "profile", "regularity", "monotonicity")
 
@@ -96,6 +93,8 @@ def load_scenario(path: str) -> Scenario:
 
 
 def scenario_from_dict(data: dict) -> Scenario:
+    if not isinstance(data, dict):
+        raise ValueError(f"scenario must be a JSON object, got {data!r}")
     for key in ("grid", "boundary", "m", "seed"):
         if key not in data:
             raise ValueError(f"scenario field {key!r} is required")
@@ -257,26 +256,7 @@ def _solid_boundary(grid: GridSpec, solids: set[tuple[int, ...]]) -> set[Cell]:
     return {f for f, c in count.items() if c % 2 == 1}
 
 
-def _verify_closed_manifold(
-    A: CubicalComplex, dim: int, expected_components: int, m: int
-) -> tuple[CubicalComplex, Optional[list[CubicalComplex]]]:
-    """Check a builtin's component count and that it is a closed manifold of
-    dimension dim: curves for the disk and rings, surfaces for torus and shell.
-    Returns A and, for m = 1 or dim = m - 1, its components checked for `canonical_L`."""
-    comps = connected_components(A)
-    if len(comps) != expected_components:
-        raise ValueError(
-            f"boundary has {len(comps)} components, expected {expected_components}"
-        )
-    check_closed_manifold(A, dim)
-    return A, comps if m in (1, dim + 1) else None
-
-
 def build_boundary(scenario: Scenario) -> CubicalComplex:
-    return _boundary(scenario)[0]
-
-
-def _boundary(scenario: Scenario) -> tuple[CubicalComplex, Optional[list[CubicalComplex]]]:
     grid = scenario.grid
     spec = scenario.boundary
     tag = spec["tag"]
@@ -287,8 +267,7 @@ def _boundary(scenario: Scenario) -> tuple[CubicalComplex, Optional[list[Cubical
         x0, y0 = _int_pair(spec.get("origin", (0, 0)), "boundary.origin")
         lo, hi = (x0, y0), (x0 + size, y0 + size)
         _require_in_box(grid, (0, 1), lo, hi)
-        ring = CubicalComplex(grid, _rectangle_ring(grid, (0, 1), lo, hi, {}))
-        return _verify_closed_manifold(ring, 1, 1, scenario.m)
+        return CubicalComplex(grid, _rectangle_ring(grid, (0, 1), lo, hi, {}))
     if tag == "three_rings":
         if grid.n != 3:
             raise ValueError("three_rings requires a 3-dimensional grid")
@@ -305,7 +284,7 @@ def _boundary(scenario: Scenario) -> tuple[CubicalComplex, Optional[list[Cubical
         cells: set[Cell] = set()
         for i in range(3):
             cells |= _rectangle_ring(grid, (0, 1), lo, hi, {2: z0 + i * spacing})
-        return _verify_closed_manifold(CubicalComplex(grid, cells), 1, 3, scenario.m)
+        return CubicalComplex(grid, cells)
     if tag == "torus_longitude":
         if grid.n != 3:
             raise ValueError("torus_longitude requires a 3-dimensional grid")
@@ -327,8 +306,7 @@ def _boundary(scenario: Scenario) -> tuple[CubicalComplex, Optional[list[Cubical
                 hole[0][0] <= x < hole[0][1] and hole[1][0] <= y < hole[1][1]
             )
         }
-        torus = CubicalComplex(grid, _solid_boundary(grid, solids))
-        return _verify_closed_manifold(torus, 2, 1, scenario.m)
+        return CubicalComplex(grid, _solid_boundary(grid, solids))
     if tag == "sphere_shell":
         if grid.n != 3:
             raise ValueError("sphere_shell requires a 3-dimensional grid")
@@ -339,8 +317,7 @@ def _boundary(scenario: Scenario) -> tuple[CubicalComplex, Optional[list[Cubical
         solids = set(
             itertools.product(*(range(lo, hi) for lo, hi in box))
         )
-        shell = CubicalComplex(grid, _solid_boundary(grid, solids))
-        return _verify_closed_manifold(shell, 2, 1, scenario.m)
+        return CubicalComplex(grid, _solid_boundary(grid, solids))
     if tag == "custom":
         path = spec.get("path")
         if not isinstance(path, str):
@@ -349,7 +326,7 @@ def _boundary(scenario: Scenario) -> tuple[CubicalComplex, Optional[list[Cubical
             A = complex_from_text(fh.read())
         if A.grid != grid:
             raise ValueError("custom boundary grid differs from the scenario grid")
-        return A, None
+        return A
     raise ValueError(f"unknown boundary tag {tag!r}")
 
 
@@ -359,23 +336,21 @@ def _require_in_box(grid, axes, lo, hi) -> None:
             raise ValueError(f"boundary rectangle outside the box on axis {a}")
 
 
-def build_classes(scenario: Scenario, A: CubicalComplex,
-                  comps: Optional[list[CubicalComplex]] = None) -> list[CohomologyClass]:
+def build_classes(scenario: Scenario, A: CubicalComplex) -> list[CohomologyClass]:
     if scenario.L_spec == "canonical":
-        return canonical_L(A, scenario.m, scenario.coeffs, comps)
+        return canonical_L(A, scenario.m, scenario.coeffs)
     if not isinstance(scenario.L_spec, list):
         raise ValueError(
             f'scenario field L must be "canonical" or a list of classes, got {scenario.L_spec!r}'
         )
     classes = []
-    lower = sorted(A.cells_of_dim(scenario.m - 1))
-    pos = {c: i for i, c in enumerate(lower)}
+    pos = A.position(scenario.m - 1)
     for i, entry in enumerate(scenario.L_spec):
         path = f"L[{i}].cochain"
         cochain = entry.get("cochain") if isinstance(entry, dict) else None
         if not isinstance(cochain, list):
             raise ValueError(f"scenario field {path} must be a list, got {cochain!r}")
-        rep = [scenario.coeffs.zero] * len(lower)
+        rep = [scenario.coeffs.zero] * len(pos)
         for item in cochain:
             try:
                 *anchor, mask, coeff = item
@@ -395,8 +370,8 @@ def build_classes(scenario: Scenario, A: CubicalComplex,
 
 
 def build_problem(scenario: Scenario) -> SpanningProblem:
-    A, comps = _boundary(scenario)
-    L = build_classes(scenario, A, comps)
+    A = build_boundary(scenario)
+    L = build_classes(scenario, A)
     return SpanningProblem(
         A, scenario.grid, scenario.m, L, scenario.coeffs, scenario.density
     )

@@ -23,7 +23,6 @@ from fractions import Fraction
 from typing import Optional
 
 from .cochain import (
-    CellIndexing,
     CochainComplexData,
     boundary_incidences,
     coboundary_space,
@@ -105,7 +104,7 @@ class SpanningProblem:
         values of L's classes there in L's order; computed once per problem."""
         if self._faces is None:
             H = HalfLattice(self.grid.box)
-            pos = CellIndexing(self.A).position(self.m - 1)
+            pos = self.A.position(self.m - 1)
             self._faces = {H.id(c): [cls.rep[p] for cls in self.L] for c, p in pos.items()}
         return self._faces
 
@@ -257,7 +256,7 @@ def check_closed_manifold(K: CubicalComplex, dim: int) -> None:
 
 def orient_component(comp: CubicalComplex, m: int) -> dict[Cell, int]:
     """Consistent +-1 orientation of the top cells, or raise if non-orientable."""
-    top = sorted(comp.cells_of_dim(m - 1))
+    top = comp.sorted_cells(m - 1)
     if not top:
         raise ValueError("component has no top cells")
     incidence: dict[Cell, list[tuple[Cell, int]]] = {}
@@ -295,25 +294,20 @@ def fundamental_cycle(comp: CubicalComplex, m: int) -> dict[Cell, int]:
     return orientation
 
 
-def canonical_L(A: CubicalComplex, m: int, coeffs: Coeffs,
-                comps: Optional[list[CubicalComplex]] = None) -> list[CohomologyClass]:
+def canonical_L(A: CubicalComplex, m: int, coeffs: Coeffs) -> list[CohomologyClass]:
     """One generator class per closed-manifold component of A.
 
-    Over GF(2) the generator is the indicator of a single top cell; over other
-    fields the cell is weighted by its orientation.  Either way the class
-    pairs to 1 with its component's fundamental cycle, so it is not zero.  For
-    m = 1 the classes are component indicators in reduced degree 0, and the
-    one component of a connected A is the constant: then there is no class.
-    `comps`, when given, are A's components, already checked to be closed
-    (m-1)-manifolds.
+    The generator is the indicator of the component's least top cell; it
+    pairs to 1 with the component's fundamental cycle, so it is not zero.
+    Over GF(p) and Q that cycle needs an orientation, which
+    `fundamental_cycle` checks exists and starts at that cell.  For m = 1 the
+    classes are component indicators in reduced degree 0, and the one
+    component of a connected A is the constant: then there is no class.
     """
-    if comps is None:
-        comps = connected_components(A)
-        for comp in comps if m >= 2 else ():
-            check_closed_manifold(comp, m - 1)
+    comps = connected_components(A)
     if m == 1 and len(comps) == 1:
         return []
-    pos = CellIndexing(A).position(m - 1)
+    pos = A.position(m - 1)
     out = []
     for ci, comp in enumerate(comps):
         rep = [coeffs.zero] * len(pos)
@@ -321,11 +315,9 @@ def canonical_L(A: CubicalComplex, m: int, coeffs: Coeffs,
             for c in comp.cells_of_dim(0):
                 rep[pos[c]] = coeffs.one
         else:
-            marked = min(comp.cells_of_dim(m - 1))
-            if coeffs.kind == "gf2":
-                rep[pos[marked]] = 1
-            else:
-                orientation = fundamental_cycle(comp, m)
-                rep[pos[marked]] = coeffs.reduce(orientation[marked])
+            check_closed_manifold(comp, m - 1)
+            if coeffs.kind != "gf2":
+                fundamental_cycle(comp, m)
+            rep[pos[min(comp.cells_of_dim(m - 1))]] = coeffs.one
         out.append(CohomologyClass(A, m - 1, rep, label=f"component-{ci}"))
     return out

@@ -3,7 +3,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plateau.cochain import (
-    CellIndexing,
     CochainComplexData,
     boundary_incidences,
     cohomology,
@@ -169,13 +168,13 @@ def _skeleton_2x3x4():
 def test_delta_rows_match_boundary_incidences(F, make):
     """Row i of delta(d), built on half-lattice ids, is the coboundary of
     the i-th sorted (d+1)-cell read off `boundary_incidences` at the
-    `CellIndexing` positions of its faces."""
+    complex's `position` of its faces."""
     X, _ = make()
-    data, idx = CochainComplexData(X, F), CellIndexing(X)
+    data = CochainComplexData(X, F)
     for d in range(X.dim):
-        M, pos = data.delta(d), idx.position(d)
-        assert (M.rows, M.cols) == (len(idx.order(d + 1)), len(pos))
-        for i, c in enumerate(idx.order(d + 1)):
+        M, pos = data.delta(d), X.position(d)
+        assert (M.rows, M.cols) == (len(X.sorted_cells(d + 1)), len(pos))
+        for i, c in enumerate(X.sorted_cells(d + 1)):
             expected = [F.zero] * len(pos)
             for f, sign in boundary_incidences(c):
                 expected[pos[f]] = F.reduce(sign)

@@ -3,11 +3,12 @@ import copy
 import io
 import json
 import os
+import re
 import tempfile
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from plateau.cli import main
@@ -24,9 +25,9 @@ from plateau.scenarios import (
     run,
     scenario_from_dict,
 )
-from plateau.spanning import SpanningProblem
+from plateau.spanning import SpanningProblem, check_closed_manifold
 
-from conftest import SCENARIO_NAMES, load, scenario_path
+from conftest import SCENARIO_NAMES, euler_characteristic, load, scenario_path
 
 
 def test_parse_rational():
@@ -317,6 +318,10 @@ def test_cli_error_paths(tmp_path, capsys):
         ["solve", scenario_path("disk3"), "--diagnostics", "entropy"]
     ) == 2
     capsys.readouterr()
+    for top in ("5", "null", "true", "[1]", '"x"'):
+        bad.write_text(top)
+        assert main(["solve", str(bad)]) == 2
+        assert "scenario must be a JSON object" in capsys.readouterr().err
     with open(scenario_path("disk3")) as fh:
         raw = json.load(fh)
     for field, change in (
@@ -450,16 +455,21 @@ def test_malformed_scenario_exits_2(case, data):
     assert err.startswith("error:")
 
 
+def _cli_exit(argv: list[str]) -> tuple[int, str]:
+    """Exit code and standard error of one `plateau` command."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, err.getvalue()
+
+
 def _solve_exit(raw: dict) -> tuple[int, str]:
     """Exit code and standard error of `plateau solve` on a scenario dict."""
-    err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         scenario = os.path.join(tmp, "broken.json")
         with open(scenario, "w") as fh:
             json.dump(raw, fh)
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = main(["solve", scenario])
-    return code, err.getvalue()
+        return _cli_exit(["solve", scenario])
 
 
 # disk3's A is one ring; its 1-cells are the cells an L cochain may name
@@ -508,6 +518,163 @@ def test_malformed_L_exits_2(L):
     code, err = _solve_exit({**FUZZ_BASES["disk3"], "L": L})
     assert code == 2, L
     assert err.startswith("error:")
+
+
+# disk3's ring in the complex text format (n = 2, box [0, 5]^2): a surface
+# file that `plateau check` reads, and a `custom` boundary file
+RING_TEXT = complex_to_text(build_boundary(load("disk3")))
+NOT_AN_INT = st.sampled_from(["x", "1.5", "1/2", "0x1", "--2", "+"])
+
+
+@st.composite
+def _malformed_complex_text(draw):
+    """RING_TEXT broken once: a header that is not n, k and 2n box ends, a
+    dimension out of 1..6, a degenerate box axis, a token that is no
+    integer, a cell line of the wrong length, an axis mask outside [0, 4),
+    or a cell anchored outside the box."""
+    head, *cells = [line.split() for line in RING_TEXT.splitlines()]
+    cell = draw(st.sampled_from(cells))
+    how = draw(st.sampled_from(["short", "long", "dimension", "degenerate", "token",
+                                "width", "mask", "outside"]))
+    if how == "short":
+        del head[draw(st.integers(1, len(head) - 1)):]
+    elif how == "long":
+        head += draw(st.lists(SMALL.map(str), min_size=1, max_size=3))
+    elif how == "dimension":
+        n = draw(st.sampled_from([0, 7, 8]))
+        head[:] = [str(n), "0"] + ["0", "5"] * n
+    elif how == "degenerate":  # high at or below low = 0
+        head[draw(st.sampled_from([3, 5]))] = draw(st.sampled_from(["0", "-1"]))
+    elif how == "token":
+        row = draw(st.sampled_from([head, cell]))
+        row[draw(st.integers(0, len(row) - 1))] = draw(NOT_AN_INT)
+    elif how == "width":
+        cell[:] = cell[:-1] if draw(st.booleans()) else cell + ["0"]
+    elif how == "mask":
+        cell[2] = str(draw(st.one_of(st.integers(-10**6, -1), st.integers(4, 10**6))))
+    else:
+        cell[draw(st.integers(0, 1))] = str(draw(st.one_of(st.integers(-10**6, -1),
+                                                           st.integers(6, 10**6))))
+    return "".join(" ".join(row) + "\n" for row in (head, *cells))
+
+
+def _complex_file_exit(text: str, via: str) -> tuple[int, str]:
+    """`plateau check` of text as a surface of disk3, or `plateau solve` of
+    disk3 with text as its custom boundary."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "complex.txt")
+        with open(path, "w") as fh:
+            fh.write(text)
+        if via == "check":
+            return _cli_exit(["check", path, scenario_path("disk3")])
+        return _solve_exit({**FUZZ_BASES["disk3"], "boundary": {"tag": "custom", "path": path}})
+
+
+def test_complex_text_rejects_malformed_lines():
+    """RING_TEXT itself is well formed; a one-token header, and a cell line
+    whose axis mask is 9 or -1 in an n = 2 file, exit 2."""
+    assert _complex_file_exit(RING_TEXT, "check")[0] == 1  # the ring alone does not span
+    assert _complex_file_exit(RING_TEXT, "custom")[0] == 0
+    head, rest = RING_TEXT.split("\n", 1)
+    for text in ("3\n" + rest, f"{head}\n1 1 9\n{rest}", f"{head}\n1 1 -1\n{rest}"):
+        for via in ("check", "custom"):
+            code, err = _complex_file_exit(text, via)
+            assert code == 2 and err.startswith("error:"), (text, via)
+
+
+@given(text=_malformed_complex_text(), via=st.sampled_from(["check", "custom"]))
+@settings(max_examples=150, deadline=None)
+def test_malformed_complex_file_exits_2(text, via):
+    """A surface file for `plateau check`, or a `custom` boundary file for
+    `plateau solve`, that breaks the complex text format exits 2 with an
+    error line."""
+    code, err = _complex_file_exit(text, via)
+    assert code == 2, (text, via)
+    assert err.startswith("error:")
+
+
+# per builtin: grid dimension, the dimension of the closed manifold it
+# builds, its number of components and its Euler characteristic
+BUILTINS = {"disk": (2, 1, 1, 0), "three_rings": (3, 1, 3, 0),
+            "torus_longitude": (3, 2, 1, 0), "sphere_shell": (3, 2, 1, 2)}
+PARAMETER_CHECKS = re.compile(
+    "requires a [23]-dimensional grid|boundary rectangle outside the box"
+    "|ring spacing (must be at least 1|exceeds the box height)"
+    "|torus z-range outside the box|torus hole must be strictly inside"
+    "|sphere shell solid outside the box")
+
+
+def _shifted(draw, value):
+    """value with each integer in it moved by at most 2."""
+    if isinstance(value, int):
+        return value + draw(st.integers(-2, 2))
+    return [_shifted(draw, v) for v in value]
+
+
+@st.composite
+def _builtin_scenarios(draw):
+    """A builtin boundary with in-range parameters in a small box.  Then, in
+    three draws of four, the grid gets the wrong dimension or every
+    parameter moves by at most 2, which reaches out of the box and makes
+    ends meet."""
+    tag = draw(st.sampled_from(sorted(BUILTINS)))
+    n = BUILTINS[tag][0]
+    box = [[draw(st.integers(-1, 0)), draw(st.integers(3, 7))] for _ in range(n)]
+
+    def inside(axis: int, count: int) -> list[int]:
+        """count distinct coordinates of the box along axis, in order."""
+        return sorted(draw(st.lists(st.integers(*box[axis]), min_size=count,
+                                    max_size=count, unique=True)))
+
+    if tag == "torus_longitude":
+        xs, ys = inside(0, 4), inside(1, 4)
+        spec = {"outer": [[xs[0], xs[3]], [ys[0], ys[3]]],
+                "hole": [xs[1:3], ys[1:3]], "z": inside(2, 2)}
+    elif tag == "sphere_shell":
+        spec = {"solid": [inside(a, 2) for a in range(3)]}
+    else:
+        x = draw(st.integers(box[0][0], box[0][1] - 1))
+        y = draw(st.integers(box[1][0], box[1][1] - 1))
+        spec = {"size": draw(st.integers(1, min(box[0][1] - x, box[1][1] - y))),
+                "origin": [x, y]}
+        if tag == "three_rings":
+            lo, hi = box[2]
+            spacing = draw(st.integers(1, (hi - lo) // 2))
+            spec.update(spacing=spacing, z0=draw(st.integers(lo, hi - 2 * spacing)))
+    how = draw(st.sampled_from(["none", "dimension", "shift", "shift"]))
+    if how == "dimension":
+        n = 5 - n
+        box = (box + [[0, 4]])[:n]
+    elif how == "shift":
+        spec = {key: _shifted(draw, value) for key, value in spec.items()}
+    return {"grid": {"n": n, "k": 0, "box": box}, "boundary": {"tag": tag, **spec},
+            "m": 1, "seed": 0}
+
+
+@given(raw=_builtin_scenarios())
+# rings that coincide, and a hole that meets the outer wall: a U-shaped solid
+@example(raw={"grid": {"n": 3, "k": 0, "box": [[0, 4], [0, 4], [0, 6]]}, "m": 1, "seed": 0,
+              "boundary": {"tag": "three_rings", "size": 2, "spacing": 0, "z0": 1}})
+@example(raw={"grid": {"n": 3, "k": 0, "box": [[0, 6], [0, 6], [0, 4]]}, "m": 1, "seed": 0,
+              "boundary": {"tag": "torus_longitude", "outer": [[0, 6], [0, 6]],
+                           "hole": [[0, 4], [2, 4]], "z": [1, 3]}})
+@settings(max_examples=500, deadline=None)
+def test_builtins_are_closed_manifolds(raw):
+    """Every builtin the loader accepts is a closed manifold of the builtin's
+    dimension, with its number of components and Euler characteristic (a
+    torus, not a sphere): `build_boundary` does not check this, so its parameter
+    checks must guarantee it.  Every rejection comes from one of those
+    checks."""
+    try:
+        A = build_boundary(scenario_from_dict(raw))
+    except ValueError as exc:
+        assert PARAMETER_CHECKS.search(str(exc)), (raw, exc)
+        return
+    _, dim, components, chi = BUILTINS[raw["boundary"]["tag"]]
+    assert A.dim == dim
+    check_closed_manifold(A, dim)
+    assert len(connected_components(A)) == components
+    assert euler_characteristic(A) == chi
 
 
 @pytest.mark.parametrize("coeffs, coeff, outcome", [

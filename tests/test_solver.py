@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 
 from plateau.lattice import Cell, CubicalComplex, GridSpec, box_cells
+from plateau.oracle import OracleConfig, isoperimetric_scan
+from plateau.scenarios import build_problem, scenario_from_dict
 from plateau.solver import (
     SolverConfig,
     _admissible_regions,
@@ -300,3 +302,33 @@ def test_solve_is_deterministic(disk_problem):
     X2, r2 = solve(disk_problem, SolverConfig())
     assert X1.mcells == X2.mcells
     assert r1.to_dict()["moves"] == r2.to_dict()["moves"]
+
+
+def test_solve_accepts_local_moves():
+    """A radial-density rings problem whose local sweep improves the greedy
+    surface: in one pass three 2-boxes are refilled more lightly, the greedy
+    re-run then removes one more cell, and a further pass finds nothing.
+    With 1-boxes, which have no interior 2-cells in n = 3, the sweep accepts
+    nothing.  The sweep stays a heuristic: the cold oracle certifies 505/3
+    at the root."""
+    problem = build_problem(scenario_from_dict({
+        "grid": {"n": 3, "k": 0, "box": [[0, 5], [0, 3], [0, 6]]},
+        "boundary": {"tag": "three_rings", "size": 3, "origin": [0, 0],
+                     "spacing": 2, "z0": 1},
+        "m": 2, "seed": 1,
+        "density": {"kind": "radial", "offset": 1, "slope": "8/3",
+                    "center": ["4/2", "5/2", "4/2"], "a": "1/1000", "b": 1000},
+    }))
+    system = build_witness_system(problem)
+    X, report = solve(problem, SolverConfig(), system)
+    assert [kind for kind, _ in report.moves].count("local_replace") == 3
+    step = Fraction(-7, 3)
+    assert report.moves[-4:] == [("local_replace", step)] * 3 + [("remove", step)]
+    assert report.final_weight == surface_weight(X) == Fraction(709, 3)
+    assert spans(X)
+    assert_one_minimal(X, system)
+    _, report1 = solve(problem, SolverConfig(local_box_side=1), system)
+    assert all(kind != "local_replace" for kind, _ in report1.moves)
+    assert report1.final_weight == Fraction(737, 3)
+    result = isoperimetric_scan(problem, OracleConfig())
+    assert (result.best_weight, result.optimal, result.nodes) == (Fraction(505, 3), True, 0)
