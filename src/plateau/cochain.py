@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .lattice import Cell, CubicalComplex, HalfLattice
-from .linalg import Coeffs, FieldMatrix, Subspace, kernel_basis
+from .linalg import Coeffs, FieldMatrix, Subspace, _dense, kernel_basis
 
 
 def boundary_incidences(cell: Cell) -> list[tuple[Cell, int]]:
@@ -108,7 +108,8 @@ def cohomology(X: CubicalComplex, d: int, coeffs: Coeffs,
     coboundaries = coboundary_space(data, d, reduced)
     # a cocycle joins the quotient basis iff it lies outside the span of the
     # coboundaries and of the cocycles kept before it
-    reps = coboundaries.extending(cocycles.basis)
+    grown = coboundaries._echelon.copy()
+    reps = [_dense(coeffs, r, cocycles.ambient_dim) for r in cocycles.rows if grown.add(r)]
     return CohomologySpace(data, d, cocycles, coboundaries, reps, reduced and d == 0)
 
 

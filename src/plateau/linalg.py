@@ -1,13 +1,16 @@
 """Exact linear algebra over GF(2), GF(p) and the rationals.
 
-Matrices are small and sparse, and exact elimination into the (unique)
-reduced row echelon form is the right tool; rows are inserted one at a time,
-so span membership and rank growth need no re-reduction.  GF(2) rows are
+Matrices are small and sparse, and exact elimination is the right tool.  An
+echelon grows one row at a time in row echelon form: `add` reduces a new row
+only until its lowest column is no stored pivot, so span membership and rank
+growth need no re-reduction.  Reading a reduced form (`_read_off`,
+`Subspace.rows`, `row_reduce`) first back-substitutes once, in place, into the
+(unique) reduced row echelon form; the span is unchanged.  GF(2) rows are
 packed into Python ints; other fields use sparse dict rows, column -> nonzero
-int mod p or Fraction.  Rows are replaced, never changed in place, so
+int mod p or Fraction.  A stored row is replaced, never changed in place, so
 echelons, matrices and subspaces share them; `_dense` gives a row's entry
-list where it leaves the module.  `kernel_basis` and `solution_spaces`
-read solutions off one echelon in the same way.
+list where it leaves the module.  `kernel_basis` and `solution_spaces` read
+solutions off one echelon in the same way.
 """
 
 from __future__ import annotations
@@ -141,28 +144,34 @@ def _to_row(F: Coeffs, vec: Sequence, cols: int):
 
 
 class _Gf2Echelon:
-    """Packed GF(2) rows in reduced echelon form, grown one row at a time.
+    """Packed GF(2) rows in row echelon form, grown one row at a time.
 
-    Each stored row is keyed by its pivot, its lowest set bit, and has no
-    other stored row's pivot set.
+    Each stored row is keyed by its pivot, its lowest set bit; no two rows
+    share a pivot.  `reduced` clears every pivot from the other rows.
     """
 
-    __slots__ = ("rows", "mask")
+    __slots__ = ("rows", "mask", "is_reduced")
 
     def __init__(self) -> None:
         self.rows: dict[int, int] = {}
         self.mask = 0
+        self.is_reduced = True
 
     def copy(self) -> "_Gf2Echelon":
-        # add() replaces rows and never changes one in place
         E = _Gf2Echelon()
         E.rows = dict(self.rows)
         E.mask = self.mask
+        E.is_reduced = self.is_reduced
         return E
 
     def _reduce(self, r: int) -> int:
-        for c in bit_indices(r & self.mask):
-            r ^= self.rows[c]
+        """r less stored rows, until its lowest set bit is no pivot."""
+        rows, mask = self.rows, self.mask
+        while r:
+            low = r & -r
+            if not low & mask:
+                break
+            r ^= rows[low.bit_length() - 1]
         return r
 
     def contains(self, r: int) -> bool:
@@ -174,51 +183,80 @@ class _Gf2Echelon:
         if not r:
             return False
         low = r & -r
-        for c, b in self.rows.items():
-            if b & low:
-                self.rows[c] = b ^ r
         self.rows[low.bit_length() - 1] = r
         self.mask |= low
+        self.is_reduced = False
         return True
+
+    def reduced(self) -> "_Gf2Echelon":
+        """This echelon in reduced row echelon form, back-substituted in place.
+
+        Rows are taken in decreasing pivot order, so each row clears its
+        higher pivots with rows that hold no other pivot.
+        """
+        if not self.is_reduced:
+            rows, mask = self.rows, self.mask
+            for c in sorted(rows, reverse=True):
+                r = rows[c]
+                for k in bit_indices(r & mask ^ 1 << c):
+                    r ^= rows[k]
+                rows[c] = r
+            self.is_reduced = True
+        return self
+
+
+def _subtract(F: Coeffs, row: dict, f, v: dict) -> dict:
+    """row - f * v, computed in place in row; f is nonzero."""
+    p = F.p
+    for j, y in v.items():
+        x = row.get(j, 0) - f * y
+        if p:
+            x %= p
+        if x:
+            row[j] = x
+        else:
+            del row[j]
+    return row
 
 
 def _minus_multiple(F: Coeffs, row: dict, f, v: dict) -> dict:
     """The sparse row row - f * v, as a new dict; f is nonzero."""
-    out = dict(row)
-    p = F.p
-    for j, y in v.items():
-        x = out.get(j, 0) - f * y
-        if p:
-            x %= p
-        if x:
-            out[j] = x
-        else:
-            del out[j]
-    return out
+    return _subtract(F, dict(row), f, v)
 
 
 class _Echelon:
-    """Sparse rows over GF(p) or Q in reduced echelon form, grown one row at a time.
+    """Sparse rows over GF(p) or Q in row echelon form, grown one row at a time.
 
-    Each stored row is keyed by its pivot, its lowest column, carries a one
-    there and holds no other stored row's pivot.
+    Each stored row is keyed by its pivot, its lowest column, and carries a
+    one there; no two rows share a pivot.  `reduced` clears every pivot from
+    the other rows.
     """
 
     def __init__(self, coeffs: Coeffs) -> None:
         self.coeffs = coeffs
         self.rows: dict[int, dict] = {}
+        self.is_reduced = True
 
     def copy(self) -> "_Echelon":
         E = _Echelon(self.coeffs)
         E.rows = dict(self.rows)
+        E.is_reduced = self.is_reduced
         return E
 
     def _reduce(self, v: dict) -> dict:
-        # no stored row holds another's pivot, so the entries of v at the
-        # pivots stay as they are while v is reduced
-        for c in [c for c in v if c in self.rows]:
-            v = _minus_multiple(self.coeffs, v, v[c], self.rows[c])
-        return v
+        """v less stored rows, until its lowest column is no pivot; v itself
+        if no row applies, else one private copy, reduced in place."""
+        F, rows = self.coeffs, self.rows
+        out = v
+        while out:
+            c = min(out)
+            row = rows.get(c)
+            if row is None:
+                break
+            if out is v:
+                out = dict(v)
+            _subtract(F, out, out[c], row)
+        return out
 
     def contains(self, v: dict) -> bool:
         return not self._reduce(v)
@@ -233,12 +271,29 @@ class _Echelon:
         if v[c] != 1:
             inv = F.inv(v[c])
             v = {j: F.mul(inv, x) for j, x in v.items()}
-        for k, row in self.rows.items():
-            f = row.get(c)
-            if f:
-                self.rows[k] = _minus_multiple(F, row, f, v)
         self.rows[c] = v
+        self.is_reduced = False
         return True
+
+    def reduced(self) -> "_Echelon":
+        """This echelon in reduced row echelon form, back-substituted in place.
+
+        Rows are taken in decreasing pivot order, so each row clears its
+        higher pivots with rows that hold no other pivot; a row that changes
+        is replaced by a new dict, as copies of this echelon share rows.
+        """
+        if not self.is_reduced:
+            F, rows = self.coeffs, self.rows
+            for c in sorted(rows, reverse=True):
+                r = rows[c]
+                hits = [k for k in r if k != c and k in rows]
+                if hits:
+                    r = dict(r)
+                    for k in hits:
+                        _subtract(F, r, r[k], rows[k])
+                    rows[c] = r
+            self.is_reduced = True
+        return self
 
 
 def _echelon(coeffs: Coeffs):
@@ -296,7 +351,7 @@ class FieldMatrix:
 
 
 def row_reduce(M: FieldMatrix) -> tuple[FieldMatrix, int, list[int]]:
-    """Gauss-Jordan reduced form, rank, and pivot columns.
+    """Reduced row echelon form, rank, and pivot columns.
 
     The reduced row echelon form is unique: pivot rows in increasing pivot
     column order, then zero rows.
@@ -305,6 +360,7 @@ def row_reduce(M: FieldMatrix) -> tuple[FieldMatrix, int, list[int]]:
     E = _echelon(F)
     for r in M._rows:
         E.add(r)
+    E.reduced()
     pivots = sorted(E.rows)
     zero_rows = [0 if F.kind == "gf2" else {} for _ in range(M.rows - len(pivots))]
     R = FieldMatrix(F, [E.rows[c] for c in pivots] + zero_rows, M.cols)
@@ -312,11 +368,11 @@ def row_reduce(M: FieldMatrix) -> tuple[FieldMatrix, int, list[int]]:
 
 
 class Subspace:
-    """Subspace of coeffs**ambient_dim, held as its reduced echelon form.
+    """Subspace of coeffs**ambient_dim, held as an echelon of its rows.
 
-    The constructor adds rows in FieldMatrix's internal form.  The echelon is
-    not changed afterwards: `contains` tests against it, and `extending` and
-    `sum` grow copies of it.
+    The constructor adds rows in FieldMatrix's internal form.  The span is
+    not changed afterwards: `contains` tests against the echelon, `sum` grows
+    a copy of it, and reading `rows` reduces it in place.
     """
 
     def __init__(self, coeffs: Coeffs, ambient_dim: int, rows: Iterable = ()):
@@ -328,13 +384,13 @@ class Subspace:
 
     @property
     def rows(self) -> list:
-        """The echelon's rows in internal form, by increasing pivot."""
-        E = self._echelon
+        """The reduced echelon's rows in internal form, by increasing pivot."""
+        E = self._echelon.reduced()
         return [E.rows[c] for c in sorted(E.rows)]
 
     @property
     def basis(self) -> list[list]:
-        """The echelon's rows as entry lists, by increasing pivot."""
+        """The reduced echelon's rows as entry lists, by increasing pivot."""
         return [_dense(self.coeffs, r, self.ambient_dim) for r in self.rows]
 
     @property
@@ -355,20 +411,15 @@ class Subspace:
         j moved to coordinate positions[j] of an ambient_dim-space."""
         if self.coeffs.kind == "gf2":
             keep = sum(1 << j for j in positions)
-            rows = [sum(1 << positions[j] for j in bit_indices(r & keep)) for r in self.rows]
+            rows = [sum(1 << positions[j] for j in bit_indices(r & keep))
+                    for r in self._echelon.rows.values()]
         else:
             rows = [{positions[j]: x for j, x in r.items() if j in positions}
-                    for r in self.rows]
+                    for r in self._echelon.rows.values()]
         return Subspace(self.coeffs, ambient_dim, rows)
 
     def contains(self, v: Sequence) -> bool:
         return self._echelon.contains(_to_row(self.coeffs, v, self.ambient_dim))
-
-    def extending(self, vectors: Iterable[Sequence]) -> list[list]:
-        """The vectors, in order, that each lie outside the span of this
-        subspace and of the vectors kept before them."""
-        E = self._echelon.copy()
-        return [list(v) for v in vectors if E.add(_to_row(self.coeffs, v, self.ambient_dim))]
 
     def sum(self, other: "Subspace") -> "Subspace":
         if other.ambient_dim != self.ambient_dim:
@@ -381,7 +432,8 @@ class Subspace:
 
 
 def _read_off(E, cols: int) -> Optional[tuple]:
-    """(particular, kernel rows) of the augmented system held by E.
+    """(particular, kernel rows) of the augmented system held by E, which
+    this reduces first.
 
     Columns below `cols` are the unknowns and column `cols` is the right-hand
     side; None iff a pivot lies there, that is, the system has no solution.
@@ -391,6 +443,7 @@ def _read_off(E, cols: int) -> Optional[tuple]:
     """
     if cols in E.rows:
         return None
+    E.reduced()
     free = [j for j in range(cols) if j not in E.rows]
     if isinstance(E, _Gf2Echelon):
         # over GF(2), -R[i, j] = R[i, j]: the free bits of pivot row i
@@ -427,13 +480,15 @@ def solution_spaces(M: FieldMatrix, shared: int) -> list[Optional[tuple]]:
     one for each row i at or after `shared`.
 
     The last column of M is the right-hand side.  The shared rows are reduced
-    once; each system then adds its own row to a copy of that echelon.  Each
+    once, to reduced row echelon form; each system then adds its own row to a
+    copy of that echelon.  Each
     entry is (particular, kernel rows) as `_read_off` gives it, or None when
     that system has no solution.
     """
     E = _echelon(M.coeffs)
     for r in M._rows[:shared]:
         E.add(r)
+    E.reduced()
     out = []
     for r in M._rows[shared:]:
         own = E.copy()

@@ -136,11 +136,14 @@ class Surface:
     def __init__(self, problem: SpanningProblem, mcells: frozenset[Cell]):
         self.problem = problem
         self.mcells = frozenset(mcells)
-        for c in self.mcells:
-            if c.dim != problem.m:
-                raise ValueError(f"cell {c} is not {problem.m}-dimensional")
-            if not problem.grid.contains_cell(c):
-                raise ValueError(f"cell {c} outside the problem box")
+        # the weight table holds every m-cell of the box; the loop below
+        # names a cell that is not one
+        if not problem.weight_table().keys() >= self.mcells:
+            for c in self.mcells:
+                if c.dim != problem.m:
+                    raise ValueError(f"cell {c} is not {problem.m}-dimensional")
+                if not problem.grid.contains_cell(c):
+                    raise ValueError(f"cell {c} outside the problem box")
         self._complex: Optional[CubicalComplex] = None
 
     @property
@@ -170,14 +173,15 @@ def spans(X: Surface) -> bool:
     column B - k of each face e off A, e being the k-th such face met (from
     0), and at class column B + 1 + i the sum of [s:e] l_i(e) over its faces
     in A; B = 2m |X's m-cells| bounds the number of unknown faces, so every
-    row is complete, and packed over GF(2), as it is built.  A pivot is a
-    row's lowest column, so the echelon rows that pivot above B have no
-    unknown part and span the obstructions; l_i extends iff none of them is
-    nonzero at its column.  Faces met earlier hold the higher columns, so a
-    row whose newest face no earlier row holds becomes a pivot without
-    back-substitution.  A's own m-cells give zero rows, as each l_i is a
-    cocycle.  Coboundaries of A, and for m = 1 constants, extend, so no
-    quotient is taken.
+    row is complete, and packed over GF(2), as it is built.  The echelon
+    keeps its rows in row echelon form, each row's pivot its lowest column
+    and no two pivots alike.  In any such form the rows that pivot above B
+    span the row combinations with no unknown part, the obstructions: a
+    combination of rows is zero at or below B only if no row pivoting there
+    takes part.  So l_i extends iff none of these rows is nonzero at its
+    column, and no back-substitution is needed.  A's own m-cells give zero
+    rows, as each l_i is a cocycle.  Coboundaries of A, and for m = 1
+    constants, extend, so no quotient is taken.
     """
     problem = X.problem
     F, nclasses = problem.coeffs, len(problem.L)

@@ -11,7 +11,7 @@ import pytest
 
 from plateau.cochain import boundary_incidences, coboundary_space, restriction_image
 from plateau.lattice import Cell, CubicalComplex, GridSpec, box_cells, cell_measure
-from plateau.linalg import GF2, FieldMatrix, Subspace, _dense
+from plateau.linalg import GF2, FieldMatrix, Subspace, _dense, _to_row
 from plateau.linking import DualLoop, crossed_faces
 from plateau.scenarios import build_problem, load_scenario, run, scenario_from_dict
 from plateau.solver import cell_weight
@@ -104,6 +104,36 @@ def vanishing_below(S: Subspace, k: int) -> Subspace:
     obstructions off its echelon."""
     rows = [r for c, r in S._echelon.rows.items() if c >= k]
     return Subspace(S.coeffs, S.ambient_dim, rows)
+
+
+def extending(S: Subspace, vectors: Iterable[Sequence]) -> list[list]:
+    """The vectors, in order, that each lie outside the span of S and of the
+    vectors kept before them."""
+    E = S._echelon.copy()
+    return [list(v) for v in vectors if E.add(_to_row(S.coeffs, v, S.ambient_dim))]
+
+
+def gauss_jordan(F, rows, cols):
+    """Reference: textbook Gauss-Jordan on entry lists, lowest-column pivots.
+
+    Returns the reduced row echelon form (pivot rows by increasing pivot,
+    then zero rows) and the pivot columns."""
+    R = [list(r) for r in rows]
+    pivots: list[int] = []
+    for col in range(cols):
+        lead = len(pivots)
+        piv = next((i for i in range(lead, len(R)) if R[i][col] != F.zero), None)
+        if piv is None:
+            continue
+        R[lead], R[piv] = R[piv], R[lead]
+        inv = F.inv(R[lead][col])
+        R[lead] = [F.mul(inv, x) for x in R[lead]]
+        for i in range(len(R)):
+            f = R[i][col]
+            if i != lead and f != F.zero:
+                R[i] = [F.sub(x, F.mul(f, p)) for x, p in zip(R[i], R[lead])]
+        pivots.append(col)
+    return R, pivots
 
 
 def contains_class(image, rep) -> bool:

@@ -12,7 +12,13 @@ from plateau.lattice import Cell, CubicalComplex, GridSpec, build_skeleton
 from plateau.linalg import GF2, RATIONAL, Coeffs, FieldMatrix, row_reduce
 from plateau.spanning import canonical_L
 
-from conftest import contains_class, euler_characteristic, matrix_entry, matrix_row
+from conftest import (
+    contains_class,
+    euler_characteristic,
+    extending,
+    matrix_entry,
+    matrix_row,
+)
 
 GF5 = Coeffs("gfp", 5)
 
@@ -155,7 +161,7 @@ def test_quotient_basis_matches_rereduction(F, make):
     assert H.basis_reps == _rereduced_quotient_basis(H.cocycles.basis, H.coboundaries)
     # reversed cocycle order: the first independent cocycles are kept
     rev = H.cocycles.basis[::-1]
-    assert H.coboundaries.extending(rev) == _rereduced_quotient_basis(rev, H.coboundaries)
+    assert extending(H.coboundaries, rev) == _rereduced_quotient_basis(rev, H.coboundaries)
 
 
 def _skeleton_2x3x4():

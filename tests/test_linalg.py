@@ -12,15 +12,17 @@ from plateau.linalg import (
     FieldMatrix,
     Subspace,
     _dense,
+    _to_row,
     kernel_basis,
     row_reduce,
     solution_spaces,
 )
 
-from conftest import matrix_entry, matrix_row, vanishing_below
+from conftest import gauss_jordan, matrix_entry, matrix_row, vanishing_below
 
 GF3 = Coeffs("gfp", 3)
 GF5 = Coeffs("gfp", 5)
+GF7 = Coeffs("gfp", 7)
 FIELDS = [GF2, GF5, RATIONAL]
 
 
@@ -190,26 +192,6 @@ def _per_entry(F, rows, cols):
     return [[F.reduce(v) for v in r] + [F.zero] * (cols - len(r)) for r in rows]
 
 
-def _gauss_jordan(F, rows, cols):
-    """Reference: textbook Gauss-Jordan on entry lists, lowest-column pivots."""
-    R = [list(r) for r in rows]
-    pivots: list[int] = []
-    for col in range(cols):
-        lead = len(pivots)
-        piv = next((i for i in range(lead, len(R)) if R[i][col] != F.zero), None)
-        if piv is None:
-            continue
-        R[lead], R[piv] = R[piv], R[lead]
-        inv = F.inv(R[lead][col])
-        R[lead] = [F.mul(inv, x) for x in R[lead]]
-        for i in range(len(R)):
-            f = R[i][col]
-            if i != lead and f != F.zero:
-                R[i] = [F.sub(x, F.mul(f, p)) for x, p in zip(R[i], R[lead])]
-        pivots.append(col)
-    return R, pivots
-
-
 @st.composite
 def ragged_rows(draw):
     F = draw(st.sampled_from(FIELDS))
@@ -233,7 +215,7 @@ def test_packed_kernels_match_per_entry_definitions(frc):
     assert all(matrix_entry(T, j, i) == dense[i][j] for i in range(len(rows)) for j in range(cols))
 
     R, rank, pivots = row_reduce(M)
-    ref_R, ref_pivots = _gauss_jordan(F, dense, cols)
+    ref_R, ref_pivots = gauss_jordan(F, dense, cols)
     assert pivots == ref_pivots and rank == len(ref_pivots)
     assert [matrix_row(R, i) for i in range(R.rows)] == ref_R
 
@@ -336,3 +318,103 @@ def test_solution_spaces_inconsistent_system():
     inconsistent, consistent = solution_spaces(M, 1)
     assert inconsistent is None
     assert consistent == (0b11, [])
+
+
+def _rref(F, rows, cols) -> list:
+    """The nonzero rows of the reference reduced row echelon form."""
+    R, pivots = gauss_jordan(F, rows, cols)
+    return R[: len(pivots)]
+
+
+def _rank(F, rows, cols) -> int:
+    return len(gauss_jordan(F, rows, cols)[1])
+
+
+def _solution_reference(F, rows, ncols):
+    """(particular, kernel) of augmented rows with ncols unknowns, read off
+    the reference form as `solution_spaces` defines them, or None."""
+    R, pivots = gauss_jordan(F, rows, ncols + 1)
+    if ncols in pivots:
+        return None
+    particular = [F.zero] * ncols
+    for i, c in enumerate(pivots):
+        particular[c] = R[i][ncols]
+    kernel = []
+    for j in (j for j in range(ncols) if j not in pivots):
+        v = [F.zero] * ncols
+        v[j] = F.one
+        for i, c in enumerate(pivots):
+            v[c] = F.sub(F.zero, R[i][j])
+        kernel.append(v)
+    return particular, kernel
+
+
+@st.composite
+def echelon_programs(draw):
+    """A field, a column count and a sequence of echelon operations: a
+    vector op (add, contains, copy) carries its entries, a read op none."""
+    F = draw(st.sampled_from([GF2, GF3, GF7, RATIONAL]))
+    cols = draw(st.integers(1, 6))
+    vec = st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, 3]), min_size=cols, max_size=cols)
+    reads = ["rows", "row_reduce", "kernel_basis", "solution_spaces"]
+    op = st.one_of(
+        st.tuples(st.sampled_from(["add", "add", "contains", "copy"]), vec),
+        st.tuples(st.sampled_from(reads), st.none()),
+    )
+    return F, cols, draw(st.lists(op, min_size=1, max_size=16))
+
+
+@given(echelon_programs())
+@settings(max_examples=300, deadline=None)
+def test_echelon_reads_match_gauss_jordan(program):
+    """Rows added one at a time, before and after reads, and every read of
+    the echelon, of row_reduce, kernel_basis and solution_spaces against
+    textbook Gauss-Jordan on the rows added so far.  Reading a copy leaves
+    its parent's rows as they were, and no read changes a matrix's rows."""
+    F, cols, ops = program
+    S = Subspace(F, cols)
+    added: list[list] = []
+
+    def dense(r) -> list:
+        return _dense(F, r, cols)
+
+    for name, v in ops:
+        if v is not None:
+            v = [F.reduce(x) for x in v]
+        M = FieldMatrix.from_rows(F, added, cols)
+        entries = [matrix_row(M, i) for i in range(M.rows)]
+        rank = _rank(F, added, cols)
+        if name == "add":
+            assert S._echelon.add(_to_row(F, v, cols)) == (_rank(F, added + [v], cols) > rank)
+            added.append(v)
+        elif name == "contains":
+            assert S.contains(v) == (_rank(F, added + [v], cols) == rank)
+        elif name == "copy":
+            parent = {c: dense(r) for c, r in S._echelon.rows.items()}
+            child = S._echelon.copy()
+            child.add(_to_row(F, v, cols))
+            reduced = child.reduced().rows
+            assert [dense(reduced[c]) for c in sorted(reduced)] == _rref(F, added + [v], cols)
+            assert {c: dense(r) for c, r in S._echelon.rows.items()} == parent
+        elif name == "rows":
+            assert [dense(r) for r in S.rows] == _rref(F, added, cols)
+        elif name == "row_reduce":
+            R, r, pivots = row_reduce(M)
+            assert ([matrix_row(R, i) for i in range(R.rows)], pivots) == gauss_jordan(F, added, cols)
+            assert r == rank
+        elif name == "kernel_basis":
+            kernel = _solution_reference(F, [row + [F.zero] for row in added], cols)[1]
+            assert kernel_basis(M).basis == _rref(F, kernel, cols)
+        else:
+            shared = max(len(added) - 2, 0)
+            solutions = solution_spaces(M, shared)
+            assert len(solutions) == len(added) - shared
+            for row, solution in zip(added[shared:], solutions):
+                expected = _solution_reference(F, added[:shared] + [row], cols - 1)
+                if expected is None:
+                    assert solution is None
+                else:
+                    particular, kernel = solution
+                    unknowns = [_dense(F, x, cols - 1) for x in [particular, *kernel]]
+                    assert (unknowns[0], unknowns[1:]) == expected
+        assert [matrix_row(M, i) for i in range(M.rows)] == entries
