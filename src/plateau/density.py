@@ -5,13 +5,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .lattice import Cell, GridSpec, box_cells
 
 
 @dataclass(frozen=True)
 class DensityField:
-    """Weight function evaluated at cell barycenters, in exact rationals.
+    """Weight function at cell barycenters, as ints over one denominator.
 
     kind:
       constant:          f = value
@@ -40,21 +41,30 @@ class DensityField:
         if not 0 < self.hoelder_alpha <= 1:
             raise ValueError("hoelder exponent must lie in (0, 1]")
 
-    def at_cell(self, cell: Cell, grid: GridSpec) -> Fraction:
-        """f at the cell's barycenter, in integers until the last step: the
-        barycenter is h / 2**(k+1) with h = 2 * anchor + axis bit, and the
-        coefficients (or center) are ints over their common denominator q."""
+    def on_grid(self, grid: GridSpec) -> tuple[int, Callable[[Cell], int]]:
+        """(D, g): f at a cell's barycenter is g(cell) / D, with g an int and
+        one denominator D for the grid.  The barycenter is h / 2**(k+1) with
+        h = 2 * anchor + axis bit, and the coefficients (or center) are ints
+        over their common denominator q."""
         if self.kind == "constant":
-            return self.value
+            return self.value.denominator, lambda cell, v=self.value.numerator: v
         half = 2 ** (grid.k + 1)
-        h = [2 * x + (cell.free_axes >> a & 1) for a, x in enumerate(cell.anchor)]
-        data = self.coeffs if self.kind == "coordinate-affine" else self.center
+        affine = self.kind == "coordinate-affine"
+        data = self.coeffs if affine else self.center
         q = math.lcm(*(c.denominator for c in data))
         ints = [c.numerator * (q // c.denominator) for c in data]
-        if self.kind == "coordinate-affine":
-            return self.offset + Fraction(sum(c * x for c, x in zip(ints, h)), q * half)
-        dist = max((abs(x * q - c * half) for c, x in zip(ints, h)), default=0)
-        return self.offset + self.slope * Fraction(dist, q * half)
+        # f = offset + factor * (an int of h) / (q * half)
+        factor = Fraction(1 if affine else self.slope)
+        D = math.lcm(self.offset.denominator, factor.denominator * q * half)
+        base, step = int(self.offset * D), factor * D // (q * half)
+
+        def g(cell: Cell) -> int:
+            h = [2 * x + (cell.free_axes >> a & 1) for a, x in enumerate(cell.anchor)]
+            if affine:
+                return base + step * sum(c * x for c, x in zip(ints, h))
+            return base + step * max((abs(x * q - c * half) for c, x in zip(ints, h)), default=0)
+
+        return D, g
 
     def constant_along(self, axis: int) -> bool:
         """Whether f is independent of the given coordinate."""
@@ -67,12 +77,16 @@ class DensityField:
 
     def validate(self, grid: GridSpec, dim: int) -> None:
         """Check the [a, b] bounds at the barycenter of every dim-cell of the
-        box; a constant density is checked at the first cell only."""
+        box, as ceil(a D) <= g <= floor(b D) on `on_grid`'s ints; a constant
+        density is checked at the first cell only."""
+        D, g = self.on_grid(grid)
+        low, high = math.ceil(self.a * D), math.floor(self.b * D)
         for cell in box_cells(grid.box, dim):
-            v = self.at_cell(cell, grid)
-            if not self.a <= v <= self.b:
+            v = g(cell)
+            if not low <= v <= high:
                 raise ValueError(
-                    f"density {v} at cell {cell} escapes bounds [{self.a}, {self.b}]"
+                    f"density {Fraction(v, D)} at cell {cell} escapes bounds "
+                    f"[{self.a}, {self.b}]"
                 )
             if self.kind == "constant":
                 return

@@ -264,14 +264,16 @@ class _Echelon:
     def add(self, v: dict) -> bool:
         """Add v to the span; False iff it was already in it."""
         F = self.coeffs
-        v = self._reduce(v)
-        if not v:
+        r = self._reduce(v)
+        if not r:
             return False
-        c = min(v)
-        if v[c] != 1:
-            inv = F.inv(v[c])
-            v = {j: F.mul(inv, x) for j, x in v.items()}
-        self.rows[c] = v
+        c = min(r)
+        if r[c] != 1:
+            r = dict(r) if r is v else r  # scaled in a private dict, in place
+            inv = F.inv(r[c])
+            for j, x in r.items():
+                r[j] = F.mul(inv, x)
+        self.rows[c] = r
         self.is_reduced = False
         return True
 

@@ -8,7 +8,8 @@ minimization of one region's interior on the witness branch-and-bound that
 the oracle also runs.  Every accepted move preserves spanning by
 construction and the final surface is 1-minimal.  Every stage works on the
 caller's witness system; only `solve` and `assert_one_minimal` build one
-when none is given.
+when none is given.  Greedy removal and local moves zero a column set in one
+pass per space; witness re-seeding solves each order's member on an echelon.
 """
 
 from __future__ import annotations
@@ -74,14 +75,14 @@ def frac_str(x: Fraction) -> str:
 
 def cell_weight(cell: Cell, problem: SpanningProblem) -> Fraction:
     """Weight of one m-cell of the problem's box."""
-    return problem.weight_table()[cell]
+    table, scale = problem.weight_table()
+    return Fraction(table[cell], scale)
 
 
 def surface_weight(X: Surface) -> Fraction:
     """Weighted m-measure of X minus A, exactly."""
-    return sum(
-        (cell_weight(c, X.problem) for c in X.free_mcells()), Fraction(0)
-    )
+    table, scale = X.problem.weight_table()
+    return Fraction(sum(table[c] for c in X.free_mcells()), scale)
 
 
 def initial_fill(system: WitnessSystem) -> Surface:
@@ -105,8 +106,8 @@ def greedy_minimize(
     problem = X0.problem
     spaces = system.copy_spaces()
     keep = system.mask_of(X0.mcells) | system.mask_of(problem.A.cells_of_dim(problem.m))
-    for col in bit_indices(system.full_mask() & ~keep):
-        if not all(s.constrain_zero(col) for s in spaces):
+    for s in spaces:
+        if not s.constrain_zeros(system.full_mask() & ~keep):
             raise ValueError("greedy_minimize requires a spanning start surface")
 
     weights, scale = system.weights, system.scale
@@ -132,7 +133,8 @@ def contract_to_witnesses(system: WitnessSystem) -> Surface:
     """Union of one low-weight witness chain per class, drawn from the box.
 
     Within each class's witness space, coordinates are zeroed greedily
-    heaviest-first; the surviving particular member is a witness chain, so
+    heaviest-first, in 2n tie-breaking orders (`zeroed_supports` solves each
+    order's survivor directly); the surviving member is a witness chain, so
     the union spans by construction.  It escapes poor 1-minimal surfaces
     that greedy removal gets stuck on.
     """
@@ -153,17 +155,10 @@ def contract_to_witnesses(system: WitnessSystem) -> Surface:
         for sign in (1, -1)
     ]
 
-    candidates: list[list[int]] = []
-    for space in system.spaces:
-        supports: list[int] = []
-        for order in orders:
-            sp = space.copy()
-            for col in order:
-                sp.constrain_zero(col)
-            support = sp.support_mask() & ~a_mask
-            if support not in supports:
-                supports.append(support)
-        candidates.append(supports)
+    candidates = [  # each class's distinct supports, in order of first appearance
+        list(dict.fromkeys(s_mask & ~a_mask for s_mask in space.zeroed_supports(orders)))
+        for space in system.spaces
+    ]
 
     # the union weight rewards sharing cells across classes, so pick one
     # candidate witness per class jointly when that is enumerable
@@ -238,9 +233,8 @@ def local_replace(
     interior_mask = system.mask_of(interior)
     allowed = system.mask_of(X.mcells) | system.mask_of(problem.A.cells_of_dim(m))
     spaces = system.copy_spaces()
-    for col in bit_indices(system.full_mask() & ~(allowed | interior_mask)):
-        for s in spaces:
-            s.constrain_zero(col)
+    for s in spaces:
+        s.constrain_zeros(system.full_mask() & ~(allowed | interior_mask))
     if not all(s.member_within(allowed) is not None for s in spaces):
         raise ValueError("local_replace requires a spanning surface")
     search = branch_and_bound(

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 from .cochain import (
@@ -108,13 +107,14 @@ class SpanningProblem:
             self._faces = {H.id(c): [cls.rep[p] for cls in self.L] for c, p in pos.items()}
         return self._faces
 
-    def weight_table(self) -> dict[Cell, Fraction]:
-        """Weight of every m-cell of the box, computed once per problem:
-        the density at the cell's barycenter times the cell's measure."""
+    def weight_table(self) -> tuple[dict[Cell, int], int]:
+        """(table, scale): each m-cell c of the box weighs table[c] / scale,
+        the density at its barycenter times its measure 2**(-k m); computed
+        once per problem."""
         if self._weights is None:
-            grid, f = self.grid, self.density
-            measure = grid.side ** self.m
-            self._weights = {c: f.at_cell(c, grid) * measure for c in self.box_mcells()}
+            D, g = self.density.on_grid(self.grid)
+            table = {c: g(c) for c in self.box_mcells()}
+            self._weights = (table, D << self.grid.k * self.m)
         return self._weights
 
     def cropped(self, box: tuple[tuple[int, int], ...]) -> "SpanningProblem":
@@ -138,7 +138,7 @@ class Surface:
         self.mcells = frozenset(mcells)
         # the weight table holds every m-cell of the box; the loop below
         # names a cell that is not one
-        if not problem.weight_table().keys() >= self.mcells:
+        if not problem.weight_table()[0].keys() >= self.mcells:
             for c in self.mcells:
                 if c.dim != problem.m:
                     raise ValueError(f"cell {c} is not {problem.m}-dimensional")

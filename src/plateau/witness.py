@@ -6,14 +6,16 @@ The witnesses for one class form an affine subspace of the m-chain space of
 the full box; spanning tests against any X reduce to asking whether that
 affine space meets the coordinate subspace supported on X.  The rows
 "bd w vanishes off A", one per face off A keyed by its `lattice.HalfLattice`
-id, are shared by all classes: `linalg.solution_spaces` reduces them once, in the same incremental elimination that serves cochains
-and the spanning test, and reads each class's space off a copy.  This is the
-engine behind the greedy solver, its local moves and the exhaustive oracle;
-it is cross-checked against the direct cohomological definition in the tests.
+id, are shared by all classes: `linalg.solution_spaces` reduces them once,
+in the same incremental elimination that serves cochains and the spanning
+test, and reads each class's space off a copy.  This is the engine behind
+the greedy solver, its local moves and the exhaustive oracle; it is
+cross-checked against the direct cohomological definition in the tests.
 
 Over GF(2) each basis vector of a space is keyed by a private column, one
 that no other basis vector holds (see `Gf2AffineSpace`), so a membership
-test eliminates only over the vectors keyed inside the allowed set.
+test eliminates only over the vectors keyed inside the allowed set, a column
+set is zeroed in one pass, and each zeroing order's member is solved for.
 
 The system also holds the one weight representation of the package: each
 m-cell's weight as an integer over one common denominator `scale`.
@@ -30,11 +32,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .lattice import Cell, HalfLattice
-from .linalg import Coeffs, FieldMatrix, Subspace, _minus_multiple, bit_indices, solution_spaces
+from .linalg import GF2, Coeffs, FieldMatrix, Subspace, _Gf2Echelon, _minus_multiple
+from .linalg import bit_indices, solution_spaces
 from .spanning import SpanningProblem, Surface
 
 
@@ -43,8 +45,8 @@ class Gf2AffineSpace:
 
     Each basis vector is keyed by a private column: a column that is set in
     that vector and in no other.  `linalg._read_off` gives each kernel vector
-    its own free column, and `constrain_zero` keeps the property, because the
-    vector it removes holds no other vector's key.  A member's value at a key
+    its own free column, and `constrain_zeros` keeps the property, because no
+    vector it removes holds another vector's key.  A member's value at a key
     then says whether that key's vector is in its combination.  `reduced`,
     the particular with every key cleared, is the one member zero on all
     keys: `member_within` starts from it and eliminates over the vectors
@@ -105,30 +107,68 @@ class Gf2AffineSpace:
 
     def constrain_zero(self, col: int) -> bool:
         """Intersect with {w_col = 0}; False if that empties the space."""
-        bit = 1 << col
-        if not self.or_mask & bit:
-            return not self.particular & bit
-        # the first vector holding col leaves the basis and clears col in
-        # the particular, `reduced` (it holds no other key) and later vectors
+        return self.constrain_zeros(1 << col)
+
+    def constrain_zeros(self, mask: int) -> bool:
+        """Intersect with {w_c = 0} for each column c of the mask; False iff
+        some column could not be zeroed.  One vector-major pass leaves the
+        state of `constrain_zero` on each column in turn, lowest first: each
+        vector, in key order, is reduced by pivots keyed by their lowest
+        masked bit, then becomes its lowest masked bit's pivot and leaves, or
+        is zero on the mask and stays.  `particular` and `reduced` then lose
+        the pivots at their masked bits, lowest first."""
+        if not self.or_mask & mask:
+            return not self.particular & mask
+        pivots: dict[int, int] = {}  # lowest masked bit -> pivot vector
         vecs = {}
-        pivot = None
         or_mask = 0
         for k, v in self.vecs.items():
-            if v & bit:
-                if pivot is None:
-                    pivot = v
+            while rem := v & mask:
+                low = rem & -rem
+                if low not in pivots:
+                    pivots[low] = v
                     self.key_mask ^= 1 << k
-                    continue
-                v ^= pivot
-            vecs[k] = v
-            or_mask |= v
-        if self.particular & bit:
-            self.particular ^= pivot
-        if self.reduced & bit:
-            self.reduced ^= pivot
-        self.vecs = vecs
-        self.or_mask = or_mask
-        return True
+                    break
+                v ^= pivots[low]
+            else:
+                vecs[k] = v
+                or_mask |= v
+        self.vecs, self.or_mask = vecs, or_mask
+        for low in sorted(pivots):  # a pivot clears no lower masked bit
+            if self.particular & low:
+                self.particular ^= pivots[low]
+            if self.reduced & low:
+                self.reduced ^= pivots[low]
+        return not self.particular & mask
+
+    def zeroed_supports(self, orders: Sequence[Sequence[int]]) -> list[int]:
+        """Per order of columns, a member equal on those columns to the one
+        `constrain_zero` on each in turn leaves: the member zero on the
+        order's greedy-first independent columns, whatever the basis.  Each
+        column's dim-bit functional | its particular bit << dim joins one
+        echelon per order until the rank is dim; back-substituted, a pivot i
+        says whether basis vector i is in the member."""
+        basis, dim, particular = self.basis, self.dim, self.particular
+        high = 1 << dim
+        rows = [f | high if particular >> c & 1 else f for c, f in
+                enumerate(FieldMatrix(GF2, basis, self.ncols).transpose()._rows)]
+        out = []
+        for order in orders:
+            E = _Gf2Echelon()
+            for c in order:
+                if len(E.rows) == dim:
+                    break
+                r = E._reduce(rows[c])
+                if r & ~high:
+                    E.add(r)
+            x, member = 0, particular  # x: the basis vectors in the member
+            for i in sorted(E.rows, reverse=True):
+                r = E.rows[i]
+                if (r >> dim ^ (r & x).bit_count()) & 1:
+                    x |= 1 << i
+                    member ^= basis[i]
+            out.append(member)
+        return out
 
     def member_within(self, allowed: int) -> Optional[int]:
         """Some member with support inside the allowed bitmask, or None."""
@@ -198,6 +238,16 @@ class GenericAffineSpace:
             for v in self.basis
         ]
         return True
+
+    def constrain_zeros(self, mask: int) -> bool:
+        return all([self.constrain_zero(col) for col in bit_indices(mask)])  # no short cut
+
+    def zeroed_supports(self, orders: Sequence[Sequence[int]]) -> list[int]:
+        out = [self.copy() for _ in orders]
+        for sp, order in zip(out, orders):
+            for col in order:
+                sp.constrain_zero(col)
+        return [sp.support_mask() for sp in out]
 
     def member_within(self, allowed: int) -> Optional[dict]:
         F = self.coeffs
@@ -313,12 +363,12 @@ def build_witness_system(problem: SpanningProblem) -> WitnessSystem:
             basis = Subspace(F, ncols, kernel).rows
             spaces.append(GenericAffineSpace(F, ncols, particular, basis))
     column = {c: j for j, c in enumerate(mcells)}
-    table = problem.weight_table()
+    table, scale = problem.weight_table()
     a_cells = problem.A.cells_of_dim(m)
-    cell_weights = [Fraction(0) if c in a_cells else table[c] for c in mcells]
-    scale = math.lcm(*(w.denominator for w in cell_weights))
-    weights = [w.numerator * (scale // w.denominator) for w in cell_weights]
-    return WitnessSystem(problem, list(mcells), column, spaces, weights, scale)
+    weights = [0 if c in a_cells else table[c] for c in mcells]
+    g = math.gcd(scale, *weights)  # leaves the least common denominator
+    weights = [w // g for w in weights]
+    return WitnessSystem(problem, list(mcells), column, spaces, weights, scale // g)
 
 
 # ---------------------------------------------------------------------------

@@ -148,7 +148,7 @@ def euler_characteristic(X: CubicalComplex) -> int:
 
 def density_reference(f, cell: Cell, grid: GridSpec) -> Fraction:
     """f at the cell's barycenter from Fraction ambient coordinates: the
-    reference for `DensityField.at_cell`, which stays in integers."""
+    reference for `DensityField.on_grid`, which stays in integers."""
     point = tuple(x * grid.side for x in cell.barycenter())
     if f.kind == "constant":
         return f.value

@@ -752,9 +752,10 @@ def test_density_bounds_enforced(name, kind, free, tmp_path, capsys):
             tuple(h - 1 if a in free else h for a, (_, h) in enumerate(grid.box)),
             sum(1 << a for a in free),
         )
+        D, g = f.on_grid(grid)
         outside = [
             c for c in build_skeleton(grid, m).cells_of_dim(m)
-            if not f.a <= f.at_cell(c, grid) <= f.b
+            if not f.a <= Fraction(g(c), D) <= f.b
         ]
         assert outside == [corner]
     with pytest.raises(ValueError, match="escapes bounds"):

@@ -160,7 +160,8 @@ def _reference_refills(X, lows, highs, system):
     relative coboundary domination accepts (X's own weight if there is none)."""
     problem = X.problem
     m = problem.m
-    table = problem.weight_table()
+    ints, denominator = problem.weight_table()
+    table = {c: Fraction(w, denominator) for c, w in ints.items()}
     interior = _interior_mcells(problem, lows, highs)
     current = X.mcells.intersection(interior)
     base = system.mask_of(X.mcells - current) | system.mask_of(

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -9,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plateau.cochain import boundary_incidences
-from plateau.linalg import GF2, Coeffs, FieldMatrix, Subspace, _dense, solution_spaces
+from plateau.linalg import (
+    GF2, Coeffs, FieldMatrix, Subspace, _dense, bit_indices, solution_spaces,
+)
 from plateau.scenarios import build_problem, scenario_from_dict
 from plateau.solver import (
     SolverConfig, contract_to_witnesses, greedy_minimize, solve, surface_weight,
@@ -20,6 +23,20 @@ from plateau.witness import Gf2AffineSpace, GenericAffineSpace, build_witness_sy
 from conftest import bench_problem, n4_sphere_problem, scenario_path
 
 FIELD_SPECS = {"gf2": "gf2", "gf3": {"kind": "gfp", "p": 3}, "rational": "rational"}
+
+
+@st.composite
+def random_systems(draw, max_cols: int, values: int):
+    """(ncols, rows, shared): augmented rows with entries in range(values),
+    the first `shared` of them common to every class, as `solution_spaces`
+    takes them."""
+    ncols = draw(st.integers(1, max_cols))
+    rows = draw(st.lists(
+        st.lists(st.integers(0, values - 1), min_size=ncols + 1, max_size=ncols + 1),
+        min_size=1, max_size=ncols + 2,
+    ))
+    shared = draw(st.integers(0, len(rows) - 1))
+    return ncols, rows, shared
 
 
 def test_affine_space_operations():
@@ -68,12 +85,7 @@ def test_keyed_space_matches_bruteforce(data):
     and `copy` steps: `member_within` agrees with brute force, every basis
     vector keeps a private column, `reduced` stays the member zero on every
     key, and a copy never shares state."""
-    ncols = data.draw(st.integers(1, 10))
-    rows = data.draw(st.lists(
-        st.lists(st.integers(0, 1), min_size=ncols + 1, max_size=ncols + 1),
-        min_size=1, max_size=ncols + 2,
-    ))
-    shared = data.draw(st.integers(0, len(rows) - 1))
+    ncols, rows, shared = data.draw(random_systems(10, 2))
     system = FieldMatrix.from_rows(GF2, rows, ncols + 1)
     for i, solution in enumerate(solution_spaces(system, shared)):
         # the members by brute force: x with rows[:shared] and rows[shared + i]
@@ -140,12 +152,7 @@ def test_generic_space_matches_bruteforce(data):
     `copy` steps: `member_within`, `forced_mask` and `can_zero` agree with
     brute force, and a copy never changes its parent's rows."""
     F = Coeffs("gfp", 3)
-    ncols = data.draw(st.integers(1, 5))
-    rows = data.draw(st.lists(
-        st.lists(st.integers(0, 2), min_size=ncols + 1, max_size=ncols + 1),
-        min_size=1, max_size=ncols + 2,
-    ))
-    shared = data.draw(st.integers(0, len(rows) - 1))
+    ncols, rows, shared = data.draw(random_systems(5, 3))
     system = FieldMatrix.from_rows(F, rows, ncols + 1)
     for i, solution in enumerate(solution_spaces(system, shared)):
         own = rows[:shared] + [rows[shared + i]]
@@ -193,6 +200,101 @@ def test_generic_space_matches_bruteforce(data):
                 break
         for old, particular, basis in snapshots:
             assert (old.particular, old.basis) == (particular, basis)
+
+
+FIELDS = {"gf2": GF2, "gf3": Coeffs("gfp", 3), "rational": Coeffs("rational")}
+
+
+def _spaces(F, ncols, rows, shared) -> list:
+    """The solvable spaces of a random system, built as
+    `build_witness_system` builds them."""
+    out = []
+    for solution in solution_spaces(FieldMatrix.from_rows(F, rows, ncols + 1), shared):
+        if solution is None:
+            continue
+        particular, kernel = solution
+        if F.kind == "gf2":
+            out.append(Gf2AffineSpace(ncols, particular, kernel))
+        else:
+            out.append(GenericAffineSpace(
+                F, ncols, particular, Subspace(F, ncols, kernel).rows))
+    return out
+
+
+def _state(space) -> tuple:
+    """Everything a space holds, GF(2) dict order included."""
+    if isinstance(space, Gf2AffineSpace):
+        return (list(space.vecs.items()), space.particular, space.reduced,
+                space.or_mask, space.key_mask)
+    return space.particular, space.basis
+
+
+def _zeroed_one_at_a_time(space, cols):
+    """A copy of the space after `constrain_zero` on each column in turn,
+    and the results of those calls."""
+    out = space.copy()
+    return out, [out.constrain_zero(col) for col in cols]
+
+
+@pytest.mark.parametrize("field", sorted(FIELDS))
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_constrain_zeros_equals_one_column_at_a_time(field, data):
+    """`constrain_zeros(mask)` leaves the state that `constrain_zero` on each
+    column of the mask, lowest first, leaves, and is False iff one of those
+    calls is: over GF(2) by one elimination pass, over GF(3) and Q by the
+    loop itself.  Successive masks start from the state the last one left."""
+    F = FIELDS[field]
+    ncols, rows, shared = data.draw(
+        random_systems(10, 2) if field == "gf2" else random_systems(6, 3))
+    for space in _spaces(F, ncols, rows, shared):
+        for _ in range(data.draw(st.integers(1, 3))):
+            mask = data.draw(st.integers(0, (1 << ncols) - 1))
+            one, results = _zeroed_one_at_a_time(space, bit_indices(mask))
+            assert space.constrain_zeros(mask) == all(results)
+            assert _state(space) == _state(one)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_zeroed_supports_equal_one_column_at_a_time(data):
+    """Over GF(2), each order's member from `zeroed_supports` is the one that
+    `constrain_zero` on every column of a random order leaves, and agrees
+    with it on the columns of a partial order."""
+    ncols, rows, shared = data.draw(random_systems(10, 2))
+    for space in _spaces(GF2, ncols, rows, shared):
+        perms = data.draw(st.lists(st.permutations(range(ncols)), min_size=1, max_size=4))
+        orders = [perms[0]] + [p[:data.draw(st.integers(0, ncols))] for p in perms[1:]]
+        state = _state(space)
+        supports = space.zeroed_supports(orders)
+        assert _state(space) == state
+        assert len(supports) == len(orders)
+        for i, (order, support) in enumerate(zip(orders, supports)):
+            one, _ = _zeroed_one_at_a_time(space, order)
+            cols = (1 << ncols) - 1 if i == 0 else sum(1 << c for c in order)
+            assert support & cols == one.support_mask() & cols
+            assert support in _members(space)
+
+
+@pytest.mark.parametrize("name", ["rings_tiny", "torus"])
+def test_one_pass_zeroing_on_shipped_spaces(name):
+    """On the GF(2) spaces of two shipped scenarios (torus has m-cells of A):
+    `constrain_zeros` on random masks, and `zeroed_supports` on the orders of
+    random permutations, equal zeroing one column at a time."""
+    with open(scenario_path(name)) as fh:
+        problem = build_problem(scenario_from_dict(json.load(fh)))
+    system = build_witness_system(problem)
+    rng = random.Random(5)
+    for space in system.spaces:
+        for density in (0.1, 0.5, 0.9):
+            mask = sum(1 << j for j in range(system.ncols) if rng.random() < density)
+            one, results = _zeroed_one_at_a_time(space, bit_indices(mask))
+            mine = space.copy()
+            assert mine.constrain_zeros(mask) == all(results)
+            assert _state(mine) == _state(one)
+        orders = [rng.sample(range(system.ncols), system.ncols) for _ in range(3)]
+        expected = [_zeroed_one_at_a_time(space, order)[0].support_mask() for order in orders]
+        assert space.zeroed_supports(orders) == expected
 
 
 def _witness_digest(system) -> str:
@@ -319,12 +421,14 @@ def test_integer_weights_over_one_scale(name, changes):
     system = build_witness_system(problem)
     scale = system.scale
     assert scale > 1
-    table = problem.weight_table()
+    ints, denominator = problem.weight_table()
+    table = {c: Fraction(w, denominator) for c, w in ints.items()}
     a_cells = problem.A.cells_of_dim(problem.m)
     assert bool(a_cells) == (name == "torus")
     for j, c in enumerate(system.mcells):
         assert type(system.weights[j]) is int
         assert system.weights[j] == (0 if c in a_cells else table[c] * scale)
+    assert scale == math.lcm(*(table[c].denominator for c in system.mcells if c not in a_cells))
     X, report = solve(problem, SolverConfig())
     seed = contract_to_witnesses(system)
     surfaces = [X, seed, greedy_minimize(seed, SolverConfig(), system)[0]]
