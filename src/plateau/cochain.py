@@ -90,7 +90,6 @@ class CohomologySpace:
     cocycles: Subspace
     coboundaries: Subspace
     basis_reps: list[list]
-    reduced_flag: bool
 
     @property
     def dim(self) -> int:
@@ -110,7 +109,7 @@ def cohomology(X: CubicalComplex, d: int, coeffs: Coeffs,
     # coboundaries and of the cocycles kept before it
     grown = coboundaries._echelon.copy()
     reps = [_dense(coeffs, r, cocycles.ambient_dim) for r in cocycles.rows if grown.add(r)]
-    return CohomologySpace(data, d, cocycles, coboundaries, reps, reduced and d == 0)
+    return CohomologySpace(data, d, cocycles, coboundaries, reps)
 
 
 @dataclass

@@ -219,9 +219,9 @@ class HalfLattice:
     a sit at id +- strides[a]; `faces[free_axes]` lists (id offset, sign) in
     `cochain.boundary_incidences`' order and signs: along the j-th free axis
     (from 0), (-1)**j on the high face and its negative on the low one.
-    Users: `witness.build_witness_system`, `spanning.spans` and
-    `SpanningProblem.face_classes` key the problem's faces by these ids,
-    `cochain.CochainComplexData.delta` a complex's cells, and
+    Users: `SpanningProblem.cell_boundaries` keys the problem's faces by
+    these ids, for `spanning.spans` and `witness.build_witness_system`;
+    `cochain.CochainComplexData.delta` keys a complex's cells, and
     `oracle.build_loop_catalogue` the faces of a box widened by one voxel."""
 
     def __init__(self, box: Sequence[tuple[int, int]]):

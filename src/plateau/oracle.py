@@ -378,8 +378,7 @@ def isoperimetric_scan(
             Fraction(0), Fraction(0), True, 0, frozenset(), work.grid.box, 0, "done"
         )
     system = build_witness_system(work)
-    weights = system.weights
-    a_mask = system.mask_of(work.A.cells_of_dim(work.m))
+    weights, a_mask = system.weights, system.a_mask
     loops = build_loop_catalogue(system, deadline)
 
     best_weight: Optional[int] = None

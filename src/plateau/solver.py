@@ -105,7 +105,7 @@ def greedy_minimize(
     """
     problem = X0.problem
     spaces = system.copy_spaces()
-    keep = system.mask_of(X0.mcells) | system.mask_of(problem.A.cells_of_dim(problem.m))
+    keep = system.mask_of(X0.mcells) | system.a_mask
     for s in spaces:
         if not s.constrain_zeros(system.full_mask() & ~keep):
             raise ValueError("greedy_minimize requires a spanning start surface")
@@ -138,19 +138,15 @@ def contract_to_witnesses(system: WitnessSystem) -> Surface:
     the union spans by construction.  It escapes poor 1-minimal surfaces
     that greedy removal gets stuck on.
     """
-    problem = system.problem
-    a_mask = system.mask_of(problem.A.cells_of_dim(problem.m))
+    problem, a_mask = system.problem, system.a_mask
     # several deterministic zeroing orders of the free columns; per class the
     # lightest survivor wins (which cells a greedy zeroing leaves is highly
-    # order-sensitive)
+    # order-sensitive).  Columns follow the sorted m-cells, so the last key,
+    # a column, breaks ties as its cell would.
     weights, mcells = system.weights, system.mcells
+    free = list(bit_indices(system.full_mask() & ~a_mask))
     orders = [
-        sorted(
-            bit_indices(system.full_mask() & ~a_mask),
-            key=lambda j, a=axis, s=sign: (
-                -weights[j], s * mcells[j].anchor[a], mcells[j]
-            ),
-        )
+        sorted(free, key=lambda j, a=axis, s=sign: (-weights[j], s * mcells[j].anchor[a], j))
         for axis in range(problem.grid.n)
         for sign in (1, -1)
     ]
@@ -223,15 +219,14 @@ def local_replace(
     passes the interior m-cells of a region it has checked already.
     """
     problem = X.problem
-    m = problem.m
     if interior is None:
         _check_region(problem, lows, highs)
-        interior = list(box_cells(tuple(zip(lows, highs)), m, interior=True))
+        interior = list(box_cells(tuple(zip(lows, highs)), problem.m, interior=True))
     current = X.mcells.intersection(interior)
     if not current:
         return X
     interior_mask = system.mask_of(interior)
-    allowed = system.mask_of(X.mcells) | system.mask_of(problem.A.cells_of_dim(m))
+    allowed = system.mask_of(X.mcells) | system.a_mask
     spaces = system.copy_spaces()
     for s in spaces:
         s.constrain_zeros(system.full_mask() & ~(allowed | interior_mask))
@@ -325,8 +320,7 @@ def solve(
 def assert_one_minimal(X: Surface, system: Optional[WitnessSystem] = None) -> None:
     """Check that removing any single free m-cell breaks spanning."""
     system = system or build_witness_system(X.problem)
-    a_cells = X.problem.A.cells_of_dim(X.problem.m)
-    base = system.mask_of(X.mcells) | system.mask_of(a_cells)
+    base = system.mask_of(X.mcells) | system.a_mask
     for c in X.free_mcells():
         mask = base & ~(1 << system.column[c])
         if system.spans_mask(mask):

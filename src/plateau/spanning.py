@@ -5,14 +5,15 @@ on A iff l does not extend over X: no (m-1)-cocycle on X restricts to l.
 `spans` asks this directly, with one linear system over X's m-cells whose
 unknowns are the cochain's values off A; it builds no complex for X and
 takes no quotient, since coboundaries of A (and, for m = 1, constants)
-always extend.  It works on `lattice.HalfLattice` ids, as the witness build
-does, and reads the values of L's classes on A from the problem's
-`face_classes` table, which both share.  Each row goes straight into
-`linalg`'s echelon in its internal form: an unknown face met k-th sits at
-column B - k, with B = 2m |X's m-cells| an upper bound on their number, and
-class i at column B + 1 + i.  The restriction image of H^(m-1)(X) in
-H^(m-1)(A), taken modulo A's coboundaries, answers the same question; the
-tests check the verdict against it.
+always extend.  It reads each m-cell's row from the problem's
+`cell_boundaries` table, which the witness build reads too: the cell's faces
+off A on `lattice.HalfLattice` ids, and its sums against L's classes over
+its faces on A.  Each row goes straight into `linalg`'s echelon in its
+internal form: an unknown face met k-th sits at column B - k, with
+B = 2m |X's m-cells| bounding their number, and class i at B + 1 + i.
+The restriction image of H^(m-1)(X) in H^(m-1)(A), taken modulo A's
+coboundaries, answers the same question; the tests check the verdict
+against it.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ class SpanningProblem:
     density: DensityField = field(default_factory=DensityField)
     _mcells: Optional[list] = field(default=None, init=False, repr=False, compare=False)
     _weights: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
-    _faces: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
+    _boundaries: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.m < 1:
@@ -98,14 +99,31 @@ class SpanningProblem:
             self._mcells = sorted(box_cells(self.grid.box, self.m))
         return self._mcells
 
-    def face_classes(self) -> dict[int, list]:
-        """Every (m-1)-cell of A by its `HalfLattice` id on the box, with the
-        values of L's classes there in L's order; computed once per problem."""
-        if self._faces is None:
-            H = HalfLattice(self.grid.box)
-            pos = self.A.position(self.m - 1)
-            self._faces = {H.id(c): [cls.rep[p] for cls in self.L] for c, p in pos.items()}
-        return self._faces
+    def cell_boundaries(self) -> dict[Cell, tuple[int, tuple, tuple]]:
+        """Each m-cell of the box, in `box_mcells` order, with its boundary
+        split at A: the cell's `HalfLattice` id, its faces off A as (id
+        offset, sign in the field), and the sums of sign * l_i(e) over its
+        faces e on A, in L's order (empty when no face lies on A); computed
+        once per problem.  Cells with the same axes and the same faces on A
+        share one face tuple, so the table holds few objects per cell."""
+        if self._boundaries is None:
+            F, H = self.coeffs, HalfLattice(self.grid.box)
+            on_A = {H.id(c): [cls.rep[p] for cls in self.L]
+                    for c, p in self.A.position(self.m - 1).items()}
+            faces = [[(offset, F.reduce(sign)) for offset, sign in fs] for fs in H.faces]
+            shared: dict[tuple, tuple] = {}
+            self._boundaries = {}
+            for cell in self.box_mcells():
+                at, off, acc = H.id(cell), [], None
+                for face in faces[cell.free_axes]:
+                    vals = on_A.get(at + face[0])
+                    if vals is None:
+                        off.append(face)
+                    else:
+                        acc = [x + face[1] * v for x, v in zip(acc or [0] * len(vals), vals)]
+                off = shared.setdefault(tuple(off), tuple(off))
+                self._boundaries[cell] = (at, off, tuple(map(F.reduce, acc)) if acc else ())
+        return self._boundaries
 
     def weight_table(self) -> tuple[dict[Cell, int], int]:
         """(table, scale): each m-cell c of the box weighs table[c] / scale,
@@ -125,7 +143,7 @@ class SpanningProblem:
         grid = GridSpec(self.grid.n, self.grid.k, box)
         A = CubicalComplex(grid, self.A.cells, closed=True)
         out = copy.copy(self)
-        out.A, out.grid, out._mcells, out._weights, out._faces = A, grid, None, None, None
+        out.A, out.grid, out._mcells, out._weights, out._boundaries = A, grid, None, None, None
         out.L = [CohomologyClass(A, c.degree, list(c.rep), c.label) for c in self.L]
         return out
 
@@ -184,39 +202,20 @@ def spans(X: Surface) -> bool:
     constants, extend, so no quotient is taken.
     """
     problem = X.problem
-    F, nclasses = problem.coeffs, len(problem.L)
-    gf2 = F.kind == "gf2"
-    H = HalfLattice(problem.grid.box)
-    on_A = problem.face_classes()
+    boundaries, gf2 = problem.cell_boundaries(), problem.coeffs.kind == "gf2"
     B = 2 * problem.m * len(X.mcells)
-    unit = {1: F.reduce(1), -1: F.reduce(-1)}
     column: dict[int, int] = {}  # face id -> column
-    E = _echelon(F)
+    E = _echelon(problem.coeffs)
     for cell in X.mcells:
-        at, acc = H.id(cell), None
-        row = 0 if gf2 else {}
-        for offset, sign in H.faces[cell.free_axes]:
-            vals = on_A.get(at + offset)
-            if vals is not None:
-                acc = [x + sign * v for x, v in zip(acc or [0] * nclasses, vals)]
-                continue
-            j = column.setdefault(at + offset, B - len(column))
-            if gf2:
-                row |= 1 << j
-            else:
-                row[j] = unit[sign]
-        for i, x in enumerate(acc or ()):
-            if x := F.reduce(x):
-                if gf2:
-                    row |= 1 << B + 1 + i
-                else:
-                    row[B + 1 + i] = x
-        E.add(row)
+        at, off, sums = boundaries[cell]
+        row = [(column.setdefault(at + e, B - len(column)), sign) for e, sign in off]
+        row += [(B + 1 + i, x) for i, x in enumerate(sums) if x]
+        E.add(sum(1 << j for j, _ in row) if gf2 else dict(row))
     hit = 0
     for c, r in E.rows.items():
         if c > B:
             hit |= r >> B + 1 if gf2 else sum(1 << j - B - 1 for j in r)
-    return hit == (1 << nclasses) - 1
+    return hit == (1 << len(problem.L)) - 1
 
 
 def relative_coboundary_dominates(

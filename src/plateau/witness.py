@@ -8,14 +8,17 @@ affine space meets the coordinate subspace supported on X.  The rows
 "bd w vanishes off A", one per face off A keyed by its `lattice.HalfLattice`
 id, are shared by all classes: `linalg.solution_spaces` reduces them once,
 in the same incremental elimination that serves cochains and the spanning
-test, and reads each class's space off a copy.  This is the engine behind
-the greedy solver, its local moves and the exhaustive oracle; it is
+test, and reads each class's space off a copy.  Build and spanning test
+read one table, `SpanningProblem.cell_boundaries`.  This is the engine
+behind the greedy solver, its local moves and the exhaustive oracle; it is
 cross-checked against the direct cohomological definition in the tests.
 
-Over GF(2) each basis vector of a space is keyed by a private column, one
-that no other basis vector holds (see `Gf2AffineSpace`), so a membership
-test eliminates only over the vectors keyed inside the allowed set, a column
-set is zeroed in one pass, and each zeroing order's member is solved for.
+Every elimination on a space runs on a `linalg` echelon that pivots on the
+columns at hand: the columns zeroed, the columns forbidden, or a zeroing
+order's basis functionals.  Over GF(2) each basis vector of a space is
+keyed by a private column, one that no other basis vector holds (see
+`Gf2AffineSpace`), so a membership test eliminates only over the vectors
+keyed inside the allowed set.
 
 The system also holds the one weight representation of the package: each
 m-cell's weight as an integer over one common denominator `scale`.
@@ -34,8 +37,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .lattice import Cell, HalfLattice
-from .linalg import GF2, Coeffs, FieldMatrix, Subspace, _Gf2Echelon, _minus_multiple
+from .lattice import Cell
+from .linalg import GF2, Coeffs, FieldMatrix, Subspace, _Echelon, _Gf2Echelon
 from .linalg import bit_indices, solution_spaces
 from .spanning import SpanningProblem, Surface
 
@@ -113,32 +116,24 @@ class Gf2AffineSpace:
         """Intersect with {w_c = 0} for each column c of the mask; False iff
         some column could not be zeroed.  One vector-major pass leaves the
         state of `constrain_zero` on each column in turn, lowest first: each
-        vector, in key order, is reduced by pivots keyed by their lowest
-        masked bit, then becomes its lowest masked bit's pivot and leaves, or
-        is zero on the mask and stays.  `particular` and `reduced` then lose
-        the pivots at their masked bits, lowest first."""
+        vector that meets the mask, in key order, joins an echelon pivoting
+        on the mask's columns and leaves, or reduces to zero on the mask and
+        stays.  `particular` and `reduced` then lose every pivot they hold."""
         if not self.or_mask & mask:
             return not self.particular & mask
-        pivots: dict[int, int] = {}  # lowest masked bit -> pivot vector
-        vecs = {}
-        or_mask = 0
+        E, vecs, or_mask = _Gf2Echelon(mask), {}, 0
         for k, v in self.vecs.items():
-            while rem := v & mask:
-                low = rem & -rem
-                if low not in pivots:
-                    pivots[low] = v
+            if v & mask:
+                v = E._reduce(v)
+                if v & mask:
+                    E.add(v)
                     self.key_mask ^= 1 << k
-                    break
-                v ^= pivots[low]
-            else:
-                vecs[k] = v
-                or_mask |= v
+                    continue
+            vecs[k] = v
+            or_mask |= v
         self.vecs, self.or_mask = vecs, or_mask
-        for low in sorted(pivots):  # a pivot clears no lower masked bit
-            if self.particular & low:
-                self.particular ^= pivots[low]
-            if self.reduced & low:
-                self.reduced ^= pivots[low]
+        self.particular = E._reduce(self.particular, E.mask)
+        self.reduced = E._reduce(self.reduced, E.mask)
         return not self.particular & mask
 
     def zeroed_supports(self, orders: Sequence[Sequence[int]]) -> list[int]:
@@ -146,53 +141,43 @@ class Gf2AffineSpace:
         `constrain_zero` on each in turn leaves: the member zero on the
         order's greedy-first independent columns, whatever the basis.  Each
         column's dim-bit functional | its particular bit << dim joins one
-        echelon per order until the rank is dim; back-substituted, a pivot i
-        says whether basis vector i is in the member."""
+        echelon per order, pivoting on the dim bits; once reduced, row i's
+        high bit says whether basis vector i is in the member.  The columns
+        of each later order lie among the first's, so the first order's rank
+        ends every later one."""
         basis, dim, particular = self.basis, self.dim, self.particular
-        high = 1 << dim
-        rows = [f | high if particular >> c & 1 else f for c, f in
+        rows = [f | 1 << dim if particular >> c & 1 else f for c, f in
                 enumerate(FieldMatrix(GF2, basis, self.ncols).transpose()._rows)]
-        out = []
+        out, rank = [], dim
         for order in orders:
-            E = _Gf2Echelon()
+            E = _Gf2Echelon((1 << dim) - 1)
             for c in order:
-                if len(E.rows) == dim:
+                if len(E.rows) == rank:
                     break
-                r = E._reduce(rows[c])
-                if r & ~high:
-                    E.add(r)
-            x, member = 0, particular  # x: the basis vectors in the member
-            for i in sorted(E.rows, reverse=True):
-                r = E.rows[i]
-                if (r >> dim ^ (r & x).bit_count()) & 1:
-                    x |= 1 << i
+                E.add(rows[c])
+            if not out:
+                rank = len(E.rows)
+            member = particular
+            for i, r in E.reduced().rows.items():
+                if r >> dim:
                     member ^= basis[i]
             out.append(member)
         return out
 
     def member_within(self, allowed: int) -> Optional[int]:
-        """Some member with support inside the allowed bitmask, or None."""
+        """Some member with support inside the allowed bitmask, or None:
+        `reduced` less the vectors keyed inside allowed, eliminated on the
+        forbidden columns."""
         forbidden = ~allowed
         t = self.reduced
         if not t & forbidden:
             return t
-        # eliminate the vectors keyed inside allowed on the forbidden
-        # columns, each pivot keyed by its lowest forbidden column
-        pivots: dict[int, int] = {}
+        E = _Gf2Echelon(forbidden)
         for k in bit_indices(self.key_mask & allowed):
-            v = self.vecs[k]
-            while rem := v & forbidden:
-                low = (rem & -rem).bit_length() - 1
-                if low not in pivots:
-                    pivots[low] = v
-                    break
-                v ^= pivots[low]
-        while rem := t & forbidden:
-            low = (rem & -rem).bit_length() - 1
-            if low not in pivots:
-                return None
-            t ^= pivots[low]
-        return t
+            if self.vecs[k] & forbidden:
+                E.add(self.vecs[k])
+        t = E._reduce(t)
+        return None if t & forbidden else t
 
 
 class GenericAffineSpace:
@@ -224,23 +209,25 @@ class GenericAffineSpace:
         return col not in self.particular or any(col in v for v in self.basis)
 
     def constrain_zero(self, col: int) -> bool:
-        F = self.coeffs
-        pivot = next((i for i, v in enumerate(self.basis) if col in v), None)
-        if pivot is None:
-            return col not in self.particular
-        pv = self.basis.pop(pivot)
-        inv = F.inv(pv[col])
-        if col in self.particular:
-            self.particular = _minus_multiple(
-                F, self.particular, F.mul(self.particular[col], inv), pv)
-        self.basis = [
-            _minus_multiple(F, v, F.mul(v[col], inv), pv) if col in v else v
-            for v in self.basis
-        ]
-        return True
+        return self.constrain_zeros(1 << col)
 
     def constrain_zeros(self, mask: int) -> bool:
-        return all([self.constrain_zero(col) for col in bit_indices(mask)])  # no short cut
+        """As `Gf2AffineSpace.constrain_zeros`: each basis vector that meets
+        the mask, in order, joins an echelon pivoting on the mask's columns
+        or stays reduced to zero there; `particular` loses every pivot."""
+        cols = set(bit_indices(mask))
+        E = _Echelon(self.coeffs, cols)
+        basis = []
+        for v in self.basis:
+            if not cols.isdisjoint(v):
+                v = E._reduce(v)
+                if not cols.isdisjoint(v):
+                    E.add(v)
+                    continue
+            basis.append(v)
+        self.basis = basis
+        self.particular = E._reduce(self.particular, E.rows)
+        return cols.isdisjoint(self.particular)
 
     def zeroed_supports(self, orders: Sequence[Sequence[int]]) -> list[int]:
         out = [self.copy() for _ in orders]
@@ -250,22 +237,13 @@ class GenericAffineSpace:
         return [sp.support_mask() for sp in out]
 
     def member_within(self, allowed: int) -> Optional[dict]:
-        F = self.coeffs
-        pivots: list[tuple[int, dict, object]] = []  # (column, row, 1 / entry)
+        forbidden = {c for c in range(self.ncols) if not allowed >> c & 1}
+        E = _Echelon(self.coeffs, forbidden)
         for v in self.basis:
-            for col, pv, inv in pivots:
-                if col in v:
-                    v = _minus_multiple(F, v, F.mul(v[col], inv), pv)
-            pc = min((c for c in v if not allowed >> c & 1), default=None)
-            if pc is not None:
-                pivots.append((pc, v, F.inv(v[pc])))
-        t = self.particular
-        for col, pv, inv in pivots:
-            if col in t:
-                t = _minus_multiple(F, t, F.mul(t[col], inv), pv)
-        if any(not allowed >> c & 1 for c in t):
-            return None
-        return t
+            if not forbidden.isdisjoint(v):
+                E.add(v)
+        t = E._reduce(self.particular)
+        return t if forbidden.isdisjoint(t) else None
 
 
 @dataclass
@@ -284,6 +262,7 @@ class WitnessSystem:
     spaces: list
     weights: list[int]
     scale: int
+    a_mask: int  # the columns of A's m-cells
 
     @property
     def ncols(self) -> int:
@@ -306,10 +285,7 @@ class WitnessSystem:
         return all(s.member_within(allowed) is not None for s in self.spaces)
 
     def spans_surface(self, X: Surface) -> bool:
-        free_mask = self.mask_of(X.mcells)
-        a_cells = self.problem.A.cells_of_dim(self.problem.m)
-        free_mask |= self.mask_of(a_cells)
-        return self.spans_mask(free_mask)
+        return self.spans_mask(self.mask_of(X.mcells) | self.a_mask)
 
     def copy_spaces(self) -> list:
         return [s.copy() for s in self.spaces]
@@ -318,31 +294,22 @@ class WitnessSystem:
 def build_witness_system(problem: SpanningProblem) -> WitnessSystem:
     """Set up the witness spaces and integer weights on the full box grid.
 
-    One pass over the m-cells (the columns) builds the rows on `HalfLattice`
-    ids: a face off A adds the cell to its own row, a face on A adds its
-    pairing with each class to that class's row, whose right-hand side is 1.
-    The class values on A come from `SpanningProblem.face_classes`, the
-    table `spanning.spans` reads too.  Row order does not matter: the
-    reduced echelon form is unique."""
-    m, F = problem.m, problem.coeffs
-    mcells = problem.box_mcells()
-    ncols, gf2 = len(mcells), F.kind == "gf2"
-    H = HalfLattice(problem.grid.box)
-    on_A = problem.face_classes()
+    One pass over the m-cells (the columns) reads the problem's
+    `SpanningProblem.cell_boundaries`, the table `spanning.spans` reads too:
+    a face off A adds the cell to that face's row, and the cell's sums over
+    its faces on A go to each class's row, whose right-hand side is 1.  Row
+    order does not matter: the reduced echelon form is unique."""
+    F, boundaries = problem.coeffs, problem.cell_boundaries()
+    ncols, gf2 = len(boundaries), F.kind == "gf2"
     rows: dict = {}  # face id -> row in FieldMatrix's internal form
     pairing: list[dict] = [{} for _ in problem.L]  # class -> {column: value}
-    for j, cell in enumerate(mcells):
-        at, acc = H.id(cell), None
-        for offset, sign in H.faces[cell.free_axes]:
-            vals = on_A.get(at + offset)
-            if vals is not None:
-                s = F.reduce(sign)
-                acc = [F.add(x, F.mul(s, v)) for x, v in zip(acc or [F.zero] * len(vals), vals)]
-            elif gf2:
-                rows[at + offset] = rows.get(at + offset, 0) | 1 << j
+    for j, (at, off, sums) in enumerate(boundaries.values()):
+        for e, sign in off:
+            if gf2:
+                rows[at + e] = rows.get(at + e, 0) | 1 << j
             else:
-                rows.setdefault(at + offset, {})[j] = F.reduce(sign)
-        for row, x in zip(pairing, acc or ()):
+                rows.setdefault(at + e, {})[j] = sign
+        for row, x in zip(pairing, sums):
             if x:
                 row[j] = x
     rhs = [sum(1 << c for c in r) | 1 << ncols if gf2 else {**r, ncols: F.one} for r in pairing]
@@ -350,10 +317,7 @@ def build_witness_system(problem: SpanningProblem) -> WitnessSystem:
     spaces = []
     for solution in solution_spaces(system, len(rows)):
         if solution is None:
-            raise ValueError(
-                "class admits no witness chain in the box; "
-                "check the problem setup"
-            )
+            raise ValueError("class admits no witness chain in the box; check the problem setup")
         particular, kernel = solution
         if gf2:
             spaces.append(Gf2AffineSpace(ncols, particular, kernel))
@@ -362,13 +326,15 @@ def build_witness_system(problem: SpanningProblem) -> WitnessSystem:
             # vector only, so constrain_zero updates few vectors
             basis = Subspace(F, ncols, kernel).rows
             spaces.append(GenericAffineSpace(F, ncols, particular, basis))
+    mcells = problem.box_mcells()
     column = {c: j for j, c in enumerate(mcells)}
     table, scale = problem.weight_table()
-    a_cells = problem.A.cells_of_dim(m)
+    a_cells = problem.A.cells_of_dim(problem.m)
     weights = [0 if c in a_cells else table[c] for c in mcells]
     g = math.gcd(scale, *weights)  # leaves the least common denominator
     weights = [w // g for w in weights]
-    return WitnessSystem(problem, list(mcells), column, spaces, weights, scale // g)
+    a_mask = sum(1 << column[c] for c in a_cells)
+    return WitnessSystem(problem, list(mcells), column, spaces, weights, scale // g, a_mask)
 
 
 # ---------------------------------------------------------------------------

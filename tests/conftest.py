@@ -136,6 +136,70 @@ def gauss_jordan(F, rows, cols):
     return R, pivots
 
 
+def restricted_echelon(F, rows, cols) -> tuple[dict[int, list], list[bool]]:
+    """Reference: rows, as entry lists, added one at a time to an echelon
+    that pivots on the columns in `cols` only.  Each row is reduced while
+    its lowest column in `cols` holds a pivot, then becomes the pivot there,
+    scaled to one, if it has a column in `cols` left.  Returns the pivots
+    (column -> row) and, per row, whether it became one."""
+    pivots: dict[int, list] = {}
+    added = []
+    for r in rows:
+        r = restricted_reduce(F, pivots, r, cols)
+        lead = next((c for c in sorted(cols) if r[c] != F.zero), None)
+        if lead is not None:
+            inv = F.inv(r[lead])
+            pivots[lead] = [F.mul(inv, x) for x in r]
+        added.append(lead is not None)
+    return pivots, added
+
+
+def restricted_reduce(F, pivots: dict[int, list], r, cols, every: bool = False) -> list:
+    """Reference: the entry list r less pivot rows, lowest column first,
+    until its lowest column in `cols` holds no pivot, or with `every` until
+    it holds no pivot at all."""
+    r = list(r)
+    while True:
+        held = [c for c in sorted(cols) if r[c] != F.zero]
+        if every:
+            held = [c for c in held if c in pivots]
+        if not held or held[0] not in pivots:
+            return r
+        f = r[held[0]]
+        r = [F.sub(x, F.mul(f, p)) for x, p in zip(r, pivots[held[0]])]
+
+
+def reference_constrain_zero(space, col: int) -> bool:
+    """Reference for `GenericAffineSpace.constrain_zeros`: intersect the
+    space with {w_col = 0} by eliminating col with the first basis vector
+    that holds it, which leaves the basis."""
+    F = space.coeffs
+
+    def minus_multiple(row: dict, f, v: dict) -> dict:
+        out = dict(row)
+        for j, y in v.items():
+            x = F.sub(out.get(j, F.zero), F.mul(f, y))
+            if x:
+                out[j] = x
+            else:
+                out.pop(j, None)
+        return out
+
+    pivot = next((i for i, v in enumerate(space.basis) if col in v), None)
+    if pivot is None:
+        return col not in space.particular
+    pv = space.basis.pop(pivot)
+    inv = F.inv(pv[col])
+    if col in space.particular:
+        space.particular = minus_multiple(
+            space.particular, F.mul(space.particular[col], inv), pv)
+    space.basis = [
+        minus_multiple(v, F.mul(v[col], inv), pv) if col in v else v
+        for v in space.basis
+    ]
+    return True
+
+
 def contains_class(image, rep) -> bool:
     """Membership of a cocycle on A in a `RestrictionImage`, modulo A's
     coboundaries."""

@@ -12,13 +12,23 @@ from plateau.linalg import (
     FieldMatrix,
     Subspace,
     _dense,
+    _echelon,
+    _Echelon,
+    _Gf2Echelon,
     _to_row,
     kernel_basis,
     row_reduce,
     solution_spaces,
 )
 
-from conftest import gauss_jordan, matrix_entry, matrix_row, vanishing_below
+from conftest import (
+    gauss_jordan,
+    matrix_entry,
+    matrix_row,
+    restricted_echelon,
+    restricted_reduce,
+    vanishing_below,
+)
 
 GF3 = Coeffs("gfp", 3)
 GF5 = Coeffs("gfp", 5)
@@ -418,3 +428,50 @@ def test_echelon_reads_match_gauss_jordan(program):
                     unknowns = [_dense(F, x, cols - 1) for x in [particular, *kernel]]
                     assert (unknowns[0], unknowns[1:]) == expected
         assert [matrix_row(M, i) for i in range(M.rows)] == entries
+
+
+@st.composite
+def restricted_programs(draw):
+    """A field, a column count, the columns an echelon pivots on (None for
+    all), rows to add and probe vectors, as entry lists."""
+    F = draw(st.sampled_from([GF2, GF3, GF7, RATIONAL]))
+    ncols = draw(st.integers(1, 7))
+    vec = st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, 3]), min_size=ncols, max_size=ncols)
+    cols = draw(st.none() | st.sets(st.integers(0, ncols - 1)))
+    rows = draw(st.lists(vec, max_size=8))
+    probes = draw(st.lists(vec, min_size=1, max_size=4))
+    return F, ncols, cols, rows, probes
+
+
+@given(restricted_programs())
+@settings(max_examples=300, deadline=None)
+def test_column_restricted_echelons_match_reference(program):
+    """Both echelons, on a column set or on all columns by default, against
+    a reference elimination restricted to those columns: `add` keeps the
+    rows the reference keeps, with the same pivot rows, `_reduce` of probe
+    vectors, on the echelon's columns and on its pivots alone, gives the
+    reference's remainders and leaves the probes as they were, and the
+    reduced echelon clears each pivot from the other rows."""
+    F, ncols, cols, rows, probes = program
+    if cols is None:
+        E, cols = _echelon(F), set(range(ncols))
+    elif F.kind == "gf2":
+        E = _Gf2Echelon(sum(1 << c for c in cols))
+    else:
+        E = _Echelon(F, cols)
+    rows = [[F.reduce(x) for x in r] for r in rows]
+    pivots, added = restricted_echelon(F, rows, cols)
+    assert [E.add(_to_row(F, r, ncols)) for r in rows] == added
+    assert {c: _dense(F, r, ncols) for c, r in E.rows.items()} == pivots
+    for v in probes:
+        v = [F.reduce(x) for x in v]
+        row = _to_row(F, v, ncols)
+        assert _dense(F, E._reduce(row), ncols) == restricted_reduce(F, pivots, v, cols)
+        pivot_cols = E.mask if F.kind == "gf2" else E.rows
+        assert (_dense(F, E._reduce(row, pivot_cols), ncols)
+                == restricted_reduce(F, pivots, v, cols, every=True))
+        assert _dense(F, row, ncols) == v
+    reduced = E.reduced().rows
+    for c, r in reduced.items():
+        entries = _dense(F, r, ncols)
+        assert entries[c] == F.one and all(entries[k] == F.zero for k in reduced if k != c)

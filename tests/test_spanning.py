@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from plateau.cochain import CochainComplexData, boundary_incidences, cohomology
-from plateau.lattice import Cell, CubicalComplex, GridSpec, build_skeleton
+from plateau.lattice import Cell, CubicalComplex, GridSpec, HalfLattice, build_skeleton
 from plateau.linalg import GF2, RATIONAL, Coeffs
 from plateau.solver import (
     SolverConfig,
@@ -227,6 +227,34 @@ def test_fundamental_cycle_is_cycle(tiny_problem):
         cyc = fundamental_cycle(comp, 2)
         assert chain_boundary(cyc) == {}
         assert all(v in (1, -1) for v in cyc.values())
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=["gf2", "gf3", "q"])
+@pytest.mark.parametrize("name", ["rings_tiny", "torus"])
+def test_cell_boundaries_split_each_boundary_at_A(name, F):
+    """`cell_boundaries` lists every box m-cell in `box_mcells` order, with
+    its `HalfLattice` id, the faces of `boundary_incidences` that lie off A
+    as (id offset, sign in the field), in that order, and the sums of
+    sign * l_i(e) over the faces e on A; a cropped problem builds its own
+    table."""
+    problem = problem_over(name, F.kind if F.kind != "gfp" else {"kind": "gfp", "p": F.p})
+    H = HalfLattice(problem.grid.box)
+    pos = problem.A.position(problem.m - 1)
+    table = problem.cell_boundaries()
+    assert list(table) == problem.box_mcells()
+    for cell, (at, off, sums) in table.items():
+        faces = boundary_incidences(cell)
+        assert at == H.id(cell)
+        assert [(at + e, sign) for e, sign in off] == [
+            (H.id(f), F.reduce(sign)) for f, sign in faces if f not in pos]
+        on_A = [(f, sign) for f, sign in faces if f in pos]
+        expected = [F.reduce(sum(sign * cls.rep[pos[f]] for f, sign in on_A))
+                    for cls in problem.L] if on_A else []
+        assert list(sums) == expected
+    assert problem.cell_boundaries() is table
+    cropped = problem.cropped(tuple(problem.grid.box))
+    assert cropped.cell_boundaries() is not table
+    assert cropped.cell_boundaries() == table
 
 
 def test_surface_free_mcells(tiny_problem):

@@ -20,7 +20,7 @@ from plateau.solver import (
 from plateau.spanning import Surface
 from plateau.witness import Gf2AffineSpace, GenericAffineSpace, build_witness_system
 
-from conftest import bench_problem, n4_sphere_problem, scenario_path
+from conftest import bench_problem, n4_sphere_problem, reference_constrain_zero, scenario_path
 
 FIELD_SPECS = {"gf2": "gf2", "gf3": {"kind": "gfp", "p": 3}, "rational": "rational"}
 
@@ -242,8 +242,8 @@ def _zeroed_one_at_a_time(space, cols):
 def test_constrain_zeros_equals_one_column_at_a_time(field, data):
     """`constrain_zeros(mask)` leaves the state that `constrain_zero` on each
     column of the mask, lowest first, leaves, and is False iff one of those
-    calls is: over GF(2) by one elimination pass, over GF(3) and Q by the
-    loop itself.  Successive masks start from the state the last one left."""
+    calls is: one elimination pass over the mask equals one pass per column.
+    Successive masks start from the state the last one left."""
     F = FIELDS[field]
     ncols, rows, shared = data.draw(
         random_systems(10, 2) if field == "gf2" else random_systems(6, 3))
@@ -253,6 +253,31 @@ def test_constrain_zeros_equals_one_column_at_a_time(field, data):
             one, results = _zeroed_one_at_a_time(space, bit_indices(mask))
             assert space.constrain_zeros(mask) == all(results)
             assert _state(space) == _state(one)
+
+
+GENERIC_FIELDS = {"gf3": (Coeffs("gfp", 3), 3), "gf7": (Coeffs("gfp", 7), 7),
+                  "rational": (Coeffs("rational"), 3)}
+
+
+@pytest.mark.parametrize("field", sorted(GENERIC_FIELDS))
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_generic_constrain_zeros_matches_reference(field, data):
+    """Over GF(3), GF(7) and Q, `constrain_zeros(mask)` returns what the
+    reference, one eliminating column at a time lowest first, returns, and
+    leaves its exact state: `particular`, and `basis` in order, also after a
+    column that could not be zeroed.  Successive masks start from the state
+    the last one left."""
+    F, values = GENERIC_FIELDS[field]
+    ncols, rows, shared = data.draw(random_systems(6, values))
+    for space in _spaces(F, ncols, rows, shared):
+        for _ in range(data.draw(st.integers(1, 3))):
+            mask = data.draw(st.integers(0, (1 << ncols) - 1))
+            reference = space.copy()
+            results = [reference_constrain_zero(reference, col) for col in bit_indices(mask)]
+            assert space.constrain_zeros(mask) == all(results)
+            assert space.particular == reference.particular
+            assert space.basis == reference.basis
 
 
 @given(st.data())
@@ -425,6 +450,7 @@ def test_integer_weights_over_one_scale(name, changes):
     table = {c: Fraction(w, denominator) for c, w in ints.items()}
     a_cells = problem.A.cells_of_dim(problem.m)
     assert bool(a_cells) == (name == "torus")
+    assert system.a_mask == system.mask_of(a_cells)
     for j, c in enumerate(system.mcells):
         assert type(system.weights[j]) is int
         assert system.weights[j] == (0 if c in a_cells else table[c] * scale)
