@@ -10,8 +10,7 @@ packed into Python ints; other fields use sparse dict rows, column -> nonzero
 int mod p or Fraction.  A stored row is replaced, never changed in place, so
 echelons, matrices and subspaces share them; `_dense` gives a row's entry
 list where it leaves the module.  `kernel_basis` and `solution_spaces` read
-solutions off one echelon in the same way.  An echelon may pivot on a column
-subset only, as the witness spaces' eliminations do.
+solutions off one echelon in the same way.
 """
 
 from __future__ import annotations
@@ -167,19 +166,11 @@ class _Gf2Echelon:
         E.is_reduced = self.is_reduced
         return E
 
-    def _reduce(self, r: int, cols: Optional[int] = None) -> int:
-        """r less stored rows, until its lowest set bit in cols (the echelon's
-        by default) is no pivot; on cols = `mask`, until r holds no pivot."""
+    def _reduce(self, r: int, every: bool = False) -> int:
+        """r less stored rows, until its lowest set bit in `cols` is no
+        pivot, or with every until r holds no pivot."""
         rows, mask = self.rows, self.mask
-        if cols is None:
-            cols = self.cols
-        if cols == -1:  # the loop below without its AND, about 30% faster
-            while r:
-                low = r & -r
-                if not low & mask:
-                    break
-                r ^= rows[low.bit_length() - 1]
-            return r
+        cols = mask if every else self.cols
         while x := r & cols:
             low = x & -x
             if not low & mask:
@@ -193,8 +184,7 @@ class _Gf2Echelon:
     def add(self, r: int) -> bool:
         """Add r to the span; False, storing nothing, iff r is 0 on cols once reduced."""
         r = self._reduce(r)
-        cols = self.cols
-        if not (x := r if cols == -1 else r & cols):
+        if not (x := r & self.cols):
             return False
         low = x & -x
         self.rows[low.bit_length() - 1] = r
@@ -213,7 +203,7 @@ class _Gf2Echelon:
             for c in sorted(rows, reverse=True):
                 r = rows[c]
                 x = r & mask ^ 1 << c
-                while x:
+                while x:  # bit_indices inline, 7% off zeroed_supports
                     low = x & -x
                     r ^= rows[low.bit_length() - 1]
                     x ^= low
@@ -239,33 +229,33 @@ def _subtract(F: Coeffs, row: dict, f, v: dict) -> dict:
 class _Echelon:
     """Sparse rows over GF(p) or Q in row echelon form, grown one row at a time.
 
-    Rows pivot on the columns in the set `cols`, all when it is None: each
-    stored row is keyed by its pivot, its lowest column in `cols`, and
-    carries a one there; no two rows share a pivot.  `reduced` clears every
-    pivot from the other rows.
+    As `_Gf2Echelon`, given a nonnegative bitmask or -1 for all columns,
+    with `cols` the set of those columns (None for all); a stored row also
+    carries a one at its pivot.
     """
 
-    def __init__(self, coeffs: Coeffs, cols: Optional[set] = None) -> None:
+    def __init__(self, coeffs: Coeffs, cols: int = -1) -> None:
         self.coeffs = coeffs
-        self.cols = cols
+        self.cols = None if cols == -1 else set(bit_indices(cols))
         self.rows: dict[int, dict] = {}
         self.is_reduced = True
 
     def copy(self) -> "_Echelon":
-        E = _Echelon(self.coeffs, self.cols)
+        E = _Echelon(self.coeffs)
+        E.cols = self.cols
         E.rows = dict(self.rows)
         E.is_reduced = self.is_reduced
         return E
 
-    def _reduce(self, v: dict, cols=None) -> dict:
-        """v less stored rows, until its lowest column in cols (the echelon's
-        by default) is no pivot; on cols = `rows`, until v holds no pivot.
-        v itself if no row applies, else one private copy, reduced in place."""
+    def _reduce(self, v: dict, every: bool = False) -> dict:
+        """v less stored rows, until its lowest column in `cols` is no pivot,
+        or with every until v holds no pivot.  v itself if no row applies,
+        else one private copy, reduced in place."""
         F, rows = self.coeffs, self.rows
-        cols = self.cols if cols is None else cols
+        cols = rows if every else self.cols
         out = v
         while out:
-            c = min(out) if cols is None else min(filter(cols.__contains__, out), default=None)
+            c = min(out) if cols is None else min(out.keys() & cols, default=None)
             row = rows.get(c)
             if row is None:
                 break
@@ -281,14 +271,14 @@ class _Echelon:
         """Add v to the span; False, storing nothing, iff v is 0 on cols once reduced."""
         F = self.coeffs
         r = self._reduce(v)
-        c = min(r if self.cols is None else filter(self.cols.__contains__, r), default=None)
+        c = min(r if self.cols is None else r.keys() & self.cols, default=None)
         if c is None:
             return False
         if r[c] != 1:
             r = dict(r) if r is v else r  # scaled in a private dict, in place
-            inv = F.inv(r[c])
+            inv, p = F.inv(r[c]), F.p
             for j, x in r.items():
-                r[j] = F.mul(inv, x)
+                r[j] = inv * x % p if p else inv * x
         self.rows[c] = r
         self.is_reduced = False
         return True

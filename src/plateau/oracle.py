@@ -378,7 +378,8 @@ def isoperimetric_scan(
             Fraction(0), Fraction(0), True, 0, frozenset(), work.grid.box, 0, "done"
         )
     system = build_witness_system(work)
-    weights, a_mask = system.weights, system.a_mask
+    weights = system.weights
+    a_mask = system.a_mask
     loops = build_loop_catalogue(system, deadline)
 
     best_weight: Optional[int] = None

@@ -138,7 +138,8 @@ def contract_to_witnesses(system: WitnessSystem) -> Surface:
     the union spans by construction.  It escapes poor 1-minimal surfaces
     that greedy removal gets stuck on.
     """
-    problem, a_mask = system.problem, system.a_mask
+    problem = system.problem
+    a_mask = system.a_mask
     # several deterministic zeroing orders of the free columns; per class the
     # lightest survivor wins (which cells a greedy zeroing leaves is highly
     # order-sensitive).  Columns follow the sorted m-cells, so the last key,
@@ -146,7 +147,12 @@ def contract_to_witnesses(system: WitnessSystem) -> Surface:
     weights, mcells = system.weights, system.mcells
     free = list(bit_indices(system.full_mask() & ~a_mask))
     orders = [
-        sorted(free, key=lambda j, a=axis, s=sign: (-weights[j], s * mcells[j].anchor[a], j))
+        sorted(
+            free,
+            key=lambda j, a=axis, s=sign: (
+                -weights[j], s * mcells[j].anchor[a], j
+            ),
+        )
         for axis in range(problem.grid.n)
         for sign in (1, -1)
     ]
@@ -219,9 +225,10 @@ def local_replace(
     passes the interior m-cells of a region it has checked already.
     """
     problem = X.problem
+    m = problem.m
     if interior is None:
         _check_region(problem, lows, highs)
-        interior = list(box_cells(tuple(zip(lows, highs)), problem.m, interior=True))
+        interior = list(box_cells(tuple(zip(lows, highs)), m, interior=True))
     current = X.mcells.intersection(interior)
     if not current:
         return X

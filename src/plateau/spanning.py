@@ -101,11 +101,10 @@ class SpanningProblem:
 
     def cell_boundaries(self) -> dict[Cell, tuple[int, tuple, tuple]]:
         """Each m-cell of the box, in `box_mcells` order, with its boundary
-        split at A: the cell's `HalfLattice` id, its faces off A as (id
-        offset, sign in the field), and the sums of sign * l_i(e) over its
-        faces e on A, in L's order (empty when no face lies on A); computed
-        once per problem.  Cells with the same axes and the same faces on A
-        share one face tuple, so the table holds few objects per cell."""
+        split at A: its `HalfLattice` id, its faces off A as (id offset,
+        field sign), and the sums of sign * l_i(e) over its faces e on A in
+        L's order (empty if none); computed once per problem.  Cells with the
+        same axes and faces on A share one face tuple."""
         if self._boundaries is None:
             F, H = self.coeffs, HalfLattice(self.grid.box)
             on_A = {H.id(c): [cls.rep[p] for cls in self.L]

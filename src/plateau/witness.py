@@ -6,19 +6,16 @@ The witnesses for one class form an affine subspace of the m-chain space of
 the full box; spanning tests against any X reduce to asking whether that
 affine space meets the coordinate subspace supported on X.  The rows
 "bd w vanishes off A", one per face off A keyed by its `lattice.HalfLattice`
-id, are shared by all classes: `linalg.solution_spaces` reduces them once,
-in the same incremental elimination that serves cochains and the spanning
-test, and reads each class's space off a copy.  Build and spanning test
-read one table, `SpanningProblem.cell_boundaries`.  This is the engine
-behind the greedy solver, its local moves and the exhaustive oracle; it is
+id and read off `SpanningProblem.cell_boundaries` as the spanning test reads
+them, are shared by all classes: `linalg.solution_spaces` reduces them once
+and reads each class's space off a copy.  This is the engine behind the
+greedy solver, its local moves and the exhaustive oracle; it is
 cross-checked against the direct cohomological definition in the tests.
 
 Every elimination on a space runs on a `linalg` echelon that pivots on the
-columns at hand: the columns zeroed, the columns forbidden, or a zeroing
-order's basis functionals.  Over GF(2) each basis vector of a space is
-keyed by a private column, one that no other basis vector holds (see
-`Gf2AffineSpace`), so a membership test eliminates only over the vectors
-keyed inside the allowed set.
+columns at hand.  Over GF(2) each basis vector of a space is keyed by a
+private column that no other basis vector holds (see `Gf2AffineSpace`), so
+a membership test eliminates only over the vectors keyed inside `allowed`.
 
 The system also holds the one weight representation of the package: each
 m-cell's weight as an integer over one common denominator `scale`.
@@ -132,8 +129,8 @@ class Gf2AffineSpace:
             vecs[k] = v
             or_mask |= v
         self.vecs, self.or_mask = vecs, or_mask
-        self.particular = E._reduce(self.particular, E.mask)
-        self.reduced = E._reduce(self.reduced, E.mask)
+        self.particular = E._reduce(self.particular, every=True)
+        self.reduced = E._reduce(self.reduced, every=True)
         return not self.particular & mask
 
     def zeroed_supports(self, orders: Sequence[Sequence[int]]) -> list[int]:
@@ -142,17 +139,17 @@ class Gf2AffineSpace:
         order's greedy-first independent columns, whatever the basis.  Each
         column's dim-bit functional | its particular bit << dim joins one
         echelon per order, pivoting on the dim bits; once reduced, row i's
-        high bit says whether basis vector i is in the member.  The columns
-        of each later order lie among the first's, so the first order's rank
-        ends every later one."""
+        high bit says whether basis vector i is in the member.  An order
+        within the first order's columns, as in `contract_to_witnesses`,
+        stops at the first's rank; any other at dim."""
         basis, dim, particular = self.basis, self.dim, self.particular
         rows = [f | 1 << dim if particular >> c & 1 else f for c, f in
                 enumerate(FieldMatrix(GF2, basis, self.ncols).transpose()._rows)]
-        out, rank = [], dim
+        out, rank, first = [], dim, set(orders[0] if orders else ())
         for order in orders:
-            E = _Gf2Echelon((1 << dim) - 1)
+            E, cap = _Gf2Echelon((1 << dim) - 1), rank if first.issuperset(order) else dim
             for c in order:
-                if len(E.rows) == rank:
+                if len(E.rows) == cap:
                     break
                 E.add(rows[c])
             if not out:
@@ -165,9 +162,8 @@ class Gf2AffineSpace:
         return out
 
     def member_within(self, allowed: int) -> Optional[int]:
-        """Some member with support inside the allowed bitmask, or None:
-        `reduced` less the vectors keyed inside allowed, eliminated on the
-        forbidden columns."""
+        """Some member with support inside `allowed`, or None: `reduced` less
+        the vectors keyed inside it, eliminated on the forbidden columns."""
         forbidden = ~allowed
         t = self.reduced
         if not t & forbidden:
@@ -214,20 +210,24 @@ class GenericAffineSpace:
     def constrain_zeros(self, mask: int) -> bool:
         """As `Gf2AffineSpace.constrain_zeros`: each basis vector that meets
         the mask, in order, joins an echelon pivoting on the mask's columns
-        or stays reduced to zero there; `particular` loses every pivot."""
-        cols = set(bit_indices(mask))
-        E = _Echelon(self.coeffs, cols)
-        basis = []
-        for v in self.basis:
-            if not cols.isdisjoint(v):
-                v = E._reduce(v)
-                if not cols.isdisjoint(v):
+        or stays reduced to zero there; `particular` loses every pivot.  A
+        one-column mask is met by a dict lookup, a third of a set test's cost."""
+        E = _Echelon(self.coeffs, mask)
+        if len(E.cols) == 1:
+            (col,) = E.cols
+            hits = [i for i, v in enumerate(self.basis) if col in v]
+        else:
+            hits = [i for i, v in enumerate(self.basis) if not v.keys().isdisjoint(E.cols)]
+        if hits:
+            basis = list(self.basis)
+            for i in hits:
+                v = basis[i] = E._reduce(basis[i])
+                if not v.keys().isdisjoint(E.cols):
                     E.add(v)
-                    continue
-            basis.append(v)
-        self.basis = basis
-        self.particular = E._reduce(self.particular, E.rows)
-        return cols.isdisjoint(self.particular)
+                    basis[i] = None
+            self.basis = [v for v in basis if v is not None]
+            self.particular = E._reduce(self.particular, every=True)
+        return self.particular.keys().isdisjoint(E.cols)
 
     def zeroed_supports(self, orders: Sequence[Sequence[int]]) -> list[int]:
         out = [self.copy() for _ in orders]
@@ -237,13 +237,12 @@ class GenericAffineSpace:
         return [sp.support_mask() for sp in out]
 
     def member_within(self, allowed: int) -> Optional[dict]:
-        forbidden = {c for c in range(self.ncols) if not allowed >> c & 1}
-        E = _Echelon(self.coeffs, forbidden)
+        E = _Echelon(self.coeffs, (1 << self.ncols) - 1 & ~allowed)
         for v in self.basis:
-            if not forbidden.isdisjoint(v):
+            if not E.cols.isdisjoint(v):
                 E.add(v)
         t = E._reduce(self.particular)
-        return t if forbidden.isdisjoint(t) else None
+        return t if E.cols.isdisjoint(t) else None
 
 
 @dataclass
@@ -299,8 +298,10 @@ def build_witness_system(problem: SpanningProblem) -> WitnessSystem:
     a face off A adds the cell to that face's row, and the cell's sums over
     its faces on A go to each class's row, whose right-hand side is 1.  Row
     order does not matter: the reduced echelon form is unique."""
-    F, boundaries = problem.coeffs, problem.cell_boundaries()
-    ncols, gf2 = len(boundaries), F.kind == "gf2"
+    m, F = problem.m, problem.coeffs
+    mcells = problem.box_mcells()
+    ncols, gf2 = len(mcells), F.kind == "gf2"
+    boundaries = problem.cell_boundaries()
     rows: dict = {}  # face id -> row in FieldMatrix's internal form
     pairing: list[dict] = [{} for _ in problem.L]  # class -> {column: value}
     for j, (at, off, sums) in enumerate(boundaries.values()):
@@ -317,7 +318,10 @@ def build_witness_system(problem: SpanningProblem) -> WitnessSystem:
     spaces = []
     for solution in solution_spaces(system, len(rows)):
         if solution is None:
-            raise ValueError("class admits no witness chain in the box; check the problem setup")
+            raise ValueError(
+                "class admits no witness chain in the box; "
+                "check the problem setup"
+            )
         particular, kernel = solution
         if gf2:
             spaces.append(Gf2AffineSpace(ncols, particular, kernel))
@@ -326,10 +330,9 @@ def build_witness_system(problem: SpanningProblem) -> WitnessSystem:
             # vector only, so constrain_zero updates few vectors
             basis = Subspace(F, ncols, kernel).rows
             spaces.append(GenericAffineSpace(F, ncols, particular, basis))
-    mcells = problem.box_mcells()
     column = {c: j for j, c in enumerate(mcells)}
     table, scale = problem.weight_table()
-    a_cells = problem.A.cells_of_dim(problem.m)
+    a_cells = problem.A.cells_of_dim(m)
     weights = [0 if c in a_cells else table[c] for c in mcells]
     g = math.gcd(scale, *weights)  # leaves the least common denominator
     weights = [w // g for w in weights]

@@ -433,14 +433,16 @@ def test_echelon_reads_match_gauss_jordan(program):
 @st.composite
 def restricted_programs(draw):
     """A field, a column count, the columns an echelon pivots on (None for
-    all), rows to add and probe vectors, as entry lists."""
+    all), whether a GF(2) bitmask is given as the complement of the other
+    columns (a negative int, as `member_within` gives it), rows to add and
+    probe vectors, as entry lists."""
     F = draw(st.sampled_from([GF2, GF3, GF7, RATIONAL]))
     ncols = draw(st.integers(1, 7))
     vec = st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, 3]), min_size=ncols, max_size=ncols)
     cols = draw(st.none() | st.sets(st.integers(0, ncols - 1)))
     rows = draw(st.lists(vec, max_size=8))
     probes = draw(st.lists(vec, min_size=1, max_size=4))
-    return F, ncols, cols, rows, probes
+    return F, ncols, cols, draw(st.booleans()), rows, probes
 
 
 @given(restricted_programs())
@@ -452,13 +454,14 @@ def test_column_restricted_echelons_match_reference(program):
     vectors, on the echelon's columns and on its pivots alone, gives the
     reference's remainders and leaves the probes as they were, and the
     reduced echelon clears each pivot from the other rows."""
-    F, ncols, cols, rows, probes = program
+    F, ncols, cols, negative, rows, probes = program
     if cols is None:
         E, cols = _echelon(F), set(range(ncols))
-    elif F.kind == "gf2":
-        E = _Gf2Echelon(sum(1 << c for c in cols))
     else:
-        E = _Echelon(F, cols)
+        mask = sum(1 << c for c in cols)
+        if negative and F.kind == "gf2":
+            mask = ~((1 << ncols) - 1 & ~mask)
+        E = _Gf2Echelon(mask) if F.kind == "gf2" else _Echelon(F, mask)
     rows = [[F.reduce(x) for x in r] for r in rows]
     pivots, added = restricted_echelon(F, rows, cols)
     assert [E.add(_to_row(F, r, ncols)) for r in rows] == added
@@ -467,8 +470,7 @@ def test_column_restricted_echelons_match_reference(program):
         v = [F.reduce(x) for x in v]
         row = _to_row(F, v, ncols)
         assert _dense(F, E._reduce(row), ncols) == restricted_reduce(F, pivots, v, cols)
-        pivot_cols = E.mask if F.kind == "gf2" else E.rows
-        assert (_dense(F, E._reduce(row, pivot_cols), ncols)
+        assert (_dense(F, E._reduce(row, every=True), ncols)
                 == restricted_reduce(F, pivots, v, cols, every=True))
         assert _dense(F, row, ncols) == v
     reduced = E.reduced().rows
