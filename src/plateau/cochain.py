@@ -106,9 +106,15 @@ def cohomology(X: CubicalComplex, d: int, coeffs: Coeffs,
     cocycles = kernel_basis(data.delta(d))
     coboundaries = coboundary_space(data, d, reduced)
     # a cocycle joins the quotient basis iff it lies outside the span of the
-    # coboundaries and of the cocycles kept before it
+    # coboundaries and of the cocycles kept before it; once dim Z - dim B are
+    # kept every later cocycle is dependent, and at 0 the cocycles stay unreduced
+    reps, rank = [], cocycles.dim - coboundaries.dim
     grown = coboundaries._echelon.copy()
-    reps = [_dense(coeffs, r, cocycles.ambient_dim) for r in cocycles.rows if grown.add(r)]
+    for r in cocycles.rows if rank else ():
+        if grown.add(r):
+            reps.append(_dense(coeffs, r, cocycles.ambient_dim))
+            if len(reps) == rank:
+                break
     return CohomologySpace(data, d, cocycles, coboundaries, reps)
 
 

@@ -219,9 +219,10 @@ class HalfLattice:
     a sit at id +- strides[a]; `faces[free_axes]` lists (id offset, sign) in
     `cochain.boundary_incidences`' order and signs: along the j-th free axis
     (from 0), (-1)**j on the high face and its negative on the low one.
-    Users: `SpanningProblem.cell_boundaries` keys the problem's faces by
-    these ids, for `spanning.spans` and `witness.build_witness_system`;
-    `cochain.CochainComplexData.delta` keys a complex's cells, and
+    Users: `SpanningProblem.cell_boundaries` numbers the problem's face
+    columns by decreasing id, for `spanning.spans` and (transposed)
+    `witness.build_witness_system`; `cochain.CochainComplexData.delta` keys a
+    complex's cells, `connected_components` its union-find, and
     `oracle.build_loop_catalogue` the faces of a box widened by one voxel."""
 
     def __init__(self, box: Sequence[tuple[int, int]]):
@@ -247,27 +248,26 @@ def build_skeleton(grid: GridSpec, d: int) -> CubicalComplex:
 
 
 def connected_components(X: CubicalComplex) -> list[CubicalComplex]:
-    """Partition of X by shared-face connectivity, in deterministic order."""
-    parent: dict[Cell, Cell] = {c: c for c in X.cells}
+    """Partition of X by shared faces, found on `HalfLattice` ids, in deterministic order."""
+    H = HalfLattice(X.grid.box)
+    cells = {H.id(c): c for c in X.cells}
+    parent = {i: i for i in cells}
 
-    def find(c: Cell) -> Cell:
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
 
-    def link(a: Cell, b: Cell) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for c in X.cells:
-        for f in c.faces():
-            if f in parent:
-                link(c, f)
-    groups: dict[Cell, set[Cell]] = {}
-    for c in X.cells:
-        groups.setdefault(find(c), set()).add(c)
+    for i, c in cells.items():
+        for offset, _ in H.faces[c.free_axes]:
+            if i + offset in parent:
+                ri, rf = find(i), find(i + offset)
+                if ri != rf:
+                    parent[ri] = rf
+    groups: dict[int, set[Cell]] = {}
+    for i, c in cells.items():
+        groups.setdefault(find(i), set()).add(c)
     comps = [CubicalComplex(X.grid, s, closed=True) for s in groups.values()]
     comps.sort(key=lambda comp: min(comp.cells))
     return comps

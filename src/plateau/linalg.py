@@ -464,13 +464,13 @@ def _read_off(E, cols: int) -> Optional[tuple]:
                 kernel[j] |= 1 << c
         return particular, [kernel[j] for j in free]
     # a pivot row holds its pivot, free columns and the right-hand side
-    F = E.coeffs
+    F, p = E.coeffs, E.coeffs.p
     particular = {c: r[cols] for c, r in E.rows.items() if cols in r}
     kernel = {j: {j: F.one} for j in free}
     for c, r in E.rows.items():
         for j, x in r.items():
             if j != c and j != cols:
-                kernel[j][c] = F.sub(F.zero, x)
+                kernel[j][c] = -x % p if p else -x
     return particular, [kernel[j] for j in free]
 
 

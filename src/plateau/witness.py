@@ -5,12 +5,13 @@ supported on X's m-cells has boundary supported on A with <l, bd w> = 1.
 The witnesses for one class form an affine subspace of the m-chain space of
 the full box; spanning tests against any X reduce to asking whether that
 affine space meets the coordinate subspace supported on X.  The rows
-"bd w vanishes off A", one per face off A keyed by its `lattice.HalfLattice`
-id and read off `SpanningProblem.cell_boundaries` as the spanning test reads
-them, are shared by all classes: `linalg.solution_spaces` reduces them once
-and reads each class's space off a copy.  This is the engine behind the
-greedy solver, its local moves and the exhaustive oracle; it is
-cross-checked against the direct cohomological definition in the tests.
+"bd w vanishes off A", one per face off A, are the face columns of the
+problem's `SpanningProblem.cell_boundaries` table, whose rows the spanning
+test adds, and class i's row is its class column.  The face rows are shared
+by all classes: `linalg.solution_spaces` reduces them once and reads each
+class's space off a copy.  This is the engine behind the greedy solver, its
+local moves and the exhaustive oracle; it is cross-checked against the
+direct cohomological definition in the tests.
 
 Every elimination on a space runs on a `linalg` echelon that pivots on the
 columns at hand.  Over GF(2) each basis vector of a space is keyed by a
@@ -293,30 +294,23 @@ class WitnessSystem:
 def build_witness_system(problem: SpanningProblem) -> WitnessSystem:
     """Set up the witness spaces and integer weights on the full box grid.
 
-    One pass over the m-cells (the columns) reads the problem's
-    `SpanningProblem.cell_boundaries`, the table `spanning.spans` reads too:
-    a face off A adds the cell to that face's row, and the cell's sums over
-    its faces on A go to each class's row, whose right-hand side is 1.  Row
-    order does not matter: the reduced echelon form is unique."""
+    The system is the transpose of the problem's `cell_boundaries` table: a
+    row per face column, holding the cells whose row holds it, then class
+    i's column nf + i with right-hand side 1.  Row order changes only the
+    work, as the reduced echelon form is unique: face rows by decreasing
+    lowest column seldom meet a stored pivot (over Q, half the time of
+    first-met order on the rings)."""
     m, F = problem.m, problem.coeffs
     mcells = problem.box_mcells()
     ncols, gf2 = len(mcells), F.kind == "gf2"
-    boundaries = problem.cell_boundaries()
-    rows: dict = {}  # face id -> row in FieldMatrix's internal form
-    pairing: list[dict] = [{} for _ in problem.L]  # class -> {column: value}
-    for j, (at, off, sums) in enumerate(boundaries.values()):
-        for e, sign in off:
-            if gf2:
-                rows[at + e] = rows.get(at + e, 0) | 1 << j
-            else:
-                rows.setdefault(at + e, {})[j] = sign
-        for row, x in zip(pairing, sums):
-            if x:
-                row[j] = x
-    rhs = [sum(1 << c for c in r) | 1 << ncols if gf2 else {**r, ncols: F.one} for r in pairing]
-    system = FieldMatrix(F, [*rows.values(), *rhs], ncols + 1)
+    rows, nf = problem.cell_boundaries()
+    T = FieldMatrix(F, list(rows.values()), nf + len(problem.L)).transpose()._rows
+    low = (lambda r: r & -r) if gf2 else min  # a row's lowest column
+    faces = sorted((r for r in reversed(T[:nf]) if r), key=low, reverse=True)
+    rhs = [r | 1 << ncols if gf2 else {**r, ncols: F.one} for r in T[nf:]]
+    system = FieldMatrix(F, [*faces, *rhs], ncols + 1)
     spaces = []
-    for solution in solution_spaces(system, len(rows)):
+    for solution in solution_spaces(system, len(faces)):
         if solution is None:
             raise ValueError(
                 "class admits no witness chain in the box; "

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 
@@ -232,29 +233,46 @@ def test_fundamental_cycle_is_cycle(tiny_problem):
 @pytest.mark.parametrize("F", FIELDS, ids=["gf2", "gf3", "q"])
 @pytest.mark.parametrize("name", ["rings_tiny", "torus"])
 def test_cell_boundaries_split_each_boundary_at_A(name, F):
-    """`cell_boundaries` lists every box m-cell in `box_mcells` order, with
-    its `HalfLattice` id, the faces of `boundary_incidences` that lie off A
-    as (id offset, sign in the field), in that order, and the sums of
-    sign * l_i(e) over the faces e on A; a cropped problem builds its own
-    table."""
+    """`cell_boundaries` holds one row per box m-cell, in `box_mcells` order:
+    each face of `boundary_incidences` that lies off A at column
+    top - `HalfLattice` id, below nf, with its sign in the field, and the sum
+    of sign * l_i(e) over the faces e on A at column nf + i; the table is
+    cached, and a cropped problem builds an equal one of its own."""
     problem = problem_over(name, F.kind if F.kind != "gfp" else {"kind": "gfp", "p": F.p})
     H = HalfLattice(problem.grid.box)
+    top = H.id(Cell(tuple(hi for _, hi in problem.grid.box), 0))
     pos = problem.A.position(problem.m - 1)
     table = problem.cell_boundaries()
-    assert list(table) == problem.box_mcells()
-    for cell, (at, off, sums) in table.items():
+    rows, nf = table
+    assert nf == top + 1
+    assert list(rows) == problem.box_mcells()
+    for cell, row in rows.items():
         faces = boundary_incidences(cell)
-        assert at == H.id(cell)
-        assert [(at + e, sign) for e, sign in off] == [
-            (H.id(f), F.reduce(sign)) for f, sign in faces if f not in pos]
-        on_A = [(f, sign) for f, sign in faces if f in pos]
-        expected = [F.reduce(sum(sign * cls.rep[pos[f]] for f, sign in on_A))
-                    for cls in problem.L] if on_A else []
-        assert list(sums) == expected
+        expected = {top - H.id(f): F.reduce(sign) for f, sign in faces if f not in pos}
+        assert all(c < nf for c in expected)
+        for i, cls in enumerate(problem.L):
+            x = F.reduce(sum(sign * cls.rep[pos[f]] for f, sign in faces if f in pos))
+            if x:
+                expected[nf + i] = x
+        assert row == (sum(1 << c for c in expected) if F is GF2 else expected)
     assert problem.cell_boundaries() is table
     cropped = problem.cropped(tuple(problem.grid.box))
     assert cropped.cell_boundaries() is not table
     assert cropped.cell_boundaries() == table
+
+
+@pytest.mark.parametrize("F", FIELDS[1:], ids=["gf3", "q"])
+@pytest.mark.parametrize("name", ["rings_tiny", "torus"])
+def test_spans_and_witness_build_leave_the_table_unchanged(name, F):
+    """Echelons store the table's own dicts: `spans` on several surfaces and
+    a witness build leave every row equal to a deep copy taken before them."""
+    problem = problem_over(name, F.kind if F.kind != "gfp" else {"kind": "gfp", "p": F.p})
+    before = copy.deepcopy(problem.cell_boundaries())
+    box, rng = problem.box_mcells(), random.Random(5)
+    for keep in (0.3, 0.6, 0.9, 1.0):
+        spans(Surface(problem, rng.sample(box, round(keep * len(box)))))
+    build_witness_system(problem)
+    assert problem.cell_boundaries() == before
 
 
 def test_surface_free_mcells(tiny_problem):
