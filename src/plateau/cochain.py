@@ -2,12 +2,16 @@
 
 For finite cubical complexes (compact polyhedra) cellular cohomology is the
 right finite computation; degree 0 can be reduced, with the convention that
-the reduced group of the empty complex is zero.
+the reduced group of the empty complex is zero.  The dimension of H^d comes
+from ranks, n_d - rank delta_d - dim B^d; a cocycle basis is read off the
+echelon of delta_d's rows only when it is asked for or the dimension is
+positive.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .lattice import Cell, CubicalComplex, HalfLattice
@@ -83,11 +87,12 @@ def coboundary_space(data: CochainComplexData, d: int,
 
 @dataclass
 class CohomologySpace:
-    """Computed H^d of one complex: cocycles, coboundaries, quotient basis."""
+    """Computed H^d of one complex: coboundaries, quotient basis, and the
+    echelon of delta_d's rows, off which `cocycles` is read when first asked for."""
 
     data: CochainComplexData
     degree: int
-    cocycles: Subspace
+    delta_rows: Subspace
     coboundaries: Subspace
     basis_reps: list[list]
 
@@ -95,27 +100,33 @@ class CohomologySpace:
     def dim(self) -> int:
         return len(self.basis_reps)
 
+    @cached_property
+    def cocycles(self) -> Subspace:
+        return self.delta_rows.kernel()
+
 
 def cohomology(X: CubicalComplex, d: int, coeffs: Coeffs,
                reduced: bool = False,
                data: Optional[CochainComplexData] = None) -> CohomologySpace:
-    """H^d(X) over the field, optionally reduced in degree 0."""
+    """H^d(X) over the field, optionally reduced in degree 0; its dimension
+    comes from ranks, and cocycles are read only when it is positive."""
     if d < 0:
         raise ValueError("cohomology degree must be nonnegative")
     data = data or CochainComplexData(X, coeffs)
-    cocycles = kernel_basis(data.delta(d))
+    delta_rows = Subspace.row_space(data.delta(d))
     coboundaries = coboundary_space(data, d, reduced)
+    H = CohomologySpace(data, d, delta_rows, coboundaries, [])
     # a cocycle joins the quotient basis iff it lies outside the span of the
-    # coboundaries and of the cocycles kept before it; once dim Z - dim B are
-    # kept every later cocycle is dependent, and at 0 the cocycles stay unreduced
-    reps, rank = [], cocycles.dim - coboundaries.dim
+    # coboundaries and of the cocycles kept before it; once dim H^d are kept
+    # every later cocycle is dependent
+    rank = delta_rows.ambient_dim - delta_rows.dim - coboundaries.dim
     grown = coboundaries._echelon.copy()
-    for r in cocycles.rows if rank else ():
+    for r in H.cocycles.rows if rank else ():
         if grown.add(r):
-            reps.append(_dense(coeffs, r, cocycles.ambient_dim))
-            if len(reps) == rank:
+            H.basis_reps.append(_dense(coeffs, r, delta_rows.ambient_dim))
+            if len(H.basis_reps) == rank:
                 break
-    return CohomologySpace(data, d, cocycles, coboundaries, reps)
+    return H
 
 
 @dataclass

@@ -5,6 +5,9 @@ ratios.  Pass/fail decisions stay in exact rational arithmetic; pi enters
 only in reported float ratios, never in assertions.  Distances are squared
 and in half-lattice units (side / 2), where a cell's barycenter is the int
 tuple 2 * anchor + axis bit: a ball of radius r is d2 <= (2r / side)**2.
+Weights are the problem's `weight_table` ints, summed before one division
+by its scale; a probe of a surface from a point is computed once and kept
+with the surface.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .lattice import Cell
-from .solver import cell_weight
 from .spanning import Surface
 
 # unit-ball volumes used in reported ratios (floats by design), for every m
@@ -38,24 +40,28 @@ def _half_lattice(cells: Sequence[Cell]) -> list[tuple[int, ...]]:
 
 
 def _radius2(r: Fraction, side: Fraction):
-    return _exact((2 * r / side) ** 2)
+    """(2r / side)**2, an int when r is a whole number of sides."""
+    q, rest = divmod(r, side)
+    return (2 * q) ** 2 if not rest else _exact((2 * r / side) ** 2)
 
 
-def _probe(X: Surface, point: Sequence[Fraction]) -> list[tuple[object, Fraction]]:
-    """(d2 from the point, weight) of every free m-cell, in one pass; d2 is
-    an int when the point lies on the half-lattice."""
-    cells = X.free_mcells()
-    q = [_exact(2 * Fraction(x) / X.problem.grid.side) for x in point]
-    return [
-        (sum((b - p) ** 2 for b, p in zip(bc, q)), cell_weight(c, X.problem))
-        for bc, c in zip(_half_lattice(cells), cells)
-    ]
+def _probe(X: Surface, point: tuple[Fraction, ...]) -> list[tuple[object, int]]:
+    """(d2 from the point, `weight_table` int) of every free m-cell, once per
+    surface and point; d2 is an int when the point lies on the half-lattice."""
+    if point not in X._probes:
+        cells, table = X.free_mcells(), X.problem.weight_table()[0]
+        q = [_exact(2 * x / X.problem.grid.side) for x in point]
+        X._probes[point] = [
+            (sum((b - p) ** 2 for b, p in zip(bc, q)), table[c])
+            for bc, c in zip(_half_lattice(cells), cells)
+        ]
+    return X._probes[point]
 
 
-def _ball_weight(probe: list, r: Fraction, side: Fraction) -> Fraction:
+def _ball_weight(X: Surface, probe: list, r: Fraction) -> Fraction:
     """Weight of the probed cells whose barycenter lies within r."""
-    r2 = _radius2(r, side)
-    return sum((w for d2, w in probe if d2 <= r2), Fraction(0))
+    r2 = _radius2(r, X.problem.grid.side)
+    return Fraction(sum(w for d2, w in probe if d2 <= r2), X.problem.weight_table()[1])
 
 
 @dataclass
@@ -77,10 +83,10 @@ class SliceReport:
         return "\n".join(lines) + "\n"
 
 
-def _band_index(d2: Fraction, w: Fraction) -> int:
-    """floor(sqrt(d2)/w) without leaving exact arithmetic."""
-    q = d2 / w**2
-    return math.isqrt(q.numerator // q.denominator)
+def _band_index(d2, w) -> int:
+    """floor(sqrt(d2)/w) without leaving exact arithmetic, in ints when
+    both are ints."""
+    return math.isqrt(d2 // w**2)
 
 
 def slicing_check(X: Surface, center: Sequence[Fraction], shell_width: Fraction) -> SliceReport:
@@ -94,15 +100,17 @@ def slicing_check(X: Surface, center: Sequence[Fraction], shell_width: Fraction)
     if shell_width < side:
         raise ValueError("shell width must be at least one cell side")
     center = tuple(Fraction(c) for c in center)
-    bands: dict[int, Fraction] = {}
-    rhs = Fraction(0)
-    width = 2 * shell_width / side  # in half-lattice units
-    for d2, w in _probe(X, center):
-        rhs += w
+    scale = X.problem.weight_table()[1]
+    bands: dict[int, int] = {}
+    width = _exact(2 * shell_width / side)  # in half-lattice units
+    probe = _probe(X, center)
+    for d2, w in probe:
         j = _band_index(d2, width)
-        bands[j] = bands.get(j, Fraction(0)) + w
+        bands[j] = bands.get(j, 0) + w
+    rhs = Fraction(sum(w for _, w in probe), scale)
     table = [
-        (j * shell_width, bw, bw / shell_width) for j, bw in sorted(bands.items())
+        (j * shell_width, Fraction(bw, scale), Fraction(bw, scale) / shell_width)
+        for j, bw in sorted(bands.items())
     ]
     lhs = sum((sl * shell_width for _, _, sl in table), Fraction(0))
     return SliceReport(center, shell_width, table, lhs, rhs)
@@ -137,13 +145,6 @@ class DensityProfile:
         return "\n".join(lines) + "\n"
 
 
-def _surface_vertices(cells: Sequence[Cell]) -> list[tuple[int, ...]]:
-    verts: set[tuple[int, ...]] = set()
-    for c in cells:
-        verts.update(c.corners())
-    return sorted(verts)
-
-
 def density_profile(
     X: Surface, point: Sequence[Fraction], radii: Sequence[Fraction]
 ) -> DensityProfile:
@@ -158,7 +159,7 @@ def density_profile(
         raise ValueError("profile point must be a lattice point of the surface")
     rs = sorted(Fraction(r) for r in radii)
     probe = _probe(X, point)
-    g = [_ball_weight(probe, r, side) for r in rs]
+    g = [_ball_weight(X, probe, r) for r in rs]
     for a, b in zip(g, g[1:]):
         if a > b:
             raise AssertionError("profile must be monotone in r")
@@ -188,25 +189,28 @@ def regularity_constant(X: Surface, max_radius: Fraction) -> RegularityReport:
         r *= 2
     if not radii:
         raise ValueError("max radius below one cell side")
-    # a ball's measure is count * side**m; one sorted pass serves every r
+    # a ball's measure is count * side**m, so with r_j = side * 2**j its
+    # ratio is count / 2**(j m): compared as count << (J - j) m in ints, J
+    # the last j.  One sorted pass serves every r
     bary = _half_lattice(cells)
-    cutoffs = [(_radius2(r, grid.side), grid.side**m / r**m, r) for r in radii]
-    c_hat: Optional[Fraction] = None
+    J = len(radii) - 1
+    cutoffs = [(_radius2(r, grid.side), (J - j) * m, r) for j, r in enumerate(radii)]
+    best: Optional[int] = None
     worst = None
     count = 0
-    for v in _surface_vertices(cells):
+    for v in X.free_vertices:
         d2 = sorted(
             sum((b - 2 * x) ** 2 for b, x in zip(bc, v)) for bc in bary
         )
-        for r2, unit, r in cutoffs:
-            val = bisect_right(d2, r2) * unit
+        for r2, shift, r in cutoffs:
+            val = bisect_right(d2, r2) << shift
             count += 1
-            if c_hat is None or val < c_hat:
-                c_hat = val
+            if best is None or val < best:
+                best = val
                 worst = (tuple(Fraction(x) * grid.side for x in v), r)
-    if c_hat is None:
+    if best is None:
         raise AssertionError("no surface lattice point was sampled")
-    return RegularityReport(c_hat, max_radius, count, worst)
+    return RegularityReport(Fraction(best, 1 << J * m), max_radius, count, worst)
 
 
 @dataclass
@@ -242,7 +246,6 @@ def monotonicity_check(
     assertion (lattice surfaces need not be pointwise minimizers)."""
     point = tuple(Fraction(p) for p in point)
     m = X.problem.m
-    side = X.problem.grid.side
     probe = _probe(X, point)
     pairs = []
     ratios: list[Optional[Fraction]] = []
@@ -252,8 +255,8 @@ def monotonicity_check(
         if s > r:
             raise ValueError(f"pair ({r}, {s}) must satisfy s <= r")
         pairs.append((r, s))
-        gs = _ball_weight(probe, s, side)
-        gr = _ball_weight(probe, r, side)
+        gs = _ball_weight(X, probe, s)
+        gr = _ball_weight(X, probe, r)
         if gs == 0:
             ratios.append(None)
             continue
@@ -269,7 +272,7 @@ def monotonicity_check(
 
 def default_probe_point(X: Surface) -> tuple[Fraction, ...]:
     """Deterministic lattice point on X outside A, for report probes."""
-    verts = _surface_vertices(X.free_mcells())
+    verts = X.free_vertices
     if not verts:
         raise ValueError("surface has no cells outside A")
     side = X.problem.grid.side

@@ -9,8 +9,9 @@ growth need no re-reduction.  Reading a reduced form (`_read_off`,
 packed into Python ints; other fields use sparse dict rows, column -> nonzero
 int mod p or Fraction.  A stored row is replaced, never changed in place, so
 echelons, matrices and subspaces share them; `_dense` gives a row's entry
-list where it leaves the module.  `kernel_basis` and `solution_spaces` read
-solutions off one echelon in the same way.
+list where it leaves the module.  `kernel_basis` reads its basis off one
+echelon in the same way, and `solution_spaces` reads the shared rows' solution
+set once, then gives each further row its own by a rank-one update.
 """
 
 from __future__ import annotations
@@ -438,6 +439,10 @@ class Subspace:
             out._echelon.add(r)
         return out
 
+    def kernel(self) -> "Subspace":
+        """{v : r . v = 0 for every row r}, read off the reduced echelon."""
+        return Subspace(self.coeffs, self.ambient_dim, _read_off(self._echelon, self.ambient_dim)[1])
+
 
 def _read_off(E, cols: int) -> Optional[tuple]:
     """(particular, kernel rows) of the augmented system held by E, which
@@ -476,11 +481,7 @@ def _read_off(E, cols: int) -> Optional[tuple]:
 
 def kernel_basis(M: FieldMatrix) -> Subspace:
     """Basis of the right null space {v : M v = 0}."""
-    E = _echelon(M.coeffs)
-    for r in M._rows:
-        E.add(r)
-    _, kernel = _read_off(E, M.cols)
-    return Subspace(M.coeffs, M.cols, kernel)
+    return Subspace.row_space(M).kernel()
 
 
 def solution_spaces(M: FieldMatrix, shared: int) -> list[Optional[tuple]]:
@@ -488,19 +489,45 @@ def solution_spaces(M: FieldMatrix, shared: int) -> list[Optional[tuple]]:
     one for each row i at or after `shared`.
 
     The last column of M is the right-hand side.  The shared rows are reduced
-    once, to reduced row echelon form; each system then adds its own row to a
-    copy of that echelon.  Each
-    entry is (particular, kernel rows) as `_read_off` gives it, or None when
-    that system has no solution.
+    once, and `_read_off` gives their (p0, K), K[j] the kernel row of free
+    column j.  Each further row then updates that pair by rank one: reduced
+    by every pivot, it is u on the unknowns and b on the right-hand side.
+    With u = 0 the system is the shared one when b = 0 and has no solution
+    otherwise; else, with c the lowest column of u and a = u_c, the
+    particular is p0 + (b/a) K[c] and free column j != c, in increasing
+    order, has kernel row K[j] - (u_j/a) K[c].  This is the reduced form of
+    the grown system, which is unique.  Each entry is (particular, kernel
+    rows) as `_read_off` gives it, or None when that system has no solution.
     """
-    E = _echelon(M.coeffs)
+    F, cols = M.coeffs, M.cols - 1
+    E = _echelon(F)
     for r in M._rows[:shared]:
         E.add(r)
-    E.reduced()
+    shared_space = _read_off(E, cols)
+    if shared_space is None:
+        return [None] * (M.rows - shared)
+    p0, kernel = shared_space
+    K = dict(zip((j for j in range(cols) if j not in E.rows), kernel))
     out = []
     for r in M._rows[shared:]:
-        own = E.copy()
-        own.add(r)
-        out.append(_read_off(own, M.cols - 1))
+        u = E._reduce(r, every=True)  # r itself, or a private copy
+        if F.kind == "gf2":
+            b, u = u >> cols & 1, u & ~(1 << cols)
+            if u:
+                c = (u & -u).bit_length() - 1
+                kc = K[c]
+                out.append((p0 ^ kc if b else p0,
+                            [k ^ kc if u >> j & 1 else k for j, k in K.items() if j != c]))
+                continue
+        else:
+            b = u.get(cols, 0)
+            c = min((j for j in u if j != cols), default=None)
+            if c is not None:
+                inv, kc = F.inv(u[c]), K[c]
+                particular = _subtract(F, dict(p0), F.sub(0, F.mul(b, inv)), kc) if b else p0
+                out.append((particular,
+                            [_subtract(F, dict(k), F.mul(u[j], inv), kc) if j in u else k
+                             for j, k in K.items() if j != c]))
+                continue
+        out.append(None if b else shared_space)
     return out
-

@@ -163,11 +163,10 @@ def build_loop_catalogue(system: WitnessSystem, deadline: float = math.inf) -> l
             # with d = corner[i] ^ corner[j], rectangle i < j, k < l has word d[k] ^ d[l]
             corner = [[prefix[p][v] ^ prefix[q][v] for v in (base + x + y for y in ext[q])]
                       for x in ext[p]]
-            for i, low in enumerate(corner):
-                for high in corner[i + 1:]:
-                    d = list(map(operator.xor, low, high))
-                    for k, dk in enumerate(d):
-                        words.update(map(dk.__xor__, d[k + 1:]))
+            for low, high in itertools.combinations(corner, 2):
+                # a list, not a lazy map: combinations' tuple of a map grew peak RSS 3%
+                d = list(map(operator.xor, low, high))
+                words.update(itertools.starmap(operator.xor, itertools.combinations(d, 2)))
     valid = {w >> nbits for f, one in fields for w in words if w & f == one}
     return sorted(valid, key=lambda g: (g.bit_count(), g))
 

@@ -254,14 +254,12 @@ def local_replace(
 
 
 def _admissible_regions(problem: SpanningProblem, side: int):
-    """Regions of the given side whose interior avoids A.  The low corners
-    of the regions whose interior one cell of A meets form a small box."""
-    blocked = set()
-    for c in problem.A.cells:
-        blocked.update(itertools.product(*(
-            range(x + 1 - side, x + (c.free_axes >> a & 1))
-            for a, x in enumerate(c.anchor)
-        )))
+    """Regions of the given side whose interior avoids A.  Every interior
+    cell of a side-2 region holds its centre vertex, and a side-1 region's
+    one interior cell is its n-cell; A is closed, so it blocks a region iff
+    it holds that cell."""
+    dim = 0 if side == 2 else problem.grid.n
+    blocked = {tuple(x + 1 - side for x in c.anchor) for c in problem.A.cells_of_dim(dim)}
     ranges = [range(low, high - side + 1) for low, high in problem.grid.box]
     for lows in itertools.product(*ranges):
         if lows not in blocked:

@@ -170,6 +170,8 @@ class Surface:
                 if not problem.grid.contains_cell(c):
                     raise ValueError(f"cell {c} outside the problem box")
         self._complex: Optional[CubicalComplex] = None
+        self._vertices: Optional[list[tuple[int, ...]]] = None
+        self._probes: dict = {}  # `diagnostics` probes, by point
 
     @property
     def complex(self) -> CubicalComplex:
@@ -182,6 +184,13 @@ class Surface:
         """m-cells carrying weight: those not already part of A."""
         A_cells = self.problem.A.cells_of_dim(self.problem.m)
         return sorted(c for c in self.mcells if c not in A_cells)
+
+    @property
+    def free_vertices(self) -> list[tuple[int, ...]]:
+        """The lattice points of the free m-cells, sorted; computed once."""
+        if self._vertices is None:
+            self._vertices = sorted({v for c in self.free_mcells() for v in c.corners()})
+        return self._vertices
 
     def without(self, cell: Cell) -> "Surface":
         return Surface(self.problem, self.mcells - {cell})

@@ -8,10 +8,11 @@ affine space meets the coordinate subspace supported on X.  The rows
 "bd w vanishes off A", one per face off A, are the face columns of the
 problem's `SpanningProblem.cell_boundaries` table, whose rows the spanning
 test adds, and class i's row is its class column.  The face rows are shared
-by all classes: `linalg.solution_spaces` reduces them once and reads each
-class's space off a copy.  This is the engine behind the greedy solver, its
-local moves and the exhaustive oracle; it is cross-checked against the
-direct cohomological definition in the tests.
+by all classes: `linalg.solution_spaces` reads their kernel once and updates
+it by rank one per class row.  Over GF(p)/Q the face kernel is reduced once,
+and each class's reduced basis is a rank-one update of it too.  This is the
+engine behind the greedy solver, its local moves and the exhaustive oracle;
+it is cross-checked against the direct cohomological definition in the tests.
 
 Every elimination on a space runs on a `linalg` echelon that pivots on the
 columns at hand.  Over GF(2) each basis vector of a space is keyed by a
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .lattice import Cell
-from .linalg import GF2, Coeffs, FieldMatrix, Subspace, _Echelon, _Gf2Echelon
+from .linalg import GF2, Coeffs, FieldMatrix, Subspace, _Echelon, _Gf2Echelon, _subtract
 from .linalg import bit_indices, solution_spaces
 from .spanning import SpanningProblem, Surface
 
@@ -308,21 +309,29 @@ def build_witness_system(problem: SpanningProblem) -> WitnessSystem:
     low = (lambda r: r & -r) if gf2 else min  # a row's lowest column
     faces = sorted((r for r in reversed(T[:nf]) if r), key=low, reverse=True)
     rhs = [r | 1 << ncols if gf2 else {**r, ncols: F.one} for r in T[nf:]]
-    system = FieldMatrix(F, [*faces, *rhs], ncols + 1)
-    spaces = []
-    for solution in solution_spaces(system, len(faces)):
-        if solution is None:
-            raise ValueError(
-                "class admits no witness chain in the box; "
-                "check the problem setup"
-            )
-        particular, kernel = solution
-        if gf2:
-            spaces.append(Gf2AffineSpace(ncols, particular, kernel))
-        else:
-            # in reduced echelon form each pivot column lies in one basis
-            # vector only, so constrain_zero updates few vectors
-            basis = Subspace(F, ncols, kernel).rows
+    # over GF(p)/Q a zero row first: its system is the face rows alone
+    zero = [] if gf2 else [{}]
+    solutions = solution_spaces(FieldMatrix(F, [*faces, *zero, *rhs], ncols + 1), len(faces))
+    if None in solutions:
+        raise ValueError("class admits no witness chain in the box; check the problem setup")
+    if gf2:
+        spaces = [Gf2AffineSpace(ncols, *solution) for solution in solutions]
+    else:
+        # the face kernel's reduced echelon rows G, by increasing pivot; a
+        # class keeps the g in G on which its row is 0, and with a_i its
+        # value on G_i and k the last i with a_i != 0, G_i - (a_i/a_k) G_k.
+        # G_k holds the highest pivot, so the basis is in reduced form too:
+        # each pivot column lies in one vector, and constrain_zero updates few
+        G = Subspace(F, ncols, solutions.pop(0)[1]).rows
+        spaces = []
+        for (particular, _), row in zip(solutions, T[nf:]):
+            a = [F.reduce(sum(x * g[j] for j, x in row.items() if j in g)) for g in G]
+            k = max((i for i, x in enumerate(a) if x), default=None)
+            basis = G
+            if k is not None:
+                inv = F.inv(a[k])
+                basis = [_subtract(F, dict(g), F.mul(x, inv), G[k]) if x else g
+                         for i, (g, x) in enumerate(zip(G, a)) if i != k]
             spaces.append(GenericAffineSpace(F, ncols, particular, basis))
     column = {c: j for j, c in enumerate(mcells)}
     table, scale = problem.weight_table()

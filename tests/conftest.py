@@ -11,7 +11,7 @@ import pytest
 
 from plateau.cochain import boundary_incidences, coboundary_space, restriction_image
 from plateau.lattice import Cell, CubicalComplex, GridSpec, box_cells, cell_measure
-from plateau.linalg import GF2, FieldMatrix, Subspace, _dense, _to_row
+from plateau.linalg import GF2, FieldMatrix, Subspace, _dense, _echelon, _read_off, _to_row
 from plateau.linking import DualLoop, crossed_faces
 from plateau.scenarios import build_problem, load_scenario, run, scenario_from_dict
 from plateau.solver import cell_weight
@@ -111,6 +111,36 @@ def extending(S: Subspace, vectors: Iterable[Sequence]) -> list[list]:
     vectors kept before them."""
     E = S._echelon.copy()
     return [list(v) for v in vectors if E.add(_to_row(S.coeffs, v, S.ambient_dim))]
+
+
+def reference_solution_spaces(M: FieldMatrix, shared: int) -> list[Optional[tuple]]:
+    """Reference for `linalg.solution_spaces`, one system at a time: each
+    row at or after `shared` is added to a copy of the shared rows' reduced
+    echelon, and `_read_off` reads that system's (particular, kernel rows)."""
+    E = _echelon(M.coeffs)
+    for r in M._rows[:shared]:
+        E.add(r)
+    E.reduced()
+    out = []
+    for r in M._rows[shared:]:
+        own = E.copy()
+        own.add(r)
+        out.append(_read_off(own, M.cols - 1))
+    return out
+
+
+def reference_admissible_regions(problem: SpanningProblem, side: int):
+    """Reference for `solver._admissible_regions`: each cell of A blocks the
+    small box of low corners of the regions whose interior it meets."""
+    blocked = set()
+    for c in problem.A.cells:
+        blocked.update(itertools.product(*(
+            range(x + 1 - side, x + (c.free_axes >> a & 1))
+            for a, x in enumerate(c.anchor)
+        )))
+    ranges = [range(low, high - side + 1) for low, high in problem.grid.box]
+    return [(lows, [lo + side for lo in lows])
+            for lows in itertools.product(*ranges) if lows not in blocked]
 
 
 def gauss_jordan(F, rows, cols):

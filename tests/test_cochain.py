@@ -2,14 +2,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plateau import linalg
 from plateau.cochain import (
     CochainComplexData,
     boundary_incidences,
+    coboundary_space,
     cohomology,
     restriction_image,
 )
-from plateau.lattice import Cell, CubicalComplex, GridSpec, build_skeleton
-from plateau.linalg import GF2, RATIONAL, Coeffs, FieldMatrix, row_reduce
+from plateau.lattice import Cell, CubicalComplex, GridSpec, box_cells, build_skeleton
+from plateau.linalg import GF2, RATIONAL, Coeffs, FieldMatrix, kernel_basis, row_reduce
 from plateau.spanning import canonical_L
 
 from conftest import (
@@ -100,6 +102,45 @@ def test_torus_cohomology_gf2(torus_problem):
     assert cohomology(A, 1, GF2).dim == 2
     assert cohomology(A, 2, GF2).dim == 1
     assert euler_characteristic(A) == 0
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_cohomology_dim_from_ranks_and_cocycles_off_the_echelon(data):
+    """On random subcomplexes of small boxes, in degrees 0-2, reduced and
+    not: `cocycles` equals `kernel_basis` of delta_d, rows in order, and the
+    dimension taken from ranks equals dim Z - dim B, with as many quotient
+    basis vectors."""
+    F = data.draw(st.sampled_from([GF2, GF5, RATIONAL]))
+    n = data.draw(st.integers(2, 3))
+    grid = GridSpec(n, 0, tuple((0, data.draw(st.integers(1, 3 if n == 2 else 2))) for _ in range(n)))
+    cells = sorted(box_cells(grid.box, data.draw(st.integers(0, n))))
+    X = CubicalComplex(grid, data.draw(st.lists(st.sampled_from(cells), max_size=8, unique=True)))
+    d, reduced = data.draw(st.integers(0, 2)), data.draw(st.booleans())
+    H = cohomology(X, d, F, reduced)
+    K = kernel_basis(CochainComplexData(X, F).delta(d))
+    assert H.cocycles.rows == K.rows
+    B = coboundary_space(CochainComplexData(X, F), d, reduced)
+    assert H.dim == len(H.basis_reps) == K.dim - B.dim
+
+
+def test_box_skeleton_dim_reads_no_kernel(monkeypatch):
+    """The dimension of H^1 of a box skeleton comes from ranks alone: no
+    kernel is read off an echelon until the cocycles are asked for."""
+    calls = []
+    read_off = linalg._read_off
+
+    def counted(E, cols):
+        calls.append(cols)
+        return read_off(E, cols)
+
+    monkeypatch.setattr(linalg, "_read_off", counted)
+    skeleton = build_skeleton(GridSpec(3, 0, ((0, 2), (0, 3), (0, 4))), 2)
+    H = cohomology(skeleton, 1, Coeffs("gfp", 3))
+    assert H.dim == 0 and calls == []
+    # H^1 = 0, so the cocycles are the coboundaries of the connected 0-cochains
+    assert H.cocycles.dim == len(skeleton.cells_of_dim(0)) - 1
+    assert len(calls) == 1
 
 
 def test_restriction_image_full_vs_ring():

@@ -8,6 +8,7 @@ from conftest import ball_measure, regularity_reference, slicing_bands
 from plateau.density import DensityField
 from plateau.diagnostics import (
     _band_index,
+    _radius2,
     default_probe_point,
     density_profile,
     monotonicity_check,
@@ -234,3 +235,35 @@ def test_diagnostics_match_fraction_reference(X, data):
             gr, gs = ball_measure(X, point, r, True), ball_measure(X, point, s, True)
             expected.append(None if gs == 0 else (gr / r**m) / (gs / s**m))
         assert monotonicity_check(X, point, pairs).ratios == expected
+
+
+@pytest.mark.parametrize("k", (0, 1))
+def test_diagnostics_on_both_radius_paths_match_reference(k):
+    """At k = 0 and k = 1, with radii that are and are not whole numbers of
+    sides (so `_radius2` takes its int and its Fraction path), the four
+    diagnostics equal the ambient-Fraction references; the three probes
+    from one point are computed once and kept with the surface."""
+    grid = GridSpec(3, k, ((0, 3), (0, 2), (0, 2)))
+    side = grid.side
+    cells = sorted(box_cells(grid.box, 2))
+    half = Fraction(1, 2)
+    density = DensityField(kind="coordinate-affine", offset=Fraction(4),
+                           coeffs=(half, Fraction(1, 3), 0), a=Fraction(1, 100), b=Fraction(100))
+    problem = SpanningProblem(CubicalComplex(grid, cells[:3]), grid, 2, [], GF2, density)
+    X = Surface(problem, frozenset(cells[::2]))
+    whole, partial = [side, 2 * side, 3 * side], [side * Fraction(5, 4), side * Fraction(7, 3)]
+    assert all(isinstance(_radius2(r, side), int) for r in whole)
+    assert not any(isinstance(_radius2(r, side), int) for r in partial)
+    vertex = tuple(x * side for x in X.free_vertices[len(X.free_vertices) // 2])
+    assert X._probes == {}
+    prof = density_profile(X, vertex, whole + partial)
+    assert prof.g == [ball_measure(X, vertex, r, True) for r in sorted(whole + partial)]
+    rep = slicing_check(X, vertex, side * Fraction(3, 2))
+    assert [(t, bw) for t, bw, _ in rep.bands] == slicing_bands(X, vertex, side * Fraction(3, 2))
+    pairs = [(3 * side, side * Fraction(5, 4)), (side * Fraction(7, 3), side)]
+    expected = [(ball_measure(X, vertex, r, True) / r**2) / (ball_measure(X, vertex, s, True) / s**2)
+                for r, s in pairs]
+    assert monotonicity_check(X, vertex, pairs).ratios == expected
+    assert list(X._probes) == [vertex]
+    reg = regularity_constant(X, 4 * side)
+    assert (reg.c_hat, reg.sample_size, reg.worst) == regularity_reference(X, 4 * side)

@@ -25,6 +25,7 @@ from conftest import (
     gauss_jordan,
     matrix_entry,
     matrix_row,
+    reference_solution_spaces,
     restricted_echelon,
     restricted_reduce,
     vanishing_below,
@@ -328,6 +329,64 @@ def test_solution_spaces_inconsistent_system():
     inconsistent, consistent = solution_spaces(M, 1)
     assert inconsistent is None
     assert consistent == (0b11, [])
+
+
+@st.composite
+def rank_one_systems(draw):
+    """A field and augmented rows (last entry the right-hand side, often
+    nonzero): shared rows, then rows each drawn at random or as a
+    combination of the shared rows with the same or another right-hand
+    side, so that its unknowns reduce to zero.  With `inconsistent`, one
+    such combination with another right-hand side joins the shared rows."""
+    F = draw(st.sampled_from([GF2, GF3, GF7, RATIONAL]))
+    ncols = draw(st.integers(1, 6))
+    entry = st.integers(-2, 2)
+    shared = [[draw(entry) for _ in range(ncols + 1)] for _ in range(draw(st.integers(0, 5)))]
+
+    def combination(shift: int) -> list:
+        row = [0] * (ncols + 1)
+        for r in shared:
+            f = draw(entry)
+            row = [x + f * y for x, y in zip(row, r)]
+        row[ncols] += shift
+        return row
+
+    if draw(st.booleans()) and draw(st.booleans()):  # inconsistent, a quarter of the time
+        shared.append(combination(1))
+    own = [
+        draw(st.sampled_from([
+            lambda: [draw(entry) for _ in range(ncols + 1)],
+            lambda: combination(0),
+            lambda: combination(draw(st.integers(1, 2))),
+        ]))()
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    rows = [[F.reduce(x) for x in r] for r in shared + own]
+    return FieldMatrix.from_rows(F, rows, ncols + 1), len(shared)
+
+
+@given(rank_one_systems())
+@settings(max_examples=300, deadline=None)
+def test_rank_one_solution_spaces_match_per_row_reference(system):
+    """Each row's solution set, updated by rank one from the shared rows'
+    read-off, equals the one read off a copy of the shared echelon grown by
+    that row: the same particular and kernel rows, in order, or None alike.
+    Shared rows carry nonzero right-hand sides, the shared system may be
+    inconsistent, and rows whose unknowns reduce to zero carry a zero or a
+    nonzero right-hand side."""
+    M, shared = system
+    F, ncols = M.coeffs, M.cols - 1
+    entries = [matrix_row(M, i) for i in range(M.rows)]
+
+    def dense(solution):
+        if solution is None:
+            return None
+        particular, kernel = solution
+        return _dense(F, particular, ncols), [_dense(F, v, ncols) for v in kernel]
+
+    got = solution_spaces(M, shared)
+    assert list(map(dense, got)) == list(map(dense, reference_solution_spaces(M, shared)))
+    assert [matrix_row(M, i) for i in range(M.rows)] == entries
 
 
 def _rref(F, rows, cols) -> list:

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plateau.lattice import Cell, CubicalComplex, GridSpec, box_cells
 from plateau.oracle import OracleConfig, isoperimetric_scan
@@ -18,10 +20,10 @@ from plateau.solver import (
     solve,
     surface_weight,
 )
-from plateau.spanning import Surface, relative_coboundary_dominates, spans
+from plateau.spanning import SpanningProblem, Surface, relative_coboundary_dominates, spans
 from plateau.witness import build_witness_system
 
-from conftest import n4_sphere_problem, skeleton_push
+from conftest import n4_sphere_problem, reference_admissible_regions, skeleton_push
 
 
 def test_solver_config_validation():
@@ -250,6 +252,24 @@ def test_admissible_regions_and_interiors(disk_problem, tiny_problem, side):
         for lows, highs in regions:
             interior = box_cells(tuple(zip(lows, highs)), problem.m, interior=True)
             assert sorted(interior) == _interior_mcells(problem, lows, highs)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_admissible_regions_match_per_cell_reference(data):
+    """Regions of sides 1 and 2, swept from A's vertices and n-cells, equal
+    the per-cell blocked set, in order, on random closed A with n = 2-4;
+    m = n lets A hold n-cells."""
+    n = data.draw(st.integers(2, 4))
+    m = data.draw(st.integers(1, n))
+    box = tuple((lo, lo + data.draw(st.integers(1, 4 if n < 4 else 3)))
+                for lo in (data.draw(st.integers(-1, 1)) for _ in range(n)))
+    grid = GridSpec(n, 0, box)
+    cells = sorted(box_cells(box, data.draw(st.integers(0, m))))
+    A = CubicalComplex(grid, data.draw(st.lists(st.sampled_from(cells), max_size=4, unique=True)))
+    problem = SpanningProblem(A, grid, m, [])
+    for side in (1, 2):
+        assert list(_admissible_regions(problem, side)) == reference_admissible_regions(problem, side)
 
 
 def test_local_replace_n4_m3_smoke():

@@ -341,19 +341,24 @@ def _witness_digest(system) -> str:
     ("torus", "gf3", "63df5f44c2f73f0e"),
     ("torus", "rational", "29e9272debf86ab4"),
     ("rings_tiny", "gf2", "0b9e5be0474b3507"),
+    ("rings_tiny", "gf3", "90b301d48d5c6e64"),
+    ("rings_tiny", "gf7", "bba0db5106ab8a34"),
+    ("rings_tiny", "rational", "f561555d263f24cc"),
     ("torus", "gf2", "7a8060e5834d9804"),
     ("sphere_shell", "gf2", "66a994d6bb12558d"),
     ("n4_sphere", "gf2", "5f4d726ff866492a"),
     ("disk-const", "gf2", "37b08683f3f37b1f"),
 ], ids=["disk3-gf3", "disk3-rational", "torus-gf3", "torus-rational", "rings_tiny-gf2",
-        "torus-gf2", "sphere_shell-gf2", "n4_sphere-gf2", "disk-const-gf2"])
+        "rings_tiny-gf3", "rings_tiny-gf7", "rings_tiny-rational", "torus-gf2", "sphere_shell-gf2", "n4_sphere-gf2", "disk-const-gf2"])
 def test_generic_witness_spaces_are_pinned(name, field, digest):
     """Witness spaces are pinned entry by entry and in basis order: GF(3)
-    and Q on two shipped scenarios, and GF(2) on three shipped scenarios
-    (three classes; m = n - 1 with a 272-vector basis; m = n), the n = 4
-    sphere and the seed-1 solve disk-const (n = m = 2).  The reduced echelon
-    form is unique, so a change of row form, row order or elimination order
-    must not move them."""
+    and Q on two shipped scenarios, rings_tiny's three classes of dimension
+    98 over GF(3), GF(7) and Q (each class's basis updated by rank one from
+    the face kernel), and GF(2) on three shipped scenarios (three classes;
+    m = n - 1 with a 272-vector basis; m = n), the n = 4 sphere and the
+    seed-1 solve disk-const (n = m = 2).  The reduced echelon form is
+    unique, so a change of row form, row order or elimination order must not
+    move them."""
     if name == "n4_sphere":
         problem = n4_sphere_problem()
     elif name == "disk-const":
@@ -361,8 +366,12 @@ def test_generic_witness_spaces_are_pinned(name, field, digest):
     else:
         with open(scenario_path(name)) as fh:
             raw = json.load(fh)
-        problem = build_problem(scenario_from_dict({**raw, "coeffs": FIELD_SPECS[field]}))
-    assert _witness_digest(build_witness_system(problem)) == digest
+        coeffs = {**FIELD_SPECS, "gf7": {"kind": "gfp", "p": 7}}[field]
+        problem = build_problem(scenario_from_dict({**raw, "coeffs": coeffs}))
+    system = build_witness_system(problem)
+    if name == "rings_tiny":
+        assert [s.dim for s in system.spaces] == [98, 98, 98]
+    assert _witness_digest(system) == digest
 
 
 def test_witness_system_agrees_with_spans(disk_problem, disk_system):
