@@ -9,16 +9,15 @@ growth need no re-reduction.  Reading a reduced form (`_read_off`,
 packed into Python ints; other fields use sparse dict rows, column -> nonzero
 int mod p or Fraction.  A stored row is replaced, never changed in place, so
 echelons, matrices and subspaces share them; `_dense` gives a row's entry
-list where it leaves the module.  `kernel_basis` reads its basis off one
-echelon in the same way, and `solution_spaces` reads the shared rows' solution
-set once, then gives each further row its own by a rank-one update.
+list where it leaves the module.  `_read_off` gives the kernel of an echelon's
+rows, one row per free column; `kernel_basis` and the witness build read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 
 def _is_prime(p: int) -> bool:
@@ -441,93 +440,31 @@ class Subspace:
 
     def kernel(self) -> "Subspace":
         """{v : r . v = 0 for every row r}, read off the reduced echelon."""
-        return Subspace(self.coeffs, self.ambient_dim, _read_off(self._echelon, self.ambient_dim)[1])
+        return Subspace(self.coeffs, self.ambient_dim, _read_off(self._echelon, self.ambient_dim))
 
 
-def _read_off(E, cols: int) -> Optional[tuple]:
-    """(particular, kernel rows) of the augmented system held by E, which
-    this reduces first.
-
-    Columns below `cols` are the unknowns and column `cols` is the right-hand
-    side; None iff a pivot lies there, that is, the system has no solution.
-    Both parts are in FieldMatrix's internal row form.  The particular
-    solution is zero at every free column; the kernel row of free column j is
-    one at j and zero at the other free columns, in increasing order of j.
-    """
-    if cols in E.rows:
-        return None
+def _read_off(E, cols: int) -> list:
+    """The kernel rows of the rows held by E, which this reduces first, in
+    FieldMatrix's internal row form: the row of free column j is one at j
+    and zero at the other free columns, in increasing order of j."""
     E.reduced()
     free = [j for j in range(cols) if j not in E.rows]
     if isinstance(E, _Gf2Echelon):
         # over GF(2), -R[i, j] = R[i, j]: the free bits of pivot row i
-        full = (1 << cols) - 1
-        particular = 0
         kernel = {j: 1 << j for j in free}
         for c, r in E.rows.items():
-            particular |= (r >> cols & 1) << c
-            for j in bit_indices((r & full) ^ (1 << c)):
+            for j in bit_indices(r ^ 1 << c):
                 kernel[j] |= 1 << c
-        return particular, [kernel[j] for j in free]
-    # a pivot row holds its pivot, free columns and the right-hand side
-    F, p = E.coeffs, E.coeffs.p
-    particular = {c: r[cols] for c, r in E.rows.items() if cols in r}
-    kernel = {j: {j: F.one} for j in free}
+        return [kernel[j] for j in free]
+    p = E.coeffs.p
+    kernel = {j: {j: E.coeffs.one} for j in free}
     for c, r in E.rows.items():
         for j, x in r.items():
-            if j != c and j != cols:
+            if j != c:
                 kernel[j][c] = -x % p if p else -x
-    return particular, [kernel[j] for j in free]
+    return [kernel[j] for j in free]
 
 
 def kernel_basis(M: FieldMatrix) -> Subspace:
     """Basis of the right null space {v : M v = 0}."""
     return Subspace.row_space(M).kernel()
-
-
-def solution_spaces(M: FieldMatrix, shared: int) -> list[Optional[tuple]]:
-    """Solution sets of the systems "rows below `shared`, plus row i" of M,
-    one for each row i at or after `shared`.
-
-    The last column of M is the right-hand side.  The shared rows are reduced
-    once, and `_read_off` gives their (p0, K), K[j] the kernel row of free
-    column j.  Each further row then updates that pair by rank one: reduced
-    by every pivot, it is u on the unknowns and b on the right-hand side.
-    With u = 0 the system is the shared one when b = 0 and has no solution
-    otherwise; else, with c the lowest column of u and a = u_c, the
-    particular is p0 + (b/a) K[c] and free column j != c, in increasing
-    order, has kernel row K[j] - (u_j/a) K[c].  This is the reduced form of
-    the grown system, which is unique.  Each entry is (particular, kernel
-    rows) as `_read_off` gives it, or None when that system has no solution.
-    """
-    F, cols = M.coeffs, M.cols - 1
-    E = _echelon(F)
-    for r in M._rows[:shared]:
-        E.add(r)
-    shared_space = _read_off(E, cols)
-    if shared_space is None:
-        return [None] * (M.rows - shared)
-    p0, kernel = shared_space
-    K = dict(zip((j for j in range(cols) if j not in E.rows), kernel))
-    out = []
-    for r in M._rows[shared:]:
-        u = E._reduce(r, every=True)  # r itself, or a private copy
-        if F.kind == "gf2":
-            b, u = u >> cols & 1, u & ~(1 << cols)
-            if u:
-                c = (u & -u).bit_length() - 1
-                kc = K[c]
-                out.append((p0 ^ kc if b else p0,
-                            [k ^ kc if u >> j & 1 else k for j, k in K.items() if j != c]))
-                continue
-        else:
-            b = u.get(cols, 0)
-            c = min((j for j in u if j != cols), default=None)
-            if c is not None:
-                inv, kc = F.inv(u[c]), K[c]
-                particular = _subtract(F, dict(p0), F.sub(0, F.mul(b, inv)), kc) if b else p0
-                out.append((particular,
-                            [_subtract(F, dict(k), F.mul(u[j], inv), kc) if j in u else k
-                             for j, k in K.items() if j != c]))
-                continue
-        out.append(None if b else shared_space)
-    return out

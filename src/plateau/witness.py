@@ -7,10 +7,10 @@ the full box; spanning tests against any X reduce to asking whether that
 affine space meets the coordinate subspace supported on X.  The rows
 "bd w vanishes off A", one per face off A, are the face columns of the
 problem's `SpanningProblem.cell_boundaries` table, whose rows the spanning
-test adds, and class i's row is its class column.  The face rows are shared
-by all classes: `linalg.solution_spaces` reads their kernel once and updates
-it by rank one per class row.  Over GF(p)/Q the face kernel is reduced once,
-and each class's reduced basis is a rank-one update of it too.  This is the
+test adds, and class i's row is its class column.  The face rows are
+homogeneous and shared by all classes, so their kernel is read once, and
+each class's witnesses are that kernel cut by one functional, "<l, bd w> =
+1": a rank-one update of it (see `build_witness_system`).  This is the
 engine behind the greedy solver, its local moves and the exhaustive oracle;
 it is cross-checked against the direct cohomological definition in the tests.
 
@@ -37,8 +37,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .lattice import Cell
-from .linalg import GF2, Coeffs, FieldMatrix, Subspace, _Echelon, _Gf2Echelon, _subtract
-from .linalg import bit_indices, solution_spaces
+from .linalg import GF2, Coeffs, FieldMatrix, Subspace, _Echelon, _Gf2Echelon, _echelon
+from .linalg import _read_off, _subtract, bit_indices
 from .spanning import SpanningProblem, Surface
 
 
@@ -292,47 +292,62 @@ class WitnessSystem:
         return [s.copy() for s in self.spaces]
 
 
+def _rank_one(F: Coeffs, V: list, a: list, k: int) -> list:
+    """[v_i - (a_i/a_k) v_k for i != k], in order: the combinations of the
+    rows V on which a functional with values a_i = f(v_i) vanishes."""
+    vk = V[k]
+    if F.kind == "gf2":
+        return [v ^ vk if x else v for i, (v, x) in enumerate(zip(V, a)) if i != k]
+    inv = F.inv(a[k])
+    return [_subtract(F, dict(v), F.mul(x, inv), vk) if x else v
+            for i, (v, x) in enumerate(zip(V, a)) if i != k]
+
+
 def build_witness_system(problem: SpanningProblem) -> WitnessSystem:
     """Set up the witness spaces and integer weights on the full box grid.
 
-    The system is the transpose of the problem's `cell_boundaries` table: a
-    row per face column, holding the cells whose row holds it, then class
-    i's column nf + i with right-hand side 1.  Row order changes only the
-    work, as the reduced echelon form is unique: face rows by decreasing
-    lowest column seldom meet a stored pivot (over Q, half the time of
-    first-met order on the rings)."""
+    The face rows are the transpose of the problem's `cell_boundaries`
+    table: a row per face column, holding the cells whose row holds it.  Row
+    order changes only the work, as the reduced echelon form is unique: face
+    rows by decreasing lowest column seldom meet a stored pivot (over Q, half
+    the time of first-met order on the rings).  Their kernel K is read once,
+    a row per free column in increasing order.  Class i's row l is column
+    nf + i; with a_j = l . K_j and c the first j with a_j != 0, its witnesses
+    are K_c / a_c plus the span of K_j - (a_j/a_c) K_c, j != c.  Over GF(p)/Q
+    the basis is that update of the face kernel's reduced rows G instead,
+    with k the last i where l . G_i != 0: G_k holds the highest pivot, so the
+    basis is in reduced form too, each pivot column lies in one vector, and
+    constrain_zero updates few."""
     m, F = problem.m, problem.coeffs
     mcells = problem.box_mcells()
     ncols, gf2 = len(mcells), F.kind == "gf2"
     rows, nf = problem.cell_boundaries()
     T = FieldMatrix(F, list(rows.values()), nf + len(problem.L)).transpose()._rows
     low = (lambda r: r & -r) if gf2 else min  # a row's lowest column
-    faces = sorted((r for r in reversed(T[:nf]) if r), key=low, reverse=True)
-    rhs = [r | 1 << ncols if gf2 else {**r, ncols: F.one} for r in T[nf:]]
-    # over GF(p)/Q a zero row first: its system is the face rows alone
-    zero = [] if gf2 else [{}]
-    solutions = solution_spaces(FieldMatrix(F, [*faces, *zero, *rhs], ncols + 1), len(faces))
-    if None in solutions:
-        raise ValueError("class admits no witness chain in the box; check the problem setup")
     if gf2:
-        spaces = [Gf2AffineSpace(ncols, *solution) for solution in solutions]
+        dot = lambda row, v: (row & v).bit_count() & 1
     else:
-        # the face kernel's reduced echelon rows G, by increasing pivot; a
-        # class keeps the g in G on which its row is 0, and with a_i its
-        # value on G_i and k the last i with a_i != 0, G_i - (a_i/a_k) G_k.
-        # G_k holds the highest pivot, so the basis is in reduced form too:
-        # each pivot column lies in one vector, and constrain_zero updates few
-        G = Subspace(F, ncols, solutions.pop(0)[1]).rows
-        spaces = []
-        for (particular, _), row in zip(solutions, T[nf:]):
-            a = [F.reduce(sum(x * g[j] for j, x in row.items() if j in g)) for g in G]
-            k = max((i for i, x in enumerate(a) if x), default=None)
-            basis = G
-            if k is not None:
-                inv = F.inv(a[k])
-                basis = [_subtract(F, dict(g), F.mul(x, inv), G[k]) if x else g
-                         for i, (g, x) in enumerate(zip(G, a)) if i != k]
-            spaces.append(GenericAffineSpace(F, ncols, particular, basis))
+        dot = lambda row, v: F.reduce(sum(x * v[j] for j, x in row.items() if j in v))
+    E = _echelon(F)
+    for r in sorted((r for r in reversed(T[:nf]) if r), key=low, reverse=True):
+        E.add(r)
+    K = _read_off(E, ncols)
+    G = K if gf2 else Subspace(F, ncols, K).rows
+    spaces = []
+    for row in T[nf:]:
+        # over GF(p)/Q only a_c is used, so the a_j are read up to c
+        a = [dot(row, v) for v in K] if gf2 else (dot(row, v) for v in K)
+        c, ac = next(((j, x) for j, x in enumerate(a) if x), (None, 0))
+        if not ac:
+            raise ValueError("class admits no witness chain in the box; check the problem setup")
+        if gf2:
+            spaces.append(Gf2AffineSpace(ncols, K[c], _rank_one(F, K, a, c)))
+        else:
+            b = [dot(row, g) for g in G]
+            k = max(i for i, x in enumerate(b) if x)
+            inv = F.inv(ac)
+            particular = {j: F.mul(x, inv) for j, x in K[c].items()}
+            spaces.append(GenericAffineSpace(F, ncols, particular, _rank_one(F, G, b, k)))
     column = {c: j for j, c in enumerate(mcells)}
     table, scale = problem.weight_table()
     a_cells = problem.A.cells_of_dim(m)

@@ -11,7 +11,7 @@ import pytest
 
 from plateau.cochain import boundary_incidences, coboundary_space, restriction_image
 from plateau.lattice import Cell, CubicalComplex, GridSpec, box_cells, cell_measure
-from plateau.linalg import GF2, FieldMatrix, Subspace, _dense, _echelon, _read_off, _to_row
+from plateau.linalg import GF2, FieldMatrix, Subspace, _dense, _echelon, _to_row
 from plateau.linking import DualLoop, crossed_faces
 from plateau.scenarios import build_problem, load_scenario, run, scenario_from_dict
 from plateau.solver import cell_weight
@@ -113,11 +113,37 @@ def extending(S: Subspace, vectors: Iterable[Sequence]) -> list[list]:
     return [list(v) for v in vectors if E.add(_to_row(S.coeffs, v, S.ambient_dim))]
 
 
+def augmented_read_off(F, R: list, pivots: list, ncols: int) -> Optional[tuple]:
+    """(particular, kernel) of an augmented system, as entry lists, read off
+    its reduced row echelon form R, row i pivoting at pivots[i] and column
+    ncols the right-hand side; None when a pivot lies there.  The particular
+    is zero at every free column; the kernel row of free column j is one at
+    j, zero at the other free columns and -R[i][j] at pivots[i], in
+    increasing order of j."""
+    if ncols in pivots:
+        return None
+    particular = [F.zero] * ncols
+    for i, c in enumerate(pivots):
+        particular[c] = R[i][ncols]
+    kernel = []
+    for j in (j for j in range(ncols) if j not in pivots):
+        v = [F.zero] * ncols
+        v[j] = F.one
+        for i, c in enumerate(pivots):
+            v[c] = F.sub(F.zero, R[i][j])
+        kernel.append(v)
+    return particular, kernel
+
+
 def reference_solution_spaces(M: FieldMatrix, shared: int) -> list[Optional[tuple]]:
-    """Reference for `linalg.solution_spaces`, one system at a time: each
-    row at or after `shared` is added to a copy of the shared rows' reduced
-    echelon, and `_read_off` reads that system's (particular, kernel rows)."""
-    E = _echelon(M.coeffs)
+    """Solution sets of the systems "rows below `shared`, plus row i" of M,
+    one for each row i at or after `shared`, the last column of M the
+    right-hand side: the reference for the witness build's spaces.  Each row
+    is added to a copy of the shared rows' echelon, and `augmented_read_off`
+    reads that system's reduced form.  Each entry is (particular, kernel
+    rows) in FieldMatrix's internal row form, or None."""
+    F, ncols = M.coeffs, M.cols - 1
+    E = _echelon(F)
     for r in M._rows[:shared]:
         E.add(r)
     E.reduced()
@@ -125,7 +151,11 @@ def reference_solution_spaces(M: FieldMatrix, shared: int) -> list[Optional[tupl
     for r in M._rows[shared:]:
         own = E.copy()
         own.add(r)
-        out.append(_read_off(own, M.cols - 1))
+        rows = own.reduced().rows
+        pivots = sorted(rows)
+        solution = augmented_read_off(F, [_dense(F, rows[c], M.cols) for c in pivots], pivots, ncols)
+        out.append(solution and (_to_row(F, solution[0], ncols),
+                                 [_to_row(F, v, ncols) for v in solution[1]]))
     return out
 
 

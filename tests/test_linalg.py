@@ -1,4 +1,3 @@
-import itertools
 from fractions import Fraction
 
 import pytest
@@ -15,17 +14,17 @@ from plateau.linalg import (
     _echelon,
     _Echelon,
     _Gf2Echelon,
+    _read_off,
     _to_row,
     kernel_basis,
     row_reduce,
-    solution_spaces,
 )
 
 from conftest import (
+    augmented_read_off,
     gauss_jordan,
     matrix_entry,
     matrix_row,
-    reference_solution_spaces,
     restricted_echelon,
     restricted_reduce,
     vanishing_below,
@@ -85,13 +84,16 @@ def test_row_reduce_rank(F):
 
 
 def _solve(M, b):
-    """Some x with M x = b, or None: the one system that `solution_spaces`
-    reads off the augmented rows [M | b] when every row is shared but the
-    last.  M has at least one row."""
+    """Some x with M x = b, or None, found as the witness build finds its
+    particular: (x, -1) lies in the kernel of [M | b], so x is -v / a for
+    the first kernel basis vector (v, a) with a != 0."""
     F = M.coeffs
     aug = FieldMatrix.from_rows(F, [matrix_row(M, i) + [v] for i, v in enumerate(b)], M.cols + 1)
-    (solution,) = solution_spaces(aug, M.rows - 1)
-    return None if solution is None else _dense(F, solution[0], M.cols)
+    for v in kernel_basis(aug).basis:
+        if v[-1] != F.zero:
+            f = F.sub(F.zero, F.inv(v[-1]))
+            return [F.mul(f, x) for x in v[:-1]]
+    return None
 
 
 @pytest.mark.parametrize("F", FIELDS)
@@ -136,7 +138,7 @@ def matrix_and_x(draw):
 @given(matrix_and_x())
 @settings(max_examples=80, deadline=None)
 def test_solve_recovers_consistent_rhs(mx):
-    """For b = M x, `solution_spaces` on [M | b] finds some x' with M x' = b."""
+    """For b = M x, the kernel of [M | b] gives some x' with M x' = b."""
     F, entries, x = mx
     M = FieldMatrix.from_rows(F, entries, len(entries[0]))
     xr = [F.reduce(v) for v in x]
@@ -243,152 +245,6 @@ def test_packed_kernels_match_per_entry_definitions(frc):
     assert K.dim == cols - rank
 
 
-@st.composite
-def shared_systems(draw, F, max_cols):
-    """Augmented rows (last entry the right-hand side): shared rows, then two
-    rows that each complete one system."""
-    ncols = draw(st.integers(1, max_cols))
-    entry = st.integers(-2, 2)
-    rows = [
-        [draw(entry) for _ in range(ncols + 1)]
-        for _ in range(draw(st.integers(0, 5)) + 2)
-    ]
-    return FieldMatrix.from_rows(F, rows, ncols + 1), len(rows) - 2
-
-
-def _order(F):
-    return 2 if F.kind == "gf2" else F.p
-
-
-def _members(F, particular, kernel, ncols):
-    """Every member of particular + span(kernel), as tuples of entries."""
-    particular = _dense(F, particular, ncols)
-    kernel = [_dense(F, v, ncols) for v in kernel]
-    out = set()
-    for combo in itertools.product(range(_order(F)), repeat=len(kernel)):
-        x = particular
-        for c, v in zip(combo, kernel):
-            x = [F.add(a, F.mul(c, b)) for a, b in zip(x, v)]
-        out.add(tuple(x))
-    return out
-
-
-@pytest.mark.parametrize("F,max_cols", [(GF2, 6), (GF3, 4)], ids=["gf2", "gf3"])
-@given(data=st.data())
-@settings(max_examples=100, deadline=None)
-def test_solution_spaces_match_bruteforce(F, max_cols, data):
-    """Each system's solution set, against all vectors of the field."""
-    M, shared = data.draw(shared_systems(F, max_cols))
-    ncols = M.cols - 1
-    solutions = solution_spaces(M, shared)
-    assert len(solutions) == 2
-    for own, solution in zip((shared, shared + 1), solutions):
-        rows = [matrix_row(M, i) for i in range(shared)] + [matrix_row(M, own)]
-        expected = {
-            x for x in itertools.product(range(_order(F)), repeat=ncols)
-            if all(F.reduce(sum(a * b for a, b in zip(r, x))) == r[ncols] for r in rows)
-        }
-        if not expected:
-            assert solution is None
-            continue
-        particular, kernel = solution
-        assert _members(F, particular, kernel, ncols) == expected
-        assert len(expected) == _order(F) ** len(kernel)
-
-
-@given(data=st.data())
-@settings(max_examples=80, deadline=None)
-def test_solution_spaces_over_rationals(data):
-    M, shared = data.draw(shared_systems(RATIONAL, 6))
-    ncols = M.cols - 1
-    for own, solution in zip((shared, shared + 1), solution_spaces(M, shared)):
-        A = FieldMatrix.from_rows(
-            RATIONAL, [matrix_row(M, i)[:ncols] for i in list(range(shared)) + [own]], ncols
-        )
-        b = [matrix_entry(M, i, ncols) for i in list(range(shared)) + [own]]
-        augmented = FieldMatrix.from_rows(
-            RATIONAL, [matrix_row(M, i) for i in list(range(shared)) + [own]], ncols + 1
-        )
-        _, rank, _ = row_reduce(A)
-        # consistent iff appending b to the columns of A keeps the rank
-        if row_reduce(augmented)[1] != rank:
-            assert solution is None
-            continue
-        particular = _dense(RATIONAL, solution[0], ncols)
-        kernel = [_dense(RATIONAL, v, ncols) for v in solution[1]]
-        assert A.apply(particular) == b
-        for v in kernel:
-            assert all(e == 0 for e in A.apply(v))
-        assert len(kernel) == ncols - rank
-        assert Subspace.from_vectors(RATIONAL, ncols, kernel).dim == len(kernel)
-
-
-def test_solution_spaces_inconsistent_system():
-    # x0 + x1 = 0 shared; x0 + x1 = 1 contradicts it, x1 = 1 does not
-    M = FieldMatrix.from_rows(GF2, [[1, 1, 0], [1, 1, 1], [0, 1, 1]], 3)
-    inconsistent, consistent = solution_spaces(M, 1)
-    assert inconsistent is None
-    assert consistent == (0b11, [])
-
-
-@st.composite
-def rank_one_systems(draw):
-    """A field and augmented rows (last entry the right-hand side, often
-    nonzero): shared rows, then rows each drawn at random or as a
-    combination of the shared rows with the same or another right-hand
-    side, so that its unknowns reduce to zero.  With `inconsistent`, one
-    such combination with another right-hand side joins the shared rows."""
-    F = draw(st.sampled_from([GF2, GF3, GF7, RATIONAL]))
-    ncols = draw(st.integers(1, 6))
-    entry = st.integers(-2, 2)
-    shared = [[draw(entry) for _ in range(ncols + 1)] for _ in range(draw(st.integers(0, 5)))]
-
-    def combination(shift: int) -> list:
-        row = [0] * (ncols + 1)
-        for r in shared:
-            f = draw(entry)
-            row = [x + f * y for x, y in zip(row, r)]
-        row[ncols] += shift
-        return row
-
-    if draw(st.booleans()) and draw(st.booleans()):  # inconsistent, a quarter of the time
-        shared.append(combination(1))
-    own = [
-        draw(st.sampled_from([
-            lambda: [draw(entry) for _ in range(ncols + 1)],
-            lambda: combination(0),
-            lambda: combination(draw(st.integers(1, 2))),
-        ]))()
-        for _ in range(draw(st.integers(1, 4)))
-    ]
-    rows = [[F.reduce(x) for x in r] for r in shared + own]
-    return FieldMatrix.from_rows(F, rows, ncols + 1), len(shared)
-
-
-@given(rank_one_systems())
-@settings(max_examples=300, deadline=None)
-def test_rank_one_solution_spaces_match_per_row_reference(system):
-    """Each row's solution set, updated by rank one from the shared rows'
-    read-off, equals the one read off a copy of the shared echelon grown by
-    that row: the same particular and kernel rows, in order, or None alike.
-    Shared rows carry nonzero right-hand sides, the shared system may be
-    inconsistent, and rows whose unknowns reduce to zero carry a zero or a
-    nonzero right-hand side."""
-    M, shared = system
-    F, ncols = M.coeffs, M.cols - 1
-    entries = [matrix_row(M, i) for i in range(M.rows)]
-
-    def dense(solution):
-        if solution is None:
-            return None
-        particular, kernel = solution
-        return _dense(F, particular, ncols), [_dense(F, v, ncols) for v in kernel]
-
-    got = solution_spaces(M, shared)
-    assert list(map(dense, got)) == list(map(dense, reference_solution_spaces(M, shared)))
-    assert [matrix_row(M, i) for i in range(M.rows)] == entries
-
-
 def _rref(F, rows, cols) -> list:
     """The nonzero rows of the reference reduced row echelon form."""
     R, pivots = gauss_jordan(F, rows, cols)
@@ -399,23 +255,10 @@ def _rank(F, rows, cols) -> int:
     return len(gauss_jordan(F, rows, cols)[1])
 
 
-def _solution_reference(F, rows, ncols):
-    """(particular, kernel) of augmented rows with ncols unknowns, read off
-    the reference form as `solution_spaces` defines them, or None."""
-    R, pivots = gauss_jordan(F, rows, ncols + 1)
-    if ncols in pivots:
-        return None
-    particular = [F.zero] * ncols
-    for i, c in enumerate(pivots):
-        particular[c] = R[i][ncols]
-    kernel = []
-    for j in (j for j in range(ncols) if j not in pivots):
-        v = [F.zero] * ncols
-        v[j] = F.one
-        for i, c in enumerate(pivots):
-            v[c] = F.sub(F.zero, R[i][j])
-        kernel.append(v)
-    return particular, kernel
+def _kernel_reference(F, rows, cols) -> list:
+    """The kernel rows of the rows, one per free column of their reference
+    form, as `_read_off` defines them."""
+    return augmented_read_off(F, *gauss_jordan(F, [r + [F.zero] for r in rows], cols + 1), cols)[1]
 
 
 @st.composite
@@ -425,7 +268,7 @@ def echelon_programs(draw):
     F = draw(st.sampled_from([GF2, GF3, GF7, RATIONAL]))
     cols = draw(st.integers(1, 6))
     vec = st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, 3]), min_size=cols, max_size=cols)
-    reads = ["rows", "row_reduce", "kernel_basis", "solution_spaces"]
+    reads = ["rows", "row_reduce", "kernel_basis", "read_off"]
     op = st.one_of(
         st.tuples(st.sampled_from(["add", "add", "contains", "copy"]), vec),
         st.tuples(st.sampled_from(reads), st.none()),
@@ -437,7 +280,7 @@ def echelon_programs(draw):
 @settings(max_examples=300, deadline=None)
 def test_echelon_reads_match_gauss_jordan(program):
     """Rows added one at a time, before and after reads, and every read of
-    the echelon, of row_reduce, kernel_basis and solution_spaces against
+    the echelon, of row_reduce, kernel_basis and `_read_off` against
     textbook Gauss-Jordan on the rows added so far.  Reading a copy leaves
     its parent's rows as they were, and no read changes a matrix's rows."""
     F, cols, ops = program
@@ -472,20 +315,10 @@ def test_echelon_reads_match_gauss_jordan(program):
             assert ([matrix_row(R, i) for i in range(R.rows)], pivots) == gauss_jordan(F, added, cols)
             assert r == rank
         elif name == "kernel_basis":
-            kernel = _solution_reference(F, [row + [F.zero] for row in added], cols)[1]
-            assert kernel_basis(M).basis == _rref(F, kernel, cols)
+            assert kernel_basis(M).basis == _rref(F, _kernel_reference(F, added, cols), cols)
         else:
-            shared = max(len(added) - 2, 0)
-            solutions = solution_spaces(M, shared)
-            assert len(solutions) == len(added) - shared
-            for row, solution in zip(added[shared:], solutions):
-                expected = _solution_reference(F, added[:shared] + [row], cols - 1)
-                if expected is None:
-                    assert solution is None
-                else:
-                    particular, kernel = solution
-                    unknowns = [_dense(F, x, cols - 1) for x in [particular, *kernel]]
-                    assert (unknowns[0], unknowns[1:]) == expected
+            kernel = _read_off(S._echelon, cols)
+            assert [dense(v) for v in kernel] == _kernel_reference(F, added, cols)
         assert [matrix_row(M, i) for i in range(M.rows)] == entries
 
 

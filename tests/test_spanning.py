@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from plateau.cochain import CochainComplexData, boundary_incidences, cohomology
 from plateau.lattice import Cell, CubicalComplex, GridSpec, HalfLattice, build_skeleton
-from plateau.linalg import GF2, RATIONAL, Coeffs
+from plateau.linalg import GF2, RATIONAL, Coeffs, FieldMatrix, _dense
 from plateau.solver import (
     SolverConfig,
     _admissible_regions,
@@ -29,7 +29,10 @@ from plateau.spanning import (
 )
 from plateau.witness import build_witness_system
 
-from conftest import chain_boundary, problem_over, restriction_spans
+from conftest import (
+    chain_boundary, gauss_jordan, matrix_row, problem_over, reference_solution_spaces,
+    restriction_spans,
+)
 
 FIELDS = (GF2, Coeffs("gfp", 3), RATIONAL)
 
@@ -309,11 +312,11 @@ def _block(lo, hi) -> list[Cell]:
 
 
 @st.composite
-def spanning_surfaces(draw, n: int, m: int):
-    """A random small problem whose A bounds one or two m-dimensional blocks
-    (so its classes are `canonical_L`'s), and random cell sets of its box,
-    some holding a block's filling."""
-    F = draw(st.sampled_from(FIELDS))
+def spanning_surfaces(draw, n: int, m: int, fields=FIELDS):
+    """A random small problem over one of `fields` whose A bounds one or two
+    m-dimensional blocks (so its classes are `canonical_L`'s), and random
+    cell sets of its box, some holding a block's filling."""
+    F = draw(st.sampled_from(fields))
     side = draw(st.integers(2, 3 if n < 4 else 2))  # Q on a 3^4 box takes seconds
     grid = GridSpec(n, 0, ((0, side),) * n)
     blocks = []
@@ -362,6 +365,34 @@ def test_spans_matches_restriction_image_and_witnesses(n, m, data):
     for cells in surfaces:
         X = Surface(problem, cells)
         assert spans(X) == restriction_spans(X) == system.spans_surface(X)
+
+
+@pytest.mark.parametrize("n, m", SHAPES)
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_witness_spaces_match_per_row_reference(n, m, data):
+    """Each class's witness space, read off the face kernel by rank one,
+    against `reference_solution_spaces` on the transposed system: the face
+    rows with right-hand side 0, shared, then each class row with
+    right-hand side 1, grown and read off on its own.  Over GF(2) the
+    particular and the basis are the reference's, in order; over GF(p) and
+    Q the particular is, and the basis is the reference kernel's reduced
+    row echelon form."""
+    problem, _ = data.draw(spanning_surfaces(n, m, FIELDS + (Coeffs("gfp", 7),)))
+    F, ncols = problem.coeffs, len(problem.box_mcells())
+    rows, nf = problem.cell_boundaries()
+    T = FieldMatrix(F, list(rows.values()), nf + len(problem.L)).transpose()
+    augmented = [matrix_row(T, i) + [F.zero if i < nf else F.one] for i in range(T.rows)]
+    reference = reference_solution_spaces(FieldMatrix.from_rows(F, augmented, ncols + 1), nf)
+    spaces = build_witness_system(problem).spaces
+    assert len(spaces) == len(reference) == len(problem.L)
+    for space, (particular, kernel) in zip(spaces, reference):
+        if F.kind == "gf2":
+            assert (space.particular, space.basis) == (particular, kernel)
+            continue
+        assert _dense(F, space.particular, ncols) == _dense(F, particular, ncols)
+        R, pivots = gauss_jordan(F, [_dense(F, v, ncols) for v in kernel], ncols)
+        assert [_dense(F, v, ncols) for v in space.basis] == R[:len(pivots)]
 
 
 @pytest.mark.parametrize("n, m", SHAPES)

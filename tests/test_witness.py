@@ -9,10 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plateau import linalg, witness
 from plateau.cochain import boundary_incidences
-from plateau.linalg import (
-    GF2, Coeffs, FieldMatrix, Subspace, _dense, bit_indices, solution_spaces,
-)
+from plateau.linalg import GF2, Coeffs, FieldMatrix, Subspace, _dense, bit_indices
 from plateau.scenarios import build_problem, scenario_from_dict
 from plateau.solver import (
     SolverConfig, contract_to_witnesses, greedy_minimize, solve, surface_weight,
@@ -20,7 +19,10 @@ from plateau.solver import (
 from plateau.spanning import Surface
 from plateau.witness import Gf2AffineSpace, GenericAffineSpace, build_witness_system
 
-from conftest import bench_problem, n4_sphere_problem, reference_constrain_zero, scenario_path
+from conftest import (
+    bench_problem, n4_sphere_problem, reference_constrain_zero, reference_solution_spaces,
+    scenario_path,
+)
 
 FIELD_SPECS = {"gf2": "gf2", "gf3": {"kind": "gfp", "p": 3}, "rational": "rational"}
 
@@ -28,8 +30,8 @@ FIELD_SPECS = {"gf2": "gf2", "gf3": {"kind": "gfp", "p": 3}, "rational": "ration
 @st.composite
 def random_systems(draw, max_cols: int, values: int):
     """(ncols, rows, shared): augmented rows with entries in range(values),
-    the first `shared` of them common to every class, as `solution_spaces`
-    takes them."""
+    the first `shared` of them common to every class, as
+    `reference_solution_spaces` takes them."""
     ncols = draw(st.integers(1, max_cols))
     rows = draw(st.lists(
         st.lists(st.integers(0, values - 1), min_size=ncols + 1, max_size=ncols + 1),
@@ -42,7 +44,7 @@ def random_systems(draw, max_cols: int, values: int):
 def test_affine_space_operations():
     # x0+x1=1, x1+x2=0: the shared row x1+x2=0, then the class row x0+x1=1
     system = FieldMatrix.from_rows(GF2, [[0, 1, 1, 0], [1, 1, 0, 1]], 4)
-    [(particular, kernel)] = solution_spaces(system, 1)
+    [(particular, kernel)] = reference_solution_spaces(system, 1)
     space = Gf2AffineSpace(3, particular, kernel)
     # solutions: (1,0,0) and (0,1,1)
     assert space.dim == 1
@@ -81,13 +83,13 @@ def _check_keys(space) -> None:
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_keyed_space_matches_bruteforce(data):
-    """Random systems through `solution_spaces`, then random `constrain_zero`
-    and `copy` steps: `member_within` agrees with brute force, every basis
-    vector keeps a private column, `reduced` stays the member zero on every
-    key, and a copy never shares state."""
+    """Random systems through `reference_solution_spaces`, then random
+    `constrain_zero` and `copy` steps: `member_within` agrees with brute
+    force, every basis vector keeps a private column, `reduced` stays the
+    member zero on every key, and a copy never shares state."""
     ncols, rows, shared = data.draw(random_systems(10, 2))
     system = FieldMatrix.from_rows(GF2, rows, ncols + 1)
-    for i, solution in enumerate(solution_spaces(system, shared)):
+    for i, solution in enumerate(reference_solution_spaces(system, shared)):
         # the members by brute force: x with rows[:shared] and rows[shared + i]
         own = rows[:shared] + [rows[shared + i]]
         expected = {
@@ -147,14 +149,15 @@ def test_generic_affine_space_matches_gf2():
 @given(st.data())
 @settings(max_examples=100, deadline=None)
 def test_generic_space_matches_bruteforce(data):
-    """GF(3) systems through `solution_spaces` and a reduced basis, as
-    `build_witness_system` builds them, then random `constrain_zero` and
-    `copy` steps: `member_within`, `forced_mask` and `can_zero` agree with
-    brute force, and a copy never changes its parent's rows."""
+    """GF(3) systems through `reference_solution_spaces` and a reduced
+    basis, as `build_witness_system` builds them, then random
+    `constrain_zero` and `copy` steps: `member_within`, `forced_mask` and
+    `can_zero` agree with brute force, and a copy never changes its
+    parent's rows."""
     F = Coeffs("gfp", 3)
     ncols, rows, shared = data.draw(random_systems(5, 3))
     system = FieldMatrix.from_rows(F, rows, ncols + 1)
-    for i, solution in enumerate(solution_spaces(system, shared)):
+    for i, solution in enumerate(reference_solution_spaces(system, shared)):
         own = rows[:shared] + [rows[shared + i]]
         expected = {
             x for x in itertools.product(range(3), repeat=ncols)
@@ -209,7 +212,7 @@ def _spaces(F, ncols, rows, shared) -> list:
     """The solvable spaces of a random system, built as
     `build_witness_system` builds them."""
     out = []
-    for solution in solution_spaces(FieldMatrix.from_rows(F, rows, ncols + 1), shared):
+    for solution in reference_solution_spaces(FieldMatrix.from_rows(F, rows, ncols + 1), shared):
         if solution is None:
             continue
         particular, kernel = solution
@@ -372,6 +375,27 @@ def test_generic_witness_spaces_are_pinned(name, field, digest):
     if name == "rings_tiny":
         assert [s.dim for s in system.spaces] == [98, 98, 98]
     assert _witness_digest(system) == digest
+
+
+@pytest.mark.parametrize("field", ["gf2", "rational"])
+def test_build_reads_one_kernel(field, monkeypatch):
+    """The witness build reads the face kernel off its echelon once, and
+    every class's space from it: one `_read_off` for rings_tiny's three
+    classes, over GF(2) and over Q."""
+    with open(scenario_path("rings_tiny")) as fh:
+        raw = json.load(fh)
+    problem = build_problem(scenario_from_dict({**raw, "coeffs": FIELD_SPECS[field]}))
+    calls = []
+    read_off = linalg._read_off
+
+    def counted(E, cols):
+        calls.append(cols)
+        return read_off(E, cols)
+
+    for module in (linalg, witness):
+        monkeypatch.setattr(module, "_read_off", counted)
+    system = build_witness_system(problem)
+    assert len(system.spaces) == 3 and len(calls) == 1
 
 
 def test_witness_system_agrees_with_spans(disk_problem, disk_system):
