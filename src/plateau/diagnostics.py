@@ -76,12 +76,6 @@ class SliceReport:
     def slack_factor(self) -> Optional[Fraction]:
         return self.lhs / self.rhs if self.rhs else None
 
-    def to_csv(self) -> str:
-        lines = ["t_low,band_weight,slice_estimate"]
-        for t, bw, sl in self.bands:
-            lines.append(f"{float(t)},{float(bw)},{float(sl)}")
-        return "\n".join(lines) + "\n"
-
 
 def _band_index(d2, w) -> int:
     """floor(sqrt(d2)/w) without leaving exact arithmetic, in ints when
@@ -137,12 +131,6 @@ class DensityProfile:
             if r >= min_radius
         ]
         return min(vals) if vals else None
-
-    def to_csv(self) -> str:
-        lines = ["r,g,ratio"]
-        for r, gv, ratio in zip(self.radii, self.g, self.ratios()):
-            lines.append(f"{float(r)},{float(gv)},{ratio}")
-        return "\n".join(lines) + "\n"
 
 
 def density_profile(

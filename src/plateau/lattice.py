@@ -107,22 +107,6 @@ def cell_measure(cell: Cell, grid: GridSpec) -> Fraction:
     return grid.side ** cell.dim
 
 
-def cofaces(cell: Cell, grid: GridSpec) -> set[Cell]:
-    """Codimension-1 cofaces of a cell that lie inside the grid box."""
-    out: set[Cell] = set()
-    for a in range(grid.n):
-        if cell.has_axis(a):
-            continue
-        mask = cell.free_axes | 1 << a
-        for shift in (0, -1):
-            anchor = list(cell.anchor)
-            anchor[a] += shift
-            cand = Cell(tuple(anchor), mask)
-            if grid.contains_cell(cand):
-                out.add(cand)
-    return out
-
-
 class CubicalComplex:
     """A face-closed finite set of cells of one grid."""
 

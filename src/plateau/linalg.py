@@ -247,22 +247,22 @@ class _Echelon:
         E.is_reduced = self.is_reduced
         return E
 
-    def _reduce(self, v: dict, every: bool = False) -> dict:
+    def _reduce(self, v: dict, every: bool = False, lead: bool = False):
         """v less stored rows, until its lowest column in `cols` is no pivot,
         or with every until v holds no pivot.  v itself if no row applies,
-        else one private copy, reduced in place."""
+        else one private copy, reduced in place; with lead, paired with that
+        lowest column (None when v has no column in `cols` left)."""
         F, rows = self.coeffs, self.rows
         cols = rows if every else self.cols
         out = v
-        while out:
-            c = min(out) if cols is None else min(out.keys() & cols, default=None)
+        while True:
+            c = min(out if cols is None else out.keys() & cols, default=None)
             row = rows.get(c)
             if row is None:
-                break
+                return (out, c) if lead else out
             if out is v:
                 out = dict(v)
             _subtract(F, out, out[c], row)
-        return out
 
     def contains(self, v: dict) -> bool:
         return not self._reduce(v)
@@ -270,8 +270,7 @@ class _Echelon:
     def add(self, v: dict) -> bool:
         """Add v to the span; False, storing nothing, iff v is 0 on cols once reduced."""
         F = self.coeffs
-        r = self._reduce(v)
-        c = min(r if self.cols is None else r.keys() & self.cols, default=None)
+        r, c = self._reduce(v, lead=True)
         if c is None:
             return False
         if r[c] != 1:

@@ -212,7 +212,6 @@ def _density_range_hint(kwargs: dict) -> tuple[Fraction, Fraction]:
 def _solver_from_dict(d: dict) -> SolverConfig:
     return SolverConfig(
         removal_order=d.get("removal_order", "heaviest-first"),
-        local_box_side=_as_int(d.get("local_box_side", 2), "solver.local_box_side"),
         max_passes=_as_int(d.get("max_passes", 4), "solver.max_passes"),
         seed=_as_int(d.get("seed", 0), "solver.seed"),
     )

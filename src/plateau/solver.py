@@ -3,13 +3,14 @@
 Pipeline: fill the full m-skeleton (contractible box, so it spans), greedily
 remove cells in one pass while the spanning verdict survives (a cell that
 cannot go at its turn never can, see `greedy_minimize`), then sweep local
-replacements over small subboxes.  A local replacement is an exact
-minimization of one region's interior on the witness branch-and-bound that
-the oracle also runs.  Every accepted move preserves spanning by
+replacements over 2-boxes (a unit box holds no interior m-cell when m < n, and
+when m = n its one cell lies on a 1-minimal surface).  A local replacement is
+an exact minimization of one region's interior on the witness branch-and-bound
+that the oracle also runs.  Every accepted move preserves spanning by
 construction and the final surface is 1-minimal.  Every stage works on the
-caller's witness system; only `solve` and `assert_one_minimal` build one
-when none is given.  Greedy removal and local moves zero a column set in one
-pass per space; witness re-seeding solves each order's member on an echelon.
+caller's witness system; only `solve` and `assert_one_minimal` build one when
+none is given.  Greedy removal and local moves zero a column set in one pass
+per space; witness re-seeding solves each order's member on an echelon.
 """
 
 from __future__ import annotations
@@ -37,15 +38,12 @@ relative_coboundary_dominates = spanning.relative_coboundary_dominates
 @dataclass(frozen=True)
 class SolverConfig:
     removal_order: str = "heaviest-first"
-    local_box_side: int = 2
     max_passes: int = 4
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.removal_order not in ("heaviest-first", "random"):
             raise ValueError(f"unknown removal order {self.removal_order!r}")
-        if not 1 <= self.local_box_side <= 2:
-            raise ValueError("local_box_side must be 1 or 2")
         if self.max_passes < 1:
             raise ValueError("max_passes must be positive")
 
@@ -253,17 +251,14 @@ def local_replace(
 # full pipeline
 
 
-def _admissible_regions(problem: SpanningProblem, side: int):
-    """Regions of the given side whose interior avoids A.  Every interior
-    cell of a side-2 region holds its centre vertex, and a side-1 region's
-    one interior cell is its n-cell; A is closed, so it blocks a region iff
-    it holds that cell."""
-    dim = 0 if side == 2 else problem.grid.n
-    blocked = {tuple(x + 1 - side for x in c.anchor) for c in problem.A.cells_of_dim(dim)}
-    ranges = [range(low, high - side + 1) for low, high in problem.grid.box]
-    for lows in itertools.product(*ranges):
+def _admissible_regions(problem: SpanningProblem):
+    """The 2-boxes whose interior avoids A: every interior cell of a 2-box
+    holds its centre vertex, and A is closed, so it blocks the box iff it
+    holds that vertex."""
+    blocked = {tuple(x - 1 for x in c.anchor) for c in problem.A.cells_of_dim(0)}
+    for lows in itertools.product(*(range(low, high - 1) for low, high in problem.grid.box)):
         if lows not in blocked:
-            yield lows, [lo + side for lo in lows]
+            yield lows, [lo + 2 for lo in lows]
 
 
 def solve(
@@ -292,7 +287,7 @@ def solve(
         X, w = seed, ws
     regions = [  # with their interior m-cells, listed once for every pass
         (lows, highs, list(box_cells(tuple(zip(lows, highs)), problem.m, True)))
-        for lows, highs in _admissible_regions(problem, cfg.local_box_side)
+        for lows, highs in _admissible_regions(problem)
     ]
     for _ in range(cfg.max_passes):
         improved = False

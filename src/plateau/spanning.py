@@ -17,6 +17,7 @@ against it.
 from __future__ import annotations
 
 import copy
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -33,7 +34,6 @@ from .lattice import (
     GridSpec,
     HalfLattice,
     box_cells,
-    cofaces,
     connected_components,
 )
 from .linalg import Coeffs, _echelon
@@ -255,10 +255,9 @@ def check_closed_manifold(K: CubicalComplex, dim: int) -> None:
         raise ValueError(
             f"complex has dimension {K.dim}, expected a closed {dim}-manifold"
         )
-    top = K.cells_of_dim(dim)
+    counts = Counter(f for c in K.cells_of_dim(dim) for f in c.faces())
     for ridge in K.cells_of_dim(dim - 1):
-        count = sum(1 for c in cofaces(ridge, K.grid) if c in top)
-        if count != 2:
+        if (count := counts[ridge]) != 2:
             raise ValueError(
                 f"ridge {ridge} has {count} top cofaces; the complex is not a "
                 "closed manifold"

@@ -159,18 +159,35 @@ def reference_solution_spaces(M: FieldMatrix, shared: int) -> list[Optional[tupl
     return out
 
 
-def reference_admissible_regions(problem: SpanningProblem, side: int):
+def reference_admissible_regions(problem: SpanningProblem):
     """Reference for `solver._admissible_regions`: each cell of A blocks the
-    small box of low corners of the regions whose interior it meets."""
+    small box of low corners of the 2-boxes whose interior it meets."""
     blocked = set()
     for c in problem.A.cells:
         blocked.update(itertools.product(*(
-            range(x + 1 - side, x + (c.free_axes >> a & 1))
+            range(x - 1, x + (c.free_axes >> a & 1))
             for a, x in enumerate(c.anchor)
         )))
-    ranges = [range(low, high - side + 1) for low, high in problem.grid.box]
-    return [(lows, [lo + side for lo in lows])
+    ranges = [range(low, high - 1) for low, high in problem.grid.box]
+    return [(lows, [lo + 2 for lo in lows])
             for lows in itertools.product(*ranges) if lows not in blocked]
+
+
+def reference_cofaces(cell: Cell, grid: GridSpec) -> set[Cell]:
+    """Codimension-1 cofaces of a cell that lie inside the grid box: the
+    per-ridge reference for `spanning.check_closed_manifold`'s counts."""
+    out: set[Cell] = set()
+    for a in range(grid.n):
+        if cell.has_axis(a):
+            continue
+        mask = cell.free_axes | 1 << a
+        for shift in (0, -1):
+            anchor = list(cell.anchor)
+            anchor[a] += shift
+            cand = Cell(tuple(anchor), mask)
+            if grid.contains_cell(cand):
+                out.add(cand)
+    return out
 
 
 def gauss_jordan(F, rows, cols):

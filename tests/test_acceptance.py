@@ -98,7 +98,7 @@ def test_criterion_3_push_shadow_bound(tiny_problem, tiny_system):
     n, m = tiny_problem.grid.n, tiny_problem.m
     bound = Fraction(4 * n) ** m
     count = 0
-    for lows, highs in _admissible_regions(tiny_problem, 2):
+    for lows, highs in _admissible_regions(tiny_problem):
         out = skeleton_push(X, lows, tiny_system)
         assert out.shadow_measure <= bound * out.interior_measure
         count += 1
@@ -121,7 +121,7 @@ def test_criterion_4_local_replace_preserves_spanning(
         (disk_problem, disk_system, 15),
         (tiny_problem, tiny_system, 5),
     ):
-        regions = list(_admissible_regions(problem, 2))
+        regions = list(_admissible_regions(problem))
         X0 = initial_fill(system)
         for seed in range(nseeds):
             rng = random.Random(seed)

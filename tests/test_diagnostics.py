@@ -46,17 +46,6 @@ def test_slicing_bands_sum_to_total(disk_surface):
     assert rep.slack_factor == 1
 
 
-def test_slicing_csv(disk_surface):
-    rep = slicing_check(disk_surface, (Fraction(0), Fraction(0)), Fraction(1))
-    csv = rep.to_csv()
-    lines = csv.strip().splitlines()
-    assert lines[0] == "t_low,band_weight,slice_estimate"
-    assert len(lines) == len(rep.bands) + 1
-    for line in lines[1:]:
-        t, bw, sl = map(float, line.split(","))
-        assert bw == sl  # shell width 1
-
-
 def test_slicing_rejects_thin_shell(disk_surface):
     with pytest.raises(ValueError, match="shell width"):
         slicing_check(disk_surface, (Fraction(0), Fraction(0)), Fraction(1, 2))
@@ -70,8 +59,6 @@ def test_density_profile_monotone(disk_surface):
     assert prof.g[-1] == surface_weight(disk_surface)  # radius covers box
     ratios = prof.ratios()
     assert all(r > 0 for r in ratios)
-    csv = prof.to_csv()
-    assert csv.splitlines()[0] == "r,g,ratio"
 
 
 def test_density_profile_rejects_off_lattice(disk_surface):

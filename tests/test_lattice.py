@@ -13,7 +13,6 @@ from plateau.lattice import (
     box_cells,
     build_skeleton,
     cell_measure,
-    cofaces,
     complex_from_text,
     complex_to_text,
     connected_components,
@@ -137,14 +136,6 @@ def test_half_lattice_ids(box, data):
             at + sign * strides[a] for a in c.axes() for sign in (1, -1)}
         assert [(at + offset, sign) for offset, sign in H.faces[c.free_axes]] == [
             (H.id(f), sign) for f, sign in boundary_incidences(c)]
-
-
-def test_cofaces_inverse_of_faces():
-    grid = GridSpec(3, 0, ((0, 2), (0, 2), (0, 2)))
-    c = Cell((1, 1, 1), 0)
-    for up in cofaces(c, grid):
-        assert c in up.faces()
-        assert grid.contains_cell(up)
 
 
 def test_complex_closure_and_dims():

@@ -187,6 +187,22 @@ def test_run_is_deterministic():
     assert r1.determinism_hash == r2.determinism_hash
 
 
+@pytest.mark.parametrize("side", (1, 2, "x"))
+def test_loader_ignores_local_box_side(side):
+    """The sweep always uses 2-boxes: the loader ignores a `local_box_side`
+    key, as it ignores any unknown `solver` key, and the solve block is the
+    one without it."""
+    raw = load("disk3").raw
+
+    def solve_block(solver: dict) -> dict:
+        report, _ = run(scenario_from_dict({**raw, "solver": solver}), diagnostics_override=[])
+        return {k: v for k, v in report.solve_report.items() if k != "wall_time_seconds"}
+
+    plain = solve_block({"max_passes": 2})
+    assert solve_block({"max_passes": 2, "local_box_side": side}) == plain
+    assert plain["final_weight"] == "9"
+
+
 def test_run_writes_outputs(tmp_path):
     scenario = load("disk3")
     report, X = run(scenario, out_dir=str(tmp_path), mesh=True)

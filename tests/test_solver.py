@@ -30,8 +30,6 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(removal_order="nope")
     with pytest.raises(ValueError):
-        SolverConfig(local_box_side=3)
-    with pytest.raises(ValueError):
         SolverConfig(max_passes=0)
 
 
@@ -131,7 +129,7 @@ def test_local_replace_rejects_bad_region(disk_problem, disk_system):
 def test_local_replace_random_soundness(tiny_problem, tiny_system):
     """Seeded random spanning surfaces stay spanning under local_replace."""
     X0 = initial_fill(tiny_system)
-    regions = list(_admissible_regions(tiny_problem, 2))
+    regions = list(_admissible_regions(tiny_problem))
     rng = random.Random(5)
     failures = 0
     for seed in range(6):
@@ -205,7 +203,7 @@ def test_local_replace_matches_enumeration(
         (disk_problem, disk_system, range(4), None),
         (tiny_problem, tiny_system, range(2), 2),
     ):
-        regions = list(_admissible_regions(problem, 2))
+        regions = list(_admissible_regions(problem))
         X0 = initial_fill(system)
         for seed in seeds:
             cfg = SolverConfig(removal_order="random", seed=seed)
@@ -235,19 +233,18 @@ def test_local_replace_matches_enumeration(
     assert improved  # some rings_tiny cases have a strictly lighter refill
 
 
-@pytest.mark.parametrize("side", (1, 2))
-def test_admissible_regions_and_interiors(disk_problem, tiny_problem, side):
-    """A region is admissible iff no cell of A lies in its interior, and the
+def test_admissible_regions_and_interiors(disk_problem, tiny_problem):
+    """A 2-box is admissible iff no cell of A lies in its interior, and the
     interior that `solve` lists once per region is the box m-cells inside it."""
     for problem in (disk_problem, tiny_problem, n4_sphere_problem()):
         box = problem.grid.box
         expected = [
-            lows for lows in itertools.product(*(range(lo, hi - side + 1) for lo, hi in box))
+            lows for lows in itertools.product(*(range(lo, hi - 1) for lo, hi in box))
             if not any(
-                _in_interior(c, lows, [lo + side for lo in lows]) for c in problem.A.cells
+                _in_interior(c, lows, [lo + 2 for lo in lows]) for c in problem.A.cells
             )
         ]
-        regions = list(_admissible_regions(problem, side))
+        regions = list(_admissible_regions(problem))
         assert [lows for lows, _ in regions] == expected
         for lows, highs in regions:
             interior = box_cells(tuple(zip(lows, highs)), problem.m, interior=True)
@@ -257,9 +254,8 @@ def test_admissible_regions_and_interiors(disk_problem, tiny_problem, side):
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_admissible_regions_match_per_cell_reference(data):
-    """Regions of sides 1 and 2, swept from A's vertices and n-cells, equal
-    the per-cell blocked set, in order, on random closed A with n = 2-4;
-    m = n lets A hold n-cells."""
+    """2-boxes, swept from A's vertices, equal the per-cell blocked set, in
+    order, on random closed A with n = 2-4; m = n lets A hold n-cells."""
     n = data.draw(st.integers(2, 4))
     m = data.draw(st.integers(1, n))
     box = tuple((lo, lo + data.draw(st.integers(1, 4 if n < 4 else 3)))
@@ -268,17 +264,16 @@ def test_admissible_regions_match_per_cell_reference(data):
     cells = sorted(box_cells(box, data.draw(st.integers(0, m))))
     A = CubicalComplex(grid, data.draw(st.lists(st.sampled_from(cells), max_size=4, unique=True)))
     problem = SpanningProblem(A, grid, m, [])
-    for side in (1, 2):
-        assert list(_admissible_regions(problem, side)) == reference_admissible_regions(problem, side)
+    assert list(_admissible_regions(problem)) == reference_admissible_regions(problem)
 
 
 def test_local_replace_n4_m3_smoke():
-    """A side-2 region in n=4, m=3 has 32 interior 3-cells; the move on the
+    """A 2-box in n=4, m=3 has 32 interior 3-cells; the move on the
     full fill around a 2-sphere finishes and keeps the surface spanning."""
     problem = n4_sphere_problem()
     system = build_witness_system(problem)
     X = initial_fill(system)
-    lows, highs = next(_admissible_regions(problem, 2))
+    lows, highs = next(_admissible_regions(problem))
     assert len(_interior_mcells(problem, lows, highs)) == 32
     Y = local_replace(X, lows, highs, system)
     assert system.spans_surface(Y)
@@ -290,7 +285,7 @@ def test_skeleton_push_bound_and_domination(tiny_problem, tiny_system):
     X, _ = greedy_minimize(X, SolverConfig(), tiny_system)
     bound = Fraction(4 * 3) ** 2
     outcomes = []
-    for lows, highs in list(_admissible_regions(tiny_problem, 2))[::3]:
+    for lows, highs in list(_admissible_regions(tiny_problem))[::3]:
         out = skeleton_push(X, lows, tiny_system)
         outcomes.append(out)
         assert out.shadow_measure <= bound * out.interior_measure
@@ -327,11 +322,11 @@ def test_solve_is_deterministic(disk_problem):
 
 def test_solve_accepts_local_moves():
     """A radial-density rings problem whose local sweep improves the greedy
-    surface: in one pass three 2-boxes are refilled more lightly, the greedy
-    re-run then removes one more cell, and a further pass finds nothing.
-    With 1-boxes, which have no interior 2-cells in n = 3, the sweep accepts
-    nothing.  The sweep stays a heuristic: the cold oracle certifies 505/3
-    at the root."""
+    surface: the sweep starts from the lighter of the greedy fill and the
+    greedy witness re-seeding (737/3); in one pass three 2-boxes are refilled
+    more lightly, the greedy re-run then removes one more cell, and a further
+    pass finds nothing.  The sweep stays a heuristic: the cold oracle
+    certifies 505/3 at the root."""
     problem = build_problem(scenario_from_dict({
         "grid": {"n": 3, "k": 0, "box": [[0, 5], [0, 3], [0, 6]]},
         "boundary": {"tag": "three_rings", "size": 3, "origin": [0, 0],
@@ -348,8 +343,10 @@ def test_solve_accepts_local_moves():
     assert report.final_weight == surface_weight(X) == Fraction(709, 3)
     assert spans(X)
     assert_one_minimal(X, system)
-    _, report1 = solve(problem, SolverConfig(local_box_side=1), system)
-    assert all(kind != "local_replace" for kind, _ in report1.moves)
-    assert report1.final_weight == Fraction(737, 3)
+    before_sweep = min(
+        surface_weight(greedy_minimize(Y, SolverConfig(), system)[0])
+        for Y in (initial_fill(system), contract_to_witnesses(system))
+    )
+    assert before_sweep == Fraction(737, 3)
     result = isoperimetric_scan(problem, OracleConfig())
     assert (result.best_weight, result.optimal, result.nodes) == (Fraction(505, 3), True, 0)

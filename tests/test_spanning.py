@@ -7,7 +7,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from plateau.cochain import CochainComplexData, boundary_incidences, cohomology
-from plateau.lattice import Cell, CubicalComplex, GridSpec, HalfLattice, build_skeleton
+from plateau.lattice import (
+    Cell, CubicalComplex, GridSpec, HalfLattice, box_cells, build_skeleton,
+)
 from plateau.linalg import GF2, RATIONAL, Coeffs, FieldMatrix, _dense
 from plateau.solver import (
     SolverConfig,
@@ -30,8 +32,8 @@ from plateau.spanning import (
 from plateau.witness import build_witness_system
 
 from conftest import (
-    chain_boundary, gauss_jordan, matrix_row, problem_over, reference_solution_spaces,
-    restriction_spans,
+    chain_boundary, gauss_jordan, matrix_row, problem_over, reference_cofaces,
+    reference_solution_spaces, restriction_spans,
 )
 
 FIELDS = (GF2, Coeffs("gfp", 3), RATIONAL)
@@ -303,6 +305,39 @@ def test_non_manifold_boundary_rejected():
     check_closed_manifold(square, 1)
 
 
+@given(data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_closed_manifold_check_matches_coface_reference(data):
+    """On random closed complexes with n = 2-4 and dim 1..n-1 (the mod-2
+    boundary of a few (dim+1)-cells, which pairs every ridge evenly, plus
+    up to two stray dim-cells), `check_closed_manifold` raises exactly when
+    the per-ridge coface walk finds a ridge, in the same order, with a
+    count other than 2, and names that ridge and count."""
+    n = data.draw(st.integers(2, 4))
+    dim = data.draw(st.integers(1, n - 1))
+    box = ((0, 3 if n < 4 else 2),) * n
+    grid = GridSpec(n, 0, box)
+    parity: dict[Cell, int] = {}
+    solids = sorted(box_cells(box, dim + 1))
+    for c in data.draw(st.lists(st.sampled_from(solids), min_size=1, max_size=4, unique=True)):
+        for f in c.faces():
+            parity[f] = parity.get(f, 0) ^ 1
+    strays = data.draw(st.lists(st.sampled_from(sorted(box_cells(box, dim))), max_size=2))
+    K = CubicalComplex(grid, [f for f, odd in parity.items() if odd] + strays)
+    assume(K.dim == dim)
+    top = K.cells_of_dim(dim)
+    counts = ((r, sum(c in top for c in reference_cofaces(r, grid)))
+              for r in K.cells_of_dim(dim - 1))
+    bad = next(((r, k) for r, k in counts if k != 2), None)
+    if bad is None:
+        check_closed_manifold(K, dim)
+    else:
+        with pytest.raises(ValueError) as err:
+            check_closed_manifold(K, dim)
+        assert str(err.value) == (f"ridge {bad[0]} has {bad[1]} top cofaces; the complex "
+                                  "is not a closed manifold")
+
+
 def _block(lo, hi) -> list[Cell]:
     """The cells with anchors from lo up to hi - 1 along each axis where
     lo < hi, spanning those axes, and at lo along the others."""
@@ -430,12 +465,12 @@ def test_local_moves_keep_spanning(n, m, data):
     """On every spanning surface of a random small problem, the full fill
     and its greedy reduction included, one greedy pass in either removal
     order leaves a spanning 1-minimal surface, and a local move in any admissible
-    side-2 region returns a surface that still spans and weighs no more."""
+    2-box returns a surface that still spans and weighs no more."""
     problem, surfaces = data.draw(spanning_surfaces(n, m))
     system = build_witness_system(problem)
     fill = initial_fill(system)
     greedy, _ = greedy_minimize(fill, SolverConfig(), system)
-    regions = list(_admissible_regions(problem, 2))
+    regions = list(_admissible_regions(problem))
     seed = data.draw(st.integers(0, 99))
     orders = (SolverConfig(), SolverConfig(removal_order="random", seed=seed))
     for X in [fill, greedy] + [Surface(problem, cells) for cells in surfaces]:
