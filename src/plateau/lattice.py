@@ -75,13 +75,15 @@ class Cell(NamedTuple):
 
     def faces(self) -> set["Cell"]:
         """The 2*dim codimension-1 faces, in canonical (minimal-corner) form."""
+        anchor, mask = self.anchor, self.free_axes
         out: set[Cell] = set()
-        for a in self.axes():
-            mask = self.free_axes & ~(1 << a)
-            out.add(Cell(self.anchor, mask))
-            shifted = list(self.anchor)
-            shifted[a] += 1
-            out.add(Cell(tuple(shifted), mask))
+        for a, x in enumerate(anchor):
+            if mask >> a & 1:
+                face = mask ^ 1 << a
+                out.add(Cell(anchor, face))
+                shifted = list(anchor)
+                shifted[a] = x + 1
+                out.add(Cell(tuple(shifted), face))
         return out
 
     def corners(self) -> list[tuple[int, ...]]:
@@ -108,16 +110,18 @@ def cell_measure(cell: Cell, grid: GridSpec) -> Fraction:
 
 
 class CubicalComplex:
-    """A face-closed finite set of cells of one grid."""
+    """A face-closed finite set of cells of one grid: the given cells, checked
+    against its box, and their faces.  With closed=True the caller passes a
+    face-closed set of this grid's cells, and nothing is checked or added."""
 
     def __init__(self, grid: GridSpec, cells: Iterable[Cell], closed: bool = False):
         self.grid = grid
         cellset = set(cells)
         if not closed:
+            for c in cellset:
+                if not grid.contains_cell(c):
+                    raise ValueError(f"cell {c} outside bounding box")
             cellset = _close(cellset)
-        for c in cellset:
-            if not grid.contains_cell(c):
-                raise ValueError(f"cell {c} outside bounding box")
         self._by_dim: dict[int, frozenset[Cell]] = {}
         for c in cellset:
             self._by_dim.setdefault(c.dim, set()).add(c)  # type: ignore[arg-type]
@@ -167,18 +171,18 @@ class CubicalComplex:
         return self._cells <= other._cells
 
     def union(self, other: "CubicalComplex") -> "CubicalComplex":
+        """X u Y, for a Y on the same grid (not checked)."""
         return CubicalComplex(self.grid, self._cells | other._cells, closed=True)
 
 
 def _close(cells: set[Cell]) -> set[Cell]:
-    out = set(cells)
-    frontier = list(cells)
-    while frontier:
-        c = frontier.pop()
-        for f in c.faces():
-            if f not in out:
-                out.add(f)
-                frontier.append(f)
+    """The cells and their faces, a layer at a time: each cell but a vertex is
+    asked for its faces once."""
+    out, layer = set(cells), [c for c in cells if c.free_axes]
+    while layer:
+        new = {f for c in layer for f in c.faces()} - out
+        out |= new
+        layer = [f for f in new if f.free_axes]
     return out
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -30,6 +31,7 @@ from .lattice import (
     CubicalComplex,
     GridSpec,
     complex_from_text,
+    complex_to_text,
     export_off,
 )
 from .linalg import GF2, Coeffs
@@ -124,8 +126,11 @@ def scenario_from_dict(data: dict) -> Scenario:
     density = _density_from_dict(_block(data, "density", {"kind": "constant"}), grid.n)
     solver_cfg = _solver_from_dict(_block(data, "solver", {}))
     diag = parse_diagnostics(data.get("diagnostics", "all"))
+    name = str(data.get("name", "unnamed"))  # the stem of the files `run` writes
+    if name in ("", ".", "..") or os.sep in name or (os.altsep and os.altsep in name):
+        raise ValueError(f"scenario field name must be a plain file name, got {name!r}")
     return Scenario(
-        name=str(data.get("name", "unnamed")),
+        name=name,
         grid=grid,
         boundary=boundary,
         m=m,
@@ -362,9 +367,7 @@ def build_classes(scenario: Scenario, A: CubicalComplex) -> list[CohomologyClass
             if cell not in pos:
                 raise ValueError(f"class cochain cell {cell} is not a cell of A")
             rep[pos[cell]] = scenario.coeffs.reduce(parse_rational(coeff))
-        classes.append(
-            CohomologyClass(A, scenario.m - 1, rep, entry.get("label", f"class-{i}"))
-        )
+        classes.append(CohomologyClass(rep, entry.get("label", f"class-{i}")))
     return classes
 
 
@@ -482,11 +485,7 @@ def run(
     blocks = _diagnostics_blocks(X, names)
     files: list[str] = []
     if out_dir is not None:
-        import os
-
         os.makedirs(out_dir, exist_ok=True)
-        from .lattice import complex_to_text
-
         surf_path = os.path.join(out_dir, f"{scenario.name}.surface.txt")
         with open(surf_path, "w") as fh:
             fh.write(complex_to_text(X.complex))

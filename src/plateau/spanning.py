@@ -41,13 +41,12 @@ from .linalg import Coeffs, _echelon
 
 @dataclass
 class CohomologyClass:
-    """A degree-(m-1) class on A given by an explicit cocycle representative.
+    """A class of L given by an explicit cocycle representative.
 
-    The representative vector is indexed by A's sorted (m-1)-cells.
+    A and the degree m - 1 are the problem's: the representative vector is
+    indexed by A's sorted (m-1)-cells, which `SpanningProblem` checks.
     """
 
-    A: CubicalComplex
-    degree: int
     rep: list
     label: str = ""
 
@@ -77,9 +76,11 @@ class SpanningProblem:
             A_data = CochainComplexData(self.A, self.coeffs)
             delta = A_data.delta(self.m - 1)
             coboundaries = coboundary_space(A_data, self.m - 1, reduced=self.m == 1)
+            ncells = len(self.A.cells_of_dim(self.m - 1))
         for cls in self.L:
-            if cls.degree != self.m - 1:
-                raise ValueError("class degree must be m - 1")
+            if len(cls.rep) != ncells:
+                raise ValueError(f"class representative needs one entry per (m-1)-cell "
+                                 f"of A, {ncells}, not {len(cls.rep)}")
             if any(v != self.coeffs.zero for v in delta.apply(cls.rep)):
                 raise ValueError("class representative is not a cocycle")
             if coboundaries.contains(cls.rep):
@@ -144,14 +145,16 @@ class SpanningProblem:
 
     def cropped(self, box: tuple[tuple[int, int], ...]) -> "SpanningProblem":
         """This problem on a sub-box of its box that still holds A: the class
-        and density checks passed on the larger box, so only A's containment runs."""
+        and density checks passed on the larger box, so only A's containment
+        runs (on its vertices, the corners of its cells); L is shared."""
         if any(lo < lo0 or hi > hi0 for (lo, hi), (lo0, hi0) in zip(box, self.grid.box)):
             raise ValueError("a cropped box must lie inside the problem box")
         grid = GridSpec(self.grid.n, self.grid.k, box)
-        A = CubicalComplex(grid, self.A.cells, closed=True)
+        if not all(map(grid.contains_cell, self.A.cells_of_dim(0))):
+            raise ValueError("a cell of A lies outside bounding box")
         out = copy.copy(self)
-        out.A, out.grid, out._mcells, out._weights, out._boundaries = A, grid, None, None, None
-        out.L = [CohomologyClass(A, c.degree, list(c.rep), c.label) for c in self.L]
+        out.A = CubicalComplex(grid, self.A.cells, closed=True)
+        out.grid, out._mcells, out._weights, out._boundaries = grid, None, None, None
         return out
 
 
@@ -264,21 +267,23 @@ def check_closed_manifold(K: CubicalComplex, dim: int) -> None:
             )
 
 
-def orient_component(comp: CubicalComplex, m: int) -> dict[Cell, int]:
-    """Consistent +-1 orientation of the top cells, or raise if non-orientable."""
+def fundamental_cycle(comp: CubicalComplex, m: int) -> dict[Cell, int]:
+    """Oriented fundamental (m-1)-cycle of a closed manifold component, the
+    least top cell at +1; one table of each ridge's signed top cofaces serves
+    the orientation walk and the zero-boundary check."""
     top = comp.sorted_cells(m - 1)
     if not top:
         raise ValueError("component has no top cells")
-    incidence: dict[Cell, list[tuple[Cell, int]]] = {}
+    cofaces: dict[Cell, list[tuple[Cell, int]]] = {}
     for c in top:
         for f, sign in boundary_incidences(c):
-            incidence.setdefault(f, []).append((c, sign))
+            cofaces.setdefault(f, []).append((c, sign))
     orientation: dict[Cell, int] = {top[0]: 1}
     queue = [top[0]]
     while queue:
         c = queue.pop()
         for f, sign in boundary_incidences(c):
-            for c2, sign2 in incidence.get(f, []):
+            for c2, sign2 in cofaces[f]:
                 if c2 == c:
                     continue
                 want = -orientation[c] * sign * sign2
@@ -289,17 +294,7 @@ def orient_component(comp: CubicalComplex, m: int) -> dict[Cell, int]:
                     raise ValueError("component is non-orientable")
     if len(orientation) != len(top):
         raise ValueError("top cells of component are not ridge-connected")
-    return orientation
-
-
-def fundamental_cycle(comp: CubicalComplex, m: int) -> dict[Cell, int]:
-    """Oriented fundamental (m-1)-cycle of a closed manifold component."""
-    orientation = orient_component(comp, m)
-    boundary: dict[Cell, int] = {}
-    for c, o in orientation.items():
-        for f, sign in boundary_incidences(c):
-            boundary[f] = boundary.get(f, 0) + o * sign
-    if any(v != 0 for v in boundary.values()):
+    if any(sum(orientation[c] * sign for c, sign in cs) for cs in cofaces.values()):
         raise ValueError("component top cells do not form a cycle")
     return orientation
 
@@ -329,5 +324,5 @@ def canonical_L(A: CubicalComplex, m: int, coeffs: Coeffs) -> list[CohomologyCla
             if coeffs.kind != "gf2":
                 fundamental_cycle(comp, m)
             rep[pos[min(comp.cells_of_dim(m - 1))]] = coeffs.one
-        out.append(CohomologyClass(A, m - 1, rep, label=f"component-{ci}"))
+        out.append(CohomologyClass(rep, label=f"component-{ci}"))
     return out

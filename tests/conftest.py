@@ -283,6 +283,15 @@ def contains_class(image, rep) -> bool:
     return image.image.sum(image.coboundaries).contains(rep)
 
 
+def face_closure(cells: Iterable[Cell]) -> set[Cell]:
+    """The closure by its definition: add `Cell.faces` of every cell until
+    nothing new appears."""
+    out = set(cells)
+    while more := {f for c in out for f in c.faces()} - out:
+        out |= more
+    return out
+
+
 def euler_characteristic(X: CubicalComplex) -> int:
     return sum((-1) ** d * len(X.cells_of_dim(d)) for d in range(X.dim + 1))
 

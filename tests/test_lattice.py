@@ -18,7 +18,7 @@ from plateau.lattice import (
     connected_components,
 )
 
-from conftest import euler_characteristic
+from conftest import euler_characteristic, face_closure
 
 
 def test_gridspec_validation():
@@ -171,6 +171,67 @@ def test_connected_components():
     comps = connected_components(X)
     assert len(comps) == 2
     assert sum(len(c.cells_of_dim(2)) for c in comps) == 2
+
+
+SMALL_BOXES = st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.tuples(st.integers(-2, 1), st.integers(1, 3)).map(
+        lambda lw: (lw[0], lw[0] + lw[1])), min_size=n, max_size=n))
+
+
+@given(box=SMALL_BOXES, data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_closure_and_box_check(box, data):
+    """`CubicalComplex(grid, cells)` is the definitional face closure of the
+    cells, and it raises exactly when a given cell leaves the box: cells of
+    the box, and at most two cells of the box widened by one on every side."""
+    n = len(box)
+    grid = GridSpec(n, 0, tuple(box))
+    everything = [c for d in range(n + 1) for c in box_cells(box, d)]
+    near = st.builds(Cell, st.tuples(*(st.integers(lo - 1, hi) for lo, hi in box)),
+                     st.integers(0, (1 << n) - 1))
+    cells = data.draw(st.lists(st.sampled_from(everything), max_size=8))
+    cells += data.draw(st.lists(near, max_size=2))
+    inside = all(lo <= x and x + (c.free_axes >> a & 1) <= hi
+                 for c in cells for a, (x, (lo, hi)) in enumerate(zip(c.anchor, box)))
+    if not inside:
+        with pytest.raises(ValueError, match="outside bounding box"):
+            CubicalComplex(grid, cells)
+        return
+    X = CubicalComplex(grid, cells)
+    closure = face_closure(cells)
+    assert X.cells == closure
+    for d in range(n + 1):
+        assert X.cells_of_dim(d) == {c for c in closure if c.dim == d}
+
+
+@given(box=SMALL_BOXES, data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_connected_components_partition(box, data):
+    """The components of a random complex partition X into face-closed
+    pieces that share no face, and each piece is connected through the
+    face relation."""
+    grid = GridSpec(len(box), 0, tuple(box))
+    everything = [c for d in range(len(box) + 1) for c in box_cells(box, d)]
+    X = CubicalComplex(grid, data.draw(st.lists(st.sampled_from(everything), max_size=10)))
+    comps = connected_components(X)
+    assert sum(len(comp) for comp in comps) == len(X)
+    assert set().union(*(comp.cells for comp in comps)) == X.cells
+    owner = {c: i for i, comp in enumerate(comps) for c in comp.cells}
+    for i, comp in enumerate(comps):
+        assert face_closure(comp.cells) == comp.cells
+        assert all(owner[f] == i for c in comp.cells for f in c.faces())
+        neighbours = {c: set() for c in comp.cells}
+        for c in comp.cells:
+            for f in c.faces():
+                neighbours[c].add(f)
+                neighbours[f].add(c)
+        start = min(comp.cells)
+        seen, queue = {start}, [start]
+        while queue:
+            for c in neighbours[queue.pop()] - seen:
+                seen.add(c)
+                queue.append(c)
+        assert seen == comp.cells
 
 
 def test_text_roundtrip():

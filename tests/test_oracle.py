@@ -64,12 +64,12 @@ def test_crop_equals_full_construction(raw):
     A = CubicalComplex(cropped.grid, problem.A.cells)
     full = SpanningProblem(
         A, cropped.grid, problem.m,
-        [CohomologyClass(A, c.degree, list(c.rep), c.label) for c in problem.L],
+        [CohomologyClass(list(c.rep), c.label) for c in problem.L],
         problem.coeffs, problem.density,
     )
     assert cropped.grid == full.grid
     assert cropped.A.cells == full.A.cells
-    assert [(c.A, c.rep) for c in cropped.L] == [(A, c.rep) for c in full.L]
+    assert [c.rep for c in cropped.L] == [c.rep for c in full.L]
     assert cropped.weight_table() == full.weight_table()
     assert cropped == full
 

@@ -247,6 +247,35 @@ def test_cli_solve(tmp_path, capsys):
     assert (tmp_path / "disk3.off").exists()
 
 
+ESCAPING_NAMES = ["", ".", "..", "../escape", "sub/escape", os.path.abspath("escape")]
+
+
+@pytest.mark.parametrize("name", ESCAPING_NAMES)
+def test_scenario_name_must_be_a_plain_file_name(name):
+    """The name is the stem of the files `run` writes into its output
+    directory, so one that is empty, a dot entry or holds a path separator
+    is rejected; a plain name loads as it is."""
+    raw = load("disk3").raw
+    with pytest.raises(ValueError, match="plain file name"):
+        scenario_from_dict({**raw, "name": name})
+    assert scenario_from_dict({**raw, "name": "disk3.copy"}).name == "disk3.copy"
+
+
+@pytest.mark.parametrize("absolute", [False, True], ids=["relative", "absolute"])
+def test_cli_solve_name_cannot_leave_out_dir(tmp_path, absolute):
+    """`plateau solve --out o1` with the name ../escape, which would write
+    next to o1, or an absolute name, which would drop o1, exits 2 and writes
+    nothing."""
+    name = str(tmp_path / "escape") if absolute else "../escape"
+    path = tmp_path / "escape.json"
+    path.write_text(json.dumps({**load("disk3").raw, "name": name}))
+    code, err = _cli_exit(["solve", str(path), "--out", str(tmp_path / "o1"),
+                           "--diagnostics", "none"])
+    assert code == 2
+    assert err.startswith("error:") and "plain file name" in err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["escape.json"]
+
+
 def test_cli_solve_diagnostics_none(capsys):
     code = main(["solve", scenario_path("disk3"), "--diagnostics", "none"])
     assert code == 0

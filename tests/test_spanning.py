@@ -61,7 +61,7 @@ def test_canonical_L_of_point_components(F):
     point = CubicalComplex(grid, [Cell((0, 0), 0)])
     assert canonical_L(point, 1, F) == []
     with pytest.raises(ValueError, match="zero class"):
-        SpanningProblem(point, grid, 1, [CohomologyClass(point, 0, [F.one])], F)
+        SpanningProblem(point, grid, 1, [CohomologyClass([F.one])], F)
     pair = CubicalComplex(grid, [Cell((0, 0), 0), Cell((2, 1), 0)])
     L = canonical_L(pair, 1, F)
     assert sorted(cls.rep for cls in L) == [[F.zero, F.one], [F.one, F.zero]]
@@ -73,7 +73,7 @@ def test_canonical_L_of_point_components(F):
 def test_zero_class_rejected(disk_problem):
     A = disk_problem.A
     rep = [GF2.zero] * len(A.cells_of_dim(1))
-    cls = CohomologyClass(A, 1, rep, "zero")
+    cls = CohomologyClass(rep, "zero")
     with pytest.raises(ValueError, match="zero class"):
         SpanningProblem(A, disk_problem.grid, 2, [cls], GF2)
 
@@ -83,9 +83,10 @@ def test_non_cocycle_rejected(disk_problem):
     lower = sorted(A.cells_of_dim(1))
     rep = [GF2.zero] * len(lower)
     rep[0] = GF2.one  # a single edge of a ring is not a cocycle in degree 1?
-    cls = CohomologyClass(A, 1, rep, "edge")
-    # on a closed curve every 1-cochain is a cocycle; use degree mismatch
-    with pytest.raises(ValueError, match="degree"):
+    cls = CohomologyClass(rep, "edge")
+    # on a closed curve every 1-cochain is a cocycle; at m = 3 the
+    # representative needs one entry per 2-cell of A, of which there are none
+    with pytest.raises(ValueError, match="one entry per"):
         SpanningProblem(A, disk_problem.grid, 3, [cls], GF2)
 
 
@@ -94,7 +95,7 @@ def test_non_cocycle_rejected_torus(torus_problem):
     lower = sorted(A.cells_of_dim(1))
     rep = [GF2.zero] * len(lower)
     rep[0] = GF2.one  # single edge on a 2-complex: coboundary is nonzero
-    cls = CohomologyClass(A, 1, rep, "edge")
+    cls = CohomologyClass(rep, "edge")
     with pytest.raises(ValueError, match="cocycle"):
         SpanningProblem(A, torus_problem.grid, 2, [cls], GF2)
 
@@ -120,7 +121,7 @@ def _classes_with_bad_last(case: str, F: Coeffs):
     def cochain(values: dict) -> list:
         return [F.reduce(values.get(c, 0)) for c in lower]
 
-    L = [CohomologyClass(A, m - 1, cochain({c: 1}), f"good-{i}")
+    L = [CohomologyClass(cochain({c: 1}), f"good-{i}")
          for i, c in enumerate(marked)]
     if case == "cocycle":  # an edge of the filled square
         bad = cochain({Cell((1, 1, 4), 0b001): 1})
@@ -131,7 +132,7 @@ def _classes_with_bad_last(case: str, F: Coeffs):
         bad = cochain({Cell((0, 2), 0): 1})
     else:  # the constant 0-cochain
         bad = cochain({c: 1 for c in lower})
-    return A, grid, m, L + [CohomologyClass(A, m - 1, bad, "bad")]
+    return A, grid, m, L + [CohomologyClass(bad, "bad")]
 
 
 @pytest.mark.parametrize("F", [GF2, Coeffs("gfp", 3)], ids=["gf2", "gf3"])
@@ -206,7 +207,7 @@ def test_spans_matches_restriction_image_rings_tiny_gf3():
     delta = CochainComplexData(problem.A, F).delta(0)
     for _ in range(4):
         moved = SpanningProblem(problem.A, problem.grid, 2, [
-            CohomologyClass(problem.A, 1, [F.add(x, y) for x, y in zip(cls.rep, delta.apply(
+            CohomologyClass([F.add(x, y) for x, y in zip(cls.rep, delta.apply(
                 [rng.randrange(3) for _ in range(delta.cols)]))])
             for cls in problem.L
         ], F)
@@ -233,6 +234,23 @@ def test_fundamental_cycle_is_cycle(tiny_problem):
         cyc = fundamental_cycle(comp, 2)
         assert chain_boundary(cyc) == {}
         assert all(v in (1, -1) for v in cyc.values())
+
+
+@pytest.mark.parametrize("n, cells, m, match", [
+    (3, [Cell((1, 1, 1), 0)], 2, "no top cells"),
+    (3, [Cell((0, 0, 0), 0b011), Cell((1, 1, 0), 0b011)], 3, "not ridge-connected"),
+    (2, [Cell((0, 0), 0b01), Cell((1, 0), 0b01), Cell((2, 0), 0b10)], 2, "form a cycle"),
+], ids=["vertex", "squares-at-a-vertex", "open-path"])
+def test_fundamental_cycle_error_paths(n, cells, m, match):
+    """A vertex has no top cells at m = 2; two squares that share only a
+    vertex are not ridge-connected at m = 3; an open path of edges has a
+    nonzero boundary at m = 2.  Over GF(3), `canonical_L` rejects each of
+    these components too."""
+    comp = CubicalComplex(GridSpec(n, 0, ((0, 3),) * n), cells)
+    with pytest.raises(ValueError, match=match):
+        fundamental_cycle(comp, m)
+    with pytest.raises(ValueError):
+        canonical_L(comp, m, Coeffs("gfp", 3))
 
 
 @pytest.mark.parametrize("F", FIELDS, ids=["gf2", "gf3", "q"])
