@@ -34,8 +34,8 @@ class GridSpec:
             raise ValueError(f"ambient dimension must be in 1..6, got {self.n}")
         if len(self.box) != self.n:
             raise ValueError("bounding box must have one (low, high) pair per axis")
-        if self.k < 0:
-            raise ValueError(f"grid.k must be nonnegative, got {self.k}")
+        if not 0 <= self.k <= 64:  # weights are integers over 2**(k m): memory grows with k
+            raise ValueError(f"grid.k must lie in 0..64, got {self.k}")
         for low, high in self.box:
             if low >= high:
                 raise ValueError(f"degenerate box axis: low={low} high={high}")

@@ -1,9 +1,10 @@
 """Scenario files, built-in boundary complexes, and run orchestration.
 
 Scenario files are JSON with exact rationals written as "p/q" strings.
-Built-in boundaries are lattice discretizations of round benchmark shapes:
-a square "disk" boundary loop, three stacked rings, a square-annulus torus
-surface, and a box-boundary sphere shell.
+Built-in boundaries are lattice discretizations of round benchmark shapes,
+each the mod-2 boundary of one or two blocks of cells: a square "disk"
+boundary loop, three stacked rings, a square-annulus torus surface, and a
+box-boundary sphere shell.
 """
 
 from __future__ import annotations
@@ -126,7 +127,9 @@ def scenario_from_dict(data: dict) -> Scenario:
     density = _density_from_dict(_block(data, "density", {"kind": "constant"}), grid.n)
     solver_cfg = _solver_from_dict(_block(data, "solver", {}))
     diag = parse_diagnostics(data.get("diagnostics", "all"))
-    name = str(data.get("name", "unnamed"))  # the stem of the files `run` writes
+    name = data.get("name", "unnamed")  # the stem of the files `run` writes
+    if not isinstance(name, str):
+        raise ValueError(f"scenario field name must be a string, got {name!r}")
     if name in ("", ".", "..") or os.sep in name or (os.altsep and os.altsep in name):
         raise ValueError(f"scenario field name must be a plain file name, got {name!r}")
     return Scenario(
@@ -226,102 +229,31 @@ def _solver_from_dict(d: dict) -> SolverConfig:
 # built-in boundaries
 
 
-def _rectangle_ring(
-    grid: GridSpec, plane: tuple[int, int], lo: tuple[int, int],
-    hi: tuple[int, int], fixed: dict[int, int],
-) -> set[Cell]:
-    """Edge loop around an axis-aligned rectangle in the given plane."""
-    a, b = plane
-    cells: set[Cell] = set()
-
-    def edge(pa: int, pb: int, axis: int) -> Cell:
-        anchor = [0] * grid.n
-        anchor[a], anchor[b] = pa, pb
-        for ax, v in fixed.items():
-            anchor[ax] = v
-        return Cell(tuple(anchor), 1 << axis)
-
-    for t in range(lo[0], hi[0]):
-        cells.add(edge(t, lo[1], a))
-        cells.add(edge(t, hi[1], a))
-    for t in range(lo[1], hi[1]):
-        cells.add(edge(lo[0], t, b))
-        cells.add(edge(hi[0], t, b))
-    return cells
+# each builtin tag's grid dimension, and the name its dimension error uses
+_BUILTIN_GRID = {"disk": (2, "disk boundary"), "three_rings": (3, "three_rings"),
+                 "torus_longitude": (3, "torus_longitude"), "sphere_shell": (3, "sphere_shell")}
 
 
-def _solid_boundary(grid: GridSpec, solids: set[tuple[int, ...]]) -> set[Cell]:
-    """Mod-2 boundary faces of a set of top-dimensional cells."""
-    full = (1 << grid.n) - 1
-    count: dict[Cell, int] = {}
-    for anchor in solids:
-        for f in Cell(anchor, full).faces():
-            count[f] = count.get(f, 0) + 1
-    return {f for f, c in count.items() if c % 2 == 1}
+def _block_boundary(lo: tuple[int, ...], hi: tuple[int, ...]) -> set[Cell]:
+    """The mod-2 boundary of the block of cells anchored in [lo, hi), spanning
+    the axes where lo < hi and at lo on the others: its side faces normal to
+    each spanned axis, at lo and at hi, listed directly.  Each builtin is the
+    boundary of one or two blocks (the torus: the outer solid XOR its hole)."""
+    spanned = [a for a, (l, h) in enumerate(zip(lo, hi)) if l < h]
+    full = sum(1 << a for a in spanned)
+    out: set[Cell] = set()
+    for a in spanned:
+        for end in (lo[a], hi[a]):
+            ranges = [range(end, end + 1) if b == a else range(l, max(h, l + 1))
+                      for b, (l, h) in enumerate(zip(lo, hi))]
+            out.update(Cell(anchor, full ^ 1 << a) for anchor in itertools.product(*ranges))
+    return out
 
 
 def build_boundary(scenario: Scenario) -> CubicalComplex:
     grid = scenario.grid
     spec = scenario.boundary
     tag = spec["tag"]
-    if tag == "disk":
-        if grid.n != 2:
-            raise ValueError("disk boundary requires a 2-dimensional grid")
-        size = _as_int(spec.get("size", 3), "boundary.size")
-        x0, y0 = _int_pair(spec.get("origin", (0, 0)), "boundary.origin")
-        lo, hi = (x0, y0), (x0 + size, y0 + size)
-        _require_in_box(grid, (0, 1), lo, hi)
-        return CubicalComplex(grid, _rectangle_ring(grid, (0, 1), lo, hi, {}))
-    if tag == "three_rings":
-        if grid.n != 3:
-            raise ValueError("three_rings requires a 3-dimensional grid")
-        size = _as_int(spec.get("size", 3), "boundary.size")
-        spacing = _as_int(spec.get("spacing"), "boundary.spacing")
-        x0, y0 = _int_pair(spec.get("origin", (0, 0)), "boundary.origin")
-        z0 = _as_int(spec.get("z0", 0), "boundary.z0")
-        if spacing < 1:
-            raise ValueError("ring spacing must be at least 1")
-        if z0 + 2 * spacing > grid.box[2][1] or z0 < grid.box[2][0]:
-            raise ValueError("ring spacing exceeds the box height")
-        lo, hi = (x0, y0), (x0 + size, y0 + size)
-        _require_in_box(grid, (0, 1), lo, hi)
-        cells: set[Cell] = set()
-        for i in range(3):
-            cells |= _rectangle_ring(grid, (0, 1), lo, hi, {2: z0 + i * spacing})
-        return CubicalComplex(grid, cells)
-    if tag == "torus_longitude":
-        if grid.n != 3:
-            raise ValueError("torus_longitude requires a 3-dimensional grid")
-        outer = _int_pairs(spec.get("outer", [[0, 6], [0, 6]]), "boundary.outer", 2)
-        hole = _int_pairs(spec.get("hole", [[2, 4], [2, 4]]), "boundary.hole", 2)
-        zlo, zhi = _int_pair(spec.get("z", (1, 3)), "boundary.z")
-        _require_in_box(grid, (0, 1), (outer[0][0], outer[1][0]), (outer[0][1], outer[1][1]))
-        if not (grid.box[2][0] <= zlo < zhi <= grid.box[2][1]):
-            raise ValueError("torus z-range outside the box")
-        for axis in (0, 1):
-            if not outer[axis][0] < hole[axis][0] < hole[axis][1] < outer[axis][1]:
-                raise ValueError("torus hole must be strictly inside the outer box")
-        solids = {
-            (x, y, z)
-            for x in range(outer[0][0], outer[0][1])
-            for y in range(outer[1][0], outer[1][1])
-            for z in range(zlo, zhi)
-            if not (
-                hole[0][0] <= x < hole[0][1] and hole[1][0] <= y < hole[1][1]
-            )
-        }
-        return CubicalComplex(grid, _solid_boundary(grid, solids))
-    if tag == "sphere_shell":
-        if grid.n != 3:
-            raise ValueError("sphere_shell requires a 3-dimensional grid")
-        box = _int_pairs(spec.get("solid", [[0, 3], [0, 3], [0, 3]]), "boundary.solid", 3)
-        for a in range(3):
-            if not grid.box[a][0] <= box[a][0] < box[a][1] <= grid.box[a][1]:
-                raise ValueError("sphere shell solid outside the box")
-        solids = set(
-            itertools.product(*(range(lo, hi) for lo, hi in box))
-        )
-        return CubicalComplex(grid, _solid_boundary(grid, solids))
     if tag == "custom":
         path = spec.get("path")
         if not isinstance(path, str):
@@ -331,7 +263,47 @@ def build_boundary(scenario: Scenario) -> CubicalComplex:
         if A.grid != grid:
             raise ValueError("custom boundary grid differs from the scenario grid")
         return A
-    raise ValueError(f"unknown boundary tag {tag!r}")
+    if not isinstance(tag, str) or tag not in _BUILTIN_GRID:
+        raise ValueError(f"unknown boundary tag {tag!r}")
+    n, name = _BUILTIN_GRID[tag]
+    if grid.n != n:
+        raise ValueError(f"{name} requires a {n}-dimensional grid")
+    if tag == "disk":
+        size = _as_int(spec.get("size", 3), "boundary.size")
+        x0, y0 = _int_pair(spec.get("origin", (0, 0)), "boundary.origin")
+        lo, hi = (x0, y0), (x0 + size, y0 + size)
+        _require_in_box(grid, (0, 1), lo, hi)
+        cells = _block_boundary(lo, hi)
+    elif tag == "three_rings":
+        size = _as_int(spec.get("size", 3), "boundary.size")
+        spacing = _as_int(spec.get("spacing"), "boundary.spacing")
+        x0, y0 = _int_pair(spec.get("origin", (0, 0)), "boundary.origin")
+        z0 = _as_int(spec.get("z0", 0), "boundary.z0")
+        if spacing < 1:
+            raise ValueError("ring spacing must be at least 1")
+        if z0 + 2 * spacing > grid.box[2][1] or z0 < grid.box[2][0]:
+            raise ValueError("ring spacing exceeds the box height")
+        _require_in_box(grid, (0, 1), (x0, y0), (x0 + size, y0 + size))
+        cells = set().union(*(_block_boundary((x0, y0, z), (x0 + size, y0 + size, z))
+                              for z in range(z0, z0 + 3 * spacing, spacing)))
+    elif tag == "torus_longitude":
+        outer = _int_pairs(spec.get("outer", [[0, 6], [0, 6]]), "boundary.outer", 2)
+        hole = _int_pairs(spec.get("hole", [[2, 4], [2, 4]]), "boundary.hole", 2)
+        z = _int_pair(spec.get("z", (1, 3)), "boundary.z")
+        _require_in_box(grid, (0, 1), *zip(*outer))
+        if not (grid.box[2][0] <= z[0] < z[1] <= grid.box[2][1]):
+            raise ValueError("torus z-range outside the box")
+        for axis in (0, 1):
+            if not outer[axis][0] < hole[axis][0] < hole[axis][1] < outer[axis][1]:
+                raise ValueError("torus hole must be strictly inside the outer box")
+        cells = _block_boundary(*zip(*outer, z)) ^ _block_boundary(*zip(*hole, z))
+    else:
+        box = _int_pairs(spec.get("solid", [[0, 3], [0, 3], [0, 3]]), "boundary.solid", 3)
+        for a in range(3):
+            if not grid.box[a][0] <= box[a][0] < box[a][1] <= grid.box[a][1]:
+                raise ValueError("sphere shell solid outside the box")
+        cells = _block_boundary(*zip(*box))
+    return CubicalComplex(grid, cells)
 
 
 def _require_in_box(grid, axes, lo, hi) -> None:
@@ -494,17 +466,16 @@ def run(
             mesh_path = os.path.join(out_dir, f"{scenario.name}.off")
             export_off(X.complex, mesh_path)
             files.append(mesh_path)
+    solve_dict = solve_report.to_dict()
     report = RunReport(
         scenario=scenario.raw,
-        solve_report=solve_report.to_dict(),
+        solve_report=solve_dict,
         diagnostics=blocks,
         files=files,
         version=__version__,
         seed=scenario.seed,
         wall_time=time.monotonic() - t0,
-        determinism_hash=_hashable_core(
-            scenario.raw, solve_report.to_dict(), blocks
-        ),
+        determinism_hash=_hashable_core(scenario.raw, solve_dict, blocks),
     )
     if out_dir is not None:
         report_path = os.path.join(out_dir, f"{scenario.name}.report.json")
@@ -521,8 +492,5 @@ def check_surface(surface_path: str, scenario: Scenario) -> bool:
     if complex_.grid != scenario.grid:
         raise ValueError("surface grid differs from the scenario grid")
     problem = build_problem(scenario)
-    a_mcells = problem.A.cells_of_dim(problem.m)
-    mcells = frozenset(
-        c for c in complex_.cells_of_dim(problem.m) if c not in a_mcells
-    )
-    return spans(Surface(problem, mcells))
+    # A's own m-cells add zero rows to the spanning system: each class is a cocycle
+    return spans(Surface(problem, complex_.cells_of_dim(problem.m)))

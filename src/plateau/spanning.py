@@ -251,38 +251,43 @@ def relative_coboundary_dominates(
 # canonical class sets
 
 
-def check_closed_manifold(K: CubicalComplex, dim: int) -> None:
+def check_closed_manifold(K: CubicalComplex, dim: int, counts: Optional[dict] = None) -> None:
     """Raise ValueError unless K is a closed dim-manifold complex: it has
-    dimension dim and every (dim-1)-cell has exactly two top cofaces in K."""
+    dimension dim and every (dim-1)-cell has exactly two top cofaces in K
+    (counted here unless `counts` gives them by ridge)."""
     if K.dim != dim:
         raise ValueError(
             f"complex has dimension {K.dim}, expected a closed {dim}-manifold"
         )
-    counts = Counter(f for c in K.cells_of_dim(dim) for f in c.faces())
+    if counts is None:
+        counts = Counter(f for c in K.cells_of_dim(dim) for f in c.faces())
     for ridge in K.cells_of_dim(dim - 1):
-        if (count := counts[ridge]) != 2:
+        if (count := counts.get(ridge, 0)) != 2:
             raise ValueError(
                 f"ridge {ridge} has {count} top cofaces; the complex is not a "
                 "closed manifold"
             )
 
 
-def fundamental_cycle(comp: CubicalComplex, m: int) -> dict[Cell, int]:
+def fundamental_cycle(comp: CubicalComplex, m: int,
+                      faces: Optional[dict] = None) -> dict[Cell, int]:
     """Oriented fundamental (m-1)-cycle of a closed manifold component, the
-    least top cell at +1; one table of each ridge's signed top cofaces serves
-    the orientation walk and the zero-boundary check."""
+    least top cell at +1.  From `faces`, each top cell's `boundary_incidences`
+    (read here if not given), one table of each ridge's signed top cofaces
+    serves the orientation walk and the zero-boundary check."""
     top = comp.sorted_cells(m - 1)
     if not top:
         raise ValueError("component has no top cells")
+    faces = faces or {c: boundary_incidences(c) for c in top}
     cofaces: dict[Cell, list[tuple[Cell, int]]] = {}
     for c in top:
-        for f, sign in boundary_incidences(c):
+        for f, sign in faces[c]:
             cofaces.setdefault(f, []).append((c, sign))
     orientation: dict[Cell, int] = {top[0]: 1}
     queue = [top[0]]
     while queue:
         c = queue.pop()
-        for f, sign in boundary_incidences(c):
+        for f, sign in faces[c]:
             for c2, sign2 in cofaces[f]:
                 if c2 == c:
                     continue
@@ -305,9 +310,11 @@ def canonical_L(A: CubicalComplex, m: int, coeffs: Coeffs) -> list[CohomologyCla
     The generator is the indicator of the component's least top cell; it
     pairs to 1 with the component's fundamental cycle, so it is not zero.
     Over GF(p) and Q that cycle needs an orientation, which
-    `fundamental_cycle` checks exists and starts at that cell.  For m = 1 the
-    classes are component indicators in reduced degree 0, and the one
-    component of a connected A is the constant: then there is no class.
+    `fundamental_cycle` checks exists and starts at that cell; each top
+    cell's signed faces are read once, for the closed-manifold count and that
+    walk (over GF(2) the count uses `Cell.faces`).  For m = 1 the classes are
+    component indicators in reduced degree 0, and the one component of a
+    connected A is the constant: then there is no class.
     """
     comps = connected_components(A)
     if m == 1 and len(comps) == 1:
@@ -320,9 +327,12 @@ def canonical_L(A: CubicalComplex, m: int, coeffs: Coeffs) -> list[CohomologyCla
             for c in comp.cells_of_dim(0):
                 rep[pos[c]] = coeffs.one
         else:
-            check_closed_manifold(comp, m - 1)
-            if coeffs.kind != "gf2":
-                fundamental_cycle(comp, m)
+            if coeffs.kind == "gf2":
+                check_closed_manifold(comp, m - 1)
+            else:  # one `boundary_incidences` call per top cell serves both
+                faces = {c: boundary_incidences(c) for c in comp.sorted_cells(m - 1)}
+                check_closed_manifold(comp, m - 1, Counter(f for fs in faces.values() for f, _ in fs))
+                fundamental_cycle(comp, m, faces)
             rep[pos[min(comp.cells_of_dim(m - 1))]] = coeffs.one
         out.append(CohomologyClass(rep, label=f"component-{ci}"))
     return out

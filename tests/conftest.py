@@ -190,6 +190,24 @@ def reference_cofaces(cell: Cell, grid: GridSpec) -> set[Cell]:
     return out
 
 
+def block_cells(lo, hi) -> list[Cell]:
+    """The cells with anchors from lo up to hi - 1 along each axis where
+    lo < hi, spanning those axes, and at lo along the others."""
+    axes = sum(1 << a for a, (l, h) in enumerate(zip(lo, hi)) if h > l)
+    ranges = (range(l, max(h, l + 1)) for l, h in zip(lo, hi))
+    return [Cell(anchor, axes) for anchor in itertools.product(*ranges)]
+
+
+def mod2_boundary(cells: Iterable[Cell]) -> set[Cell]:
+    """The faces that an odd number of the cells have: the definitional
+    reference for `scenarios._block_boundary`."""
+    parity: dict[Cell, int] = {}
+    for c in cells:
+        for f in c.faces():
+            parity[f] = parity.get(f, 0) ^ 1
+    return {f for f, odd in parity.items() if odd}
+
+
 def gauss_jordan(F, rows, cols):
     """Reference: textbook Gauss-Jordan on entry lists, lowest-column pivots.
 

@@ -22,7 +22,7 @@ from plateau.lattice import Cell, CubicalComplex, GridSpec, build_skeleton, conn
 from plateau.linalg import GF2
 from plateau.linking import crossed_faces
 from plateau.oracle import OracleConfig, isoperimetric_scan, oracle_surface
-from plateau.scenarios import _rectangle_ring, run
+from plateau.scenarios import _block_boundary, run
 from plateau.solver import (
     SolverConfig,
     greedy_minimize,
@@ -46,7 +46,7 @@ from conftest import (
 
 def _rect_disk_problem(w: int, h: int) -> SpanningProblem:
     grid = GridSpec(2, 0, ((0, w), (0, h)))
-    A = CubicalComplex(grid, _rectangle_ring(grid, (0, 1), (0, 0), (w, h), {}))
+    A = CubicalComplex(grid, _block_boundary((0, 0), (w, h)))
     return SpanningProblem(A, grid, 2, canonical_L(A, 2, GF2), GF2, DensityField())
 
 

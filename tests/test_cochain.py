@@ -12,6 +12,7 @@ from plateau.cochain import (
 )
 from plateau.lattice import Cell, CubicalComplex, GridSpec, box_cells, build_skeleton
 from plateau.linalg import GF2, RATIONAL, Coeffs, FieldMatrix, kernel_basis, row_reduce
+from plateau.scenarios import _block_boundary
 from plateau.spanning import canonical_L
 
 from conftest import (
@@ -25,12 +26,8 @@ from conftest import (
 GF5 = Coeffs("gfp", 5)
 
 
-def ring_complex(grid, lo=(0, 0), hi=(2, 2), fixed=()):
-    from plateau.scenarios import _rectangle_ring
-
-    return CubicalComplex(
-        grid, _rectangle_ring(grid, (0, 1), lo, hi, dict(fixed))
-    )
+def ring_complex(grid, lo=(0, 0), hi=(2, 2)):
+    return CubicalComplex(grid, _block_boundary(lo, hi))
 
 
 def test_boundary_incidences_signs():
@@ -179,11 +176,9 @@ def _circle():
 
 
 def _torus():
-    from plateau.scenarios import _solid_boundary
-
     grid = GridSpec(3, 0, ((0, 3), (0, 3), (0, 1)))
-    solids = {(x, y, 0) for x in range(3) for y in range(3) if (x, y) != (1, 1)}
-    return CubicalComplex(grid, _solid_boundary(grid, solids)), 2
+    cells = _block_boundary((0, 0, 0), (3, 3, 1)) ^ _block_boundary((1, 1, 0), (2, 2, 1))
+    return CubicalComplex(grid, cells), 2
 
 
 def _box_with_two_holes():

@@ -34,6 +34,14 @@ def test_gridspec_validation():
     assert g.side == Fraction(1, 4)
 
 
+@pytest.mark.parametrize("k", [-1, 65, 100_000])
+def test_grid_level_is_bounded(k):
+    """Weights are integers over 2**(k m), so the level k lies in 0..64."""
+    assert GridSpec(2, 64, ((0, 1), (0, 1))).side == Fraction(1, 2**64)
+    with pytest.raises(ValueError, match=f"grid.k must lie in 0..64, got {k}"):
+        GridSpec(2, k, ((0, 1), (0, 1)))
+
+
 def test_cell_basics():
     c = Cell((1, 2, 3), 0b101)
     assert c.dim == 2

@@ -17,6 +17,7 @@ from plateau.lattice import (
 )
 from plateau.linalg import GF2
 from plateau.scenarios import (
+    _block_boundary,
     build_boundary,
     build_problem,
     check_surface,
@@ -27,7 +28,9 @@ from plateau.scenarios import (
 )
 from plateau.spanning import SpanningProblem, check_closed_manifold
 
-from conftest import SCENARIO_NAMES, euler_characteristic, load, scenario_path
+from conftest import (
+    SCENARIO_NAMES, block_cells, euler_characteristic, load, mod2_boundary, scenario_path,
+)
 
 
 def test_parse_rational():
@@ -259,6 +262,34 @@ def test_scenario_name_must_be_a_plain_file_name(name):
     with pytest.raises(ValueError, match="plain file name"):
         scenario_from_dict({**raw, "name": name})
     assert scenario_from_dict({**raw, "name": "disk3.copy"}).name == "disk3.copy"
+
+
+@pytest.mark.parametrize("name", [None, 5, True, ["disk3"], {"stem": "disk3"}])
+def test_scenario_name_must_be_a_string(name, tmp_path):
+    """A name that is no string is an input error, not converted with str():
+    the loader rejects it, and `plateau solve --out` exits 2 and writes
+    nothing."""
+    raw = {**load("disk3").raw, "name": name}
+    with pytest.raises(ValueError, match="scenario field name must be a string"):
+        scenario_from_dict(raw)
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps(raw))
+    code, err = _cli_exit(["solve", str(path), "--out", str(tmp_path / "out"),
+                           "--diagnostics", "none"])
+    assert code == 2
+    assert err.startswith("error:") and "name must be a string" in err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["named.json"]
+
+
+def test_cli_solve_rejects_an_oversized_grid_level(tmp_path):
+    """A disk3 copy at grid.k = 100,000 exits 2 at load, naming grid.k,
+    before any solve allocates weights over 2**(k m)."""
+    raw = load("disk3").raw
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({**raw, "grid": {**raw["grid"], "k": 100_000}}))
+    code, err = _cli_exit(["solve", str(path), "--diagnostics", "none"])
+    assert code == 2
+    assert err.startswith("error:") and "grid.k must lie in 0..64" in err
 
 
 @pytest.mark.parametrize("absolute", [False, True], ids=["relative", "absolute"])
@@ -636,6 +667,33 @@ def test_malformed_complex_file_exits_2(text, via):
     code, err = _complex_file_exit(text, via)
     assert code == 2, (text, via)
     assert err.startswith("error:")
+
+
+@st.composite
+def _nested_blocks(draw):
+    """(lo, hi) of a block with n <= 4 and some axes possibly degenerate, and
+    (lo, hi) of a block inside it, degenerate on any of the outer's axes."""
+    n = draw(st.integers(1, 4))
+    lo = [draw(st.integers(-2, 2)) for _ in range(n)]
+    hi = [low + draw(st.integers(0, 3)) for low in lo]
+    ilo = [draw(st.integers(low, max(low, high - 1))) for low, high in zip(lo, hi)]
+    ihi = [draw(st.integers(low, high)) if high > low else low
+           for low, high in zip(ilo, hi)]
+    return (lo, hi), (ilo, ihi)
+
+
+@given(blocks=_nested_blocks())
+@settings(max_examples=300, deadline=None)
+def test_block_boundary_matches_face_parity(blocks):
+    """`_block_boundary` lists a block's side faces directly; they are the
+    faces that an odd number of its cells have, and the XOR of a nested
+    pair's boundaries is that of the cells in one block but not the other."""
+    (lo, hi), (ilo, ihi) = blocks
+    outer, inner = block_cells(lo, hi), block_cells(ilo, ihi)
+    assert _block_boundary(lo, hi) == mod2_boundary(outer)
+    assert _block_boundary(ilo, ihi) == mod2_boundary(inner)
+    assert (_block_boundary(lo, hi) ^ _block_boundary(ilo, ihi)
+            == mod2_boundary(set(outer) ^ set(inner)))
 
 
 # per builtin: grid dimension, the dimension of the closed manifold it

@@ -1,5 +1,4 @@
 import copy
-import itertools
 import random
 
 import pytest
@@ -8,7 +7,7 @@ from hypothesis import strategies as st
 
 from plateau.cochain import CochainComplexData, boundary_incidences, cohomology
 from plateau.lattice import (
-    Cell, CubicalComplex, GridSpec, HalfLattice, box_cells, build_skeleton,
+    Cell, CubicalComplex, GridSpec, HalfLattice, box_cells, build_skeleton, connected_components,
 )
 from plateau.linalg import GF2, RATIONAL, Coeffs, FieldMatrix, _dense
 from plateau.solver import (
@@ -29,10 +28,11 @@ from plateau.spanning import (
     fundamental_cycle,
     spans,
 )
+from plateau import spanning
 from plateau.witness import build_witness_system
 
 from conftest import (
-    chain_boundary, gauss_jordan, matrix_row, problem_over, reference_cofaces,
+    block_cells, mod2_boundary, chain_boundary, gauss_jordan, matrix_row, problem_over, reference_cofaces,
     reference_solution_spaces, restriction_spans,
 )
 
@@ -50,6 +50,69 @@ def test_canonical_L_three_rings(tiny_problem):
         assert len(zs) == 1
         comps_hit.add(zs.pop())
     assert comps_hit == {1, 2, 3}
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=["gf2", "gf3", "q"])
+@pytest.mark.parametrize("name", ["sphere_shell", "rings_d3"])
+def test_canonical_L_walks_each_component_once(monkeypatch, name, F):
+    """Over GF(p) and Q `canonical_L` reads each top cell's signed faces once,
+    for both the closed-manifold count and the orientation walk, and calls no
+    `Cell.faces`.  Over GF(2) it
+    counts ridge cofaces with `Cell.faces` and orients nothing."""
+    A = problem_over(name, "gf2").A
+    m = 2 if name == "rings_d3" else 3
+    calls = {"boundary_incidences": 0, "faces": 0}
+    incidences, faces = spanning.boundary_incidences, Cell.faces
+
+    def counted_incidences(cell):
+        calls["boundary_incidences"] += 1
+        return incidences(cell)
+
+    def counted_faces(cell):
+        calls["faces"] += 1
+        return faces(cell)
+
+    monkeypatch.setattr(spanning, "boundary_incidences", counted_incidences)
+    monkeypatch.setattr(Cell, "faces", counted_faces)
+    expected = canonical_L(A, m, F)
+    monkeypatch.undo()
+    assert expected == canonical_L(A, m, F)
+    top = len(A.cells_of_dim(m - 1))
+    if F.kind == "gf2":
+        assert calls == {"boundary_incidences": 0, "faces": top}
+    else:
+        assert calls == {"boundary_incidences": top, "faces": 0}
+
+
+@given(data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_canonical_L_rejects_alike_over_every_field(data):
+    """On random complexes that may or may not be closed manifolds (the mod-2
+    boundary of a few cells plus up to two stray cells of the same
+    dimension), `canonical_L` over GF(3) and Q, which counts ridge cofaces
+    from each top cell's signed faces, raises on each component the same closed-manifold error
+    as over GF(2), which counts them with `Cell.faces`.  Where GF(2) builds a
+    class, the other fields build the same one, or find no orientation walk:
+    two surfaces that meet at a vertex only are one component, but not one
+    ridge-connected one."""
+    n = data.draw(st.integers(2, 4))
+    dim = data.draw(st.integers(1, n - 1))
+    box = ((0, 3 if n < 4 else 2),) * n
+    solids = sorted(box_cells(box, dim + 1))
+    cells = data.draw(st.lists(st.sampled_from(solids), min_size=1, max_size=3, unique=True))
+    strays = data.draw(st.lists(st.sampled_from(sorted(box_cells(box, dim))), max_size=2))
+    K = CubicalComplex(GridSpec(n, 0, box), [*mod2_boundary(cells), *strays])
+    for comp in connected_components(K):
+        outcomes = []
+        for F in FIELDS:
+            try:
+                outcomes.append([c.rep for c in canonical_L(comp, dim + 1, F)])
+            except ValueError as exc:
+                outcomes.append(str(exc))
+        gf2, *others = outcomes
+        for out in others:
+            assert out == gf2 or not isinstance(gf2, str) and out in (
+                "component is non-orientable", "top cells of component are not ridge-connected")
 
 
 @pytest.mark.parametrize("F", FIELDS, ids=["gf2", "gf3", "q"])
@@ -356,14 +419,6 @@ def test_closed_manifold_check_matches_coface_reference(data):
                                   "is not a closed manifold")
 
 
-def _block(lo, hi) -> list[Cell]:
-    """The cells with anchors from lo up to hi - 1 along each axis where
-    lo < hi, spanning those axes, and at lo along the others."""
-    axes = sum(1 << a for a, (l, h) in enumerate(zip(lo, hi)) if h > l)
-    ranges = (range(l, max(h, l + 1)) for l, h in zip(lo, hi))
-    return [Cell(anchor, axes) for anchor in itertools.product(*ranges)]
-
-
 @st.composite
 def spanning_surfaces(draw, n: int, m: int, fields=FIELDS):
     """A random small problem over one of `fields` whose A bounds one or two
@@ -380,7 +435,7 @@ def spanning_surfaces(draw, n: int, m: int, fields=FIELDS):
             low = draw(st.integers(0, side - 1 if a in axes else side))
             lo.append(low)
             hi.append(draw(st.integers(low + 1, side)) if a in axes else low)
-        blocks.append(_block(lo, hi))
+        blocks.append(block_cells(lo, hi))
     faces: dict[Cell, int] = {}
     for c in {c for block in blocks for c in block}:
         for f in c.faces():
