@@ -39,8 +39,8 @@ from .solver import (
     SolveReport,
     SolverConfig,
     greedy_minimize,
-    initial_fill,
     local_replace,
+    region_interior,
     solve,
     surface_weight,
 )

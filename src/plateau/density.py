@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .lattice import Cell, GridSpec, box_cells
+from .lattice import Cell, GridSpec, box_cells, check_box_cells
 
 
 @dataclass(frozen=True)
@@ -78,9 +78,12 @@ class DensityField:
     def validate(self, grid: GridSpec, dim: int) -> None:
         """Check the [a, b] bounds at the barycenter of every dim-cell of the
         box, as ceil(a D) <= g <= floor(b D) on `on_grid`'s ints; a constant
-        density is checked at the first cell only."""
+        density is checked at the first cell only, any other once
+        `check_box_cells` passes."""
         D, g = self.on_grid(grid)
         low, high = math.ceil(self.a * D), math.floor(self.b * D)
+        if self.kind != "constant":
+            check_box_cells(grid.box, dim)
         for cell in box_cells(grid.box, dim):
             v = g(cell)
             if not low <= v <= high:

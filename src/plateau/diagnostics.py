@@ -59,7 +59,9 @@ def _probe(X: Surface, point: tuple[Fraction, ...]) -> list[tuple[object, int]]:
 
 
 def _ball_weight(X: Surface, probe: list, r: Fraction) -> Fraction:
-    """Weight of the probed cells whose barycenter lies within r."""
+    """Weight of the probed cells whose barycenter lies within r > 0."""
+    if r <= 0:
+        raise ValueError(f"radius {r} must be positive")
     r2 = _radius2(r, X.problem.grid.side)
     return Fraction(sum(w for d2, w in probe if d2 <= r2), X.problem.weight_table()[1])
 
@@ -119,10 +121,7 @@ class DensityProfile:
 
     def ratios(self) -> list[float]:
         alpha = _ALPHA[self.m]
-        return [
-            float(gv) / (alpha * float(r) ** self.m) if r else 0.0
-            for r, gv in zip(self.radii, self.g)
-        ]
+        return [float(gv) / (alpha * float(r) ** self.m) for r, gv in zip(self.radii, self.g)]
 
     def lower_density(self, min_radius: Fraction) -> Optional[float]:
         vals = [

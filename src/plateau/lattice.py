@@ -11,6 +11,7 @@ construction run in C; it compares equal to the plain tuple
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -184,6 +185,23 @@ def _close(cells: set[Cell]) -> set[Cell]:
         out |= new
         layer = [f for f in new if f.free_axes]
     return out
+
+
+# most d-cells of a problem's box: the boundary rows are as wide as the box's
+# half-lattice id range, so memory grows with the square of the cell count
+MAX_BOX_CELLS = 20_000
+
+
+def check_box_cells(box: Sequence[tuple[int, int]], d: int) -> None:
+    """Raise ValueError when the box holds more than MAX_BOX_CELLS d-cells,
+    counted before any is listed: over each set of d axes, the product of
+    the side lengths on those axes and the lengths + 1 on the others."""
+    count = sum(
+        math.prod(high - low + (a not in axes) for a, (low, high) in enumerate(box))
+        for axes in itertools.combinations(range(len(box)), d)
+    )
+    if count > MAX_BOX_CELLS:
+        raise ValueError(f"the box holds {count} {d}-cells, above the bound {MAX_BOX_CELLS}")
 
 
 def box_cells(box: Sequence[tuple[int, int]], d: int,

@@ -425,14 +425,11 @@ def isoperimetric_scan(
             lower = best_weight
             stop = "done"
 
-    cells = frozenset(
-        system.mcells[j] for j in bit_indices(best_mask & ~a_mask)
-    )
     # report against the original problem (crop preserves the optimum)
     scale = system.scale
     return OracleResult(
         Fraction(best_weight, scale), Fraction(lower, scale), lower == best_weight,
-        nodes, cells, work.grid.box, len(loops), stop,
+        nodes, system.surface(best_mask).mcells, work.grid.box, len(loops), stop,
     )
 
 

@@ -121,7 +121,8 @@ def scenario_from_dict(data: dict) -> Scenario:
     elif isinstance(kind, dict) and kind.get("kind") == "gfp":
         if "p" not in kind:
             raise ValueError("scenario field coeffs.p is required for a gfp field")
-        coeffs = Coeffs("gfp", _as_int(kind["p"], "coeffs.p"))
+        p = _as_int(kind["p"], "coeffs.p")
+        coeffs = GF2 if p == 2 else Coeffs("gfp", p)  # GF(2) has one code path, bit-packed
     else:
         raise ValueError(f"unknown coefficient field {kind!r}")
     density = _density_from_dict(_block(data, "density", {"kind": "constant"}), grid.n)

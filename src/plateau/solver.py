@@ -8,9 +8,11 @@ when m = n its one cell lies on a 1-minimal surface).  A local replacement is
 an exact minimization of one region's interior on the witness branch-and-bound
 that the oracle also runs.  Every accepted move preserves spanning by
 construction and the final surface is 1-minimal.  Every stage works on the
-caller's witness system; only `solve` and `assert_one_minimal` build one when
-none is given.  Greedy removal and local moves zero a column set in one pass
-per space; witness re-seeding solves each order's member on an echelon.
+caller's witness system (only `solve` and `assert_one_minimal` build one when
+none is given) and on column masks over its m-cells that hold A's columns;
+`solve` builds one `Surface`, at its exit.  Greedy removal and local moves
+zero a column set in one pass per space; witness re-seeding solves each
+order's member on an echelon.
 """
 
 from __future__ import annotations
@@ -83,52 +85,44 @@ def surface_weight(X: Surface) -> Fraction:
     return Fraction(sum(table[c] for c in X.free_mcells()), scale)
 
 
-def initial_fill(system: WitnessSystem) -> Surface:
-    """A u all m-cells of the box.  It spans: the witness build raised unless
-    every class has a witness chain in the box, and the fill holds them all."""
-    problem = system.problem
-    return problem.surface(problem.box_mcells())
-
-
 def greedy_minimize(
-    X0: Surface, cfg: SolverConfig, system: WitnessSystem
-) -> tuple[Surface, list[tuple[str, Fraction]]]:
-    """Remove cells one at a time while every class keeps a witness chain.
+    X0: int, cfg: SolverConfig, system: WitnessSystem
+) -> tuple[int, list[tuple[str, Fraction]]]:
+    """Remove columns one at a time while every class keeps a witness chain.
 
-    Returns the reduced surface and one ("remove", -weight) move per removed
+    Returns the reduced mask and one ("remove", -weight) move per removed
     cell.  One pass leaves it 1-minimal: a cell stays only when some space
     holds its column in `particular` and in no basis vector, and zeroing
     other columns only adds multiples of vectors that lack that column, so
     no later removal frees a kept cell.  Raises ValueError unless X0 spans.
     """
-    problem = X0.problem
     spaces = system.copy_spaces()
-    keep = system.mask_of(X0.mcells) | system.a_mask
     for s in spaces:
-        if not s.constrain_zeros(system.full_mask() & ~keep):
+        if not s.constrain_zeros(system.full_mask() & ~X0):
             raise ValueError("greedy_minimize requires a spanning start surface")
 
     weights, scale = system.weights, system.scale
-    free = X0.free_mcells()
+    # columns follow the sorted m-cells, so a stable sort on weight alone
+    # breaks ties by cell
+    free = list(bit_indices(X0 & ~system.a_mask))
     if cfg.removal_order == "heaviest-first":
-        free.sort(key=lambda c: (-weights[system.column[c]], c.anchor, c.free_axes))
+        free.sort(key=lambda j: -weights[j])
     else:
         random.Random(cfg.seed).shuffle(free)
 
     moves: list[tuple[str, Fraction]] = []
-    removed = []
-    for cell in free:
-        col = system.column[cell]
+    X = X0
+    for col in free:
         if all(s.can_zero(col) for s in spaces):
             for s in spaces:
                 s.constrain_zero(col)
-            removed.append(cell)
+            X &= ~(1 << col)
             moves.append(("remove", Fraction(-weights[col], scale)))
-    return Surface(problem, X0.mcells.difference(removed)), moves
+    return X, moves
 
 
-def contract_to_witnesses(system: WitnessSystem) -> Surface:
-    """Union of one low-weight witness chain per class, drawn from the box.
+def contract_to_witnesses(system: WitnessSystem) -> int:
+    """A plus one low-weight witness chain per class, drawn from the box.
 
     Within each class's witness space, coordinates are zeroed greedily
     heaviest-first, in 2n tie-breaking orders (`zeroed_supports` solves each
@@ -140,17 +134,12 @@ def contract_to_witnesses(system: WitnessSystem) -> Surface:
     a_mask = system.a_mask
     # several deterministic zeroing orders of the free columns; per class the
     # lightest survivor wins (which cells a greedy zeroing leaves is highly
-    # order-sensitive).  Columns follow the sorted m-cells, so the last key,
-    # a column, breaks ties as its cell would.
+    # order-sensitive).  Columns follow the sorted m-cells, so a stable sort
+    # breaks the remaining ties by cell.
     weights, mcells = system.weights, system.mcells
     free = list(bit_indices(system.full_mask() & ~a_mask))
     orders = [
-        sorted(
-            free,
-            key=lambda j, a=axis, s=sign: (
-                -weights[j], s * mcells[j].anchor[a], j
-            ),
-        )
+        sorted(free, key=lambda j, a=axis, s=sign: (-weights[j], s * mcells[j].anchor[a]))
         for axis in range(problem.grid.n)
         for sign in (1, -1)
     ]
@@ -174,12 +163,8 @@ def contract_to_witnesses(system: WitnessSystem) -> Surface:
                 best_w, keep = w, union
     else:
         for supports in candidates:
-            new = min(
-                supports, key=lambda s_mask: (system.weight(s_mask & ~keep), s_mask)
-            )
-            keep |= new
-    # every support avoids A, so keep does too
-    return Surface(problem, frozenset(mcells[j] for j in bit_indices(keep)))
+            keep |= min(supports, key=lambda s_mask: (system.weight(s_mask & ~keep), s_mask))
+    return keep | a_mask
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +176,12 @@ def contract_to_witnesses(system: WitnessSystem) -> Surface:
 LOCAL_NODE_CAP = 20_000
 
 
-def _check_region(problem: SpanningProblem, lows: Sequence[int],
-                  highs: Sequence[int]) -> None:
-    """Raise unless the region lies in the box and no cell of A lies in its
-    interior: inside the region and off its frontier."""
+def region_interior(system: WitnessSystem, lows: Sequence[int],
+                    highs: Sequence[int]) -> int:
+    """The mask of the region's interior m-cells: inside it and off its
+    frontier.  Raises unless the region lies in the box and no cell of A
+    lies in its interior."""
+    problem = system.problem
     box = problem.grid.box
     for a in range(problem.grid.n):
         if not box[a][0] <= lows[a] < highs[a] <= box[a][1]:
@@ -205,46 +192,36 @@ def _check_region(problem: SpanningProblem, lows: Sequence[int],
             for a, (x, lo, hi) in enumerate(zip(c.anchor, lows, highs))
         ):
             raise ValueError("region interior touches the boundary complex A")
+    return system.mask_of(box_cells(tuple(zip(lows, highs)), problem.m, interior=True))
 
 
-def local_replace(
-    X: Surface, lows: Sequence[int], highs: Sequence[int], system: WitnessSystem,
-    interior: Optional[Sequence[Cell]] = None,
-) -> Surface:
+def local_replace(X: int, interior: int, system: WitnessSystem) -> int:
     """Exact minimum-weight refilling of X inside one small region.
 
-    The region's interior must avoid A.  Every m-cell outside the interior
-    stays as in X, and the witness branch-and-bound that the oracle runs
-    finds the lightest set of interior m-cells that keeps X spanning.  X
-    itself is returned when it has no m-cell in the interior, or when no
-    refill is strictly lighter than its own.  The search stops after
-    LOCAL_NODE_CAP nodes with the lightest refill found so far.  Raises
-    ValueError when X has interior m-cells but does not span.  `solve`
-    passes the interior m-cells of a region it has checked already.
+    `interior` is the mask of the region's interior m-cells, which must
+    avoid A (`region_interior`).  Every column outside it stays as in X,
+    and the witness branch-and-bound that the oracle runs finds the lightest
+    set of interior columns that keeps X spanning.  X itself is returned
+    when it has no interior column, or when no refill is strictly lighter
+    than its own.  The search stops after LOCAL_NODE_CAP nodes with the
+    lightest refill found so far.  Raises ValueError when X has interior
+    columns but does not span.
     """
-    problem = X.problem
-    m = problem.m
-    if interior is None:
-        _check_region(problem, lows, highs)
-        interior = list(box_cells(tuple(zip(lows, highs)), m, interior=True))
-    current = X.mcells.intersection(interior)
+    current = X & interior
     if not current:
         return X
-    interior_mask = system.mask_of(interior)
-    allowed = system.mask_of(X.mcells) | system.a_mask
     spaces = system.copy_spaces()
     for s in spaces:
-        s.constrain_zeros(system.full_mask() & ~(allowed | interior_mask))
-    if not all(s.member_within(allowed) is not None for s in spaces):
+        s.constrain_zeros(system.full_mask() & ~(X | interior))
+    if not all(s.member_within(X) is not None for s in spaces):
         raise ValueError("local_replace requires a spanning surface")
     search = branch_and_bound(
-        spaces, allowed & ~interior_mask, system.weights,
-        system.weight(system.mask_of(current)), budget=LOCAL_NODE_CAP,
+        spaces, X & ~interior, system.weights, system.weight(current),
+        budget=LOCAL_NODE_CAP,
     )
     if search.best is None:
         return X
-    refill = (system.mcells[j] for j in bit_indices(search.best[1] & interior_mask))
-    return Surface(problem, (X.mcells - current).union(refill))
+    return X & ~interior | search.best[1] & interior
 
 
 # ---------------------------------------------------------------------------
@@ -269,52 +246,50 @@ def solve(
     t0 = time.monotonic()
     system = system or build_witness_system(problem)
     scale = system.scale
-
-    def weight(Y: Surface) -> int:
-        return system.weight(system.mask_of(Y.mcells))
-
-    X = initial_fill(system)
-    initial_weight = weight(X)
+    # the fill, A u every m-cell of the box, spans: the witness build raised
+    # unless every class has a witness chain in the box
+    X = system.full_mask()
+    initial_weight = system.weight(X)
     X, moves = greedy_minimize(X, cfg, system)
-    w = weight(X)
+    w = system.weight(X)
     # witness re-seeding: minimize the union of per-class witness chains
     # drawn from the whole box, and keep it if it beats the greedy surface
-    seed = contract_to_witnesses(system)
-    seed, _ = greedy_minimize(seed, cfg, system)
-    ws = weight(seed)
+    seed, _ = greedy_minimize(contract_to_witnesses(system), cfg, system)
+    ws = system.weight(seed)
     if ws < w:
         moves.append(("witness_seed", Fraction(ws - w, scale)))
         X, w = seed, ws
-    regions = [  # with their interior m-cells, listed once for every pass
-        (lows, highs, list(box_cells(tuple(zip(lows, highs)), problem.m, True)))
+    interiors = [  # listed once for every pass; each avoids A by construction
+        system.mask_of(box_cells(tuple(zip(lows, highs)), problem.m, interior=True))
         for lows, highs in _admissible_regions(problem)
     ]
     for _ in range(cfg.max_passes):
         improved = False
-        for lows, highs, interior in regions:
+        for interior in interiors:
             # local_replace returns X itself unless a refill is strictly lighter
-            X2 = local_replace(X, lows, highs, system, interior)
-            if X2 is not X:
-                w2 = weight(X2)
+            X2 = local_replace(X, interior, system)
+            if X2 != X:
+                w2 = system.weight(X2)
                 moves.append(("local_replace", Fraction(w2 - w, scale)))
                 X, w = X2, w2
                 improved = True
         if improved:
             X, removals = greedy_minimize(X, cfg, system)
             moves += removals
-            w = weight(X)
+            w = system.weight(X)
         else:
             break
+    Y = system.surface(X)
     report = SolveReport(
         initial_weight=Fraction(initial_weight, scale),
         final_weight=Fraction(w, scale),
         moves=moves,
-        spans_verified=system.spans_surface(X),
+        spans_verified=system.spans_surface(Y),
         wall_time=time.monotonic() - t0,
     )
     if not report.spans_verified:
         raise AssertionError("solver output lost the spanning property")
-    return X, report
+    return Y, report
 
 
 def assert_one_minimal(X: Surface, system: Optional[WitnessSystem] = None) -> None:
@@ -322,6 +297,5 @@ def assert_one_minimal(X: Surface, system: Optional[WitnessSystem] = None) -> No
     system = system or build_witness_system(X.problem)
     base = system.mask_of(X.mcells) | system.a_mask
     for c in X.free_mcells():
-        mask = base & ~(1 << system.column[c])
-        if system.spans_mask(mask):
+        if system.spans_mask(base & ~(1 << system.column[c])):
             raise AssertionError(f"cell {c} is removable; surface not 1-minimal")

@@ -34,6 +34,7 @@ from .lattice import (
     GridSpec,
     HalfLattice,
     box_cells,
+    check_box_cells,
     connected_components,
 )
 from .linalg import Coeffs, _echelon
@@ -95,6 +96,7 @@ class SpanningProblem:
     def box_mcells(self) -> list[Cell]:
         """Every m-cell of the box, sorted, listed once per problem."""
         if self._mcells is None:
+            check_box_cells(self.grid.box, self.m)
             self._mcells = sorted(box_cells(self.grid.box, self.m))
         return self._mcells
 

@@ -288,6 +288,10 @@ class WitnessSystem:
     def spans_surface(self, X: Surface) -> bool:
         return self.spans_mask(self.mask_of(X.mcells) | self.a_mask)
 
+    def surface(self, mask: int) -> Surface:
+        """A plus the mask's m-cells off A."""
+        return self.problem.surface(self.mcells[j] for j in bit_indices(mask & ~self.a_mask))
+
     def copy_spaces(self) -> list:
         return [s.copy() for s in self.spaces]
 

@@ -26,7 +26,6 @@ from plateau.scenarios import _block_boundary, run
 from plateau.solver import (
     SolverConfig,
     greedy_minimize,
-    initial_fill,
     local_replace,
     solve,
     surface_weight,
@@ -93,8 +92,8 @@ def test_criterion_3_push_shadow_bound(tiny_problem, tiny_system):
     """Every block push satisfies shadow <= (4n)^m * interior, exactly."""
     from plateau.solver import _admissible_regions
 
-    X = initial_fill(tiny_system)
-    X, _ = greedy_minimize(X, SolverConfig(), tiny_system)
+    X, _ = greedy_minimize(tiny_system.full_mask(), SolverConfig(), tiny_system)
+    X = tiny_system.surface(X)
     n, m = tiny_problem.grid.n, tiny_problem.m
     bound = Fraction(4 * n) ** m
     count = 0
@@ -112,7 +111,7 @@ def test_criterion_4_local_replace_preserves_spanning(
     verdict, with zero failures.  Budget 60s."""
     import random
 
-    from plateau.solver import _admissible_regions
+    from plateau.solver import _admissible_regions, region_interior
 
     t0 = time.monotonic()
     applications = 0
@@ -122,16 +121,16 @@ def test_criterion_4_local_replace_preserves_spanning(
         (tiny_problem, tiny_system, 5),
     ):
         regions = list(_admissible_regions(problem))
-        X0 = initial_fill(system)
+        X0 = system.full_mask()
         for seed in range(nseeds):
             rng = random.Random(seed)
             X, _ = greedy_minimize(
                 X0, SolverConfig(removal_order="random", seed=seed), system
             )
             for lows, highs in (rng.choice(regions) for _ in range(10)):
-                X = local_replace(X, lows, highs, system)
+                X = local_replace(X, region_interior(system, lows, highs), system)
                 applications += 1
-                if not system.spans_surface(X):
+                if not system.spans_surface(system.surface(X)):
                     failures += 1
     assert applications == 200
     assert failures == 0
@@ -156,16 +155,17 @@ def test_criterion_5_linking_loops_meet_every_spanning_surface(
             break
     assert len(selected) >= 10
 
-    surfaces = [initial_fill(tiny_system)]
+    fill = tiny_system.full_mask()
+    surfaces = [tiny_system.surface(fill)]
     res = isoperimetric_scan(tiny_problem, OracleConfig())
     surfaces.append(oracle_surface(tiny_problem, res))
     for seed in range(3):
         X, _ = greedy_minimize(
-            surfaces[0],
+            fill,
             SolverConfig(removal_order="random", seed=seed),
             tiny_system,
         )
-        surfaces.append(X)
+        surfaces.append(tiny_system.surface(X))
 
     for X in surfaces:
         assert tiny_system.spans_surface(X)

@@ -69,6 +69,21 @@ def test_density_profile_rejects_off_lattice(disk_surface):
         density_profile(disk_surface, (Fraction(55), Fraction(55)), [Fraction(1)])
 
 
+def test_profile_and_monotonicity_reject_radii_not_positive(disk_surface):
+    """A radius <= 0 names itself in a ValueError: it used to read as its
+    absolute value, or divide by zero at a barycenter."""
+    p = default_probe_point(disk_surface)
+    assert p == (3, 1)
+    with pytest.raises(ValueError, match="radius -1 must be positive"):
+        density_profile(disk_surface, p, [Fraction(-1), Fraction(1)])
+    with pytest.raises(ValueError, match="radius -1 must be positive"):
+        monotonicity_check(disk_surface, p, [(Fraction(1), Fraction(-1))])
+    with pytest.raises(ValueError, match="radius 0 must be positive"):
+        monotonicity_check(
+            disk_surface, (Fraction(3, 2), Fraction(3, 2)), [(Fraction(1), Fraction(0))]
+        )
+
+
 def test_regularity_flat_plane_exact(disk_problem):
     """For the flat filled square, the worst vertex is a corner: a ball of
     radius r centered there meets cells of total area >= (r/2)^2 for dyadic

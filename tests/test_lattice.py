@@ -12,6 +12,7 @@ from plateau.lattice import (
     HalfLattice,
     box_cells,
     build_skeleton,
+    check_box_cells,
     cell_measure,
     complex_from_text,
     complex_to_text,
@@ -271,3 +272,20 @@ def test_export_off(tmp_path):
     nverts, nfaces, _ = map(int, lines[1].split())
     assert nfaces == 2
     assert len(lines) == 2 + nverts + nfaces
+
+
+@pytest.mark.parametrize("box", [((0, 8), (0, 8), (0, 12)), ((0, 3), (-1, 1)), ((0, 2),) * 4])
+def test_check_box_cells_counts_before_listing(box, monkeypatch):
+    """The count that `check_box_cells` names, from side lengths alone, is
+    the number of d-cells that `box_cells` lists; the box passes at that
+    bound and fails one below it.  The CI's 8x8x12 box holds 2,560 2-cells."""
+    for d in range(len(box) + 1):
+        count = sum(1 for _ in box_cells(box, d))
+        monkeypatch.setattr("plateau.lattice.MAX_BOX_CELLS", count)
+        check_box_cells(box, d)
+        monkeypatch.setattr("plateau.lattice.MAX_BOX_CELLS", count - 1)
+        expected = f"holds {count} {d}-cells, above the bound {count - 1}$"
+        with pytest.raises(ValueError, match=expected):
+            check_box_cells(box, d)
+    if len(box) == 3:
+        assert sum(1 for _ in box_cells(box, 2)) == 2560

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plateau.lattice import CubicalComplex
-from plateau.linalg import bit_indices
+from plateau.linalg import GF2, bit_indices
 from plateau.linking import crossed_faces
 from plateau.oracle import (
     OracleConfig,
@@ -505,6 +505,15 @@ def test_cold_oracle_certifies_disk_over_other_fields(coeffs):
     assert res.optimal
     assert res.best_weight == res.lower_bound == 9
     assert spans(oracle_surface(problem, res))
+
+
+def test_gfp_2_is_gf2_and_certifies_at_the_root():
+    """{"kind": "gfp", "p": 2} loads as GF(2), so the loop catalogue serves
+    it: the cold oracle certifies the rings_d1 copy at the root."""
+    problem = problem_over("rings_d1", {"kind": "gfp", "p": 2})
+    assert problem.coeffs is GF2
+    res = isoperimetric_scan(problem, OracleConfig(budget=2000, warm_start=False))
+    assert (res.best_weight, res.lower_bound, res.stop) == (40, 40, "lp_root")
 
 
 def test_oracle_budget_exhaustion_over_gf3():

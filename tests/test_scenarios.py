@@ -5,6 +5,7 @@ import json
 import os
 import re
 import tempfile
+import time
 from fractions import Fraction
 
 import pytest
@@ -290,6 +291,32 @@ def test_cli_solve_rejects_an_oversized_grid_level(tmp_path):
     code, err = _cli_exit(["solve", str(path), "--diagnostics", "none"])
     assert code == 2
     assert err.startswith("error:") and "grid.k must lie in 0..64" in err
+
+
+def test_cli_rejects_a_box_above_the_cell_bound(tmp_path, capsys):
+    """A 3000x3000 disk holds 9,000,000 2-cells: `plateau solve` and
+    `plateau check` exit 2 at once, naming the count and the bound, where
+    the boundary rows used to allocate until a MemoryError.  The oracle
+    crops the box to A's hull and still certifies 9; a radial density,
+    which blocks the crop, is refused when the problem is built."""
+    raw = {**load("disk3").raw, "grid": {"n": 2, "k": 0, "box": [[0, 3000], [0, 3000]]}}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(raw))
+    surface = tmp_path / "wide.surface.txt"
+    grid = GridSpec(2, 0, ((0, 3000), (0, 3000)))
+    surface.write_text(complex_to_text(CubicalComplex(grid, [Cell((1, 1), 0b11)])))
+    for argv in (["solve", str(path), "--diagnostics", "none"],
+                 ["check", str(surface), str(path)]):
+        t0 = time.monotonic()
+        code, err = _cli_exit(argv)
+        assert time.monotonic() - t0 < 1
+        assert code == 2
+        assert err == "error: the box holds 9000000 2-cells, above the bound 20000\n"
+    assert main(["oracle", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["best_weight"] == "9"
+    radial = {"kind": "radial", "offset": 1, "slope": 1, "center": [1, 1], "a": 1, "b": 10**4}
+    with pytest.raises(ValueError, match="9000000 2-cells, above the bound 20000"):
+        build_problem(scenario_from_dict({**raw, "density": radial}))
 
 
 @pytest.mark.parametrize("absolute", [False, True], ids=["relative", "absolute"])

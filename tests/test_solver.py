@@ -15,8 +15,8 @@ from plateau.solver import (
     assert_one_minimal,
     contract_to_witnesses,
     greedy_minimize,
-    initial_fill,
     local_replace,
+    region_interior,
     solve,
     surface_weight,
 )
@@ -24,6 +24,18 @@ from plateau.spanning import SpanningProblem, Surface, relative_coboundary_domin
 from plateau.witness import build_witness_system
 
 from conftest import n4_sphere_problem, reference_admissible_regions, skeleton_push
+
+
+def _mask(system, X):
+    """The column mask that a solver stage takes for the surface X."""
+    return system.mask_of(X.mcells) | system.a_mask
+
+
+def _replace(X, lows, highs, system):
+    """`local_replace` on a surface and a region, as a surface."""
+    return system.surface(
+        local_replace(_mask(system, X), region_interior(system, lows, highs), system)
+    )
 
 
 def test_solver_config_validation():
@@ -34,14 +46,15 @@ def test_solver_config_validation():
 
 
 def test_initial_fill_spans(disk_problem, disk_system):
-    X = initial_fill(disk_system)
+    X = disk_system.surface(disk_system.full_mask())
     assert disk_system.spans_surface(X)
     assert spans(X)
 
 
 def test_greedy_minimize_disk(disk_problem, disk_system):
-    X = initial_fill(disk_system)
-    Y, moves = greedy_minimize(X, SolverConfig(), disk_system)
+    fill = disk_system.full_mask()
+    Y, moves = greedy_minimize(fill, SolverConfig(), disk_system)
+    X, Y = disk_system.surface(fill), disk_system.surface(Y)
     assert disk_system.spans_surface(Y)
     assert surface_weight(Y) == 9
     assert sum(delta for _, delta in moves) == surface_weight(Y) - surface_weight(X)
@@ -49,10 +62,10 @@ def test_greedy_minimize_disk(disk_problem, disk_system):
 
 
 def test_greedy_random_orders_span(disk_problem, disk_system):
-    X = initial_fill(disk_system)
+    X = disk_system.full_mask()
     for seed in range(5):
         cfg = SolverConfig(removal_order="random", seed=seed)
-        Y, _ = greedy_minimize(X, cfg, disk_system)
+        Y = disk_system.surface(greedy_minimize(X, cfg, disk_system)[0])
         assert disk_system.spans_surface(Y)
         assert_one_minimal(Y, disk_system)
         assert surface_weight(Y) >= 9
@@ -61,12 +74,13 @@ def test_greedy_random_orders_span(disk_problem, disk_system):
 def test_greedy_requires_spanning_start(disk_problem, disk_system):
     empty = Surface(disk_problem, frozenset())
     with pytest.raises(ValueError):
-        greedy_minimize(empty, SolverConfig(), disk_system)
+        greedy_minimize(_mask(disk_system, empty), SolverConfig(), disk_system)
 
 
 def test_contract_to_witnesses_spans(tiny_problem, tiny_system):
     X = contract_to_witnesses(tiny_system)
-    assert tiny_system.spans_surface(X)
+    assert X & tiny_system.a_mask == tiny_system.a_mask
+    assert tiny_system.spans_surface(tiny_system.surface(X))
 
 
 def test_local_replace_flattens_bump(disk_problem, disk_system):
@@ -77,7 +91,7 @@ def test_local_replace_flattens_bump(disk_problem, disk_system):
     # replace the center cell by a bump around it in a fictitious spanning
     # surface: here we simply test that the flat disk is already optimal
     X = Surface(disk_problem, frozenset(region))
-    Y = local_replace(X, (1, 1), (3, 3), disk_system)
+    Y = _replace(X, (1, 1), (3, 3), disk_system)
     assert Y.mcells == X.mcells  # already minimal inside the region
 
 
@@ -85,7 +99,7 @@ def test_local_replace_removes_extra_cell(disk_problem, disk_system):
     region = {Cell((x, y), 0b11) for x in range(1, 4) for y in range(1, 4)}
     extra = Cell((0, 0), 0b11)
     X = Surface(disk_problem, frozenset(region | {extra}))
-    Y = local_replace(X, (0, 0), (1, 2), disk_system)
+    Y = _replace(X, (0, 0), (1, 2), disk_system)
     assert surface_weight(Y) == surface_weight(X) - 1
     assert extra not in Y.mcells
     assert disk_system.spans_surface(Y)
@@ -98,7 +112,7 @@ def test_local_replace_drops_cells_that_domination_keeps(disk_problem, disk_syst
     region = {Cell((x, y), 0b11) for x in range(1, 4) for y in range(1, 4)}
     extra = {Cell((0, 0), 0b11), Cell((0, 1), 0b11)}
     X = Surface(disk_problem, frozenset(region | extra))
-    Y = local_replace(X, (0, 0), (1, 2), disk_system)
+    Y = _replace(X, (0, 0), (1, 2), disk_system)
     assert Y.mcells == X.mcells - extra
     assert surface_weight(Y) == surface_weight(X) - 2
     assert spans(Y)
@@ -118,17 +132,17 @@ def test_local_replace_rejects_bad_region(disk_problem, disk_system):
         frozenset(Cell((x, y), 0b11) for x in range(1, 4) for y in range(1, 4)),
     )
     with pytest.raises(ValueError, match="outside the grid box"):
-        local_replace(X, (0, 0), (9, 9), disk_system)
+        region_interior(disk_system, (0, 0), (9, 9))
     with pytest.raises(ValueError, match="touches the boundary"):
-        local_replace(X, (0, 0), (3, 3), disk_system)  # interior contains part of the ring
+        region_interior(disk_system, (0, 0), (3, 3))  # interior contains part of the ring
     holed = X.without(Cell((2, 2), 0b11))
     with pytest.raises(ValueError, match="requires a spanning surface"):
-        local_replace(holed, (1, 1), (3, 3), disk_system)
+        _replace(holed, (1, 1), (3, 3), disk_system)
 
 
 def test_local_replace_random_soundness(tiny_problem, tiny_system):
     """Seeded random spanning surfaces stay spanning under local_replace."""
-    X0 = initial_fill(tiny_system)
+    X0 = tiny_system.full_mask()
     regions = list(_admissible_regions(tiny_problem))
     rng = random.Random(5)
     failures = 0
@@ -136,8 +150,8 @@ def test_local_replace_random_soundness(tiny_problem, tiny_system):
         cfg = SolverConfig(removal_order="random", seed=seed)
         X, _ = greedy_minimize(X0, cfg, tiny_system)
         for lows, highs in rng.sample(regions, 8):
-            X = local_replace(X, lows, highs, tiny_system)
-            if not tiny_system.spans_surface(X):
+            X = local_replace(X, region_interior(tiny_system, lows, highs), tiny_system)
+            if not tiny_system.spans_surface(tiny_system.surface(X)):
                 failures += 1
     assert failures == 0
 
@@ -204,10 +218,10 @@ def test_local_replace_matches_enumeration(
         (tiny_problem, tiny_system, range(2), 2),
     ):
         regions = list(_admissible_regions(problem))
-        X0 = initial_fill(system)
+        X0 = system.full_mask()
         for seed in seeds:
             cfg = SolverConfig(removal_order="random", seed=seed)
-            X, _ = greedy_minimize(X0, cfg, system)
+            X = system.surface(greedy_minimize(X0, cfg, system)[0])
             # regions holding 1 to 4 cells of X: each lighter refill costs a
             # domination check, and 4 cells keep that to 299 checks
             occupied = [
@@ -221,22 +235,26 @@ def test_local_replace_matches_enumeration(
     improved = 0
     for X, lows, highs, system in cases:
         current, spanning, dominated = _reference_refills(X, lows, highs, system)
-        Y = local_replace(X, lows, highs, system)
+        x = _mask(system, X)
+        y = local_replace(x, region_interior(system, lows, highs), system)
+        Y = system.surface(y)
         moved = surface_weight(X) - surface_weight(Y)
         if spanning < current:
             assert moved == current - spanning
             assert system.spans_surface(Y)
             improved += 1
         else:
-            assert Y is X
+            assert y is x
         assert current - moved <= dominated
     assert improved  # some rings_tiny cases have a strictly lighter refill
 
 
-def test_admissible_regions_and_interiors(disk_problem, tiny_problem):
+def test_admissible_regions_and_interiors(disk_system, tiny_system):
     """A 2-box is admissible iff no cell of A lies in its interior, and the
-    interior that `solve` lists once per region is the box m-cells inside it."""
-    for problem in (disk_problem, tiny_problem, n4_sphere_problem()):
+    interior that `solve` lists once per region, like the region helper's
+    mask, is the box m-cells inside it."""
+    for system in (disk_system, tiny_system, build_witness_system(n4_sphere_problem())):
+        problem = system.problem
         box = problem.grid.box
         expected = [
             lows for lows in itertools.product(*(range(lo, hi - 1) for lo, hi in box))
@@ -249,6 +267,9 @@ def test_admissible_regions_and_interiors(disk_problem, tiny_problem):
         for lows, highs in regions:
             interior = box_cells(tuple(zip(lows, highs)), problem.m, interior=True)
             assert sorted(interior) == _interior_mcells(problem, lows, highs)
+            assert region_interior(system, lows, highs) == system.mask_of(
+                _interior_mcells(problem, lows, highs)
+            )
 
 
 @given(data=st.data())
@@ -272,17 +293,17 @@ def test_local_replace_n4_m3_smoke():
     full fill around a 2-sphere finishes and keeps the surface spanning."""
     problem = n4_sphere_problem()
     system = build_witness_system(problem)
-    X = initial_fill(system)
+    X = system.surface(system.full_mask())
     lows, highs = next(_admissible_regions(problem))
     assert len(_interior_mcells(problem, lows, highs)) == 32
-    Y = local_replace(X, lows, highs, system)
+    Y = _replace(X, lows, highs, system)
     assert system.spans_surface(Y)
     assert surface_weight(Y) < surface_weight(X)
 
 
 def test_skeleton_push_bound_and_domination(tiny_problem, tiny_system):
-    X = initial_fill(tiny_system)
-    X, _ = greedy_minimize(X, SolverConfig(), tiny_system)
+    X, _ = greedy_minimize(tiny_system.full_mask(), SolverConfig(), tiny_system)
+    X = tiny_system.surface(X)
     bound = Fraction(4 * 3) ** 2
     outcomes = []
     for lows, highs in list(_admissible_regions(tiny_problem))[::3]:
@@ -344,8 +365,8 @@ def test_solve_accepts_local_moves():
     assert spans(X)
     assert_one_minimal(X, system)
     before_sweep = min(
-        surface_weight(greedy_minimize(Y, SolverConfig(), system)[0])
-        for Y in (initial_fill(system), contract_to_witnesses(system))
+        surface_weight(system.surface(greedy_minimize(Y, SolverConfig(), system)[0]))
+        for Y in (system.full_mask(), contract_to_witnesses(system))
     )
     assert before_sweep == Fraction(737, 3)
     result = isoperimetric_scan(problem, OracleConfig())

@@ -15,8 +15,8 @@ from plateau.solver import (
     _admissible_regions,
     assert_one_minimal,
     greedy_minimize,
-    initial_fill,
     local_replace,
+    region_interior,
     surface_weight,
 )
 from plateau.spanning import (
@@ -254,7 +254,7 @@ def test_spans_matches_restriction_image_rings_tiny_gf3():
     assert len(problem.L) == 3 and problem.coeffs == F
     system = build_witness_system(problem)
     box = problem.box_mcells()
-    X, _ = greedy_minimize(initial_fill(system), SolverConfig(), system)
+    X = system.surface(greedy_minimize(system.full_mask(), SolverConfig(), system)[0])
     rng = random.Random(3)
     surfaces = [frozenset(), frozenset(box), X.mcells]
     surfaces += [X.mcells - {c} for c in rng.sample(sorted(X.mcells), 4)]
@@ -541,19 +541,21 @@ def test_local_moves_keep_spanning(n, m, data):
     2-box returns a surface that still spans and weighs no more."""
     problem, surfaces = data.draw(spanning_surfaces(n, m))
     system = build_witness_system(problem)
-    fill = initial_fill(system)
+    fill = system.full_mask()
     greedy, _ = greedy_minimize(fill, SolverConfig(), system)
     regions = list(_admissible_regions(problem))
     seed = data.draw(st.integers(0, 99))
     orders = (SolverConfig(), SolverConfig(removal_order="random", seed=seed))
-    for X in [fill, greedy] + [Surface(problem, cells) for cells in surfaces]:
+    starts = [system.surface(fill), system.surface(greedy)]
+    for X in starts + [Surface(problem, cells) for cells in surfaces]:
         if not spans(X):
             continue
+        x = system.mask_of(X.mcells) | system.a_mask
         for cfg in orders:
-            Y, _ = greedy_minimize(X, cfg, system)
+            Y = system.surface(greedy_minimize(x, cfg, system)[0])
             assert spans(Y)
             assert_one_minimal(Y, system)
         for lows, highs in regions:
-            Y = local_replace(X, lows, highs, system)
+            Y = system.surface(local_replace(x, region_interior(system, lows, highs), system))
             assert spans(Y)
             assert surface_weight(Y) <= surface_weight(X)

@@ -492,7 +492,8 @@ def test_integer_weights_over_one_scale(name, changes):
     assert scale == math.lcm(*(table[c].denominator for c in system.mcells if c not in a_cells))
     X, report = solve(problem, SolverConfig())
     seed = contract_to_witnesses(system)
-    surfaces = [X, seed, greedy_minimize(seed, SolverConfig(), system)[0]]
+    seeds = (seed, greedy_minimize(seed, SolverConfig(), system)[0])
+    surfaces = [X] + [system.surface(Y) for Y in seeds]
     for Y in surfaces:
         mask = system.mask_of(Y.mcells)
         assert Fraction(system.weight(mask), scale) == surface_weight(Y)
