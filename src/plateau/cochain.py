@@ -12,77 +12,40 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
-from .lattice import Cell, CubicalComplex, HalfLattice
+from .lattice import CubicalComplex
 from .linalg import Coeffs, FieldMatrix, Subspace, _dense, kernel_basis
 
 
-def boundary_incidences(cell: Cell) -> list[tuple[Cell, int]]:
-    """Codimension-1 faces of cell with incidence signs.
+def coboundary(X: CubicalComplex, d: int, coeffs: Coeffs) -> FieldMatrix:
+    """Coboundary C^d -> C^{d+1} of X: transpose of the boundary operator.
 
-    The face pair along the j-th free axis (in increasing axis order) carries
-    sign (-1)**(j-1), the high face positive and the low face negative.
-    """
-    out = []
-    axes = cell.axes()
-    for j, a in enumerate(axes):
-        mask = cell.free_axes & ~(1 << a)
-        sign = 1 if j % 2 == 0 else -1
-        shifted = list(cell.anchor)
-        shifted[a] += 1
-        out.append((Cell(tuple(shifted), mask), sign))
-        out.append((Cell(cell.anchor, mask), -sign))
-    return out
-
-
-class CochainComplexData:
-    """Coboundary matrices of one complex over one field, cached per degree."""
-
-    def __init__(self, X: CubicalComplex, coeffs: Coeffs):
-        self.complex = X
-        self.coeffs = coeffs
-        self._delta: dict[int, FieldMatrix] = {}
-
-    def delta(self, d: int) -> FieldMatrix:
-        """Coboundary C^d -> C^{d+1}: transpose of the boundary operator.
-
-        Row i is the (d+1)-cell of sorted position i, column j the d-cell of
-        sorted position j; faces are found by `HalfLattice` id offsets, and
-        rows are built in FieldMatrix's internal form."""
-        if d not in self._delta:
-            F, X = self.coeffs, self.complex
-            H = HalfLattice(X.grid.box)
-            pos = {H.id(c): j for j, c in enumerate(X.sorted_cells(d))}
-            rows = []
-            if F.kind == "gf2":
-                for c in X.sorted_cells(d + 1):
-                    at = H.id(c)
-                    rows.append(sum(1 << pos[at + offset] for offset, _ in H.faces[c.free_axes]))
-            else:
-                unit = {1: F.reduce(1), -1: F.reduce(-1)}
-                for c in X.sorted_cells(d + 1):
-                    at = H.id(c)
-                    rows.append({pos[at + offset]: unit[sign]
-                                 for offset, sign in H.faces[c.free_axes]})
-            self._delta[d] = FieldMatrix(F, rows, len(pos))
-        return self._delta[d]
-
-    def cochain_dim(self, d: int) -> int:
-        return len(self.complex.cells_of_dim(d))
+    Row i is the (d+1)-cell of sorted position i, column j the d-cell of
+    sorted position j; faces and signs are read off the grid's `HalfLattice`,
+    and rows are built in FieldMatrix's internal form."""
+    H, rows = X.grid.half_lattice, []
+    pos = {H.id(c): j for j, c in enumerate(X.sorted_cells(d))}
+    unit = {1: coeffs.reduce(1), -1: coeffs.reduce(-1)}
+    for c in X.sorted_cells(d + 1):
+        at, faces = H.id(c), H.faces[c.free_axes]
+        if coeffs.kind == "gf2":
+            rows.append(sum(1 << pos[at + offset] for offset, _ in faces))
+        else:
+            rows.append({pos[at + offset]: unit[sign] for offset, sign in faces})
+    return FieldMatrix(coeffs, rows, len(pos))
 
 
-def coboundary_space(data: CochainComplexData, d: int,
+def coboundary_space(X: CubicalComplex, d: int, coeffs: Coeffs,
                      reduced: bool = False) -> Subspace:
     """Coboundaries in degree d: the span of the columns of delta_{d-1}.
 
     In degree 0 this is zero, or the constant cochains when reduced.
     """
     if d > 0:
-        return Subspace.row_space(data.delta(d - 1).transpose())
-    n0 = data.cochain_dim(0)
-    ones = [[data.coeffs.one] * n0] if reduced and n0 else []
-    return Subspace.from_vectors(data.coeffs, n0, ones)
+        return Subspace.row_space(coboundary(X, d - 1, coeffs).transpose())
+    n0 = len(X.cells_of_dim(0))
+    ones = [[coeffs.one] * n0] if reduced and n0 else []
+    return Subspace.from_vectors(coeffs, n0, ones)
 
 
 @dataclass
@@ -90,8 +53,6 @@ class CohomologySpace:
     """Computed H^d of one complex: coboundaries, quotient basis, and the
     echelon of delta_d's rows, off which `cocycles` is read when first asked for."""
 
-    data: CochainComplexData
-    degree: int
     delta_rows: Subspace
     coboundaries: Subspace
     basis_reps: list[list]
@@ -106,16 +67,14 @@ class CohomologySpace:
 
 
 def cohomology(X: CubicalComplex, d: int, coeffs: Coeffs,
-               reduced: bool = False,
-               data: Optional[CochainComplexData] = None) -> CohomologySpace:
+               reduced: bool = False) -> CohomologySpace:
     """H^d(X) over the field, optionally reduced in degree 0; its dimension
     comes from ranks, and cocycles are read only when it is positive."""
     if d < 0:
         raise ValueError("cohomology degree must be nonnegative")
-    data = data or CochainComplexData(X, coeffs)
-    delta_rows = Subspace.row_space(data.delta(d))
-    coboundaries = coboundary_space(data, d, reduced)
-    H = CohomologySpace(data, d, delta_rows, coboundaries, [])
+    delta_rows = Subspace.row_space(coboundary(X, d, coeffs))
+    coboundaries = coboundary_space(X, d, coeffs, reduced)
+    H = CohomologySpace(delta_rows, coboundaries, [])
     # a cocycle joins the quotient basis iff it lies outside the span of the
     # coboundaries and of the cocycles kept before it; once dim H^d are kept
     # every later cocycle is dependent
@@ -133,15 +92,12 @@ def cohomology(X: CubicalComplex, d: int, coeffs: Coeffs,
 class RestrictionImage:
     """Image of H^d(X) -> H^d(A) as cocycle vectors on A, with A's coboundaries."""
 
-    A_data: CochainComplexData
-    degree: int
     image: Subspace
     coboundaries: Subspace
 
 
-def restriction_image(X: CubicalComplex, A: CubicalComplex, d: int, coeffs: Coeffs,
-                      X_data: Optional[CochainComplexData] = None,
-                      A_data: Optional[CochainComplexData] = None) -> RestrictionImage:
+def restriction_image(X: CubicalComplex, A: CubicalComplex, d: int,
+                      coeffs: Coeffs) -> RestrictionImage:
     """Image of the restriction map on degree-d cohomology, as a subspace.
 
     Returned on the nose as the span of restricted X-cocycles inside the
@@ -150,10 +106,8 @@ def restriction_image(X: CubicalComplex, A: CubicalComplex, d: int, coeffs: Coef
     """
     if not A.is_subcomplex_of(X):
         raise ValueError("A is not a subcomplex of X")
-    X_data = X_data or CochainComplexData(X, coeffs)
-    A_data = A_data or CochainComplexData(A, coeffs)
-    X_cocycles = kernel_basis(X_data.delta(d))
+    X_cocycles = kernel_basis(coboundary(X, d, coeffs))
     xpos = X.position(d)
     where = {xpos[c]: i for i, c in enumerate(A.sorted_cells(d))}
-    image = X_cocycles.restricted(where, A_data.cochain_dim(d))
-    return RestrictionImage(A_data, d, image, coboundary_space(A_data, d))
+    image = X_cocycles.restricted(where, len(A.cells_of_dim(d)))
+    return RestrictionImage(image, coboundary_space(A, d, coeffs))

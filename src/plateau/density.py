@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Optional
 
 from .lattice import Cell, GridSpec, box_cells, check_box_cells
 
@@ -59,7 +59,7 @@ class DensityField:
         base, step = int(self.offset * D), factor * D // (q * half)
 
         def g(cell: Cell) -> int:
-            h = [2 * x + (cell.free_axes >> a & 1) for a, x in enumerate(cell.anchor)]
+            h = cell.half_coords()
             if affine:
                 return base + step * sum(c * x for c, x in zip(ints, h))
             return base + step * max((abs(x * q - c * half) for c, x in zip(ints, h)), default=0)
@@ -75,21 +75,23 @@ class DensityField:
         # radial: a center shorter than n leaves trailing axes unused
         return axis >= len(self.center)
 
-    def validate(self, grid: GridSpec, dim: int) -> None:
+    def validate(self, grid: GridSpec, dim: int) -> Optional[dict[Cell, int]]:
         """Check the [a, b] bounds at the barycenter of every dim-cell of the
-        box, as ceil(a D) <= g <= floor(b D) on `on_grid`'s ints; a constant
-        density is checked at the first cell only, any other once
-        `check_box_cells` passes."""
+        box, as ceil(a D) <= g <= floor(b D) on `on_grid`'s ints.  A constant
+        density is checked at the first cell only and gives None; any other,
+        once `check_box_cells` passes, gives the table of g on the box."""
         D, g = self.on_grid(grid)
         low, high = math.ceil(self.a * D), math.floor(self.b * D)
         if self.kind != "constant":
             check_box_cells(grid.box, dim)
+        table = {}
         for cell in box_cells(grid.box, dim):
-            v = g(cell)
+            v = table[cell] = g(cell)
             if not low <= v <= high:
                 raise ValueError(
                     f"density {Fraction(v, D)} at cell {cell} escapes bounds "
                     f"[{self.a}, {self.b}]"
                 )
             if self.kind == "constant":
-                return
+                return None
+        return table

@@ -34,11 +34,6 @@ def _exact(v: Fraction):
     return v.numerator if v.denominator == 1 else v
 
 
-def _half_lattice(cells: Sequence[Cell]) -> list[tuple[int, ...]]:
-    return [tuple(2 * x + (c.free_axes >> a & 1) for a, x in enumerate(c.anchor))
-            for c in cells]
-
-
 def _radius2(r: Fraction, side: Fraction):
     """(2r / side)**2, an int when r is a whole number of sides."""
     q, rest = divmod(r, side)
@@ -52,8 +47,8 @@ def _probe(X: Surface, point: tuple[Fraction, ...]) -> list[tuple[object, int]]:
         cells, table = X.free_mcells(), X.problem.weight_table()[0]
         q = [_exact(2 * x / X.problem.grid.side) for x in point]
         X._probes[point] = [
-            (sum((b - p) ** 2 for b, p in zip(bc, q)), table[c])
-            for bc, c in zip(_half_lattice(cells), cells)
+            (sum((b - p) ** 2 for b, p in zip(c.half_coords(), q)), table[c])
+            for c in cells
         ]
     return X._probes[point]
 
@@ -179,7 +174,7 @@ def regularity_constant(X: Surface, max_radius: Fraction) -> RegularityReport:
     # a ball's measure is count * side**m, so with r_j = side * 2**j its
     # ratio is count / 2**(j m): compared as count << (J - j) m in ints, J
     # the last j.  One sorted pass serves every r
-    bary = _half_lattice(cells)
+    bary = [c.half_coords() for c in cells]
     J = len(radii) - 1
     cutoffs = [(_radius2(r, grid.side), (J - j) * m, r) for j, r in enumerate(radii)]
     best: Optional[int] = None

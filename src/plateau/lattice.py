@@ -15,6 +15,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
@@ -45,6 +46,10 @@ class GridSpec:
     def side(self) -> Fraction:
         return Fraction(1, 2**self.k)
 
+    @cached_property
+    def half_lattice(self) -> "HalfLattice":
+        return HalfLattice(self.box)
+
     def contains_cell(self, cell: "Cell") -> bool:
         free = cell.free_axes
         for a, (low, high) in enumerate(self.box):
@@ -74,6 +79,12 @@ class Cell(NamedTuple):
     def axes(self) -> list[int]:
         return [a for a in range(len(self.anchor)) if self.has_axis(a)]
 
+    def half_coords(self) -> list[int]:
+        """2 * anchor + axis bit on every axis: the barycenter in half-lattice
+        units (side / 2)."""
+        mask = self.free_axes
+        return [2 * x + (mask >> a & 1) for a, x in enumerate(self.anchor)]
+
     def faces(self) -> set["Cell"]:
         """The 2*dim codimension-1 faces, in canonical (minimal-corner) form."""
         anchor, mask = self.anchor, self.free_axes
@@ -99,10 +110,7 @@ class Cell(NamedTuple):
 
     def barycenter(self) -> tuple[Fraction, ...]:
         """Barycenter in lattice units (multiply by grid side for ambient)."""
-        return tuple(
-            Fraction(2 * c + 1, 2) if self.has_axis(a) else Fraction(c)
-            for a, c in enumerate(self.anchor)
-        )
+        return tuple(Fraction(h, 2) for h in self.half_coords())
 
 
 def cell_measure(cell: Cell, grid: GridSpec) -> Fraction:
@@ -222,14 +230,15 @@ def box_cells(box: Sequence[tuple[int, int]], d: int,
 class HalfLattice:
     """Integer ids of a box's cells: sum_a (2 (anchor[a] - lo_a) + bit_a) *
     strides[a], bit_a being axis a's free bit.  The faces along a free axis
-    a sit at id +- strides[a]; `faces[free_axes]` lists (id offset, sign) in
-    `cochain.boundary_incidences`' order and signs: along the j-th free axis
-    (from 0), (-1)**j on the high face and its negative on the low one.
-    Users: `SpanningProblem.cell_boundaries` numbers the problem's face
-    columns by decreasing id, for `spanning.spans` and (transposed)
-    `witness.build_witness_system`; `cochain.CochainComplexData.delta` keys a
-    complex's cells, `connected_components` its union-find, and
-    `oracle.build_loop_catalogue` the faces of a box widened by one voxel."""
+    a sit at id +- strides[a]; `faces[free_axes]`, the one statement of the
+    incidence signs, lists (id offset, sign): along the j-th free axis (from
+    0), the high face with (-1)**j, then the low face with its negative.
+    Each grid builds one, `GridSpec.half_lattice`, read by
+    `SpanningProblem.cell_boundaries` (face columns by decreasing id, for
+    `spanning.spans` and, transposed, `witness.build_witness_system`),
+    `cochain.coboundary`, `connected_components`' union-find and
+    `spanning.canonical_L`'s `signed_faces`; `oracle.build_loop_catalogue`
+    builds its own for a box widened by one voxel."""
 
     def __init__(self, box: Sequence[tuple[int, int]]):
         self.strides = list(itertools.accumulate(
@@ -244,6 +253,11 @@ class HalfLattice:
     def id(self, cell: Cell) -> int:
         return self.base[cell.free_axes] + 2 * sum(map(operator.mul, cell.anchor, self.strides))
 
+    def signed_faces(self, cell: Cell) -> list[tuple[int, int]]:
+        """(face id, sign) of each codimension-1 face, in `faces` order."""
+        at = self.id(cell)
+        return [(at + offset, sign) for offset, sign in self.faces[cell.free_axes]]
+
 
 def build_skeleton(grid: GridSpec, d: int) -> CubicalComplex:
     """Full d-skeleton of every cube of the bounding box."""
@@ -255,7 +269,7 @@ def build_skeleton(grid: GridSpec, d: int) -> CubicalComplex:
 
 def connected_components(X: CubicalComplex) -> list[CubicalComplex]:
     """Partition of X by shared faces, found on `HalfLattice` ids, in deterministic order."""
-    H = HalfLattice(X.grid.box)
+    H = X.grid.half_lattice
     cells = {H.id(c): c for c in X.cells}
     parent = {i: i for i in cells}
 

@@ -85,7 +85,7 @@ def crop_problem(problem: SpanningProblem) -> SpanningProblem:
 
     Clamping a witness chain into the hull along such an axis fixes A, keeps
     the boundary inside A and never increases weight, so the cropped minimum
-    equals the original one.
+    equals the original one.  An empty A has no hull and keeps its box.
     """
     grid = problem.grid
     n = grid.n
@@ -95,8 +95,8 @@ def crop_problem(problem: SpanningProblem) -> SpanningProblem:
         if not problem.density.constant_along(a):
             box.append((lo0, hi0))
             continue
-        lo = min(c.anchor[a] for c in problem.A.cells)
-        hi = max(c.anchor[a] + (1 if c.has_axis(a) else 0) for c in problem.A.cells)
+        lo = min((c.anchor[a] for c in problem.A.cells), default=lo0)
+        hi = max((c.anchor[a] + (c.free_axes >> a & 1) for c in problem.A.cells), default=hi0)
         if lo == hi:
             hi = hi + 1 if hi < hi0 else hi
             lo = lo - 1 if lo == hi else lo

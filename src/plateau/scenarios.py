@@ -347,9 +347,9 @@ def build_classes(scenario: Scenario, A: CubicalComplex) -> list[CohomologyClass
 def build_problem(scenario: Scenario) -> SpanningProblem:
     A = build_boundary(scenario)
     L = build_classes(scenario, A)
-    return SpanningProblem(
-        A, scenario.grid, scenario.m, L, scenario.coeffs, scenario.density
-    )
+    # A's grid equals the scenario's; a custom file's is another object, and
+    # each grid object builds its own `HalfLattice`
+    return SpanningProblem(A, A.grid, scenario.m, L, scenario.coeffs, scenario.density)
 
 
 # ---------------------------------------------------------------------------

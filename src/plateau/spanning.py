@@ -21,18 +21,12 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .cochain import (
-    CochainComplexData,
-    boundary_incidences,
-    coboundary_space,
-    restriction_image,
-)
+from .cochain import coboundary, coboundary_space, restriction_image
 from .density import DensityField
 from .lattice import (
     Cell,
     CubicalComplex,
     GridSpec,
-    HalfLattice,
     box_cells,
     check_box_cells,
     connected_components,
@@ -74,9 +68,8 @@ class SpanningProblem:
         if self.A.dim > self.m:
             raise ValueError("boundary complex dimension exceeds m")
         if self.L:
-            A_data = CochainComplexData(self.A, self.coeffs)
-            delta = A_data.delta(self.m - 1)
-            coboundaries = coboundary_space(A_data, self.m - 1, reduced=self.m == 1)
+            delta = coboundary(self.A, self.m - 1, self.coeffs)
+            coboundaries = coboundary_space(self.A, self.m - 1, self.coeffs, reduced=self.m == 1)
             ncells = len(self.A.cells_of_dim(self.m - 1))
         for cls in self.L:
             if len(cls.rep) != ncells:
@@ -88,7 +81,9 @@ class SpanningProblem:
                 raise ValueError("L must avoid the zero class")
         if self.m > self.grid.n:
             raise ValueError(f"m = {self.m} exceeds the grid dimension {self.grid.n}")
-        self.density.validate(self.grid, self.m)
+        table = self.density.validate(self.grid, self.m)
+        if table is not None:  # the bound check's g values are the weights
+            self._weights = (table, self.density.on_grid(self.grid)[0] << self.grid.k * self.m)
 
     def surface(self, mcells) -> "Surface":
         return Surface(self, frozenset(mcells))
@@ -110,7 +105,7 @@ class SpanningProblem:
         on the shell).  Echelons store these rows as they are: `linalg` copies
         a row before it writes to it."""
         if self._boundaries is None:
-            F, H = self.coeffs, HalfLattice(self.grid.box)
+            F, H = self.coeffs, self.grid.half_lattice
             top = H.id(Cell(tuple(hi for _, hi in self.grid.box), 0))
             on_A = {top - H.id(c): [cls.rep[p] for cls in self.L]
                     for c, p in self.A.position(self.m - 1).items()}
@@ -138,7 +133,8 @@ class SpanningProblem:
     def weight_table(self) -> tuple[dict[Cell, int], int]:
         """(table, scale): each m-cell c of the box weighs table[c] / scale,
         the density at its barycenter times its measure 2**(-k m); computed
-        once per problem."""
+        once per problem, at load by `DensityField.validate` unless the
+        density is constant."""
         if self._weights is None:
             D, g = self.density.on_grid(self.grid)
             table = {c: g(c) for c in self.box_mcells()}
@@ -242,9 +238,8 @@ def relative_coboundary_dominates(
     """
     if not (T.is_subcomplex_of(Y) and T.is_subcomplex_of(Xin)):
         raise ValueError("frontier trace must be contained in both complexes")
-    T_data = CochainComplexData(T, coeffs)
-    img_Y = restriction_image(Y, T, d, coeffs, A_data=T_data)
-    img_X = restriction_image(Xin, T, d, coeffs, A_data=T_data)
+    img_Y = restriction_image(Y, T, d, coeffs)
+    img_X = restriction_image(Xin, T, d, coeffs)
     mod = img_X.image.sum(img_X.coboundaries)
     return all(mod.contains(v) for v in img_Y.image.basis)
 
@@ -253,18 +248,20 @@ def relative_coboundary_dominates(
 # canonical class sets
 
 
-def check_closed_manifold(K: CubicalComplex, dim: int, counts: Optional[dict] = None) -> None:
+def check_closed_manifold(K: CubicalComplex, dim: int, faces: Optional[dict] = None) -> None:
     """Raise ValueError unless K is a closed dim-manifold complex: it has
-    dimension dim and every (dim-1)-cell has exactly two top cofaces in K
-    (counted here unless `counts` gives them by ridge)."""
+    dimension dim and every (dim-1)-cell has exactly two top cofaces in K,
+    counted on `faces`, each top cell's `HalfLattice.signed_faces` (read
+    here if not given)."""
     if K.dim != dim:
         raise ValueError(
             f"complex has dimension {K.dim}, expected a closed {dim}-manifold"
         )
-    if counts is None:
-        counts = Counter(f for c in K.cells_of_dim(dim) for f in c.faces())
+    H = K.grid.half_lattice
+    faces = faces or {c: H.signed_faces(c) for c in K.cells_of_dim(dim)}
+    counts = Counter(f for fs in faces.values() for f, _ in fs)
     for ridge in K.cells_of_dim(dim - 1):
-        if (count := counts.get(ridge, 0)) != 2:
+        if (count := counts.get(H.id(ridge), 0)) != 2:
             raise ValueError(
                 f"ridge {ridge} has {count} top cofaces; the complex is not a "
                 "closed manifold"
@@ -274,14 +271,16 @@ def check_closed_manifold(K: CubicalComplex, dim: int, counts: Optional[dict] = 
 def fundamental_cycle(comp: CubicalComplex, m: int,
                       faces: Optional[dict] = None) -> dict[Cell, int]:
     """Oriented fundamental (m-1)-cycle of a closed manifold component, the
-    least top cell at +1.  From `faces`, each top cell's `boundary_incidences`
-    (read here if not given), one table of each ridge's signed top cofaces
-    serves the orientation walk and the zero-boundary check."""
+    least top cell at +1.  From `faces`, each top cell's
+    `HalfLattice.signed_faces` (read here if not given), one table of each
+    ridge's signed top cofaces serves the orientation walk and the
+    zero-boundary check."""
     top = comp.sorted_cells(m - 1)
     if not top:
         raise ValueError("component has no top cells")
-    faces = faces or {c: boundary_incidences(c) for c in top}
-    cofaces: dict[Cell, list[tuple[Cell, int]]] = {}
+    H = comp.grid.half_lattice
+    faces = faces or {c: H.signed_faces(c) for c in top}
+    cofaces: dict[int, list[tuple[Cell, int]]] = {}
     for c in top:
         for f, sign in faces[c]:
             cofaces.setdefault(f, []).append((c, sign))
@@ -311,17 +310,17 @@ def canonical_L(A: CubicalComplex, m: int, coeffs: Coeffs) -> list[CohomologyCla
 
     The generator is the indicator of the component's least top cell; it
     pairs to 1 with the component's fundamental cycle, so it is not zero.
-    Over GF(p) and Q that cycle needs an orientation, which
-    `fundamental_cycle` checks exists and starts at that cell; each top
-    cell's signed faces are read once, for the closed-manifold count and that
-    walk (over GF(2) the count uses `Cell.faces`).  For m = 1 the classes are
+    Each top cell's `HalfLattice.signed_faces` are read once, for the
+    closed-manifold count over every field and, over GF(p) and Q, for
+    `fundamental_cycle`, which checks that the cycle has an orientation and
+    starts it at that cell; GF(2) orients nothing.  For m = 1 the classes are
     component indicators in reduced degree 0, and the one component of a
     connected A is the constant: then there is no class.
     """
     comps = connected_components(A)
     if m == 1 and len(comps) == 1:
         return []
-    pos = A.position(m - 1)
+    pos, H = A.position(m - 1), A.grid.half_lattice
     out = []
     for ci, comp in enumerate(comps):
         rep = [coeffs.zero] * len(pos)
@@ -329,11 +328,9 @@ def canonical_L(A: CubicalComplex, m: int, coeffs: Coeffs) -> list[CohomologyCla
             for c in comp.cells_of_dim(0):
                 rep[pos[c]] = coeffs.one
         else:
-            if coeffs.kind == "gf2":
-                check_closed_manifold(comp, m - 1)
-            else:  # one `boundary_incidences` call per top cell serves both
-                faces = {c: boundary_incidences(c) for c in comp.sorted_cells(m - 1)}
-                check_closed_manifold(comp, m - 1, Counter(f for fs in faces.values() for f, _ in fs))
+            faces = {c: H.signed_faces(c) for c in comp.cells_of_dim(m - 1)}
+            check_closed_manifold(comp, m - 1, faces)
+            if coeffs.kind != "gf2":
                 fundamental_cycle(comp, m, faces)
             rep[pos[min(comp.cells_of_dim(m - 1))]] = coeffs.one
         out.append(CohomologyClass(rep, label=f"component-{ci}"))

@@ -9,7 +9,7 @@ from typing import Iterable, Optional, Sequence
 
 import pytest
 
-from plateau.cochain import boundary_incidences, coboundary_space, restriction_image
+from plateau.cochain import coboundary_space, restriction_image
 from plateau.lattice import Cell, CubicalComplex, GridSpec, box_cells, cell_measure
 from plateau.linalg import GF2, FieldMatrix, Subspace, _dense, _echelon, _to_row
 from plateau.linking import DualLoop, crossed_faces
@@ -84,8 +84,26 @@ def restriction_spans(X: Surface, K: Optional[CubicalComplex] = None) -> bool:
     problem = X.problem
     K = X.complex if K is None else K
     image = restriction_image(K, problem.A, problem.m - 1, problem.coeffs)
-    cob = coboundary_space(image.A_data, problem.m - 1, problem.m == 1)
+    cob = coboundary_space(problem.A, problem.m - 1, problem.coeffs, problem.m == 1)
     return not any(image.image.sum(cob).contains(cls.rep) for cls in problem.L)
+
+
+def boundary_incidences(cell: Cell) -> list[tuple[Cell, int]]:
+    """Codimension-1 faces of cell with incidence signs, written out on cells:
+    the reference for `HalfLattice.faces`.  The face pair along the j-th free
+    axis (in increasing axis order) carries sign (-1)**(j-1), the high face
+    positive and the low face negative.
+    """
+    out = []
+    axes = cell.axes()
+    for j, a in enumerate(axes):
+        mask = cell.free_axes & ~(1 << a)
+        sign = 1 if j % 2 == 0 else -1
+        shifted = list(cell.anchor)
+        shifted[a] += 1
+        out.append((Cell(tuple(shifted), mask), sign))
+        out.append((Cell(cell.anchor, mask), -sign))
+    return out
 
 
 def matrix_row(M: FieldMatrix, i: int) -> list:

@@ -3,19 +3,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plateau import linalg
-from plateau.cochain import (
-    CochainComplexData,
-    boundary_incidences,
-    coboundary_space,
-    cohomology,
-    restriction_image,
-)
+from plateau.cochain import coboundary, coboundary_space, cohomology, restriction_image
 from plateau.lattice import Cell, CubicalComplex, GridSpec, box_cells, build_skeleton
 from plateau.linalg import GF2, RATIONAL, Coeffs, FieldMatrix, kernel_basis, row_reduce
 from plateau.scenarios import _block_boundary
 from plateau.spanning import canonical_L
 
 from conftest import (
+    boundary_incidences,
     contains_class,
     euler_characteristic,
     extending,
@@ -62,8 +57,8 @@ def test_boundary_squared_zero(n, data):
 @pytest.mark.parametrize("F", [GF2, GF5, RATIONAL])
 def test_delta_squared_zero(F):
     grid = GridSpec(3, 0, ((0, 2), (0, 2), (0, 2)))
-    data = CochainComplexData(build_skeleton(grid, 3), F)
-    d0, d1 = data.delta(0), data.delta(1)
+    skel = build_skeleton(grid, 3)
+    d0, d1 = coboundary(skel, 0, F), coboundary(skel, 1, F)
     for j in range(d0.cols):
         col = [matrix_entry(d0, i, j) for i in range(d0.rows)]
         assert all(v == F.zero for v in d1.apply(col))
@@ -72,7 +67,7 @@ def test_delta_squared_zero(F):
 def test_coboundary_matrix_shape():
     """delta(1) of a 2x2 square maps the 12 edges' cochains to the 4 squares'."""
     grid = GridSpec(2, 0, ((0, 2), (0, 2)))
-    M = CochainComplexData(build_skeleton(grid, 2), GF2).delta(1)
+    M = coboundary(build_skeleton(grid, 2), 1, GF2)
     assert (M.rows, M.cols) == (4, 12)
 
 
@@ -115,9 +110,9 @@ def test_cohomology_dim_from_ranks_and_cocycles_off_the_echelon(data):
     X = CubicalComplex(grid, data.draw(st.lists(st.sampled_from(cells), max_size=8, unique=True)))
     d, reduced = data.draw(st.integers(0, 2)), data.draw(st.booleans())
     H = cohomology(X, d, F, reduced)
-    K = kernel_basis(CochainComplexData(X, F).delta(d))
+    K = kernel_basis(coboundary(X, d, F))
     assert H.cocycles.rows == K.rows
-    B = coboundary_space(CochainComplexData(X, F), d, reduced)
+    B = coboundary_space(X, d, F, reduced)
     assert H.dim == len(H.basis_reps) == K.dim - B.dim
 
 
@@ -208,13 +203,12 @@ def _skeleton_2x3x4():
 @pytest.mark.parametrize("F", [GF2, GF5, RATIONAL])
 @pytest.mark.parametrize("make", [_circle, _torus, _box_with_two_holes, _skeleton_2x3x4])
 def test_delta_rows_match_boundary_incidences(F, make):
-    """Row i of delta(d), built on half-lattice ids, is the coboundary of
-    the i-th sorted (d+1)-cell read off `boundary_incidences` at the
-    complex's `position` of its faces."""
+    """Row i of coboundary(X, d), built on half-lattice ids, is the
+    coboundary of the i-th sorted (d+1)-cell read off `boundary_incidences`
+    at the complex's `position` of its faces."""
     X, _ = make()
-    data = CochainComplexData(X, F)
     for d in range(X.dim):
-        M, pos = data.delta(d), X.position(d)
+        M, pos = coboundary(X, d, F), X.position(d)
         assert (M.rows, M.cols) == (len(X.sorted_cells(d + 1)), len(pos))
         for i, c in enumerate(X.sorted_cells(d + 1)):
             expected = [F.zero] * len(pos)

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plateau.cochain import boundary_incidences
 from plateau.lattice import (
     Cell,
     CubicalComplex,
@@ -19,7 +18,7 @@ from plateau.lattice import (
     connected_components,
 )
 
-from conftest import euler_characteristic, face_closure
+from conftest import boundary_incidences, euler_characteristic, face_closure
 
 
 def test_gridspec_validation():

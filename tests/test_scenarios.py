@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from plateau.cli import main
 from plateau.lattice import (
-    Cell, CubicalComplex, GridSpec, build_skeleton, complex_to_text, connected_components,
+    Cell, CubicalComplex, GridSpec, HalfLattice, build_skeleton, complex_to_text,
+    connected_components,
 )
 from plateau.linalg import GF2
 from plateau.scenarios import (
@@ -386,6 +387,49 @@ def test_cli_oracle(capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["optimal"] is True
     assert data["best_weight"] == "9"
+
+
+def test_cli_oracle_on_an_empty_boundary(tmp_path, capsys):
+    """A boundary complex with no cells at m = 1: `solve` reports weight 0,
+    and the oracle certifies 0 on the uncropped box with no node."""
+    boundary = tmp_path / "empty.txt"
+    boundary.write_text("2 0 0 3 0 3\n")
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({
+        "name": "empty", "grid": {"n": 2, "k": 0, "box": [[0, 3], [0, 3]]},
+        "boundary": {"tag": "custom", "path": str(boundary)}, "m": 1, "seed": 1}))
+    assert main(["solve", str(path), "--diagnostics", "none"]) == 0
+    assert json.loads(capsys.readouterr().out)["solve"]["final_weight"] == "0"
+    assert main(["oracle", str(path)]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert (data["best_weight"], data["optimal"], data["stop"]) == ("0", True, "done")
+    assert data["nodes"] == 0
+    assert data["cropped_box"] == [[0, 3], [0, 3]]
+
+
+@pytest.mark.parametrize("name", [*SCENARIO_NAMES, "custom"])
+def test_build_problem_builds_one_half_lattice(name, monkeypatch, tmp_path):
+    """One `build_problem` constructs one `HalfLattice`, its grid's: the
+    components, the canonical walk, the class checks and the boundary table
+    all read it, also when the boundary comes from a file with its own grid."""
+    if name == "custom":
+        boundary = tmp_path / "rings.txt"
+        boundary.write_text(complex_to_text(build_problem(load("rings_tiny")).A))
+        scenario = scenario_from_dict({
+            **load("rings_tiny").raw, "boundary": {"tag": "custom", "path": str(boundary)}})
+    else:
+        scenario = load(name)
+    built = []
+    init = HalfLattice.__init__
+
+    def counted_init(H, box):
+        built.append(tuple(box))
+        init(H, box)
+
+    monkeypatch.setattr(HalfLattice, "__init__", counted_init)
+    problem = build_problem(scenario)
+    problem.cell_boundaries()
+    assert built == [problem.grid.box]
 
 
 def test_cli_oracle_over_gf3(tmp_path, capsys):

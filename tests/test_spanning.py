@@ -1,11 +1,12 @@
 import copy
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from plateau.cochain import CochainComplexData, boundary_incidences, cohomology
+from plateau.cochain import coboundary, cohomology
 from plateau.lattice import (
     Cell, CubicalComplex, GridSpec, HalfLattice, box_cells, build_skeleton, connected_components,
 )
@@ -28,12 +29,11 @@ from plateau.spanning import (
     fundamental_cycle,
     spans,
 )
-from plateau import spanning
 from plateau.witness import build_witness_system
 
 from conftest import (
-    block_cells, mod2_boundary, chain_boundary, gauss_jordan, matrix_row, problem_over, reference_cofaces,
-    reference_solution_spaces, restriction_spans,
+    block_cells, boundary_incidences, mod2_boundary, chain_boundary, gauss_jordan, matrix_row,
+    problem_over, reference_cofaces, reference_solution_spaces, restriction_spans,
 )
 
 FIELDS = (GF2, Coeffs("gfp", 3), RATIONAL)
@@ -55,33 +55,29 @@ def test_canonical_L_three_rings(tiny_problem):
 @pytest.mark.parametrize("F", FIELDS, ids=["gf2", "gf3", "q"])
 @pytest.mark.parametrize("name", ["sphere_shell", "rings_d3"])
 def test_canonical_L_walks_each_component_once(monkeypatch, name, F):
-    """Over GF(p) and Q `canonical_L` reads each top cell's signed faces once,
-    for both the closed-manifold count and the orientation walk, and calls no
-    `Cell.faces`.  Over GF(2) it
-    counts ridge cofaces with `Cell.faces` and orients nothing."""
+    """Over every field `canonical_L` reads each top cell's signed faces off
+    the grid's `HalfLattice` once, for the closed-manifold count and, over
+    GF(p) and Q, the orientation walk, and calls no `Cell.faces`."""
     A = problem_over(name, "gf2").A
     m = 2 if name == "rings_d3" else 3
-    calls = {"boundary_incidences": 0, "faces": 0}
-    incidences, faces = spanning.boundary_incidences, Cell.faces
+    reads, calls = Counter(), {"faces": 0}
+    signed_faces, faces = HalfLattice.signed_faces, Cell.faces
 
-    def counted_incidences(cell):
-        calls["boundary_incidences"] += 1
-        return incidences(cell)
+    def counted_signed_faces(H, cell):
+        reads[cell] += 1
+        return signed_faces(H, cell)
 
     def counted_faces(cell):
         calls["faces"] += 1
         return faces(cell)
 
-    monkeypatch.setattr(spanning, "boundary_incidences", counted_incidences)
+    monkeypatch.setattr(HalfLattice, "signed_faces", counted_signed_faces)
     monkeypatch.setattr(Cell, "faces", counted_faces)
     expected = canonical_L(A, m, F)
     monkeypatch.undo()
     assert expected == canonical_L(A, m, F)
-    top = len(A.cells_of_dim(m - 1))
-    if F.kind == "gf2":
-        assert calls == {"boundary_incidences": 0, "faces": top}
-    else:
-        assert calls == {"boundary_incidences": top, "faces": 0}
+    assert reads == Counter(A.cells_of_dim(m - 1))
+    assert calls == {"faces": 0}
 
 
 @given(data=st.data())
@@ -89,9 +85,9 @@ def test_canonical_L_walks_each_component_once(monkeypatch, name, F):
 def test_canonical_L_rejects_alike_over_every_field(data):
     """On random complexes that may or may not be closed manifolds (the mod-2
     boundary of a few cells plus up to two stray cells of the same
-    dimension), `canonical_L` over GF(3) and Q, which counts ridge cofaces
-    from each top cell's signed faces, raises on each component the same closed-manifold error
-    as over GF(2), which counts them with `Cell.faces`.  Where GF(2) builds a
+    dimension), `canonical_L` over GF(3) and Q, which also orients each
+    component, raises on each component the same closed-manifold error as
+    over GF(2), which orients nothing.  Where GF(2) builds a
     class, the other fields build the same one, or find no orientation walk:
     two surfaces that meet at a vertex only are one component, but not one
     ridge-connected one."""
@@ -267,7 +263,7 @@ def test_spans_matches_restriction_image_rings_tiny_gf3():
         assert verdicts[-1] == restriction_spans(Y) == system.spans_surface(Y)
     assert verdicts[:3] == [False, True, True]
     assert not any(verdicts[3:7])
-    delta = CochainComplexData(problem.A, F).delta(0)
+    delta = coboundary(problem.A, 0, F)
     for _ in range(4):
         moved = SpanningProblem(problem.A, problem.grid, 2, [
             CohomologyClass([F.add(x, y) for x, y in zip(cls.rep, delta.apply(

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plateau import linalg, witness
-from plateau.cochain import boundary_incidences
+from plateau.density import DensityField
 from plateau.linalg import GF2, Coeffs, FieldMatrix, Subspace, _dense, bit_indices
 from plateau.scenarios import build_problem, scenario_from_dict
 from plateau.solver import (
@@ -20,8 +21,8 @@ from plateau.spanning import Surface
 from plateau.witness import Gf2AffineSpace, GenericAffineSpace, build_witness_system
 
 from conftest import (
-    bench_problem, n4_sphere_problem, reference_constrain_zero, reference_solution_spaces,
-    scenario_path,
+    bench_instances, bench_problem, boundary_incidences, n4_sphere_problem,
+    reference_constrain_zero, reference_solution_spaces, scenario_path,
 )
 
 FIELD_SPECS = {"gf2": "gf2", "gf3": {"kind": "gfp", "p": 3}, "rational": "rational"}
@@ -396,6 +397,30 @@ def test_build_reads_one_kernel(field, monkeypatch):
         monkeypatch.setattr(module, "_read_off", counted)
     system = build_witness_system(problem)
     assert len(system.spaces) == 3 and len(calls) == 1
+
+
+@pytest.mark.parametrize("name", ["disk-affine", "torus-radial", "shell-affine"])
+def test_density_runs_once_per_box_mcell(name, monkeypatch):
+    """A non-constant density's g runs once per box m-cell through
+    `build_problem` and the witness build together: the bound check at load
+    fills the weight table the build reads."""
+    [raw] = [d for d in bench_instances("solve", 1) if d["name"] == name]
+    calls = Counter()
+    on_grid = DensityField.on_grid
+
+    def counted_on_grid(density, grid):
+        D, g = on_grid(density, grid)
+
+        def counted_g(cell):
+            calls[cell] += 1
+            return g(cell)
+
+        return D, counted_g
+
+    monkeypatch.setattr(DensityField, "on_grid", counted_on_grid)
+    problem = build_problem(scenario_from_dict(raw))
+    build_witness_system(problem)
+    assert calls == Counter(problem.box_mcells())
 
 
 def test_witness_system_agrees_with_spans(disk_problem, disk_system):
