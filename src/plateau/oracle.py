@@ -8,7 +8,8 @@ loop enters the simplex only once the dual prices violate it) gives a lower
 bound, checked exactly in integers, and its dual prices, rounded at 1/2,
 give a candidate surface.  When that surface, or the solver's warm start,
 spans and weighs no more than the bound, it is certified optimal without a
-single search node.
+single search node.  `root_stage` is this root on its own: `solver.solve`
+starts from it too.
 
 Otherwise the search is `witness.branch_and_bound` over the whole (cropped)
 box: branching includes or excludes one m-cell at a time, exclusion
@@ -32,9 +33,13 @@ from typing import Optional, Sequence
 
 from .lattice import Cell, HalfLattice
 from .linalg import bit_indices
-from .solver import SolverConfig, frac_str, solve
 from .spanning import SpanningProblem, Surface
 from .witness import WitnessSystem, branch_and_bound, build_witness_system
+
+
+def frac_str(x: Fraction) -> str:
+    """Exact report form of a rational: "p/q", or "p" for an integer."""
+    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
 @dataclass(frozen=True)
@@ -111,6 +116,11 @@ def crop_problem(problem: SpanningProblem) -> SpanningProblem:
 # dual-loop catalogue
 
 
+def catalogue_applies(problem: SpanningProblem) -> bool:
+    """Whether the loop catalogue covers the problem: codimension one over GF(2)."""
+    return problem.coeffs.kind == "gf2" and problem.m == problem.grid.n - 1
+
+
 def build_loop_catalogue(system: WitnessSystem, deadline: float = math.inf) -> list[int]:
     """Crossing masks of dual loops that are odd on some class's witnesses.
 
@@ -129,7 +139,7 @@ def build_loop_catalogue(system: WitnessSystem, deadline: float = math.inf) -> l
     problem = system.problem
     box = problem.grid.box
     n = len(box)
-    if problem.coeffs.kind != "gf2" or problem.m != n - 1:
+    if not catalogue_applies(problem):
         return []
     parity, fields, nbits = [0] * system.ncols, [], 0
     for s in system.spaces:
@@ -361,6 +371,32 @@ def root_lp(
     return lower, (mask if system.spans_mask(mask) else None)
 
 
+@dataclass(frozen=True)
+class RootStage:
+    """The root of the certified search, on the cropped problem: its witness
+    system, loop catalogue, the root LP's bound rounded up on the system's
+    scale (0 when the LP gives up or no loop is left) and its spanning
+    primal, a column mask holding A's columns (None when there is none)."""
+
+    system: WitnessSystem
+    loops: list[int]
+    lower: int
+    primal: Optional[int]
+
+    @property
+    def certified(self) -> bool:
+        """Whether the primal weighs the bound, which makes it a minimum."""
+        return self.primal is not None and self.system.weight(self.primal) == self.lower
+
+
+def root_stage(problem: SpanningProblem, deadline: float = math.inf) -> RootStage:
+    """Crop the problem, build its witness system, catalogue and root LP."""
+    system = build_witness_system(crop_problem(problem))
+    loops = build_loop_catalogue(system, deadline)
+    lower, primal = root_lp(system, loops, system.a_mask, deadline) or (0, None)
+    return RootStage(system, loops, lower, primal)
+
+
 # ---------------------------------------------------------------------------
 # certified scan
 
@@ -371,27 +407,23 @@ def isoperimetric_scan(
     """Certified minimum weight over all spanning surfaces of the problem."""
     cfg = cfg or OracleConfig()
     deadline = time.monotonic() + cfg.time_limit
-    work = crop_problem(problem)
-    if not work.L:
-        return OracleResult(
-            Fraction(0), Fraction(0), True, 0, frozenset(), work.grid.box, 0, "done"
-        )
-    system = build_witness_system(work)
-    weights = system.weights
-    a_mask = system.a_mask
-    loops = build_loop_catalogue(system, deadline)
+    if not problem.L:
+        box = crop_problem(problem).grid.box
+        return OracleResult(Fraction(0), Fraction(0), True, 0, frozenset(), box, 0, "done")
+    root = root_stage(problem, deadline)
+    system, loops, lower = root.system, root.loops, root.lower
+    work, weights, a_mask = system.problem, system.weights, system.a_mask
 
     best_weight: Optional[int] = None
     best_mask = 0
-    lower = 0
-    root = root_lp(system, loops, a_mask, deadline)
-    if root is not None:
-        lower, primal = root
-        if primal is not None:
-            best_mask, best_weight = primal, system.weight(primal)
+    if root.primal is not None:
+        best_mask, best_weight = root.primal, system.weight(root.primal)
     timed_out = time.monotonic() > deadline  # the search then stops at once
-    if cfg.warm_start and not timed_out and (best_weight is None or best_weight > lower):
-        X_ub, _ = solve(work, SolverConfig(), system)
+    if cfg.warm_start and not timed_out and not root.certified:
+        from .solver import SolverConfig, solve  # solver imports this module
+
+        # solve takes this root as it is and runs it no second time
+        X_ub, _ = solve(work, SolverConfig(), system, root)
         warm = system.mask_of(X_ub.mcells) | a_mask
         w = system.weight(warm)
         if best_weight is None or w < best_weight:

@@ -1,11 +1,17 @@
 """Minimization of weighted area over spanning surfaces.
 
-Pipeline: fill the full m-skeleton (contractible box, so it spans), greedily
-remove cells in one pass while the spanning verdict survives (a cell that
-cannot go at its turn never can, see `greedy_minimize`), then sweep local
-replacements over 2-boxes (a unit box holds no interior m-cell when m < n, and
-when m = n its one cell lies on a 1-minimal surface).  A local replacement is
-an exact minimization of one region's interior on the witness branch-and-bound
+Where the oracle's loop catalogue applies and L is non-empty, `solve` first
+runs the oracle's root stage on the cropped problem.  A root LP primal that
+weighs the rounded-up bound is a minimum, and 1-minimal since every free
+cell weighs at least a > 0; spanning does not depend on the box, so it is
+lifted to the full box and returned as it is.  Otherwise: fill the full
+m-skeleton (contractible box, so it spans), greedily remove cells in one
+pass while the spanning verdict survives (a cell that cannot go at its turn
+never can, see `greedy_minimize`), do the same from the witness re-seeding
+and from the lifted root primal, then sweep local replacements over 2-boxes
+from the lightest (a unit box holds no interior m-cell when m < n, and when
+m = n its one cell lies on a 1-minimal surface).  A local replacement is an
+exact minimization of one region's interior on the witness branch-and-bound
 that the oracle also runs.  Every accepted move preserves spanning by
 construction and the final surface is 1-minimal.  Every stage works on the
 caller's witness system (only `solve` and `assert_one_minimal` build one when
@@ -28,6 +34,7 @@ from typing import Optional, Sequence
 from . import spanning
 from .lattice import Cell, box_cells
 from .linalg import bit_indices
+from .oracle import RootStage, catalogue_applies, frac_str, root_stage
 from .spanning import SpanningProblem, Surface
 from .witness import WitnessSystem, branch_and_bound, build_witness_system
 
@@ -57,20 +64,26 @@ class SolveReport:
     moves: list[tuple[str, Fraction]] = field(default_factory=list)
     spans_verified: bool = False
     wall_time: float = 0.0
+    # the root LP's exact bound, where the root stage ran; else None
+    lower_bound: Optional[Fraction] = None
+
+    @property
+    def certified(self) -> bool:
+        """Whether the final weight meets the lower bound, so it is a minimum."""
+        return self.final_weight == self.lower_bound
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "initial_weight": frac_str(self.initial_weight),
             "final_weight": frac_str(self.final_weight),
             "moves": [[kind, frac_str(delta)] for kind, delta in self.moves],
             "spans_verified": self.spans_verified,
             "wall_time_seconds": round(self.wall_time, 3),
         }
-
-
-def frac_str(x: Fraction) -> str:
-    """Exact report form of a rational: "p/q", or "p" for an integer."""
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
+        if self.lower_bound is not None:
+            out["lower_bound"] = frac_str(self.lower_bound)
+            out["certified"] = self.certified
+        return out
 
 
 def cell_weight(cell: Cell, problem: SpanningProblem) -> Fraction:
@@ -240,10 +253,24 @@ def _admissible_regions(problem: SpanningProblem):
 
 def solve(
     problem: SpanningProblem, cfg: SolverConfig,
-    system: Optional[WitnessSystem] = None,
+    system: Optional[WitnessSystem] = None, root: Optional[RootStage] = None,
 ) -> tuple[Surface, SolveReport]:
-    """initial fill, greedy removal, then local replacement sweeps."""
+    """The root stage where a loop catalogue applies; unless it certifies
+    its primal, greedy removal from each start, then local replacement
+    sweeps.  `system` (the full box's) and `root` (the oracle's root stage
+    of this problem) are built here when not given and needed."""
     t0 = time.monotonic()
+    if root is None and problem.L and catalogue_applies(problem):
+        root = root_stage(problem)
+    lower = None if root is None else Fraction(root.lower, root.system.scale)
+    if root is not None and root.certified:
+        # `root_lp` keeps a primal only when it spans, and spanning does not
+        # depend on the box
+        Y = problem.surface(root.system.surface(root.primal).mcells)
+        return Y, SolveReport(lower, lower, spans_verified=True,
+                              wall_time=time.monotonic() - t0, lower_bound=lower)
+    if system is None and root is not None and root.system.problem is problem:
+        system = root.system  # the crop kept the whole box
     system = system or build_witness_system(problem)
     scale = system.scale
     # the fill, A u every m-cell of the box, spans: the witness build raised
@@ -252,13 +279,19 @@ def solve(
     initial_weight = system.weight(X)
     X, moves = greedy_minimize(X, cfg, system)
     w = system.weight(X)
-    # witness re-seeding: minimize the union of per-class witness chains
-    # drawn from the whole box, and keep it if it beats the greedy surface
-    seed, _ = greedy_minimize(contract_to_witnesses(system), cfg, system)
-    ws = system.weight(seed)
-    if ws < w:
-        moves.append(("witness_seed", Fraction(ws - w, scale)))
-        X, w = seed, ws
+    # witness re-seeding (a union of per-class witness chains drawn from the
+    # whole box) and the lifted root primal: each replaces the surface when
+    # its greedy descent is strictly lighter
+    starts = [("witness_seed", contract_to_witnesses(system))]
+    if root is not None and root.primal is not None:
+        lifted = system.mask_of(root.system.surface(root.primal).mcells)
+        starts.append(("lp_seed", lifted | system.a_mask))
+    for kind, start in starts:
+        seed, _ = greedy_minimize(start, cfg, system)
+        ws = system.weight(seed)
+        if ws < w:
+            moves.append((kind, Fraction(ws - w, scale)))
+            X, w = seed, ws
     interiors = [  # listed once for every pass; each avoids A by construction
         system.mask_of(box_cells(tuple(zip(lows, highs)), problem.m, interior=True))
         for lows, highs in _admissible_regions(problem)
@@ -286,6 +319,7 @@ def solve(
         moves=moves,
         spans_verified=system.spans_surface(Y),
         wall_time=time.monotonic() - t0,
+        lower_bound=lower,
     )
     if not report.spans_verified:
         raise AssertionError("solver output lost the spanning property")

@@ -144,7 +144,9 @@ class SpanningProblem:
     def cropped(self, box: tuple[tuple[int, int], ...]) -> "SpanningProblem":
         """This problem on a sub-box of its box that still holds A: the class
         and density checks passed on the larger box, so only A's containment
-        runs (on its vertices, the corners of its cells); L is shared."""
+        runs (on its vertices, the corners of its cells); L is shared.  A
+        weight table already built is restricted to the sub-box's m-cells,
+        as a cell's weight does not depend on the box."""
         if any(lo < lo0 or hi > hi0 for (lo, hi), (lo0, hi0) in zip(box, self.grid.box)):
             raise ValueError("a cropped box must lie inside the problem box")
         grid = GridSpec(self.grid.n, self.grid.k, box)
@@ -153,6 +155,9 @@ class SpanningProblem:
         out = copy.copy(self)
         out.A = CubicalComplex(grid, self.A.cells, closed=True)
         out.grid, out._mcells, out._weights, out._boundaries = grid, None, None, None
+        if self._weights is not None:
+            table, scale = self._weights
+            out._weights = {c: table[c] for c in out.box_mcells()}, scale
         return out
 
 

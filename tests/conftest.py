@@ -3,18 +3,24 @@ import itertools
 import json
 import math
 import os
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
 from plateau.cochain import coboundary_space, restriction_image
 from plateau.lattice import Cell, CubicalComplex, GridSpec, box_cells, cell_measure
 from plateau.linalg import GF2, FieldMatrix, Subspace, _dense, _echelon, _to_row
 from plateau.linking import DualLoop, crossed_faces
 from plateau.scenarios import build_problem, load_scenario, run, scenario_from_dict
-from plateau.solver import cell_weight
+from plateau.solver import (
+    SolverConfig, _admissible_regions, cell_weight, contract_to_witnesses, greedy_minimize,
+    local_replace,
+)
 from plateau.spanning import (
     SpanningProblem,
     Surface,
@@ -214,6 +220,76 @@ def block_cells(lo, hi) -> list[Cell]:
     axes = sum(1 << a for a, (l, h) in enumerate(zip(lo, hi)) if h > l)
     ranges = (range(l, max(h, l + 1)) for l, h in zip(lo, hi))
     return [Cell(anchor, axes) for anchor in itertools.product(*ranges)]
+
+
+@st.composite
+def spanning_surfaces(draw, n: int, m: int, fields: Sequence):
+    """A random small problem over one of `fields` whose A bounds one or two
+    m-dimensional blocks (so its classes are `canonical_L`'s), and random
+    cell sets of its box, some holding a block's filling."""
+    F = draw(st.sampled_from(fields))
+    side = draw(st.integers(2, 3 if n < 4 else 2))  # Q on a 3^4 box takes seconds
+    grid = GridSpec(n, 0, ((0, side),) * n)
+    blocks = []
+    for _ in range(draw(st.integers(1, 2))):
+        axes = draw(st.sets(st.integers(0, n - 1), min_size=m, max_size=m))
+        lo, hi = [], []
+        for a in range(n):
+            low = draw(st.integers(0, side - 1 if a in axes else side))
+            lo.append(low)
+            hi.append(draw(st.integers(low + 1, side)) if a in axes else low)
+        blocks.append(block_cells(lo, hi))
+    faces: dict[Cell, int] = {}
+    for c in {c for block in blocks for c in block}:
+        for f in c.faces():
+            faces[f] = faces.get(f, 0) + 1
+    A = CubicalComplex(grid, [f for f, k in faces.items() if k == 1])
+    try:
+        problem = SpanningProblem(A, grid, m, canonical_L(A, m, F), F)
+    except ValueError:  # the blocks touch: A is no closed manifold
+        assume(False)
+    assume(problem.L)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    box = problem.box_mcells()
+    surfaces = []
+    for _ in range(3):
+        keep = draw(st.sampled_from((0.3, 0.7, 0.9)))
+        cells = {c for c in box if rng.random() < keep}
+        if draw(st.booleans()):
+            cells |= set(rng.choice(blocks))
+        surfaces.append(frozenset(cells))
+    return problem, surfaces
+
+
+def staged_solve(system: WitnessSystem, cfg: SolverConfig) -> tuple[int, list]:
+    """The solver's pipeline with no root stage, through its stage functions:
+    greedy removal from the fill and from the witness re-seeding, then local
+    replacement sweeps from the lighter.  Returns the final column mask and
+    the moves in `SolveReport` form."""
+    X, moves = greedy_minimize(system.full_mask(), cfg, system)
+    w = system.weight(X)
+    seed, _ = greedy_minimize(contract_to_witnesses(system), cfg, system)
+    if system.weight(seed) < w:
+        moves.append(("witness_seed", Fraction(system.weight(seed) - w, system.scale)))
+        X, w = seed, system.weight(seed)
+    problem = system.problem
+    interiors = [
+        system.mask_of(box_cells(tuple(zip(lows, highs)), problem.m, interior=True))
+        for lows, highs in _admissible_regions(problem)
+    ]
+    for _ in range(cfg.max_passes):
+        improved = False
+        for interior in interiors:
+            X2 = local_replace(X, interior, system)
+            if X2 != X:
+                moves.append(("local_replace", Fraction(system.weight(X2) - w, system.scale)))
+                X, w, improved = X2, system.weight(X2), True
+        if not improved:
+            break
+        X, removals = greedy_minimize(X, cfg, system)
+        moves += removals
+        w = system.weight(X)
+    return X, moves
 
 
 def mod2_boundary(cells: Iterable[Cell]) -> set[Cell]:

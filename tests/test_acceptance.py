@@ -292,11 +292,11 @@ def test_criterion_10_outputs_are_regular(scenario_runs):
 # report value, weights and moves included, changes these on purpose
 PINNED_HASHES = {
     "disk3": "bfa9ad3e1d76546bf2e0f37e66ce21bcb5348fdd9559d4c74fb0e90ee3e8433e",
-    "rings_d1": "912919b12c6146136f4197ed8cea7b2b8b1db94cf6862d33d1cede4e660d4eec",
-    "rings_d3": "d91ac58b81295869b96046c4f3c2ee86e99730f52f024114ab976d77366c1f84",
-    "rings_tiny": "3cae7c6e118ba4765deb3d04c38b71f50ba4c15040f8ea4db424f4cc08b44bd8",
+    "rings_d1": "7f5ac0e0208a0557e395969d0d902617dd3a84ee4937f2b4eb341890450c5818",
+    "rings_d3": "a637e24e5f51fe4413a52e3539e2c8df749409a20f6f6af9e7efb37b9a38a410",
+    "rings_tiny": "7d6d66fcaaa258f87b9683f82d6fd992a0822cc5bb7e95bf58c262f0188c3a8e",
     "sphere_shell": "1b8bd3c2f3d47cdd7c2c0943735abf790363567cb767eee40299ef9be5f77879",
-    "torus": "fdecdb87c38a6fdaac60c3346ad655bd8711b18956452c8c18a61d1f6d8f6919",
+    "torus": "f3dbe9fe3be874e07de43217ea5b8ccdebc563c26bea41d70c8ec67548204c26",
 }
 
 

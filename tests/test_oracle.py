@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plateau import oracle, solver
 from plateau.lattice import CubicalComplex
 from plateau.linalg import GF2, bit_indices
 from plateau.linking import crossed_faces
@@ -23,7 +24,7 @@ from plateau.oracle import (
 )
 from plateau.scenarios import build_problem, scenario_from_dict
 from plateau.solver import SolverConfig, solve, surface_weight
-from plateau.spanning import CohomologyClass, SpanningProblem, spans
+from plateau.spanning import CohomologyClass, SpanningProblem, Surface, spans
 from plateau.witness import build_witness_system
 
 from conftest import (
@@ -59,7 +60,7 @@ def test_crop_equals_full_construction(raw):
     """The cropped problem, built without repeating the class and density
     checks, equals one the full constructor builds and checks on its box."""
     problem = build_problem(scenario_from_dict(raw))
-    problem.weight_table()  # a table of the larger box must not carry over
+    problem.weight_table()  # the crop restricts this table to its own m-cells
     cropped = crop_problem(problem)
     A = CubicalComplex(cropped.grid, problem.A.cells)
     full = SpanningProblem(
@@ -72,6 +73,10 @@ def test_crop_equals_full_construction(raw):
     assert [c.rep for c in cropped.L] == [c.rep for c in full.L]
     assert cropped.weight_table() == full.weight_table()
     assert cropped == full
+    outside = [c for c in problem.box_mcells() if not cropped.grid.contains_cell(c)]
+    for c in outside[:1]:
+        with pytest.raises(ValueError, match="outside the problem box"):
+            Surface(cropped, frozenset([c]))
 
 
 def test_cropped_box_must_hold_A(tiny_problem):
@@ -237,6 +242,24 @@ def _without_loops(monkeypatch):
     """An empty loop catalogue: no LP bound, and every node branches on a
     support column."""
     monkeypatch.setattr("plateau.oracle.build_loop_catalogue", lambda system, deadline=None: [])
+
+
+def test_warm_start_reuses_the_root_stage(tiny_problem, monkeypatch):
+    """With the root LP skipped, the warm start's `solve` takes the oracle's
+    root stage as it is: one witness build and one catalogue in all."""
+    _without_root_lp(monkeypatch)
+    calls = []
+
+    def counted(module, name):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: calls.append(name) or fn(*args))
+
+    counted(oracle, "build_loop_catalogue")
+    for module in (oracle, solver):
+        counted(module, "build_witness_system")
+    res = isoperimetric_scan(tiny_problem, OracleConfig(budget=5_000))
+    assert sorted(calls) == ["build_loop_catalogue", "build_witness_system"]
+    assert (res.best_weight, res.optimal) == (21, True)
 
 
 @pytest.mark.parametrize("name, pinned", [

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plateau.density import DensityField
 from plateau.lattice import Cell, CubicalComplex, GridSpec, box_cells
-from plateau.oracle import OracleConfig, isoperimetric_scan
+from plateau.linalg import GF2
+from plateau.oracle import OracleConfig, RootStage, isoperimetric_scan, root_stage
 from plateau.scenarios import build_problem, scenario_from_dict
 from plateau.solver import (
     SolverConfig,
@@ -23,7 +25,10 @@ from plateau.solver import (
 from plateau.spanning import SpanningProblem, Surface, relative_coboundary_dominates, spans
 from plateau.witness import build_witness_system
 
-from conftest import n4_sphere_problem, reference_admissible_regions, skeleton_push
+from conftest import (
+    n4_sphere_problem, problem_over, reference_admissible_regions, skeleton_push,
+    spanning_surfaces, staged_solve,
+)
 
 
 def _mask(system, X):
@@ -341,14 +346,10 @@ def test_solve_is_deterministic(disk_problem):
     assert r1.to_dict()["moves"] == r2.to_dict()["moves"]
 
 
-def test_solve_accepts_local_moves():
-    """A radial-density rings problem whose local sweep improves the greedy
-    surface: the sweep starts from the lighter of the greedy fill and the
-    greedy witness re-seeding (737/3); in one pass three 2-boxes are refilled
-    more lightly, the greedy re-run then removes one more cell, and a further
-    pass finds nothing.  The sweep stays a heuristic: the cold oracle
-    certifies 505/3 at the root."""
-    problem = build_problem(scenario_from_dict({
+def _pinned_radial_problem():
+    """Radial-density three rings on a 5x3x6 box: the one problem known on
+    which the local sweep accepts moves."""
+    return build_problem(scenario_from_dict({
         "grid": {"n": 3, "k": 0, "box": [[0, 5], [0, 3], [0, 6]]},
         "boundary": {"tag": "three_rings", "size": 3, "origin": [0, 0],
                      "spacing": 2, "z0": 1},
@@ -356,18 +357,106 @@ def test_solve_accepts_local_moves():
         "density": {"kind": "radial", "offset": 1, "slope": "8/3",
                     "center": ["4/2", "5/2", "4/2"], "a": "1/1000", "b": 1000},
     }))
+
+
+def test_sweep_accepts_local_moves():
+    """On the pinned radial problem the sweep improves the greedy surface:
+    it starts from the lighter of the greedy fill and the greedy witness
+    re-seeding (737/3); in one pass three 2-boxes are refilled more lightly,
+    the greedy re-run then removes one more cell, and a further pass finds
+    nothing.  The sweep stays a heuristic: the root LP certifies 505/3."""
+    problem = _pinned_radial_problem()
     system = build_witness_system(problem)
-    X, report = solve(problem, SolverConfig(), system)
-    assert [kind for kind, _ in report.moves].count("local_replace") == 3
-    step = Fraction(-7, 3)
-    assert report.moves[-4:] == [("local_replace", step)] * 3 + [("remove", step)]
-    assert report.final_weight == surface_weight(X) == Fraction(709, 3)
-    assert spans(X)
-    assert_one_minimal(X, system)
     before_sweep = min(
         surface_weight(system.surface(greedy_minimize(Y, SolverConfig(), system)[0]))
         for Y in (system.full_mask(), contract_to_witnesses(system))
     )
     assert before_sweep == Fraction(737, 3)
-    result = isoperimetric_scan(problem, OracleConfig())
+    X, moves = staged_solve(system, SolverConfig())
+    assert [kind for kind, _ in moves].count("local_replace") == 3
+    step = Fraction(-7, 3)
+    assert moves[-4:] == [("local_replace", step)] * 3 + [("remove", step)]
+    X = system.surface(X)
+    assert surface_weight(X) == Fraction(709, 3)
+    assert spans(X)
+    assert_one_minimal(X, system)
+
+
+def test_solve_returns_the_certified_root_primal():
+    """On the pinned radial problem `solve` returns the root LP's primal,
+    which weighs the bound 505/3 that the cold oracle certifies, with no
+    greedy pass, re-seeding or sweep."""
+    problem = _pinned_radial_problem()
+    X, report = solve(problem, SolverConfig())
+    assert report.certified and report.moves == []
+    assert report.initial_weight == report.final_weight == surface_weight(X) == Fraction(505, 3)
+    d = report.to_dict()
+    assert (d["lower_bound"], d["certified"], d["final_weight"]) == ("505/3", True, "505/3")
+    assert spans(X)
+    assert_one_minimal(X)
+    result = isoperimetric_scan(problem, OracleConfig(warm_start=False))
     assert (result.best_weight, result.optimal, result.nodes) == (Fraction(505, 3), True, 0)
+
+
+def test_solve_takes_a_lighter_root_primal_as_a_start():
+    """A root primal that does not meet its bound joins the fill and the
+    witness re-seeding as a start: on the pinned radial problem, with the
+    bound dropped to 0, it beats their 737/3 and the sweep keeps it."""
+    problem = _pinned_radial_problem()
+    root = root_stage(problem)
+    uncertified = RootStage(root.system, root.loops, 0, root.primal)
+    X, report = solve(problem, SolverConfig(), root=uncertified)
+    assert report.moves[-1] == ("lp_seed", Fraction(505 - 737, 3))
+    assert report.final_weight == surface_weight(X) == Fraction(505, 3)
+    assert report.lower_bound == 0 and not report.certified
+    assert_one_minimal(X)
+
+
+def test_solve_reports_no_bound_without_a_catalogue(disk_problem, tiny_problem):
+    """m = n and GF(p) problems skip the root stage, so their reports hold
+    no bound; a codimension-one GF(2) problem's report holds one."""
+    gf3 = problem_over("rings_tiny", {"kind": "gfp", "p": 3})
+    for problem in (disk_problem, gf3):
+        _, report = solve(problem, SolverConfig())
+        assert report.lower_bound is None and not report.certified
+        assert "lower_bound" not in report.to_dict() and "certified" not in report.to_dict()
+    _, report = solve(tiny_problem, SolverConfig())
+    assert report.to_dict()["lower_bound"] == "21" and report.certified
+
+
+@st.composite
+def densities(draw, n: int):
+    """A constant, coordinate-affine or radial density with small rational
+    data, bounded in [1/1000, 1000] on the generator's boxes."""
+    kind = draw(st.sampled_from(("constant", "coordinate-affine", "radial")))
+    bounds = {"a": Fraction(1, 1000), "b": Fraction(1000)}
+    if kind == "constant":
+        return DensityField(value=Fraction(draw(st.integers(1, 5)), draw(st.integers(1, 3))),
+                            **bounds)
+    if kind == "coordinate-affine":
+        coeffs = tuple(Fraction(draw(st.integers(0, 4)), 2) for _ in range(n))
+        return DensityField(kind=kind, offset=Fraction(1), coeffs=coeffs, **bounds)
+    center = tuple(Fraction(draw(st.integers(0, 6)), 2) for _ in range(n))
+    slope = Fraction(draw(st.integers(1, 8)), 3)
+    return DensityField(kind=kind, offset=Fraction(1), center=center, slope=slope, **bounds)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_solve_from_the_root_against_the_stages(n, data):
+    """On random GF(2) codimension-one problems `solve` spans, is 1-minimal,
+    is never heavier than fill, greedy, re-seeding and sweep run through the
+    stage functions, and when certified weighs the cold oracle's optimum."""
+    drawn, _ = data.draw(spanning_surfaces(n, n - 1, (GF2,)))
+    problem = SpanningProblem(drawn.A, drawn.grid, n - 1, drawn.L, GF2, data.draw(densities(n)))
+    X, report = solve(problem, SolverConfig())
+    system = build_witness_system(problem)
+    assert spans(X)
+    assert_one_minimal(X, system)
+    staged, _ = staged_solve(system, SolverConfig())
+    assert report.final_weight == surface_weight(X) <= Fraction(system.weight(staged), system.scale)
+    assert report.lower_bound is not None and report.lower_bound <= report.final_weight
+    if report.certified:
+        result = isoperimetric_scan(problem, OracleConfig(warm_start=False))
+        assert result.optimal and result.best_weight == report.final_weight

@@ -32,8 +32,9 @@ from plateau.spanning import (
 from plateau.witness import build_witness_system
 
 from conftest import (
-    block_cells, boundary_incidences, mod2_boundary, chain_boundary, gauss_jordan, matrix_row,
+    boundary_incidences, mod2_boundary, chain_boundary, gauss_jordan, matrix_row,
     problem_over, reference_cofaces, reference_solution_spaces, restriction_spans,
+    spanning_surfaces,
 )
 
 FIELDS = (GF2, Coeffs("gfp", 3), RATIONAL)
@@ -415,45 +416,6 @@ def test_closed_manifold_check_matches_coface_reference(data):
                                   "is not a closed manifold")
 
 
-@st.composite
-def spanning_surfaces(draw, n: int, m: int, fields=FIELDS):
-    """A random small problem over one of `fields` whose A bounds one or two
-    m-dimensional blocks (so its classes are `canonical_L`'s), and random
-    cell sets of its box, some holding a block's filling."""
-    F = draw(st.sampled_from(fields))
-    side = draw(st.integers(2, 3 if n < 4 else 2))  # Q on a 3^4 box takes seconds
-    grid = GridSpec(n, 0, ((0, side),) * n)
-    blocks = []
-    for _ in range(draw(st.integers(1, 2))):
-        axes = draw(st.sets(st.integers(0, n - 1), min_size=m, max_size=m))
-        lo, hi = [], []
-        for a in range(n):
-            low = draw(st.integers(0, side - 1 if a in axes else side))
-            lo.append(low)
-            hi.append(draw(st.integers(low + 1, side)) if a in axes else low)
-        blocks.append(block_cells(lo, hi))
-    faces: dict[Cell, int] = {}
-    for c in {c for block in blocks for c in block}:
-        for f in c.faces():
-            faces[f] = faces.get(f, 0) + 1
-    A = CubicalComplex(grid, [f for f, k in faces.items() if k == 1])
-    try:
-        problem = SpanningProblem(A, grid, m, canonical_L(A, m, F), F)
-    except ValueError:  # the blocks touch: A is no closed manifold
-        assume(False)
-    assume(problem.L)
-    rng = random.Random(draw(st.integers(0, 2**32)))
-    box = problem.box_mcells()
-    surfaces = []
-    for _ in range(3):
-        keep = draw(st.sampled_from((0.3, 0.7, 0.9)))
-        cells = {c for c in box if rng.random() < keep}
-        if draw(st.booleans()):
-            cells |= set(rng.choice(blocks))
-        surfaces.append(frozenset(cells))
-    return problem, surfaces
-
-
 # the (n, m) of the generator's properties; n = m = 2 is disk3's shape
 SHAPES = [(2, 1), (2, 2), (3, 2), (3, 3), (4, 2), (4, 3)]
 
@@ -464,7 +426,7 @@ SHAPES = [(2, 1), (2, 2), (3, 2), (3, 3), (4, 2), (4, 3)]
 def test_spans_matches_restriction_image_and_witnesses(n, m, data):
     """`spans` agrees with the restriction-image definition and with the
     witness system on random small problems over GF(2), GF(3) and Q."""
-    problem, surfaces = data.draw(spanning_surfaces(n, m))
+    problem, surfaces = data.draw(spanning_surfaces(n, m, FIELDS))
     system = build_witness_system(problem)
     for cells in surfaces:
         X = Surface(problem, cells)
@@ -507,7 +469,7 @@ def test_spanning_lemmas(n, m, data):
     GF(3) and Q: enlarging a spanning surface keeps it spanning; a vertex off
     the surface, added in isolation, leaves the verdict as it is; and a
     complex of dimension at most m - 2 has no (m-1)-cohomology."""
-    problem, surfaces = data.draw(spanning_surfaces(n, m))
+    problem, surfaces = data.draw(spanning_surfaces(n, m, FIELDS))
     rng = random.Random(data.draw(st.integers(0, 2**32)))
     box = problem.box_mcells()
     vertices = build_skeleton(problem.grid, 0).sorted_cells(0)
@@ -535,7 +497,7 @@ def test_local_moves_keep_spanning(n, m, data):
     and its greedy reduction included, one greedy pass in either removal
     order leaves a spanning 1-minimal surface, and a local move in any admissible
     2-box returns a surface that still spans and weighs no more."""
-    problem, surfaces = data.draw(spanning_surfaces(n, m))
+    problem, surfaces = data.draw(spanning_surfaces(n, m, FIELDS))
     system = build_witness_system(problem)
     fill = system.full_mask()
     greedy, _ = greedy_minimize(fill, SolverConfig(), system)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from plateau import linalg, witness
 from plateau.density import DensityField
 from plateau.linalg import GF2, Coeffs, FieldMatrix, Subspace, _dense, bit_indices
+from plateau.oracle import crop_problem
 from plateau.scenarios import build_problem, scenario_from_dict
 from plateau.solver import (
     SolverConfig, contract_to_witnesses, greedy_minimize, solve, surface_weight,
@@ -403,7 +404,8 @@ def test_build_reads_one_kernel(field, monkeypatch):
 def test_density_runs_once_per_box_mcell(name, monkeypatch):
     """A non-constant density's g runs once per box m-cell through
     `build_problem` and the witness build together: the bound check at load
-    fills the weight table the build reads."""
+    fills the weight table the build reads.  The oracle's crop and a witness
+    build on it run g on no cell: the crop restricts the table."""
     [raw] = [d for d in bench_instances("solve", 1) if d["name"] == name]
     calls = Counter()
     on_grid = DensityField.on_grid
@@ -421,6 +423,9 @@ def test_density_runs_once_per_box_mcell(name, monkeypatch):
     problem = build_problem(scenario_from_dict(raw))
     build_witness_system(problem)
     assert calls == Counter(problem.box_mcells())
+    calls.clear()
+    build_witness_system(crop_problem(problem))
+    assert not calls
 
 
 def test_witness_system_agrees_with_spans(disk_problem, disk_system):
